@@ -5,8 +5,8 @@ Outputs are byte-deterministic for fixed arguments and seed, regardless of
 MM_THREADS, so runs can be diffed.  JSON goes through sorted keys and repr
 round-trip floats; matrices use the shared CSV and binary writers.
 
-Exit codes: 0 ok, 2 invalid input, 3 enumeration budget exceeded,
-4 disconnected graph.
+Exit codes: 0 ok, 2 invalid input, 3 enumeration budget or graph size
+limit exceeded, 4 disconnected graph.
 """
 from __future__ import annotations
 
@@ -18,18 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import euclidean_matrix
-from .diffusion import (
-    embedding_from_decomposition,
-    diffusion_distance_matrix,
-    normalized_laplacian,
-    similarity_matrix,
-    spectral_decomposition,
-)
 from .errors import EXIT_INVALID_INPUT, InvalidArgumentError, MmError
-from .experiment import load_config, run_experiment
+from .experiment import _parse_rows, load_config, run_experiment
 from .fpp import DEFAULT_BALL_BUDGET, DEFAULT_SHELL, EdgeWeightLaw, FppInstance, fpp_barycenter_track, shape_defect
-from .geodesic import fermat_distance_matrix, fermat_scaled, isomap_distance_matrix
 from .io import (
     dump_json,
     read_cloud_csv,
@@ -44,12 +35,16 @@ from .quantize import circle_arc_metric, epsilon_net_graph, equispaced_circle_ne
 from .samplers import sample
 from .space import FiniteMetricMeasureSpace, k_means_exact, k_means_pam, metric_validate
 from .voronoi import enlarged_cell, enlargement_threshold, voronoi_cells
-from .wasserstein import GROUND_METHODS, learned_wasserstein_kmeans
+from .wasserstein import GROUND_METHODS, _learn_metric, learned_wasserstein_kmeans
+
+# flags `mm dist` insists on, though the library has a default sigma
+_DIST_REQUIRED = {"isomap": "eps", "diffusion": "sigma"}
 
 
-def _parse_rows(text: str) -> np.ndarray:
-    rows = [r.strip() for r in text.split(";") if r.strip()]
-    return np.asarray([[float(v) for v in r.split()] for r in rows], dtype=np.float64)
+def _metric_params(args) -> dict:
+    """Ground-metric params from the flags that were given."""
+    keys = ("alpha", "knn", "eps", "sigma", "embed_k", "t")
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
 def _load_space(path) -> FiniteMetricMeasureSpace:
@@ -91,35 +86,20 @@ def cmd_sample(args) -> int:
 
 def cmd_dist(args) -> int:
     cloud = read_cloud_csv(args.infile, intrinsic_dim=args.intrinsic_dim)
-    if args.method == "euclid":
-        matrix = euclidean_matrix(cloud)
-    elif args.method == "fermat":
-        matrix = fermat_distance_matrix(cloud, args.alpha, knn=args.knn)
-        if args.scaled:
-            matrix = fermat_scaled(matrix, cloud.n, args.alpha, cloud.intrinsic_dim)
-    elif args.method == "isomap":
-        if args.eps is None:
-            raise InvalidArgumentError("isomap needs --eps")
-        matrix = isomap_distance_matrix(cloud, args.eps)
-    elif args.method == "diffusion":
-        if args.sigma is None:
-            raise InvalidArgumentError("diffusion needs --sigma")
-        k = args.k if args.k is not None else min(cloud.n, 10)
-        lap = normalized_laplacian(similarity_matrix(cloud, args.sigma))
-        dec = spectral_decomposition(lap, k)
-        matrix, _classes = diffusion_distance_matrix(embedding_from_decomposition(dec, args.t))
-        if args.spectrum_out:
-            dump_json(
-                args.spectrum_out,
-                {
-                    "eigenvalues": [float(v) for v in dec.eigenvalues],
-                    "gap_warnings": [
-                        [int(j), float(lo), float(hi)] for j, lo, hi in dec.gap_warnings
-                    ],
-                },
-            )
-    else:
-        raise InvalidArgumentError(f"unknown method {args.method!r}")
+    flag = _DIST_REQUIRED.get(args.method)
+    if flag and getattr(args, flag) is None:
+        raise InvalidArgumentError(f"{args.method} needs --{flag}")
+    matrix, diagnostics = _learn_metric(cloud, args.method, _metric_params(args), scaled=args.scaled)
+    if args.spectrum_out and diagnostics:
+        dump_json(
+            args.spectrum_out,
+            {
+                "eigenvalues": [float(v) for v in diagnostics["eigenvalues"]],
+                "gap_warnings": [
+                    [int(j), float(lo), float(hi)] for j, lo, hi in diagnostics["gap_warnings"]
+                ],
+            },
+        )
     _write_matrix(args.out, matrix)
     print(f"wrote {args.out}: n={matrix.shape[0]} method={args.method}")
     return 0
@@ -157,23 +137,12 @@ def cmd_voronoi(args) -> int:
 
 def cmd_wkmeans(args) -> int:
     groups = [read_cloud_csv(path).points for path in args.groups]
-    params = {}
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.eps is not None:
-        params["eps"] = args.eps
-    if args.sigma is not None:
-        params["sigma"] = args.sigma
-    if args.embed_k is not None:
-        params["embed_k"] = args.embed_k
-    if args.t is not None:
-        params["t"] = args.t
     sol = learned_wasserstein_kmeans(
         groups,
         args.k,
         args.p,
         method=args.ground_method,
-        params=params,
+        params=_metric_params(args),
         solver="pam" if args.pam else "exact",
         restarts=args.restarts,
         seed=args.seed,
@@ -305,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("dist", help="learn a distance matrix from a cloud")
-    p.add_argument("--method", required=True, choices=("euclid", "fermat", "isomap", "diffusion"))
+    p.add_argument("--method", required=True, choices=GROUND_METHODS)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--alpha", type=float, default=2.0)
@@ -313,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scaled", action="store_true", help="apply the n^((alpha-1)/dim) factor")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--k", type=int, default=None, help="retained eigenpairs (diffusion)")
+    p.add_argument("--k", dest="embed_k", type=int, default=None, help="retained eigenpairs (diffusion)")
     p.add_argument("--t", type=float, default=1.0, help="diffusion time")
     p.add_argument("--intrinsic-dim", type=int, default=0)
     p.add_argument("--spectrum-out", default=None)

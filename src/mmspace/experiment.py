@@ -206,10 +206,6 @@ def _trial_cloud(config: ExperimentConfig, n: int, trial: int) -> PointCloud:
     return sample(config.generator, n, seed, **config.generator_params)
 
 
-def _learned_matrix(config: ExperimentConfig, cloud: PointCloud) -> np.ndarray:
-    return build_ground_metric(cloud, config.method, config.method_params)
-
-
 def _solve(config: ExperimentConfig, space: FiniteMetricMeasureSpace, trial: int):
     if config.solver == "exact":
         return k_means_exact(space, config.k, config.p)
@@ -244,7 +240,7 @@ def _run_trial(config: ExperimentConfig, trial: int):
         }
         try:
             cloud = _trial_cloud(config, n, trial)
-            matrix = _learned_matrix(config, cloud)
+            matrix = build_ground_metric(cloud, config.method, config.method_params)
             space = FiniteMetricMeasureSpace.uniform([str(i) for i in range(n)], matrix)
             sol = _solve(config, space, trial)
             center_sets = [

@@ -1,8 +1,11 @@
 """Graph-geodesic metric estimators on point clouds.
 
-Two estimators share the same skeleton: put edge weights on a neighborhood
-structure, then take all-pairs shortest paths.  Fermat distances weight the
-complete graph by Euclidean length to the power alpha >= 1; the isomap
+Two estimators share one graph core: each lists its edges, and the core
+builds an explicit sparse graph from that list, checks that it connects the
+cloud, and takes all-pairs shortest paths.  Every listed edge is kept,
+including zero and tiny weights (a dense weight matrix would let scipy read
+weights within about 1e-8 of zero as missing edges).  Fermat distances weight
+the complete graph by Euclidean length to the power alpha >= 1; the isomap
 variant connects points within radius eps at plain Euclidean length.  Both
 return exactly symmetric matrices because the Floyd-Warshall relaxations are
 symmetric expressions of symmetric inputs.
@@ -24,7 +27,12 @@ from scipy.sparse.csgraph import connected_components, floyd_warshall
 from scipy.spatial.distance import cdist
 
 from .cloud import PointCloud
-from .errors import DisconnectedGraphError, InvalidArgumentError
+from .errors import BudgetExceededError, DisconnectedGraphError, InvalidArgumentError
+
+# Largest point count the graph core accepts.  Every graph metric holds
+# several dense n x n float64 arrays (8 n^2 bytes each) and Floyd-Warshall
+# costs n^3, so past this a run would end in MemoryError or take hours.
+MAX_GRAPH_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -55,26 +63,50 @@ def _dedupe(pts: np.ndarray):
     return pts[np.sort(first)], rank[inv]
 
 
-def _shortest_paths_dense(weights: np.ndarray) -> np.ndarray:
-    """All-pairs shortest paths; np.inf marks absent edges."""
-    return floyd_warshall(weights)
+def _graph_distances(n: int, edges, knob: str, members: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs shortest paths over an undirected graph given by an edge list.
 
-
-def _expand(du: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    d = du[np.ix_(inv, inv)]
-    np.fill_diagonal(d, 0.0)
-    return d
+    edges is called with no arguments and returns (rows, cols, weights), one
+    entry per edge between vertices in [0, m); it runs only after the size
+    check, so it may build m x m arrays.  Each edge is stored explicitly, so
+    zero and tiny weights stay edges; where both (i, j) and (j, i) are listed
+    the smaller weight counts.  members maps the n points onto the m vertices
+    (duplicates share a vertex); None means one vertex per point.  The result
+    is n x n over the points.  Raises BudgetExceededError when n exceeds
+    MAX_GRAPH_POINTS, and DisconnectedGraphError, carrying the point index
+    sets of the components and naming knob, when the graph does not connect.
+    """
+    if n > MAX_GRAPH_POINTS:
+        raise BudgetExceededError(
+            f"graph metric on {n} points exceeds the limit of {MAX_GRAPH_POINTS}"
+        )
+    m = n if members is None else int(members.max()) + 1
+    if m == 1:
+        return np.zeros((n, n))
+    rows, cols, weights = edges()
+    graph = csr_matrix((weights, (rows, cols)), shape=(m, m))
+    ncomp, labels = connected_components(graph, directed=False)
+    if ncomp > 1:
+        point_labels = labels if members is None else labels[members]
+        comps = [np.flatnonzero(point_labels == c).tolist() for c in range(ncomp)]
+        raise DisconnectedGraphError(
+            f"{knob} graph has {ncomp} components; raise {knob.partition('=')[0]}", comps
+        )
+    dist = floyd_warshall(graph, directed=False)
+    return dist if members is None else dist[np.ix_(members, members)]
 
 
 def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = None) -> np.ndarray:
     """Empirical Fermat distances: cheapest path cost with hop cost |step|^alpha.
 
-    The graph is complete by default.  knn restricts edges to the k nearest
-    neighbors of each endpoint (symmetrized): a speed knob that must be
-    validated against the complete graph on moderate instances before use at
-    scale; raises DisconnectedGraphError if the restriction disconnects.
-    Duplicate points are collapsed before the shortest-path pass and re-expanded,
-    so exact duplicates sit at distance zero as they should.
+    The graph is complete by default.  knn keeps only the edges from each
+    point to its knn nearest neighbors (either endpoint may pick the edge).
+    Sparser than the complete graph, it can only lengthen paths, so it matches
+    the complete-graph matrix only when knn is large enough; check that on a
+    moderate instance before relying on it at scale.  Raises
+    DisconnectedGraphError if the restriction disconnects the cloud.
+    Duplicate points are collapsed before the shortest-path pass and
+    re-expanded, so exact duplicates sit at distance zero as they should.
     """
     if not (alpha >= 1.0 and math.isfinite(alpha)):
         raise InvalidArgumentError(f"alpha must be >= 1, got {alpha!r}")
@@ -83,34 +115,19 @@ def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = No
         raise InvalidArgumentError("need at least 2 points")
     uniq, inv = _dedupe(pts)
     m = uniq.shape[0]
-    if m == 1:
-        return np.zeros((pts.shape[0], pts.shape[0]))
-    e = cdist(uniq, uniq)
-    if knn is None:
-        w = e**alpha
-        np.fill_diagonal(w, 0.0)
-    else:
-        if not 1 <= knn < m:
-            raise InvalidArgumentError(f"knn must be in [1, {m - 1}], got {knn}")
-        w = np.full((m, m), np.inf)
-        nearest = np.argsort(e, axis=1, kind="stable")[:, 1 : knn + 1]
-        rows = np.repeat(np.arange(m), knn)
-        cols = nearest.ravel()
-        w[rows, cols] = e[rows, cols] ** alpha
-        w = np.minimum(w, w.T)
-        np.fill_diagonal(w, 0.0)
-        adj = csr_matrix((w < np.inf).astype(np.int8))
-        ncomp, labels = connected_components(adj, directed=False)
-        if ncomp > 1:
-            comps = [
-                sorted(int(i) for i in np.flatnonzero(labels[inv] == c))
-                for c in range(ncomp)
-            ]
-            raise DisconnectedGraphError(
-                f"knn={knn} graph has {ncomp} components; raise knn", comps
-            )
-    du = _shortest_paths_dense(w)
-    return _expand(du, inv)
+    if knn is not None and m > 1 and not 1 <= knn < m:
+        raise InvalidArgumentError(f"knn must be in [1, {m - 1}], got {knn}")
+
+    def edges():
+        e = cdist(uniq, uniq)
+        if knn is None:
+            rows, cols = np.triu_indices(m, 1)
+        else:
+            rows = np.repeat(np.arange(m), knn)
+            cols = np.argsort(e, axis=1, kind="stable")[:, 1 : knn + 1].ravel()
+        return rows, cols, e[rows, cols] ** alpha
+
+    return _graph_distances(pts.shape[0], edges, f"knn={knn}", inv)
 
 
 def fermat_scaled(matrix: np.ndarray, n: int, alpha: float, intrinsic_dim: int) -> np.ndarray:
@@ -140,25 +157,13 @@ def isomap_distance_matrix(cloud: PointCloud, eps: float) -> np.ndarray:
     if pts.shape[0] < 2:
         raise InvalidArgumentError("need at least 2 points")
     uniq, inv = _dedupe(pts)
-    m = uniq.shape[0]
-    if m == 1:
-        return np.zeros((pts.shape[0], pts.shape[0]))
-    e = cdist(uniq, uniq)
-    adj = e <= eps
-    np.fill_diagonal(adj, False)
-    ncomp, labels = connected_components(csr_matrix(adj), directed=False)
-    if ncomp > 1:
-        comps = [
-            sorted(int(i) for i in np.flatnonzero(labels[inv] == c))
-            for c in range(ncomp)
-        ]
-        raise DisconnectedGraphError(
-            f"eps={eps} graph has {ncomp} components; raise eps", comps
-        )
-    w = np.where(adj, e, np.inf)
-    np.fill_diagonal(w, 0.0)
-    du = _shortest_paths_dense(w)
-    return _expand(du, inv)
+
+    def edges():
+        e = cdist(uniq, uniq)
+        rows, cols = np.nonzero(np.triu(e <= eps, 1))
+        return rows, cols, e[rows, cols]
+
+    return _graph_distances(pts.shape[0], edges, f"eps={eps}", inv)
 
 
 # ----------------------------------------------------------------------------

@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, floyd_warshall
 from scipy.spatial.distance import cdist
 
-from .errors import DisconnectedGraphError, InvalidArgumentError
+from .cloud import euclidean_matrix
+from .errors import InvalidArgumentError
+from .geodesic import _graph_distances
+from .samplers import _circle_angles, _circle_covering_radius, circle_arc_metric
 
 
 @dataclass
@@ -195,38 +197,6 @@ class NetGraphResult:
     threshold: float
 
 
-def _circle_angles(net_points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(net_points, dtype=np.float64)
-    if pts.ndim == 1:
-        return np.mod(pts, 2.0 * math.pi)
-    if pts.ndim == 2 and pts.shape[1] == 2:
-        return np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-    raise InvalidArgumentError("circle net points must be angles or (n, 2) coordinates")
-
-
-def _circle_metric(angles: np.ndarray) -> np.ndarray:
-    diff = np.abs(angles[:, None] - angles[None, :])
-    d = np.minimum(diff, 2.0 * math.pi - diff)
-    np.fill_diagonal(d, 0.0)
-    return np.minimum(d, d.T)
-
-
-def circle_arc_metric(net_points) -> np.ndarray:
-    """Geodesic arc distances between points on the unit circle.
-
-    Accepts angles or (n, 2) coordinates, like the circle branch of
-    epsilon_net_graph.
-    """
-    return _circle_metric(_circle_angles(np.asarray(net_points)))
-
-
-def _circle_net_radius(angles: np.ndarray) -> float:
-    """Covering radius of points on the circle: half the largest angular gap."""
-    s = np.sort(angles)
-    gaps = np.diff(s, append=s[0] + 2.0 * math.pi)
-    return float(gaps.max() / 2.0)
-
-
 def epsilon_net_graph(
     net_points,
     ambient_metric,
@@ -247,41 +217,35 @@ def epsilon_net_graph(
     if not (diam > 0 and math.isfinite(diam)):
         raise InvalidArgumentError(f"diam must be positive, got {diam!r}")
     if isinstance(ambient_metric, str):
+        pts = np.asarray(net_points, dtype=np.float64)
         if ambient_metric == "euclidean":
-            pts = np.asarray(net_points, dtype=np.float64)
-            if pts.ndim == 1:
-                pts = pts[:, None]
-            amb = cdist(pts, pts)
-            np.fill_diagonal(amb, 0.0)
+            ambient = partial(euclidean_matrix, pts)
         elif ambient_metric == "circle":
-            angles = _circle_angles(np.asarray(net_points))
-            amb = _circle_metric(angles)
+            ambient = partial(circle_arc_metric, pts)
             if net_radius is None:
-                net_radius = _circle_net_radius(angles)
+                net_radius = _circle_covering_radius(_circle_angles(pts))
         else:
             raise InvalidArgumentError(
                 f"ambient_metric must be 'euclidean', 'circle', or a matrix, got {ambient_metric!r}"
             )
+        n = len(pts)
     else:
-        amb = np.asarray(ambient_metric, dtype=np.float64)
-        if amb.ndim != 2 or amb.shape[0] != amb.shape[1]:
+        matrix = np.asarray(ambient_metric, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise InvalidArgumentError("ambient metric matrix must be square")
-    n = amb.shape[0]
+        ambient = partial(np.asarray, matrix)
+        n = len(matrix)
     if n < 1:
         raise InvalidArgumentError("net must be nonempty")
 
-    adj = amb < eps
-    np.fill_diagonal(adj, False)
-    if n > 1:
-        ncomp, labels = connected_components(csr_matrix(adj), directed=False)
-        if ncomp > 1:
-            comps = [sorted(int(i) for i in np.flatnonzero(labels == c)) for c in range(ncomp)]
-            raise DisconnectedGraphError(
-                f"eps={eps} does not connect the net ({ncomp} components)", comps
-            )
-    w = np.where(adj, amb, np.inf)
-    np.fill_diagonal(w, 0.0)
-    dist = floyd_warshall(w)
+    def edges():
+        amb = ambient()
+        adj = amb < eps
+        np.fill_diagonal(adj, False)
+        rows, cols = np.nonzero(adj)
+        return rows, cols, amb[rows, cols]
+
+    dist = _graph_distances(n, edges, f"eps={eps}")
 
     threshold = eps * eps / (4.0 * diam)
     admissible = None if net_radius is None else bool(net_radius < threshold)

@@ -105,6 +105,39 @@ def _circular_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(d, 2.0 * math.pi - d)
 
 
+def _circle_angles(points) -> np.ndarray:
+    """Angles of points on the unit circle, from angles or (n, 2) coordinates.
+
+    Raw angles are reduced mod 2 pi; coordinates give their arctan2, in
+    [-pi, pi].  Either range keeps every pairwise difference within 2 pi.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        return np.mod(pts, 2.0 * math.pi)
+    if pts.ndim == 2 and pts.shape[1] == 2:
+        return np.arctan2(pts[:, 1], pts[:, 0])
+    raise InvalidArgumentError("circle points must be angles or (n, 2) coordinates")
+
+
+def _circle_covering_radius(angles: np.ndarray) -> float:
+    """Covering radius of points on the circle: half the largest angular gap."""
+    s = np.sort(np.mod(angles, 2.0 * math.pi))
+    gaps = np.diff(s, append=s[0] + 2.0 * math.pi)
+    return float(gaps.max() / 2.0)
+
+
+def circle_arc_metric(points) -> np.ndarray:
+    """Geodesic arc distances between points on the unit circle.
+
+    Accepts angles or (n, 2) coordinates, like the circle branch of
+    epsilon_net_graph.
+    """
+    theta = _circle_angles(points)
+    d = _circular_diff(theta[:, None], theta[None, :])
+    np.fill_diagonal(d, 0.0)
+    return np.minimum(d, d.T)
+
+
 def true_distance_matrix(generator: str, cloud: PointCloud) -> np.ndarray:
     """Closed-form geodesic distances between sample points, where known.
 
@@ -118,10 +151,7 @@ def true_distance_matrix(generator: str, cloud: PointCloud) -> np.ndarray:
 
         return euclidean_matrix(cloud)
     if generator == "circle":
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        d = _circular_diff(theta[:, None], theta[None, :])
-        np.fill_diagonal(d, 0.0)
-        return np.minimum(d, d.T)
+        return circle_arc_metric(pts)
     if generator == "torus":
         ang = _torus_angles(pts)
         d1 = _circular_diff(ang[:, 0][:, None], ang[:, 0][None, :])
@@ -143,9 +173,7 @@ def covering_radius(generator: str, cloud: PointCloud, grid_size: int = 2048) ->
         grid = np.linspace(0.0, 1.0, grid_size)
         return float(np.abs(grid[:, None] - pts[:, 0][None, :]).min(axis=1).max())
     if generator == "circle":
-        theta = np.sort(np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi))
-        gaps = np.diff(theta, append=theta[0] + 2.0 * math.pi)
-        return float(gaps.max() / 2.0)
+        return _circle_covering_radius(_circle_angles(pts))
     if generator == "torus":
         ang = _torus_angles(pts)
         side = int(math.sqrt(grid_size))

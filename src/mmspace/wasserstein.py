@@ -17,10 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
-from scipy.spatial.distance import cdist
 
-from .cloud import PointCloud
-from .diffusion import diffusion_distance_matrix, normalized_laplacian, similarity_matrix, spectral_embedding
+from .cloud import PointCloud, euclidean_matrix
+from .diffusion import (
+    diffusion_distance_matrix,
+    embedding_from_decomposition,
+    normalized_laplacian,
+    similarity_matrix,
+    spectral_decomposition,
+)
 from .errors import InvalidArgumentError, SolverError
 from .geodesic import fermat_distance_matrix, fermat_scaled, isomap_distance_matrix
 from .space import FiniteMetricMeasureSpace, KMeansSolution, k_means_exact, k_means_pam
@@ -184,32 +189,47 @@ def isometry_defect_bound(eps: float, diam: float) -> float:
 GROUND_METHODS = ("euclid", "fermat", "isomap", "diffusion")
 
 
-def build_ground_metric(cloud: PointCloud, method: str, params: dict | None = None) -> np.ndarray:
-    """Estimate a ground metric on a pooled cloud by the named method."""
+def _learn_metric(cloud: PointCloud, method: str, params: dict | None = None, scaled: bool = True):
+    """The ground metric of build_ground_metric plus the builder's diagnostics.
+
+    Returns (matrix, diagnostics).  diagnostics is empty except for diffusion,
+    where it holds the retained "eigenvalues", the spectral "gap_warnings" and
+    the quotient "classes" of points the diffusion cannot separate.
+    scaled=False leaves the Fermat matrix without its n^((alpha-1)/dim) factor.
+    """
     params = dict(params or {})
     if method == "euclid":
-        d = cdist(cloud.points, cloud.points)
-        np.fill_diagonal(d, 0.0)
-        return d
+        return euclidean_matrix(cloud), {}
     if method == "fermat":
         alpha = float(params.get("alpha", 2.0))
-        raw = fermat_distance_matrix(cloud, alpha, knn=params.get("knn"))
-        return fermat_scaled(raw, cloud.n, alpha, cloud.intrinsic_dim)
+        d = fermat_distance_matrix(cloud, alpha, knn=params.get("knn"))
+        if scaled:
+            d = fermat_scaled(d, cloud.n, alpha, cloud.intrinsic_dim)
+        return d, {}
     if method == "isomap":
         if "eps" not in params:
             raise InvalidArgumentError("isomap ground metric needs eps")
-        return isomap_distance_matrix(cloud, float(params["eps"]))
+        return isomap_distance_matrix(cloud, float(params["eps"])), {}
     if method == "diffusion":
         sigma = float(params.get("sigma", 1.0))
-        k = int(params.get("embed_k", min(5, cloud.n)))
+        k = int(params.get("embed_k", min(cloud.n, 10)))
         t = float(params.get("t", 1.0))
-        lap = normalized_laplacian(similarity_matrix(cloud, sigma))
-        emb = spectral_embedding(lap, k, t)
-        d, _ = diffusion_distance_matrix(emb)
-        return d
+        dec = spectral_decomposition(normalized_laplacian(similarity_matrix(cloud, sigma)), k)
+        d, classes = diffusion_distance_matrix(embedding_from_decomposition(dec, t))
+        return d, {"eigenvalues": dec.eigenvalues, "gap_warnings": dec.gap_warnings, "classes": classes}
     raise InvalidArgumentError(
         f"unknown ground method {method!r}; expected one of {GROUND_METHODS}"
     )
+
+
+def build_ground_metric(cloud: PointCloud, method: str, params: dict | None = None) -> np.ndarray:
+    """Estimate a ground metric on a pooled cloud by the named method.
+
+    params may hold alpha (default 2) and knn for fermat, whose matrix is
+    rescaled by fermat_scaled; eps for isomap; sigma (default 1), embed_k
+    (default min(n, 10)) and t (default 1) for diffusion.
+    """
+    return _learn_metric(cloud, method, params)[0]
 
 
 def learned_wasserstein_space(

@@ -6,6 +6,7 @@ obviously correct beats fast; these exist so each nontrivial code path has a
 second route to the same number.
 """
 import itertools
+import math
 
 import numpy as np
 
@@ -78,6 +79,43 @@ def relaxation_passage_times(instance, vertices):
                         dist[w] = dist[v] + weight
                         changed = True
     return dist
+
+
+def relaxation_geodesics(points, weight):
+    """All-pairs graph geodesics by repeated edge relaxation, in plain Python.
+
+    points is a sequence of coordinate tuples; weight(length) gives the edge
+    weight for a Euclidean length, or None when the pair is not an edge.  Zero
+    and tiny weights are edges like any other.  Relaxes d[i][j] through every
+    middle point until nothing changes, so no shortest-path library is
+    involved.
+    """
+    pts = [tuple(float(c) for c in p) for p in points]
+    n = len(pts)
+    inf = float("inf")
+    dist = [[inf] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0.0
+        for j in range(n):
+            if i != j:
+                w = weight(math.dist(pts[i], pts[j]))
+                if w is not None:
+                    dist[i][j] = w
+    changed = True
+    while changed:
+        changed = False
+        for k in range(n):
+            dk = dist[k]
+            for i in range(n):
+                dik = dist[i][k]
+                if dik == inf:
+                    continue
+                di = dist[i]
+                for j in range(n):
+                    if dik + dk[j] < di[j]:
+                        di[j] = dik + dk[j]
+                        changed = True
+    return np.array(dist)
 
 
 def wasserstein_1d_uniform(xs, ys, p):

@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from mmspace import PointCloud, write_cloud_csv, write_matrix_csv
+from mmspace import (
+    PointCloud,
+    build_ground_metric,
+    fermat_distance_matrix,
+    read_cloud_csv,
+    write_cloud_csv,
+    write_matrix_bin,
+    write_matrix_csv,
+)
+from mmspace import geodesic
 from mmspace.cli import main
 
 from helpers import random_space
@@ -87,6 +96,40 @@ class TestSampleAndDist:
         assert doc["eigenvalues"][0] == pytest.approx(0.0, abs=1e-10)
         for warn in doc["gap_warnings"]:
             assert len(warn) == 3
+
+    @pytest.mark.parametrize(
+        "flags, library",
+        [
+            (["--method", "euclid"], lambda c: build_ground_metric(c, "euclid")),
+            (["--method", "isomap", "--eps", "2.5"], lambda c: build_ground_metric(c, "isomap", {"eps": 2.5})),
+            # n = 30 leaves the shared default of min(n, 10) eigenpairs
+            (["--method", "diffusion", "--sigma", "0.4"], lambda c: build_ground_metric(c, "diffusion", {"sigma": 0.4})),
+            (
+                ["--method", "diffusion", "--sigma", "0.4", "--k", "4", "--t", "2"],
+                lambda c: build_ground_metric(c, "diffusion", {"sigma": 0.4, "embed_k": 4, "t": 2.0}),
+            ),
+            (["--method", "fermat", "--alpha", "3", "--scaled"], lambda c: build_ground_metric(c, "fermat", {"alpha": 3.0})),
+            (["--method", "fermat", "--alpha", "3"], lambda c: fermat_distance_matrix(c, 3.0)),
+        ],
+    )
+    def test_dist_matches_library(self, tmp_path, capsys, flags, library):
+        cloud_path = tmp_path / "c.csv"
+        code, _ = run_cli(capsys, "sample", "--generator", "gaussian", "--dim", "2", "--n", "30", "--out", str(cloud_path))
+        assert code == 0
+        out = tmp_path / "cli.bin"
+        code, _ = run_cli(capsys, "dist", *flags, "--in", str(cloud_path), "--out", str(out))
+        assert code == 0
+        lib = tmp_path / "lib.bin"
+        write_matrix_bin(lib, library(read_cloud_csv(cloud_path)))
+        assert out.read_bytes() == lib.read_bytes()
+
+    def test_graph_size_limit_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 3)
+        cloud = tmp_path / "c.csv"
+        write_line_cloud(cloud, [0.0, 0.5, 1.0, 1.5])
+        for flags in (["--method", "fermat"], ["--method", "isomap", "--eps", "1.0"]):
+            code, _ = run_cli(capsys, "dist", *flags, "--in", str(cloud), "--out", str(tmp_path / "d.csv"))
+            assert code == 3
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         code, _ = run_cli(

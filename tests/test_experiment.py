@@ -12,6 +12,7 @@ from mmspace import (
     run_experiment,
     write_cloud_csv,
 )
+from mmspace import geodesic
 from mmspace.experiment import CSV_COLUMNS
 
 from helpers import random_space
@@ -249,3 +250,15 @@ class TestRunExperiment:
         cfg = interval_config(solver="pam", restarts=2, sizes=[15], trials=1)
         res = run_experiment(cfg)
         assert res.rows[0]["status"] == "ok"
+
+
+def test_oversized_graph_fails_its_row_only(monkeypatch):
+    # past the graph size limit a cell records BudgetExceededError and the
+    # grid goes on, instead of a MemoryError aborting the whole run
+    monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 30)
+    config = interval_config(method="isomap", method_params={"eps": 0.5}, sizes=[20, 40])
+    result = run_experiment(config)
+    status = {(r["n"], r["trial"]): r["status"] for r in result.rows}
+    assert status == {(20, 0): "ok", (20, 1): "ok", (40, 0): "error", (40, 1): "error"}
+    assert all(r["error"].startswith("BudgetExceededError") for r in result.rows if r["n"] == 40)
+    assert result.summary["failed"] == 2

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import erfi
 
 from mmspace import (
+    BudgetExceededError,
     DisconnectedGraphError,
     FermatParams,
     InvalidArgumentError,
@@ -17,7 +18,11 @@ from mmspace import (
     gaussian_fermat_moment_estimate,
     isomap_distance_matrix,
     metric_validate,
+    sample,
 )
+from mmspace import geodesic
+
+from helpers import relaxation_geodesics
 
 # closed form for the alpha=2 example: (2 pi)^(1/4) * sqrt(pi) * erfi(1/2),
 # since F(0,1) = int_0^1 exp(t^2/4) dt
@@ -136,6 +141,106 @@ class TestIsomap:
         cloud = PointCloud(rng.uniform(size=(25, 2)))
         d = isomap_distance_matrix(cloud, eps=0.4)
         assert np.all(d >= euclidean_matrix(cloud) - 1e-12)
+
+
+def line_fermat_alpha2(x):
+    """Exact alpha = 2 Fermat matrix of points on a line, and a float64 bound.
+
+    With hop cost step^2 every shortcut loses to the path through all points
+    in between, so d(x_i, x_j) = |C_i - C_j| for C the cumulative sum of
+    squared gaps in sorted order.  Each entry is a sum of at most n squared
+    gaps, so path sums and cumulative sums each sit within n * eps * C_max of
+    the exact value.
+    """
+    order = np.argsort(x, kind="stable")
+    gaps = np.diff(x[order]) ** 2
+    c = np.empty(x.size)
+    c[order] = np.concatenate([[0.0], np.cumsum(gaps)])
+    tol = 2.0 * x.size * np.finfo(np.float64).eps * c.max()
+    return np.abs(c[:, None] - c[None, :]), tol
+
+
+def near_duplicate_cloud(seed):
+    """Random planar points, each with copies 1e-9 and 3e-12 away, plus two exact duplicates."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(size=(6, 2))
+    shifts = rng.normal(size=(6, 2))
+    shifts /= np.linalg.norm(shifts, axis=1, keepdims=True)
+    return np.vstack([base, base + 1e-9 * shifts, base + 3e-12 * shifts[::-1], base[:2]])
+
+
+class TestTinyEdges:
+    """Zero and sub-1e-8 edge weights are real edges, not missing ones."""
+
+    def test_fermat_four_points(self):
+        x = np.array([0.0, 5e-5, 1e-4, 1.0])
+        d = fermat_distance_matrix(cloud_1d(x), 2.0)
+        assert d[0, 1] == pytest.approx(2.5e-9, rel=1e-12)
+        exact, tol = line_fermat_alpha2(x)
+        assert np.abs(d - exact).max() <= tol
+
+    def test_fermat_uniform_interval_closed_form(self):
+        # i.i.d. gaps at n = 1000 go down to ~1e-6, so squared gaps reach ~1e-12
+        cloud = sample("interval", 1000, seed=0)
+        exact, tol = line_fermat_alpha2(cloud.points[:, 0])
+        d = fermat_distance_matrix(cloud, 2.0)
+        assert np.abs(d - exact).max() <= tol
+
+    def test_isomap_close_pair(self):
+        d = isomap_distance_matrix(cloud_1d([0.0, 5e-9, 1.0]), eps=1.5)
+        assert d[0, 1] == pytest.approx(5e-9, rel=1e-12)
+        assert d[1, 2] == pytest.approx(1.0 - 5e-9, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+    def test_fermat_near_duplicates_match_relaxation(self, seed, alpha):
+        pts = near_duplicate_cloud(seed)
+        d = fermat_distance_matrix(PointCloud(pts), alpha)
+        oracle = relaxation_geodesics(pts, lambda length: length**alpha)
+        np.testing.assert_allclose(d, oracle, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fermat_knn_near_duplicates_match_relaxation(self, seed):
+        pts = near_duplicate_cloud(seed)
+        d = fermat_distance_matrix(PointCloud(pts), 2.0, knn=12)
+        full = fermat_distance_matrix(PointCloud(pts), 2.0)
+        oracle = relaxation_geodesics(pts, lambda length: length**2)
+        np.testing.assert_allclose(d, oracle, rtol=1e-12, atol=0.0)
+        assert np.all(d >= full)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_isomap_near_duplicates_match_relaxation(self, seed):
+        pts = near_duplicate_cloud(seed)
+        d = isomap_distance_matrix(PointCloud(pts), eps=0.9)
+        oracle = relaxation_geodesics(pts, lambda length: length if length <= 0.9 else None)
+        np.testing.assert_allclose(d, oracle, rtol=1e-12, atol=0.0)
+
+
+class TestSizeGuard:
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 4)
+        d = fermat_distance_matrix(cloud_1d([0.0, 1.0, 2.0, 3.0]), 2.0)
+        assert d[0, 3] == pytest.approx(3.0)
+
+    def test_raises_before_any_dense_allocation(self, monkeypatch):
+        def no_cdist(*args, **kwargs):
+            raise AssertionError("pairwise distances computed past the limit")
+
+        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 4)
+        monkeypatch.setattr(geodesic, "cdist", no_cdist)
+        cloud = cloud_1d([0.0, 1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(BudgetExceededError):
+            fermat_distance_matrix(cloud, 2.0)
+        with pytest.raises(BudgetExceededError):
+            fermat_distance_matrix(cloud, 2.0, knn=2)
+        with pytest.raises(BudgetExceededError):
+            isomap_distance_matrix(cloud, eps=1.5)
+
+    def test_counts_duplicates(self, monkeypatch):
+        # the result is n x n over the points, so duplicates count
+        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 4)
+        with pytest.raises(BudgetExceededError):
+            fermat_distance_matrix(cloud_1d([0.0, 0.0, 0.0, 1.0, 1.0]), 2.0)
 
 
 class TestGaussianFermat1d:

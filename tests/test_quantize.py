@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmspace import (
+    BudgetExceededError,
     DisconnectedGraphError,
     InvalidArgumentError,
     circle_arc_metric,
@@ -14,6 +15,7 @@ from mmspace import (
     quantize,
     quantize_density_1d,
 )
+from mmspace import geodesic
 
 
 class TestQuantize:
@@ -140,6 +142,11 @@ class TestCircleArcMetric:
         d = circle_arc_metric(np.array([0.1, 2.0 * math.pi - 0.1]))
         assert d[0, 1] == pytest.approx(0.2, abs=1e-12)
 
+    def test_angles_reduced_mod_two_pi(self):
+        d = circle_arc_metric(np.array([7.0, -1.0, 0.5]))
+        assert d[0, 1] == pytest.approx(8.0 - 2.0 * math.pi, abs=1e-12)
+        assert d[1, 2] == pytest.approx(1.5, abs=1e-12)
+
     def test_coordinates_match_angles(self):
         angles = np.array([0.0, 1.0, 2.5, 4.0])
         coords = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -204,6 +211,23 @@ class TestEpsilonNetGraph:
         amb = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         res = epsilon_net_graph(None, amb, eps=1.5, diam=2.0)
         assert res.dist[0, 2] == pytest.approx(2.0)
+
+    def test_matrix_ambient_keeps_zero_and_tiny_entries(self):
+        # a pseudometric: points 0 and 1 coincide, point 2 sits 5e-9 from both;
+        # every entry is an edge and the matrix is already its own path metric
+        amb = np.array(
+            [[0.0, 0.0, 5e-9, 1.0], [0.0, 0.0, 5e-9, 1.0], [5e-9, 5e-9, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]]
+        )
+        res = epsilon_net_graph(None, amb, eps=1.5, diam=1.0)
+        assert np.array_equal(res.dist, amb)
+
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 8)
+        assert epsilon_net_graph(equispaced_circle_net(8), "circle", eps=1.0, diam=math.pi).admissible is False
+        with pytest.raises(BudgetExceededError):
+            epsilon_net_graph(equispaced_circle_net(9), "circle", eps=1.0, diam=math.pi)
+        with pytest.raises(BudgetExceededError):
+            epsilon_net_graph(np.arange(9.0), "euclidean", eps=1.5, diam=8.0)
 
     def test_validation(self):
         net = equispaced_circle_net(5)

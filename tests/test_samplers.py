@@ -5,8 +5,10 @@ import pytest
 
 from mmspace import (
     InvalidArgumentError,
+    circle_arc_metric,
     covering_radius,
     derived_seed,
+    epsilon_net_graph,
     isometry_defect,
     sample,
     stream,
@@ -108,6 +110,10 @@ class TestTrueDistances:
         assert d[0, 2] == pytest.approx(math.pi)
         assert d[0, 1] == pytest.approx(math.pi / 2.0)
 
+    def test_circle_is_the_arc_metric(self):
+        cloud = sample("circle", 50, 3)
+        assert np.array_equal(true_distance_matrix("circle", cloud), circle_arc_metric(cloud.points))
+
     def test_torus_product_metric(self):
         from mmspace import PointCloud
 
@@ -138,6 +144,11 @@ class TestCoveringRadius:
         angles = 2.0 * math.pi * np.arange(8) / 8
         cloud = PointCloud(np.stack([np.cos(angles), np.sin(angles)], axis=1), 1)
         assert covering_radius("circle", cloud) == pytest.approx(math.pi / 8.0, abs=1e-12)
+
+    def test_circle_matches_net_radius(self):
+        cloud = sample("circle", 50, 3)
+        net = epsilon_net_graph(cloud.points, "circle", eps=2.0, diam=math.pi)
+        assert covering_radius("circle", cloud) == net.net_radius
 
     def test_torus_single_point(self):
         from mmspace import PointCloud
