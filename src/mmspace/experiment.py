@@ -6,9 +6,12 @@ keyed by (master seed, trial, size), so results are reproducible cell by cell
 and independent of execution order; trials run in a thread pool capped by
 MM_THREADS, and rows are assembled in sorted order either way.
 
-Deviations are measured against a reference family: the largest size's
+Deviations are Euclidean set distances between coordinate arrays of centers
+and Voronoi cells, measured against a reference family: the largest size's
 solution within the same trial ("self"), or explicit coordinates when the
-population solution is known in closed form.  Self-reference deviations are
+population solution is known in closed form, whose cells are the non-strict
+nearest-center cells of that size's cloud.  A reference whose dimension
+differs from the cloud's is rejected.  Self-reference deviations are
 convergence diagnostics, never ground truth.
 """
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .cloud import PointCloud
 from .errors import InvalidArgumentError, MmError
 from .io import read_cloud_csv
 from .samplers import covering_radius, derived_seed, sample, true_distance_matrix
-from .space import FiniteMetricMeasureSpace, k_means_exact, k_means_pam, one_sided_center_deviation
+from .space import FiniteMetricMeasureSpace, _pairwise, k_means_exact, k_means_pam, one_sided_center_deviation
 from .voronoi import cluster_deviation, voronoi_cells
 from .wasserstein import build_ground_metric, worker_count
 
@@ -218,10 +221,6 @@ def _solve(config: ExperimentConfig, space: FiniteMetricMeasureSpace, trial: int
     )
 
 
-def _euclid(a, b) -> float:
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-
-
 def _run_trial(config: ExperimentConfig, trial: int):
     cells = {}
     for n in config.sizes:
@@ -243,14 +242,12 @@ def _run_trial(config: ExperimentConfig, trial: int):
             matrix = build_ground_metric(cloud, config.method, config.method_params)
             space = FiniteMetricMeasureSpace.uniform([str(i) for i in range(n)], matrix)
             sol = _solve(config, space, trial)
-            center_sets = [
-                [cloud.points[i] for i in m.indices] for m in sol.minimizers
+            center_sets = [cloud.points[list(m.indices)] for m in sol.minimizers]
+            cell_sets = [
+                cloud.points[members]
+                for m in sol.minimizers
+                for members in voronoi_cells(space, m).cells.values()
             ]
-            cell_sets = []
-            for m in sol.minimizers:
-                part = voronoi_cells(space, m)
-                for members in part.cells.values():
-                    cell_sets.append([cloud.points[i] for i in members])
             row["objective"] = sol.objective
             row["n_minimizers"] = len(sol.minimizers)
             row["centers"] = "|".join(
@@ -261,48 +258,30 @@ def _run_trial(config: ExperimentConfig, trial: int):
                 row["metric_defect"] = float(np.abs(matrix - d_true).max())
             if config.generator in _COVERING_GENERATORS:
                 row["covering_radius"] = covering_radius(config.generator, cloud)
-            cells[n] = (row, center_sets, cell_sets)
+            cells[n] = (row, cloud, center_sets, cell_sets)
         except MmError as exc:
             row["status"] = "error"
             row["error"] = f"{type(exc).__name__}: {exc}"
-            cells[n] = (row, None, None)
+            cells[n] = (row, None, None, None)
 
-    # reference family: explicit centers, or the largest size that succeeded
-    ref_centers = None
-    ref_cells = None
+    # reference family: explicit centers with their cells in the largest size
+    # that succeeded, or that size's own solution
+    largest_ok = next((n for n in reversed(config.sizes) if cells[n][1] is not None), None)
+    if largest_ok is None:
+        return [cells[n][0] for n in config.sizes]
+    _, cloud, ref_centers, ref_cells = cells[largest_ok]
     if config.reference == "explicit":
-        ref_centers = [[pt for pt in config.reference_centers]]
-        largest_ok = next(
-            (n for n in reversed(config.sizes) if cells[n][1] is not None), None
-        )
-        if largest_ok is not None:
-            cloud = _trial_cloud(config, largest_ok, trial)
-            assign_d = np.stack(
-                [np.linalg.norm(cloud.points - c[None, :], axis=1) for c in config.reference_centers],
-                axis=1,
-            )
-            dmin = assign_d.min(axis=1)
-            ref_cells = [
-                [cloud.points[i] for i in np.flatnonzero(assign_d[:, j] <= dmin)]
-                for j in range(assign_d.shape[1])
-            ]
-    else:
-        largest_ok = next(
-            (n for n in reversed(config.sizes) if cells[n][1] is not None), None
-        )
-        if largest_ok is not None:
-            ref_centers = cells[largest_ok][1]
-            ref_cells = cells[largest_ok][2]
+        ref_centers = [config.reference_centers]
+        assign_d = _pairwise(cloud.points, config.reference_centers)
+        dmin = assign_d.min(axis=1)
+        ref_cells = [cloud.points[assign_d[:, j] <= dmin] for j in range(assign_d.shape[1])]
 
     rows = []
     for n in config.sizes:
-        row, center_sets, cell_sets = cells[n]
-        if row["status"] == "ok" and ref_centers:
-            row["center_deviation"] = one_sided_center_deviation(
-                center_sets, ref_centers, _euclid
-            )
-            if ref_cells:
-                row["cluster_deviation"] = cluster_deviation(cell_sets, ref_cells, _euclid)
+        row, _, center_sets, cell_sets = cells[n]
+        if row["status"] == "ok":
+            row["center_deviation"] = one_sided_center_deviation(center_sets, ref_centers)
+            row["cluster_deviation"] = cluster_deviation(cell_sets, ref_cells)
         rows.append(row)
     return rows
 

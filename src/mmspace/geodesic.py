@@ -29,9 +29,10 @@ from scipy.spatial.distance import cdist
 from .cloud import PointCloud
 from .errors import BudgetExceededError, DisconnectedGraphError, InvalidArgumentError
 
-# Largest point count the graph core accepts.  Every graph metric holds
-# several dense n x n float64 arrays (8 n^2 bytes each) and Floyd-Warshall
-# costs n^3, so past this a run would end in MemoryError or take hours.
+# Largest point count the graph core and the metric dispatch accept.  Every
+# learned metric holds dense n x n float64 arrays (8 n^2 bytes each) and
+# Floyd-Warshall costs n^3, so past this a run would end in MemoryError or
+# take hours.
 MAX_GRAPH_POINTS = 10_000
 
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import BudgetExceededError, InvalidArgumentError
 
@@ -413,26 +414,36 @@ def k_means_pam(
 # ----------------------------------------------------------------------------
 
 
-def hausdorff_distance(dist_fn, a_points, b_points) -> float:
-    """Hausdorff distance between two nonempty finite point sets."""
-    a = list(a_points)
-    b = list(b_points)
-    if not a or not b:
-        raise InvalidArgumentError("hausdorff_distance needs nonempty sets")
-    ab = max(min(float(dist_fn(x, y)) for y in b) for x in a)
-    ba = max(min(float(dist_fn(x, y)) for x in a) for y in b)
-    return max(ab, ba)
+def _pairwise(a_points, b_points) -> np.ndarray:
+    """Euclidean distance matrix between two nonempty point sets in R^D.
+
+    Each set becomes an (m, D) array; a 1-D set is m points on a line.
+    """
+    a, b = (np.asarray(s, dtype=np.float64) for s in (a_points, b_points))
+    a, b = (x[:, None] if x.ndim == 1 else x for x in (a, b))
+    if a.ndim != 2 or b.ndim != 2 or 0 in a.shape or 0 in b.shape:
+        raise InvalidArgumentError("set distances need nonempty (m, D) point sets")
+    if a.shape[1] != b.shape[1]:
+        raise InvalidArgumentError(f"point sets differ in dimension: D={a.shape[1]} vs D={b.shape[1]}")
+    return cdist(a, b)
 
 
-def one_sided_center_deviation(family_n, family_lim, dist_fn) -> float:
-    """Worst Hausdorff distance from a member of family_n to family_lim.
+def hausdorff_distance(a_points, b_points) -> float:
+    """Euclidean Hausdorff distance between two nonempty finite point sets."""
+    d = _pairwise(a_points, b_points)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
-    This is the one-sided deviation used to compare an empirical family of
-    center sets against a limit family: every empirical set must be near SOME
-    limit set, but not conversely.
+
+def one_sided_center_deviation(family_n, family_lim) -> float:
+    """Worst Euclidean Hausdorff distance from a member of family_n to family_lim.
+
+    Each family is a list of center sets given as coordinate arrays.  This is
+    the one-sided deviation used to compare an empirical family of center
+    sets against a limit family: every empirical set must be near SOME limit
+    set, but not conversely.
     """
     fn = list(family_n)
     fl = list(family_lim)
     if not fn or not fl:
         raise InvalidArgumentError("deviation needs nonempty families")
-    return max(min(hausdorff_distance(dist_fn, sn, s) for s in fl) for sn in fn)
+    return max(min(hausdorff_distance(sn, s) for s in fl) for sn in fn)

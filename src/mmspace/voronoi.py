@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .space import CenterSet, FiniteMetricMeasureSpace, _center_indices
+from .space import CenterSet, FiniteMetricMeasureSpace, _center_indices, _pairwise
 
 
 @dataclass
@@ -75,21 +75,18 @@ def enlargement_threshold(space: FiniteMetricMeasureSpace, centers, center: int)
     return float(positive.min()) if positive.size else float("inf")
 
 
-def cluster_deviation(cells_n, cells_lim, dist_fn) -> float:
-    """Worst one-sided deviation of empirical cells from limit cells.
+def cluster_deviation(cells_n, cells_lim) -> float:
+    """Worst one-sided Euclidean deviation of empirical cells from limit cells.
 
-    max over empirical cells V of min over limit cells W of
-    max over v in V of distance from v to W.
+    Each cell is a coordinate array of its points.  The deviation is max over
+    empirical cells V of min over limit cells W of max over v in V of the
+    distance from v to W.
     """
-    vn = [list(c) for c in cells_n]
-    vl = [list(c) for c in cells_lim]
-    if not vn or not vl or any(not c for c in vn) or any(not c for c in vl):
+    vn = list(cells_n)
+    vl = list(cells_lim)
+    if not vn or not vl:
         raise InvalidArgumentError("cluster_deviation needs nonempty cell families")
-    out = 0.0
-    for v_cell in vn:
-        best = min(
-            max(min(float(dist_fn(v, w)) for w in w_cell) for v in v_cell)
-            for w_cell in vl
-        )
-        out = max(out, best)
-    return out
+    return max(
+        min(float(_pairwise(v_cell, w_cell).min(axis=1).max()) for w_cell in vl)
+        for v_cell in vn
+    )

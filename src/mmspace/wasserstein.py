@@ -26,7 +26,8 @@ from .diffusion import (
     similarity_matrix,
     spectral_decomposition,
 )
-from .errors import InvalidArgumentError, SolverError
+from . import geodesic
+from .errors import BudgetExceededError, InvalidArgumentError, SolverError
 from .geodesic import fermat_distance_matrix, fermat_scaled, isomap_distance_matrix
 from .space import FiniteMetricMeasureSpace, KMeansSolution, k_means_exact, k_means_pam
 
@@ -196,7 +197,13 @@ def _learn_metric(cloud: PointCloud, method: str, params: dict | None = None, sc
     where it holds the retained "eigenvalues", the spectral "gap_warnings" and
     the quotient "classes" of points the diffusion cannot separate.
     scaled=False leaves the Fermat matrix without its n^((alpha-1)/dim) factor.
+    Past geodesic.MAX_GRAPH_POINTS points it raises BudgetExceededError before
+    any n x n array is built.
     """
+    if cloud.n > geodesic.MAX_GRAPH_POINTS:
+        raise BudgetExceededError(
+            f"{method} metric on {cloud.n} points exceeds the limit of {geodesic.MAX_GRAPH_POINTS}"
+        )
     params = dict(params or {})
     if method == "euclid":
         return euclidean_matrix(cloud), {}

@@ -159,3 +159,23 @@ def perturbed_containment_trial(rng, n_max=16):
         if not set(part.cells[a]) <= enlarged:
             return False
     return True
+
+
+def hausdorff_oracle(a, b):
+    """Euclidean Hausdorff distance with one math.dist call per point pair."""
+    ab = max(min(math.dist(x, y) for y in b) for x in a)
+    ba = max(min(math.dist(x, y) for x in a) for y in b)
+    return max(ab, ba)
+
+
+def center_deviation_oracle(family_n, family_lim):
+    """One-sided Hausdorff deviation of family_n from family_lim, per pair."""
+    return max(min(hausdorff_oracle(sn, s) for s in family_lim) for sn in family_n)
+
+
+def cluster_deviation_oracle(cells_n, cells_lim):
+    """max over V of min over W of max over v in V of dist(v, W), per pair."""
+    return max(
+        min(max(min(math.dist(v, w) for w in w_cell) for v in v_cell) for w_cell in cells_lim)
+        for v_cell in cells_n
+    )

@@ -127,7 +127,12 @@ class TestSampleAndDist:
         monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 3)
         cloud = tmp_path / "c.csv"
         write_line_cloud(cloud, [0.0, 0.5, 1.0, 1.5])
-        for flags in (["--method", "fermat"], ["--method", "isomap", "--eps", "1.0"]):
+        for flags in (
+            ["--method", "fermat"],
+            ["--method", "isomap", "--eps", "1.0"],
+            ["--method", "euclid"],
+            ["--method", "diffusion", "--sigma", "1.0"],
+        ):
             code, _ = run_cli(capsys, "dist", *flags, "--in", str(cloud), "--out", str(tmp_path / "d.csv"))
             assert code == 3
 
@@ -300,6 +305,17 @@ class TestExperimentCmd:
         assert "rows=4 failed=0" in out
         assert (out_dir / "results.csv").exists()
         assert (out_dir / "summary.json").exists()
+
+    def test_reference_of_wrong_dimension_exit_2(self, tmp_path, capsys):
+        # a 2-D reference against a 1-D cloud must not broadcast into numbers
+        config = tmp_path / "exp.ini"
+        config.write_text(
+            "[data]\ngenerator = interval\n"
+            "[kmeans]\nk = 1\n"
+            "[run]\nsizes = 10 20\ntrials = 1\nreference = 0.25 0.5\n"
+        )
+        code, _ = run_cli(capsys, "experiment", "--config", str(config), "--out", str(tmp_path / "r"))
+        assert code == 2
 
 
 class TestValidate:

@@ -12,7 +12,7 @@ from mmspace import (
     run_experiment,
     write_cloud_csv,
 )
-from mmspace import geodesic
+from mmspace import experiment, geodesic
 from mmspace.experiment import CSV_COLUMNS
 
 from helpers import random_space
@@ -253,12 +253,34 @@ class TestRunExperiment:
 
 
 def test_oversized_graph_fails_its_row_only(monkeypatch):
-    # past the graph size limit a cell records BudgetExceededError and the
+    # past the size limit a cell records BudgetExceededError and the
     # grid goes on, instead of a MemoryError aborting the whole run
     monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 30)
-    config = interval_config(method="isomap", method_params={"eps": 0.5}, sizes=[20, 40])
-    result = run_experiment(config)
-    status = {(r["n"], r["trial"]): r["status"] for r in result.rows}
-    assert status == {(20, 0): "ok", (20, 1): "ok", (40, 0): "error", (40, 1): "error"}
-    assert all(r["error"].startswith("BudgetExceededError") for r in result.rows if r["n"] == 40)
-    assert result.summary["failed"] == 2
+    for method, params in (("isomap", {"eps": 0.5}), ("euclid", {}), ("diffusion", {"sigma": 1.0})):
+        config = interval_config(method=method, method_params=params, sizes=[20, 40])
+        result = run_experiment(config)
+        status = {(r["n"], r["trial"]): r["status"] for r in result.rows}
+        assert status == {(20, 0): "ok", (20, 1): "ok", (40, 0): "error", (40, 1): "error"}
+        assert all(r["error"].startswith("BudgetExceededError") for r in result.rows if r["n"] == 40)
+        assert result.summary["failed"] == 2
+
+
+def test_reference_of_wrong_dimension_rejected():
+    # a 2-D reference against a 1-D cloud must be rejected, not broadcast
+    config = interval_config(reference="explicit", reference_centers=np.array([[0.25, 0.5]]))
+    with pytest.raises(InvalidArgumentError):
+        run_experiment(config)
+
+
+def test_explicit_reference_draws_each_cloud_once(monkeypatch):
+    drawn = []
+    real = experiment._trial_cloud
+
+    def counting(config, n, trial):
+        drawn.append((n, trial))
+        return real(config, n, trial)
+
+    monkeypatch.setattr(experiment, "_trial_cloud", counting)
+    config = interval_config(reference="explicit", reference_centers=np.array([[0.5]]))
+    run_experiment(config)
+    assert sorted(drawn) == [(20, 0), (20, 1), (40, 0), (40, 1)]

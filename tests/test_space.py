@@ -26,10 +26,6 @@ def line_space(coords, weights=None):
     return FiniteMetricMeasureSpace(labels, d, np.asarray(weights))
 
 
-def euclid(a, b):
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
-
-
 class TestSpaceConstruction:
     def test_valid(self):
         s = line_space([0.0, 1.0, 2.0])
@@ -233,36 +229,36 @@ class TestKMeansPam:
 
 class TestHausdorff:
     def test_identical_sets(self):
-        assert hausdorff_distance(euclid, [[0.0], [2.0]], [[2.0], [0.0]]) == 0.0
+        assert hausdorff_distance([[0.0], [2.0]], [[2.0], [0.0]]) == 0.0
 
     def test_singletons(self):
-        assert hausdorff_distance(euclid, [[0.0]], [[1.0]]) == pytest.approx(1.0)
+        assert hausdorff_distance([[0.0]], [[1.0]]) == pytest.approx(1.0)
 
     def test_asymmetric_cover(self):
-        assert hausdorff_distance(euclid, [[0.0], [2.0]], [[1.0]]) == pytest.approx(1.0)
+        assert hausdorff_distance([[0.0], [2.0]], [[1.0]]) == pytest.approx(1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            hausdorff_distance(euclid, [], [[0.0]])
+            hausdorff_distance([], [[0.0]])
 
 
 class TestCenterDeviation:
     def test_identical_families(self):
         fam = [[[0.0], [1.0]], [[2.0]]]
-        assert one_sided_center_deviation(fam, fam, euclid) == 0.0
+        assert one_sided_center_deviation(fam, fam) == 0.0
 
     def test_min_over_limit_family(self):
-        dev = one_sided_center_deviation([[[0.0]]], [[[1.0]], [[0.2]]], euclid)
+        dev = one_sided_center_deviation([[[0.0]]], [[[1.0]], [[0.2]]])
         assert dev == pytest.approx(0.2)
 
     def test_max_over_empirical_family(self):
-        dev = one_sided_center_deviation([[[0.0]], [[5.0]]], [[[0.0]]], euclid)
+        dev = one_sided_center_deviation([[[0.0]], [[5.0]]], [[[0.0]]])
         assert dev == pytest.approx(5.0)
 
     def test_subset_family_is_zero(self):
         lim = [[[0.0]], [[3.0]], [[7.0]]]
-        assert one_sided_center_deviation([lim[1]], lim, euclid) == 0.0
+        assert one_sided_center_deviation([lim[1]], lim) == 0.0
 
     def test_empty_family_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            one_sided_center_deviation([], [[[0.0]]], euclid)
+            one_sided_center_deviation([], [[[0.0]]])

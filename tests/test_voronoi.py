@@ -19,10 +19,6 @@ def line_space(coords):
     return FiniteMetricMeasureSpace.uniform([str(c) for c in coords], d)
 
 
-def euclid(a, b):
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
-
-
 class TestVoronoiCells:
     def test_tie_produces_overlap(self):
         part = voronoi_cells(line_space([0.0, 1.0, 2.0]), [0, 2])
@@ -117,19 +113,19 @@ class TestEnlargementThreshold:
 class TestClusterDeviation:
     def test_identical(self):
         fam = [[[0.0], [1.0]], [[2.0]]]
-        assert cluster_deviation(fam, fam, euclid) == 0.0
+        assert cluster_deviation(fam, fam) == 0.0
 
     def test_farthest_point(self):
-        assert cluster_deviation([[[0.0], [1.0]]], [[[0.0]]], euclid) == pytest.approx(1.0)
+        assert cluster_deviation([[[0.0], [1.0]]], [[[0.0]]]) == pytest.approx(1.0)
 
     def test_contained_cells_zero(self):
-        assert cluster_deviation([[[0.0]], [[9.0]]], [[[0.0], [9.0]]], euclid) == 0.0
+        assert cluster_deviation([[[0.0]], [[9.0]]], [[[0.0], [9.0]]]) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            cluster_deviation([], [[[0.0]]], euclid)
+            cluster_deviation([], [[[0.0]]])
         with pytest.raises(InvalidArgumentError):
-            cluster_deviation([[]], [[[0.0]]], euclid)
+            cluster_deviation([[]], [[[0.0]]])
 
 
 class TestContainmentLemma:
