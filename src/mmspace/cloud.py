@@ -1,7 +1,7 @@
 """Point clouds in Euclidean ambient space."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist

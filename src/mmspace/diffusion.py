@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from .cloud import PointCloud
@@ -126,11 +128,11 @@ def diffusion_distance_matrix(embedding: np.ndarray, merge_tol: float | None = N
     """Pairwise Euclidean distances of embedded points plus quotient classes.
 
     Diffusion distance is only a pseudometric: points the diffusion cannot
-    separate sit at distance ~0.  Classes group indices whose distance is
-    <= merge_tol (transitively); with merge_tol=None the tolerance is 1e-10
-    times the largest coordinate spread, so exact duplicates merge and
-    everything else stays apart.  On class representatives the induced matrix
-    is a true metric.
+    separate sit at distance ~0.  Classes are the connected components of
+    the graph d <= merge_tol, each sorted and listed by smallest index; with
+    merge_tol=None the tolerance is 1e-10 times the largest coordinate spread,
+    so exact duplicates merge and everything else stays apart.  On class
+    representatives the induced matrix is a true metric.
     """
     emb = np.asarray(embedding, dtype=np.float64)
     if emb.ndim != 2:
@@ -142,22 +144,6 @@ def diffusion_distance_matrix(embedding: np.ndarray, merge_tol: float | None = N
     d = cdist(emb, emb)
     np.fill_diagonal(d, 0.0)
 
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    close = np.argwhere(d <= merge_tol)
-    for i, j in close:
-        if i < j:
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    classes = [sorted(v) for _, v in sorted(groups.items())]
+    ncomp, labels = connected_components(csr_matrix(d <= merge_tol), directed=False)
+    classes = [np.flatnonzero(labels == c).tolist() for c in range(ncomp)]
     return d, classes

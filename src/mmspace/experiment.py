@@ -21,7 +21,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +29,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import InvalidArgumentError, MmError
-from .io import read_cloud_csv
+from .io import dump_json, read_cloud_csv
 from .samplers import covering_radius, derived_seed, sample, true_distance_matrix
 from .space import FiniteMetricMeasureSpace, _pairwise, k_means_exact, k_means_pam, one_sided_center_deviation
 from .voronoi import cluster_deviation, voronoi_cells
@@ -95,6 +94,10 @@ class ExperimentConfig:
             raise InvalidArgumentError(
                 "reference must be 'self' or come with explicit reference_centers"
             )
+        if self.reference_centers is not None:
+            # a 1-D array is k points on a line, as the set distances read it
+            ref = np.asarray(self.reference_centers, dtype=np.float64)
+            self.reference_centers = ref.reshape(-1, 1) if ref.ndim == 1 else ref
         if self.generator == "file":
             path = self.generator_params.get("path")
             if not path or not Path(path).exists():
@@ -275,6 +278,13 @@ def _run_trial(config: ExperimentConfig, trial: int):
         assign_d = _pairwise(cloud.points, config.reference_centers)
         dmin = assign_d.min(axis=1)
         ref_cells = [cloud.points[assign_d[:, j] <= dmin] for j in range(assign_d.shape[1])]
+        for j, (center, cell) in enumerate(zip(config.reference_centers, ref_cells)):
+            if len(cell) == 0:
+                coords = " ".join(repr(float(v)) for v in center)
+                raise InvalidArgumentError(
+                    f"reference center {j} ({coords}) is nearest to no point of "
+                    f"the n={largest_ok} cloud in trial {trial}"
+                )
 
     rows = []
     for n in config.sizes:
@@ -334,7 +344,5 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
                 for col in ("objective", "center_deviation", "cluster_deviation", "metric_defect", "covering_radius"):
                     formatted[col] = "" if math.isnan(row[col]) else repr(float(row[col]))
                 writer.writerow(formatted)
-        with open(out / "summary.json", "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        dump_json(out / "summary.json", summary)
     return ExperimentResult(config=config, rows=rows, summary=summary)

@@ -4,7 +4,10 @@ Edge weights are never stored: the weight of the edge from u to u + e_axis is
 a pure function of (instance seed, u, axis), obtained by hashing those
 integers into (0, 1) and applying the law's inverse CDF.  That makes weight
 queries deterministic across processes and thread counts, and lets balls grow
-lazily with Dijkstra instead of materializing a box of the lattice.
+lazily with Dijkstra instead of materializing a box of the lattice.  One
+growth to t(1 + shell) gives B(t), its shell and every weight between their
+vertices, each edge hashed once; the all-pairs matrix is then Dijkstra from
+every vertex of B(t) on that graph.
 
 The scaled ball B(t)/t with metric T/t and uniform weights is the finite
 metric measure space whose limit is the time-constant norm ball; barycenter
@@ -16,13 +19,13 @@ import hashlib
 import heapq
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import (
     BudgetExceededError,
@@ -118,17 +121,44 @@ class FppInstance:
         u = (int.from_bytes(digest, "little") + 0.5) / 2.0**64
         return self.law.quantile(u)
 
-    def _neighbor_edges(self, u):
-        """(neighbor, weight) for all 2*dim lattice neighbors of u."""
-        out = []
-        for axis in range(self.dim):
+
+def _grow(instance: FppInstance, t: float, shell: float = 0.0) -> tuple:
+    """Dijkstra from the origin until every frontier value is >= t * (1 + shell).
+
+    Returns (settled, weights): settled maps each vertex of B(t * (1 + shell))
+    to its passage time, in settle order; weights maps (lower end, axis) to
+    the weight of every edge with a settled end, hashed once, when its first
+    end settles.  A NaN shell means no shell.
+    """
+    if not (0 < t <= instance.horizon):
+        raise InvalidArgumentError(
+            f"t must lie in (0, horizon={instance.horizon}], got {t!r}"
+        )
+    stop = t * (1.0 + shell) if shell > 0 else t
+    origin = (0,) * instance.dim
+    settled: dict = {}
+    weights: dict = {}
+    best = {origin: 0.0}
+    heap = [(0.0, origin)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        if d >= stop:
+            break
+        settled[u] = d
+        for axis in range(instance.dim):
             for sign in (1, -1):
-                v = list(u)
-                v[axis] += sign
-                v = tuple(v)
-                base = u if sign == 1 else v
-                out.append((v, self.edge_weight(base, axis)))
-        return out
+                v = u[:axis] + (u[axis] + sign,) + u[axis + 1:]
+                if v in settled:
+                    continue
+                key = (u, axis) if sign == 1 else (v, axis)
+                w = weights[key] = instance.edge_weight(*key)
+                nd = d + w
+                if nd < best.get(v, math.inf):
+                    best[v] = nd
+                    heapq.heappush(heap, (nd, v))
+    return settled, weights
 
 
 def passage_time_ball(instance: FppInstance, t: float) -> dict:
@@ -137,42 +167,16 @@ def passage_time_ball(instance: FppInstance, t: float) -> dict:
     Grows Dijkstra from the origin until every frontier value is >= t, so the
     returned dict is exactly B(t) = {y : T(0, y) < t}.
     """
-    if not (0 < t <= instance.horizon):
-        raise InvalidArgumentError(
-            f"t must lie in (0, horizon={instance.horizon}], got {t!r}"
-        )
-    origin = (0,) * instance.dim
-    settled: dict = {}
-    best = {origin: 0.0}
-    heap = [(0.0, origin)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        if d >= t:
-            break
-        settled[u] = d
-        for v, w in instance._neighbor_edges(u):
-            if v in settled:
-                continue
-            nd = d + w
-            if nd < best.get(v, math.inf):
-                best[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return settled
-
-
-def _ordered_vertices(ball: dict, dim: int) -> list:
-    origin = (0,) * dim
-    rest = sorted(v for v in ball if v != origin)
-    return [origin] + rest
+    return _grow(instance, t)[0]
 
 
 def _ball_distance_matrix(instance: FppInstance, t: float, shell: float, budget: int):
-    """(scaled coords of B(t), scaled all-pairs T restricted to the shell graph).
+    """(lattice vertices of B(t), scaled all-pairs T restricted to the shell graph).
 
     shell = s routes paths through B(t * (1 + s)); s = 0 keeps them inside
-    B(t).  The matrix is mirrored from per-source rows so it is exactly
+    B(t).  One growth to t * (1 + s) yields both balls and every edge weight
+    between their vertices.  The core lists the origin first, then the rest of
+    B(t) sorted.  The matrix is mirrored from per-source rows so it is exactly
     symmetric, with the origin's row computed from the origin itself.
     """
     if shell < 0:
@@ -181,32 +185,26 @@ def _ball_distance_matrix(instance: FppInstance, t: float, shell: float, budget:
         raise InvalidArgumentError(
             f"t*(1+shell) = {t * (1.0 + shell)} exceeds horizon {instance.horizon}"
         )
-    ball = passage_time_ball(instance, t)
-    m = len(ball)
+    outer, weights = _grow(instance, t, shell)
+    inner = [v for v, d in outer.items() if d < t]
+    core = inner[:1] + sorted(inner[1:])
+    m = len(core)
     if m > budget:
         raise BudgetExceededError(
             f"|B(t)| = {m} exceeds the all-pairs budget {budget}"
         )
-    core = _ordered_vertices(ball, instance.dim)
-    if shell > 0:
-        outer = passage_time_ball(instance, t * (1.0 + shell))
-        extra = sorted(v for v in outer if v not in ball)
-    else:
-        extra = []
-    nodes = core + extra
+    nodes = core + sorted(v for v, d in outer.items() if d >= t)
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
 
     rows, cols, data = [], [], []
-    for u, iu in index.items():
+    for iu, u in enumerate(nodes):
         for axis in range(instance.dim):
-            v = list(u)
-            v[axis] += 1
-            iv = index.get(tuple(v))
+            iv = index.get(u[:axis] + (u[axis] + 1,) + u[axis + 1:])
             if iv is not None:
                 rows.append(iu)
                 cols.append(iv)
-                data.append(instance.edge_weight(u, axis))
+                data.append(weights[u, axis])
     graph = coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     full = dijkstra(graph, directed=False, indices=np.arange(m))
     tmat = np.array(full[:, :m])
@@ -214,13 +212,11 @@ def _ball_distance_matrix(instance: FppInstance, t: float, shell: float, budget:
         raise SolverError("ball subgraph unexpectedly disconnected")
     upper = np.triu(tmat, 1)
     tmat = upper + upper.T
-    coords = np.asarray(core, dtype=np.float64) / t
-    return coords, tmat / t
+    return core, tmat / t
 
 
-def _space_from_ball(coords: np.ndarray, dmat: np.ndarray, t: float) -> FiniteMetricMeasureSpace:
-    lattice = np.rint(coords * t).astype(np.int64)
-    labels = [",".join(str(int(c)) for c in row) for row in lattice]
+def _ball_space(core: list, dmat: np.ndarray) -> FiniteMetricMeasureSpace:
+    labels = [",".join(map(str, v)) for v in core]
     return FiniteMetricMeasureSpace.uniform(labels, dmat)
 
 
@@ -237,8 +233,8 @@ def scaled_space(
     detours through B(t * (1 + shell)).  Labels are the unscaled lattice
     coordinates, so point positions are recoverable from the space alone.
     """
-    coords, dmat = _ball_distance_matrix(instance, t, shell, budget)
-    return _space_from_ball(coords, dmat, t)
+    core, dmat = _ball_distance_matrix(instance, t, shell, budget)
+    return _ball_space(core, dmat)
 
 
 @dataclass
@@ -270,10 +266,10 @@ def fpp_barycenter_track(
         raise InvalidArgumentError("t_list must be nonempty and strictly ascending")
     out = []
     for t in ts:
-        coords, dmat = _ball_distance_matrix(instance, t, shell, budget)
-        space = _space_from_ball(coords, dmat, t)
+        core, dmat = _ball_distance_matrix(instance, t, shell, budget)
+        space = _ball_space(core, dmat)
         sol = k_means_exact(space, 1, p, tie_tol=1e-12)
-        centers = [coords[s.indices[0]] for s in sol.minimizers]
+        centers = [np.asarray(core[s.indices[0]], dtype=np.float64) / t for s in sol.minimizers]
         out.append(
             TrackPoint(
                 t=t,
@@ -332,15 +328,13 @@ def shape_defect(
         norm = reference_norm
         l1_radius = None
 
-    coords, dmat = _ball_distance_matrix(instance, t, 0.0, budget)
+    core, dmat = _ball_distance_matrix(instance, t, 0.0, budget)
+    coords = np.asarray(core, dtype=np.float64) / t
     m = coords.shape[0]
     if l1_radius is not None:
         ref = instance.law.params[0] * cdist(coords, coords, "cityblock")
     else:
-        ref = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                ref[i, j] = ref[j, i] = float(norm(coords[i] - coords[j]))
+        ref = squareform(pdist(coords, lambda u, v: norm(u - v)))
     metric_defect = float(np.abs(dmat - ref).max())
 
     # reference ball discretized finer than the 1/t lattice spacing

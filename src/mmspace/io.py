@@ -18,7 +18,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import InvalidArgumentError
-from .space import CenterSet, FiniteMetricMeasureSpace, KMeansSolution
+from .space import FiniteMetricMeasureSpace, KMeansSolution
 
 MAGIC = b"MMSP"
 
@@ -104,9 +104,7 @@ def write_space(path, space: FiniteMetricMeasureSpace, dist_ref: str | None = No
         "weights": [float(w) for w in space.weights],
         "dist_ref": dist_ref,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    dump_json(path, doc)
 
 
 def read_space(path) -> FiniteMetricMeasureSpace:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -281,14 +281,9 @@ def k_means_exact(
             for t in range(1, j):
                 dmin = np.minimum(dmin, d[:, combos[:, t]])
             costs = w @ (dmin**p)
-            thresh = best * (1.0 + tie_tol)
-            for c, combo in zip(costs, block):
-                c = float(c)
-                if c < best:
-                    best = c
-                    thresh = best * (1.0 + tie_tol)
-                if c <= thresh:
-                    kept.append((c, combo))
+            best = min(best, float(costs.min()))
+            for i in np.flatnonzero(costs <= best * (1.0 + tie_tol)):
+                kept.append((float(costs[i]), block[i]))
 
     final_thresh = best * (1.0 + tie_tol)
     minimizers = sorted(combo for c, combo in kept if c <= final_thresh)

@@ -161,6 +161,29 @@ def perturbed_containment_trial(rng, n_max=16):
     return True
 
 
+def transitive_classes(dist, tol):
+    """Classes of the transitive closure of {(i, j) : dist[i][j] <= tol}.
+
+    Warshall's closure on a boolean list-of-lists, each index related to
+    itself; classes are sorted and listed by smallest member.
+    """
+    n = len(dist)
+    reach = [[i == j or dist[i][j] <= tol for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    if reach[k][j]:
+                        reach[i][j] = True
+    classes, seen = [], set()
+    for i in range(n):
+        if i not in seen:
+            members = [j for j in range(n) if reach[i][j]]
+            seen.update(members)
+            classes.append(members)
+    return classes
+
+
 def hausdorff_oracle(a, b):
     """Euclidean Hausdorff distance with one math.dist call per point pair."""
     ab = max(min(math.dist(x, y) for y in b) for x in a)

@@ -317,6 +317,18 @@ class TestExperimentCmd:
         code, _ = run_cli(capsys, "experiment", "--config", str(config), "--out", str(tmp_path / "r"))
         assert code == 2
 
+    def test_empty_reference_cell_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "exp.ini"
+        config.write_text(
+            "[data]\ngenerator = interval\n"
+            "[kmeans]\nk = 2\n"
+            "[run]\nsizes = 10 20\ntrials = 1\nreference = 0.25; 5.0\n"
+        )
+        code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "reference center 1 (5.0) is nearest to no point of the n=20 cloud in trial 0" in err
+
 
 class TestValidate:
     def test_pass_and_fail(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmspace import (
     InvalidArgumentError,
@@ -14,6 +16,8 @@ from mmspace import (
     spectral_embedding,
 )
 
+from helpers import transitive_classes
+
 
 def two_point_laplacian(d, sigma):
     cloud = PointCloud(np.array([[0.0], [d]]))
@@ -21,6 +25,23 @@ def two_point_laplacian(d, sigma):
     a = math.exp(-d * d / (2.0 * sigma * sigma))
     assert eta[0, 1] == pytest.approx(a, rel=1e-15)
     return normalized_laplacian(eta), a
+
+
+@st.composite
+def near_duplicate_embeddings(draw):
+    """(n, k) embeddings whose rows are points of a small pool, each moved
+    by 0, 1e-12, 1e-8 or 1e-3 times a vector in [-1, 1]^k.
+
+    The moves match the tested tolerances, so chains of points whose ends
+    are farther apart than the tolerance are common.
+    """
+    k = draw(st.integers(1, 3))
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    vector = st.tuples(*[coord] * k)
+    pool = draw(st.lists(vector, min_size=1, max_size=5))
+    row = st.tuples(st.sampled_from(pool), st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]), vector)
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    return np.array([[x + scale * j for x, j in zip(point, jitter)] for point, scale, jitter in rows])
 
 
 class TestSimilarity:
@@ -183,3 +204,11 @@ class TestDistanceMatrix:
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidArgumentError):
             diffusion_distance_matrix(np.zeros(5))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(near_duplicate_embeddings(), st.sampled_from([None, 0.0, 1e-8, 1e-3]))
+    def test_classes_match_transitive_closure(self, emb, merge_tol):
+        d, classes = diffusion_distance_matrix(emb, merge_tol)
+        if merge_tol is None:
+            merge_tol = 1e-10 * float((emb.max(axis=0) - emb.min(axis=0)).max())
+        assert classes == transitive_classes(d.tolist(), merge_tol)

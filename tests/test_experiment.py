@@ -71,6 +71,13 @@ class TestConfig:
         )
         assert cfg.reference == "explicit"
 
+    def test_flat_reference_is_points_on_a_line(self):
+        flat = interval_config(k=2, reference="explicit", reference_centers=np.array([0.25, 0.75]))
+        column = interval_config(k=2, reference="explicit", reference_centers=np.array([[0.25], [0.75]]))
+        assert flat.reference_centers.shape == (2, 1)
+        assert flat.digest() == column.digest()
+        assert run_experiment(flat).rows == run_experiment(column).rows
+
 
 class TestLoadConfig:
     def test_full_roundtrip(self, tmp_path):
@@ -269,6 +276,13 @@ def test_reference_of_wrong_dimension_rejected():
     # a 2-D reference against a 1-D cloud must be rejected, not broadcast
     config = interval_config(reference="explicit", reference_centers=np.array([[0.25, 0.5]]))
     with pytest.raises(InvalidArgumentError):
+        run_experiment(config)
+
+
+def test_reference_center_with_empty_cell_is_named():
+    # 5.0 is nearest to no point of the unit interval, so its cell is empty
+    config = interval_config(k=2, reference="explicit", reference_centers=np.array([[0.25], [5.0]]))
+    with pytest.raises(InvalidArgumentError, match=r"reference center 1 \(5\.0\) .* n=40 .* trial 0$"):
         run_experiment(config)
 
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mmspace import (
     scaled_space,
     shape_defect,
 )
+from mmspace import fpp
 from mmspace.fpp import _dist_to_l1_ball
 
 from helpers import relaxation_passage_times
@@ -151,6 +153,41 @@ class TestScaledSpace:
             scaled_space(inst, 3.0, shell=0.2)
         with pytest.raises(InvalidArgumentError):
             scaled_space(inst, 3.0, shell=-0.1)
+
+
+class TestEdgeHashing:
+    @staticmethod
+    def count_hashes(monkeypatch):
+        counts = Counter()
+        real = FppInstance.edge_weight
+
+        def counting(self, base, axis):
+            counts[tuple(base), axis] += 1
+            return real(self, base, axis)
+
+        monkeypatch.setattr(FppInstance, "edge_weight", counting)
+        return counts
+
+    def test_scaled_space_hashes_each_edge_once(self, monkeypatch):
+        counts = self.count_hashes(monkeypatch)
+        scaled_space(FppInstance(2, EdgeWeightLaw.exponential(1.0), 3, 10.0), 4.0, shell=0.2)
+        assert counts and set(counts.values()) == {1}
+
+    def test_track_hashes_each_edge_once_per_ball(self, monkeypatch):
+        counts = self.count_hashes(monkeypatch)
+        per_ball = []
+        real = fpp._ball_distance_matrix
+
+        def build(*args):
+            counts.clear()
+            out = real(*args)
+            per_ball.append(set(counts.values()))
+            return out
+
+        monkeypatch.setattr(fpp, "_ball_distance_matrix", build)
+        inst = FppInstance(2, EdgeWeightLaw.exponential(1.0), 3, 12.0)
+        fpp_barycenter_track(inst, [3.0, 5.0, 8.0], shell=0.2)
+        assert per_ball == [{1}, {1}, {1}]
 
 
 class TestBarycenterTrack:
