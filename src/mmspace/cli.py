@@ -160,7 +160,14 @@ def cmd_wkmeans(args) -> int:
 
 
 def cmd_fpp(args) -> int:
-    ts = sorted(float(v) for v in args.t.split(","))
+    try:
+        ts = sorted(float(v) for v in args.t.split(","))
+    except ValueError:
+        ts = []  # not a list of numbers: rejected below with the other bad times
+    if not ts or not all(t > 0 and math.isfinite(t) for t in ts):
+        raise InvalidArgumentError(f"--t must be comma separated positive finite times, got {args.t!r}")
+    if not (args.shell >= 0 and math.isfinite(args.shell)):
+        raise InvalidArgumentError(f"--shell must be finite and >= 0, got {args.shell!r}")
     law = EdgeWeightLaw.parse(args.law)
     horizon = max(ts) * (1.0 + args.shell)
     instance = FppInstance(args.dim, law, args.seed, horizon)

@@ -347,6 +347,8 @@ def test_cli_outputs_are_byte_identical_across_runs_and_threads(
         (("voronoi", "--space", str(matrix), "--centers", "0,2", "--delta", "2.0"), []),
         (("wkmeans", "--groups", *groups, "--k", "1", "--seed", "0"), []),
         (("fpp", "--dim", "2", "--law", "exp:1", "--seed", "1", "--t", "2,3"), []),
+        # balls of hundreds of vertices, where the track prunes candidates
+        (("fpp", "--dim", "2", "--law", "exp:1", "--seed", "1", "--t", "5,8"), []),
         (("quantize", "--in", str(cloud), "--n", "2", "--restarts", "3",
           "--seed", "0"), []),
         (("net", "--points", "60", "--eps", "0.5"), []),

@@ -258,6 +258,25 @@ class TestFpp:
         assert [e["t"] for e in doc["track"]] == [2.0, 3.0]
         assert "metric_defect" not in doc["track"][0]
 
+    @pytest.mark.parametrize("times", ["-1", "2,inf", "0", "nan", "abc", "2,,3"])
+    def test_bad_t_is_named(self, capsys, times):
+        code = main(["fpp", "--dim", "2", "--law", "exp:1", "--t", times, "--shell", "0.2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --t must be comma separated positive finite times, got {times!r}\n"
+        )
+
+    @pytest.mark.parametrize("shell", ["nan", "-0.1", "inf"])
+    def test_bad_shell_is_named(self, capsys, shell):
+        code = main(["fpp", "--dim", "2", "--law", "exp:1", "--t", "3", "--shell", shell])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --shell must be finite and >= 0, got {float(shell)!r}\n"
+
+    def test_budget_exit_3(self, capsys):
+        code = main(["fpp", "--dim", "2", "--law", "exp:1", "--t", "50", "--budget", "100"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: |B(t)| exceeds the all-pairs budget 100\n"
+
 
 class TestQuantizeCmd:
     def test_two_centers(self, tmp_path, capsys):

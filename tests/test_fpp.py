@@ -3,14 +3,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from mmspace import (
     BudgetExceededError,
     EdgeWeightLaw,
+    FiniteMetricMeasureSpace,
     FppInstance,
     InvalidArgumentError,
     UnsupportedReferenceError,
     fpp_barycenter_track,
+    k_means_exact,
     metric_validate,
     passage_time_ball,
     scaled_space,
@@ -176,7 +179,7 @@ class TestEdgeHashing:
     def test_track_hashes_each_edge_once_per_ball(self, monkeypatch):
         counts = self.count_hashes(monkeypatch)
         per_ball = []
-        real = fpp._ball_distance_matrix
+        real = fpp._ball_graph
 
         def build(*args):
             counts.clear()
@@ -184,10 +187,29 @@ class TestEdgeHashing:
             per_ball.append(set(counts.values()))
             return out
 
-        monkeypatch.setattr(fpp, "_ball_distance_matrix", build)
+        monkeypatch.setattr(fpp, "_ball_graph", build)
         inst = FppInstance(2, EdgeWeightLaw.exponential(1.0), 3, 12.0)
         fpp_barycenter_track(inst, [3.0, 5.0, 8.0], shell=0.2)
         assert per_ball == [{1}, {1}, {1}]
+
+
+class TestBudgetStopsGrowth:
+    @pytest.mark.parametrize("build", [
+        lambda inst, t: scaled_space(inst, t, shell=0.2, budget=100),
+        lambda inst, t: fpp_barycenter_track(inst, [t], budget=100),
+    ])
+    def test_hashes_bounded_by_budget_not_t(self, monkeypatch, build):
+        counts = TestEdgeHashing.count_hashes(monkeypatch)
+        inst = FppInstance(2, EdgeWeightLaw.exponential(1.0), 0, 120.0)
+        calls = []
+        for t in (50.0, 100.0):
+            counts.clear()
+            with pytest.raises(BudgetExceededError, match=r"^\|B\(t\)\| exceeds the all-pairs budget 100$"):
+                build(inst, t)
+            calls.append(sum(counts.values()))
+        # the growth stops at the 101st vertex of B(t); each settled vertex
+        # hashes at most its 2 * dim edges
+        assert calls[0] == calls[1] <= 4 * 101
 
 
 class TestBarycenterTrack:
@@ -274,3 +296,89 @@ class TestShapeDefect:
         md, cd = shape_defect(inst, 3.0, reference_norm=lambda v: float(np.abs(v).sum()))
         assert md >= 0.0 and cd >= 0.0
         assert math.isfinite(md) and math.isfinite(cd)
+
+
+# (dim, law, t): balls of a few dozen to a few hundred vertices
+ORACLE_BALLS = [
+    (1, "det:1", 30.0), (1, "exp:1", 30.0), (1, "unif:0.5,1.5", 30.0),
+    (2, "det:0.5", 5.0), (2, "exp:1", 6.0), (2, "unif:0.5,1.5", 8.0),
+    (3, "det:1", 5.0), (3, "exp:1", 2.0), (3, "unif:0.5,1.5", 4.0),
+]
+
+
+def path_graph(m):
+    """Unit-weight path 0 - 1 - ... - (m - 1); for even m its middle pair ties.
+
+    The farthest-point landmarks from 0 take one of the pair, so the other is
+    reached only through the bounds.
+    """
+    return csr_matrix((np.ones(m - 1), (np.arange(m - 1), np.arange(1, m))), shape=(m, m))
+
+
+def double_star(leaves):
+    """Hubs 1 and 2 joined by a unit edge, each with the same number of leaves.
+
+    Node 0 is a leaf of hub 1.  The hubs tie, and every landmark is a leaf,
+    so both hubs are reached only through the bounds.
+    """
+    leaf_nodes = [0] + list(range(3, 2 + 2 * leaves))
+    rows = [1] + [1, 2] * leaves
+    cols = [2] + leaf_nodes
+    m = 2 + 2 * leaves
+    return csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(m, m))
+
+
+class TestPrunedTrackOracle:
+    @pytest.mark.parametrize("dim,law,t", ORACLE_BALLS)
+    @pytest.mark.parametrize("shell", [0.0, 0.2])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_matches_k_means_exact(self, dim, law, t, shell, p, seed):
+        inst = FppInstance(dim, EdgeWeightLaw.parse(law), seed, t * (1.0 + shell))
+        (pt,) = fpp_barycenter_track(inst, [t], p=p, shell=shell)
+        space = scaled_space(inst, t, shell=shell)
+        sol = k_means_exact(space, 1, p, tie_tol=1e-12)
+        family = [
+            np.array([int(c) for c in space.labels[s.indices[0]].split(",")], dtype=np.float64) / t
+            for s in sol.minimizers
+        ]
+        assert pt.ball_size == space.n
+        assert len(pt.barycenters) == len(family)
+        assert all(np.array_equal(a, b) for a, b in zip(pt.barycenters, family))
+        assert pt.tied == (len(family) > 1)
+        if law.startswith("det"):
+            assert pt.objective == sol.objective
+        else:
+            assert abs(pt.objective - sol.objective) <= 4 * np.spacing(sol.objective)
+
+    @pytest.mark.parametrize("graph,tied", [(path_graph(40), [19, 20]), (double_star(20), [1, 2])])
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_tied_minimizers_are_all_kept(self, graph, tied, p):
+        m = graph.shape[0]
+        dmat = fpp.dijkstra(graph, directed=False)
+        space = FiniteMetricMeasureSpace.uniform([str(i) for i in range(m)], dmat)
+        sol = k_means_exact(space, 1, p, tie_tol=1e-12)
+        assert [s.indices for s in sol.minimizers] == [(i,) for i in tied]
+        objective, minimizers = fpp._ball_one_mean(graph, m, 1.0, p)
+        assert minimizers == tied
+        assert objective == pytest.approx(sol.objective, rel=1e-15)
+
+    def test_runs_far_fewer_sources_than_ball_vertices(self, monkeypatch):
+        sources = []
+        real = fpp.dijkstra
+
+        def counting(*args, **kwargs):
+            sources.append(np.size(kwargs["indices"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fpp, "dijkstra", counting)
+        inst = FppInstance(2, EdgeWeightLaw.exponential(1.0), 0, 12.0)
+        (pt,) = fpp_barycenter_track(inst, [10.0])
+        assert pt.ball_size > 1000
+        assert sum(sources) < pt.ball_size / 10
+
+    def test_bad_p_fails_before_any_growth(self, monkeypatch):
+        counts = TestEdgeHashing.count_hashes(monkeypatch)
+        with pytest.raises(InvalidArgumentError, match="p must be a real number >= 1"):
+            fpp_barycenter_track(det_instance(), [3.0], p=0.5)
+        assert not counts
