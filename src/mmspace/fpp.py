@@ -37,14 +37,13 @@ from .errors import (
     SolverError,
     UnsupportedReferenceError,
 )
-from .space import FiniteMetricMeasureSpace, _check_p
+from .space import FiniteMetricMeasureSpace, _check_p, _weighted_row_sums
 
 DEFAULT_BALL_BUDGET = 4000
 DEFAULT_SHELL = 0.2
 TRACK_TIE_TOL = 1e-12
 LANDMARKS = 16
-# Dijkstra sources per call of the track's search; costs are reduced over
-# full batches only (see _row_costs)
+# Dijkstra sources per call of the track's search
 _BATCH = 8
 # candidates whose strong bound is taken in one vectorised pass
 _BOUND_CHUNK = 64
@@ -248,18 +247,13 @@ def _ball_distance_matrix(instance: FppInstance, t: float, shell: float, budget:
 
 
 def _row_costs(rows: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """Cost w @ row**p of serving the whole ball from each row's source.
+    """Cost sum_j w_j row_j**p of serving the whole ball from each row's source.
 
-    Rows are reduced as one C-ordered block, padded to whole batches: BLAS
-    then sums every row with the same kernel, in the order k_means_exact's
-    product sums a column of the all-pairs matrix, so the costs agree with
-    it bit for bit wherever the two matrices agree.  Left unpadded, the last
-    rows of a partial batch go through another kernel, which can round
-    differently.
+    The rows go through the same fixed-order kernel as k_means_exact, which
+    sums row c of dist**p for the singleton {c}, so the two costs agree bit
+    for bit wherever the two rows agree, whatever the batch.
     """
-    k = rows.shape[0]
-    rows = np.concatenate([rows, np.repeat(rows[:1], -k % _BATCH, axis=0)])
-    return (w @ (rows.T ** p))[:k]
+    return _weighted_row_sums(rows**p, w)
 
 
 def _mean_abs_gaps(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -390,10 +384,12 @@ def fpp_barycenter_track(
     still too symmetric or too small to localize the mean.  The minimizers are
     those k_means_exact finds on scaled_space, but the all-pairs matrix is
     never built: landmark lower bounds (see _ball_one_mean) rule out most
-    candidates before their Dijkstra row is run.  Each objective is computed
-    from the minimizer's own Dijkstra row, while scaled_space mirrors half its
-    entries from the other end's row, so for random weights the two can
-    differ in the last few ulps.
+    candidates before their Dijkstra row is run.  Costs go through the same
+    fixed-order reduction as k_means_exact, so the objectives are the same
+    bits wherever the rows are: always for deterministic laws.  For random
+    weights each objective comes from the minimizer's own Dijkstra row,
+    while scaled_space mirrors half its entries from the other end's row,
+    so the two can differ in the last few ulps.
     """
     ts = [float(t) for t in t_list]
     if not ts or any(b <= a for a, b in zip(ts, ts[1:])):

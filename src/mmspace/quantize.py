@@ -26,6 +26,7 @@ from .cloud import euclidean_matrix
 from .errors import InvalidArgumentError
 from .geodesic import _graph_distances
 from .samplers import _circle_angles, _circle_covering_radius, circle_arc_metric
+from .space import _weighted_row_sums
 
 
 @dataclass
@@ -111,7 +112,7 @@ def quantize(
         for _ in range(max_iter):
             dist = cdist(pts, centers)
             assign = np.argmin(dist, axis=1)
-            powcost = float(np.dot(w, dist[np.arange(n), assign] ** p))
+            powcost = float(_weighted_row_sums((dist[np.arange(n), assign] ** p)[None, :], w)[0])
             trace.append(powcost ** (1.0 / p))
             moved = 0.0
             for c in range(n_centers):
@@ -125,7 +126,7 @@ def quantize(
                 break
         dist = cdist(pts, centers)
         assign = np.argmin(dist, axis=1)
-        powcost = float(np.dot(w, dist[np.arange(n), assign] ** p))
+        powcost = float(_weighted_row_sums((dist[np.arange(n), assign] ** p)[None, :], w)[0])
         trace.append(powcost ** (1.0 / p))
         histories.append(trace)
         if powcost < best_cost:

@@ -9,6 +9,7 @@ quantify over the whole family.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,10 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import geodesic
 from .errors import BudgetExceededError, InvalidArgumentError
 
 DEFAULT_TIE_TOL = 1e-9
 DEFAULT_ENUM_BUDGET = 2_000_000
+# numpy's einsum sums a contiguous row in one inner loop only while the row
+# fits its iterator buffer (8192 elements); longer rows are cut into column
+# blocks of this width (see _weighted_row_sums)
+_KERNEL_COLUMNS = 4096
+# candidate rows of about this many entries (8 MB) are reduced per kernel call
+_BLOCK_ENTRIES = 1 << 20
 
 # ----------------------------------------------------------------------------
 # metric validation
@@ -55,20 +63,27 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
 
     With tol=None the tolerance is 1e-9 scaled by the largest entry, which is
     the right yardstick for learned matrices carrying accumulated rounding.
+    Past geodesic.MAX_GRAPH_POINTS points it raises BudgetExceededError
+    before any n x n temporary is allocated.
     """
     d = np.asarray(matrix, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InvalidArgumentError("matrix must be square")
+    if d.shape[0] > geodesic.MAX_GRAPH_POINTS:
+        raise BudgetExceededError(
+            f"metric validation on {d.shape[0]} points exceeds the limit of {geodesic.MAX_GRAPH_POINTS}"
+        )
     if not np.all(np.isfinite(d)):
         raise InvalidArgumentError("matrix must be finite")
     n = d.shape[0]
     if tol is None:
         tol = 1e-9 * (float(d.max()) if n > 0 else 0.0)
 
-    asym = np.abs(d - d.T)
-    a_flat = int(np.argmax(asym))
-    a_w = np.unravel_index(a_flat, asym.shape)
-    a_mag = float(asym[a_w])
+    # one n x n buffer serves the asymmetry pass and every triangle pass
+    buf = np.empty_like(d)
+    np.abs(np.subtract(d, d.T, out=buf), out=buf)
+    a_w = np.unravel_index(int(np.argmax(buf)), d.shape)
+    a_mag = float(buf[a_w])
 
     diag = np.abs(np.diagonal(d))
     d_i = int(np.argmax(diag))
@@ -81,11 +96,12 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     t_mag = -math.inf
     t_w = (0, 0, 0)
     for l in range(n):
-        viol = d - d[:, l][:, None] - d[l, :][None, :]
-        flat = int(np.argmax(viol))
-        if viol.flat[flat] > t_mag:
-            i, j = np.unravel_index(flat, viol.shape)
-            t_mag = float(viol.flat[flat])
+        np.subtract(d, d[:, l][:, None], out=buf)
+        np.subtract(buf, d[l, :][None, :], out=buf)
+        flat = int(np.argmax(buf))
+        if buf.flat[flat] > t_mag:
+            i, j = np.unravel_index(flat, d.shape)
+            t_mag = float(buf.flat[flat])
             t_w = (int(i), int(j), l)
     t_mag = max(t_mag, 0.0) if n > 0 else 0.0
 
@@ -226,16 +242,75 @@ def _check_p(p: float) -> float:
     return p
 
 
+def _weighted_row_sums(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i * rows[r, i] for every row r, each summed in one fixed order.
+
+    The order depends on the row length alone.  No BLAS routine is called,
+    so neither the BLAS library nor its thread count enters, and neither
+    does the row's position in its block or the block's place in memory.
+    Every solver reduces its costs here, so a center set costs the same bits
+    whichever solver, batch or row computed it.  einsum keeps a C-contiguous
+    row in one inner loop only while it fits the iterator buffer, so longer
+    rows are summed in column blocks of _KERNEL_COLUMNS, added left to right.
+    """
+    rows = np.ascontiguousarray(rows)
+    out = np.einsum("ij,j->i", rows[:, :_KERNEL_COLUMNS], w[:_KERNEL_COLUMNS])
+    for s in range(_KERNEL_COLUMNS, rows.shape[1], _KERNEL_COLUMNS):
+        out += np.einsum("ij,j->i", rows[:, s:s + _KERNEL_COLUMNS], w[s:s + _KERNEL_COLUMNS])
+    return out
+
+
+def _joined_costs(pw: np.ndarray, w: np.ndarray, served: np.ndarray) -> np.ndarray:
+    """Cost, for every point c, of c joining a set whose powered distances are served.
+
+    pw is dist**p.  dist is exactly symmetric, so row c of pw holds the
+    powered distances to c, and t -> t**p is monotone, so the joined set's
+    powered distances are min(served, pw[c]).  Rows are taken as contiguous
+    slices, in blocks of about _BLOCK_ENTRIES entries.
+    """
+    n = pw.shape[0]
+    step = max(1, _BLOCK_ENTRIES // n)
+    buf = np.empty((min(step, n), n))
+    costs = np.empty(n)
+    for s in range(0, n, step):
+        rows = np.minimum(served, pw[s:s + step], out=buf[:min(step, n - s)])
+        costs[s:s + step] = _weighted_row_sums(rows, w)
+    return costs
+
+
 def clustering_cost(space: FiniteMetricMeasureSpace, centers, p: float = 2.0) -> float:
     """Weighted p-th power cost of serving every point from its nearest center."""
     p = _check_p(p)
     idx = _center_indices(space, centers)
-    dmin = space.dist[:, idx].min(axis=1)
-    return float(np.dot(space.weights, dmin**p))
+    served = (space.dist[idx] ** p).min(axis=0)
+    return float(_weighted_row_sums(served[None, :], space.weights)[0])
 
 
 def _enum_count(n: int, k: int) -> int:
     return sum(math.comb(n, j) for j in range(1, min(k, n) + 1))
+
+
+def _segments(n: int, j: int, rows: int):
+    """Center sets of size j >= 2 in lexicographic order, in blocks of `rows` sets.
+
+    A set is a (j-1)-prefix q plus a last center c > q[-1].  Each block is
+    yielded with its size, as a list of runs (q, first, stop, at): the sets
+    q + (c,) for c in range(first, stop), which take block rows at, at + 1,
+    ...  A prefix's run is cut where a block fills up.
+    """
+    block, filled = [], 0
+    for q in itertools.combinations(range(n - 1), j - 1):
+        first = q[-1] + 1
+        while first < n:
+            stop = min(n, first + rows - filled)
+            block.append((q, first, stop, filled))
+            filled += stop - first
+            first = stop
+            if filled == rows:
+                yield block, filled
+                block, filled = [], 0
+    if block:
+        yield block, filled
 
 
 def k_means_exact(
@@ -251,6 +326,12 @@ def k_means_exact(
     costs differ only by accumulated rounding are reported together.  Raises
     BudgetExceededError when the candidate count exceeds the budget; use
     k_means_pam then.
+
+    The powered matrix pw = dist**p is built once.  Singletons cost the
+    weighted sums of its rows.  A larger set is a prefix plus a last center
+    c, and the sets sharing a prefix take the contiguous rows pw[c] that
+    follow it, min-ed with the prefix's own min row; consecutive prefixes
+    are batched into blocks of about _BLOCK_ENTRIES entries per reduction.
     """
     p = _check_p(p)
     if k < 1:
@@ -264,26 +345,36 @@ def k_means_exact(
             f"exact enumeration needs {count} candidates (budget {budget}); "
             "use k_means_pam"
         )
-    d = space.dist
+    pw = space.dist**p
     w = space.weights
 
     best = math.inf
     kept: list[tuple[float, tuple]] = []
-    chunk = 8192
-    for j in range(1, min(k, n) + 1):
-        it = itertools.combinations(range(n), j)
-        while True:
-            block = list(itertools.islice(it, chunk))
-            if not block:
-                break
-            combos = np.asarray(block, dtype=np.intp)
-            dmin = d[:, combos[:, 0]]
-            for t in range(1, j):
-                dmin = np.minimum(dmin, d[:, combos[:, t]])
-            costs = w @ (dmin**p)
-            best = min(best, float(costs.min()))
-            for i in np.flatnonzero(costs <= best * (1.0 + tie_tol)):
-                kept.append((float(costs[i]), block[i]))
+
+    def collect(costs, center_set):
+        nonlocal best
+        best = min(best, float(costs.min()))
+        for i in np.flatnonzero(costs <= best * (1.0 + tie_tol)).tolist():
+            kept.append((float(costs[i]), center_set(i)))
+
+    collect(_weighted_row_sums(pw, w), lambda i: (i,))
+    rows = max(1, _BLOCK_ENTRIES // n)
+    block = np.empty((rows, n))
+    for j in range(2, min(k, n) + 1):
+        for runs, filled in _segments(n, j, rows):
+            prefixes = np.asarray([q for q, *_ in runs], dtype=np.intp)
+            served = pw[prefixes[:, 0]]
+            for t in range(1, j - 1):
+                np.minimum(served, pw[prefixes[:, t]], out=served)
+            for (q, first, stop, at), row in zip(runs, served):
+                np.minimum(row, pw[first:stop], out=block[at:at + stop - first])
+            ats = [at for *_, at in runs]
+
+            def center_set(i, runs=runs, ats=ats):
+                q, first, _, at = runs[bisect.bisect_right(ats, i) - 1]
+                return q + (first + i - at,)
+
+            collect(_weighted_row_sums(block[:filled], w), center_set)
 
     final_thresh = best * (1.0 + tie_tol)
     minimizers = sorted(combo for c, combo in kept if c <= final_thresh)
@@ -295,46 +386,48 @@ def k_means_exact(
     )
 
 
-def _greedy_build(d: np.ndarray, w: np.ndarray, k: int, p: float) -> list:
-    """Classic greedy build: repeatedly add the point lowering cost the most."""
-    n = d.shape[0]
+def _greedy_build(pw: np.ndarray, w: np.ndarray, k: int) -> list:
+    """Classic greedy build: repeatedly add the point lowering cost the most.
+
+    Each step costs every point in one vectorised pass; ties go to the
+    lowest index that is not yet a center.
+    """
+    n = pw.shape[0]
     centers: list[int] = []
-    dmin = np.full(n, np.inf)
+    served = np.full(n, np.inf)
     for _ in range(k):
-        best_c = math.inf
-        best_x = -1
-        for x in range(n):
-            if x in centers:
-                continue
-            cost = float(w @ np.minimum(dmin, d[:, x]) ** p)
-            if cost < best_c:
-                best_c = cost
-                best_x = x
+        costs = _joined_costs(pw, w, served)
+        costs[centers] = np.inf
+        best_x = int(np.argmin(costs))
         centers.append(best_x)
-        dmin = np.minimum(dmin, d[:, best_x])
+        np.minimum(served, pw[best_x], out=served)
     return centers
 
 
-def _swap_descent(d: np.ndarray, w: np.ndarray, centers: list, p: float) -> tuple:
+def _swap_descent(pw: np.ndarray, w: np.ndarray, centers: list) -> tuple:
     """Swap medoids until no single swap improves the cost.
 
-    The acceptance baseline is carried over from the last accepted swap, not
-    recomputed: the per-candidate route (matrix product) and the recomputed
-    route (gathered vector) can disagree by an ulp, and rebuilding the
-    baseline every pass lets exactly tied center sets oscillate forever.
+    pw is dist**p.  Each pass costs, center by center, every swap of that
+    center for an outside point, and takes the first strict improvement on
+    the best so far: the first argmin in center-then-outside order.  The
+    acceptance baseline is carried over from the last accepted swap, not
+    recomputed from the new centers.  Both routes reduce the same row with
+    the same kernel and agree bit for bit, but the carried baseline alone
+    guarantees that the cost strictly falls from pass to pass, so exactly
+    tied center sets can never oscillate.
     """
-    n = d.shape[0]
+    n = pw.shape[0]
     centers = list(centers)
     carried = None
     while True:
         idx = np.asarray(centers, dtype=np.intp)
-        sub = d[:, idx]
-        order = np.argsort(sub, axis=1, kind="stable")
-        rows = np.arange(n)
-        d1 = sub[rows, order[:, 0]]
-        near = idx[order[:, 0]]
-        d2 = sub[rows, order[:, 1]] if len(centers) > 1 else np.full(n, np.inf)
-        cost = float(w @ d1**p)
+        sub = pw[idx]
+        order = np.argsort(sub, axis=0, kind="stable")
+        cols = np.arange(n)
+        d1 = sub[order[0], cols]
+        near = idx[order[0]]
+        d2 = sub[order[1], cols] if len(centers) > 1 else np.full(n, np.inf)
+        cost = float(_weighted_row_sums(d1[None, :], w)[0])
         if carried is None:
             carried = cost
 
@@ -347,9 +440,7 @@ def _swap_descent(d: np.ndarray, w: np.ndarray, centers: list, p: float) -> tupl
         best_cost = carried
         best_swap = None
         for ci, c in enumerate(centers):
-            base = np.where(near == c, d2, d1)
-            cand = np.minimum(base[:, None], d[:, outside])
-            costs = w @ cand**p
+            costs = _joined_costs(pw, w, np.where(near == c, d2, d1))[outside]
             j = int(np.argmin(costs))
             if costs[j] < best_cost:
                 best_cost = float(costs[j])
@@ -380,17 +471,17 @@ def k_means_pam(
         raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise InvalidArgumentError("restarts must be >= 1")
-    d = space.dist
+    pw = space.dist**p
     w = space.weights
 
     results = []
     for r in range(restarts):
         if r == 0:
-            init = _greedy_build(d, w, k, p)
+            init = _greedy_build(pw, w, k)
         else:
             rng = np.random.default_rng([seed & 0xFFFFFFFF, r])
             init = list(rng.choice(n, size=k, replace=False))
-        centers, cost = _swap_descent(d, w, init, p)
+        centers, cost = _swap_descent(pw, w, init)
         results.append((cost, tuple(sorted(centers))))
 
     best = min(c for c, _ in results)

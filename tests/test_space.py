@@ -1,5 +1,14 @@
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmspace import (
     BudgetExceededError,
@@ -13,6 +22,10 @@ from mmspace import (
     metric_validate,
     one_sided_center_deviation,
 )
+from mmspace import geodesic
+from mmspace import space as space_module
+from mmspace.fpp import EdgeWeightLaw, FppInstance, scaled_space
+from mmspace.space import _KERNEL_COLUMNS, _weighted_row_sums
 
 from helpers import brute_kmeans, random_space
 
@@ -79,6 +92,152 @@ class TestMetricValidate:
     def test_non_square_rejected(self):
         with pytest.raises(InvalidArgumentError):
             metric_validate(np.zeros((2, 3)))
+
+    def test_size_limit_raises_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 4)
+        assert metric_validate(line_space([0.0, 1.0, 2.0, 3.0]).dist).passes
+        with pytest.raises(BudgetExceededError, match="limit of 4"):
+            metric_validate(line_space([0.0, 1.0, 2.0, 3.0, 4.0]).dist)
+        # the guard reads only the shape: a lazily broadcast 5 x 5 view is
+        # rejected before any n x n array is made from it
+        with pytest.raises(BudgetExceededError):
+            metric_validate(np.broadcast_to(np.nan, (5, 5)))
+
+    def test_report_matches_unbuffered_passes(self):
+        # the reference below allocates fresh temporaries per pass, in the
+        # same (d - d[:, l]) - d[l] order; report and witnesses are bit-equal
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            n = int(rng.integers(1, 12))
+            d = rng.uniform(0.0, 2.0, size=(n, n))
+            if trial % 2:
+                d = np.round(d, 1)  # coarse entries: many tied violations
+            asym = np.abs(d - d.T)
+            a_w = np.unravel_index(int(np.argmax(asym)), asym.shape)
+            best, witness = -np.inf, None
+            for l in range(n):
+                viol = d - d[:, l][:, None] - d[l, :][None, :]
+                flat = int(np.argmax(viol))
+                if viol.flat[flat] > best:
+                    best = float(viol.flat[flat])
+                    witness = (*map(int, np.unravel_index(flat, viol.shape)), l)
+            report = metric_validate(d)
+            assert report.asymmetry == float(asym[a_w])
+            if report.asymmetry > 0:
+                assert report.asymmetry_witness == tuple(map(int, a_w))
+            assert report.triangle == max(best, 0.0)
+            if best > 0:
+                assert report.triangle_witness == witness
+
+
+class TestWeightedRowSums:
+    """The one cost reduction: each row's sum does not depend on its context."""
+
+    @pytest.mark.parametrize("n", [1, 7, 300, _KERNEL_COLUMNS + 1, 2 * _KERNEL_COLUMNS + 3])
+    def test_row_alone_at_every_position_and_offset(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.uniform(0.0, 3.0, size=(9, n)) ** 2.0
+        w = rng.uniform(0.1, 1.0, size=n)
+        w /= w.sum()
+        block = _weighted_row_sums(rows, w)
+        assert np.array_equal(_weighted_row_sums(np.asfortranarray(rows), w), block)
+        for r in range(rows.shape[0]):
+            alone = _weighted_row_sums(rows[r:r + 1], w)
+            assert alone[0] == block[r]
+            for pos in range(4):
+                others = rng.uniform(size=(pos + 2, n))
+                mixed = np.concatenate([others[:pos], rows[r:r + 1], others[pos:]])
+                assert _weighted_row_sums(mixed, w)[pos] == block[r]
+            for shift in (1, 3, 8, 24):
+                # the row copied to a byte offset of its own buffer, aligned or not
+                raw = np.zeros(n * 8 + shift, dtype=np.uint8)
+                moved = np.frombuffer(raw, dtype=np.float64, count=n, offset=shift)
+                moved[:] = rows[r]
+                assert _weighted_row_sums(moved[None, :], w)[0] == block[r]
+            exact = math.fsum(float(a) * float(b) for a, b in zip(w, rows[r]))
+            assert abs(block[r] - exact) <= 1e-13 * exact
+
+    def test_solvers_share_the_reduction(self):
+        # k_means_exact reduces its candidates in blocks; clustering_cost and
+        # PAM one row at a time: the same set must cost the same bits
+        rng = np.random.default_rng(4)
+        for trial in range(12):
+            n = int(rng.integers(5, 16))
+            space, _ = random_space(rng, n)
+            p = (1.0, 1.5, 2.0, 3.0)[trial % 4]
+            k = 1 + trial % 3
+            sol = k_means_exact(space, k, p)
+            assert sol.objective == min(clustering_cost(space, m, p) for m in sol.minimizers)
+            pam = k_means_pam(space, k, p, restarts=3, seed=trial)
+            assert pam.objective == min(clustering_cost(space, m, p) for m in pam.minimizers)
+
+
+_HOST_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+from mmspace import FiniteMetricMeasureSpace, k_means_exact
+from mmspace.space import _weighted_row_sums
+
+d = np.load(sys.argv[1])
+space = FiniteMetricMeasureSpace.uniform(list(range(len(d))), d)
+out = {}
+for p in (2.0, 3.0):
+    sol = k_means_exact(space, 1, p)
+    costs = hashlib.sha256(_weighted_row_sums(d**p, space.weights).tobytes()).hexdigest()
+    out[repr(p)] = [repr(sol.objective), [m.indices for m in sol.minimizers], costs]
+json.dump(out, sys.stdout)
+"""
+
+
+def test_objectives_do_not_depend_on_blas_threads(tmp_path):
+    # on this 4513-point ball the BLAS product w @ dist**p gives some columns
+    # other bits under 2 OpenBLAS threads than under 1 (column 2256 at
+    # p = 2); the kernel must not
+    space = scaled_space(FppInstance(2, EdgeWeightLaw.parse("det:0.25"), 1, 12.0 * 1.2), 12.0, 0.2, budget=20000)
+    assert space.n == 4513
+    matrix = tmp_path / "ball.npy"
+    np.save(matrix, space.dist)
+    del space
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    try:
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            done = subprocess.run(
+                [sys.executable, "-c", _HOST_SCRIPT, str(matrix)], env=env, capture_output=True, text=True, timeout=600
+            )
+            assert done.returncode == 0, done.stderr
+            runs.append(json.loads(done.stdout))
+    finally:
+        matrix.unlink()
+    assert runs[0] == runs[1]
+
+
+@st.composite
+def spaces_with_duplicates(draw):
+    """Small weighted spaces in R^2, some points repeated so that center sets tie."""
+    coord = st.floats(-1.0, 1.0, allow_nan=False, width=32)
+    distinct = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=7))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=max(2, len(distinct)), max_size=9))
+    pts = np.array([distinct[i] for i in picks], dtype=np.float64)
+    n = len(pts)
+    raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    w = raw / raw.sum()
+    w[-1] = 1.0 - w[:-1].sum()
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(d, 0.0)
+    d = np.minimum(d, d.T)
+    return FiniteMetricMeasureSpace([str(i) for i in range(n)], d, w)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spaces_with_duplicates(), st.integers(1, 3), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_exact_matches_brute_force_with_ties(space, k, p):
+    sol = k_means_exact(space, k, p)
+    obj, tied = brute_kmeans(space, k, p)
+    assert sol.objective == pytest.approx(obj, rel=1e-12, abs=1e-15)
+    assert {m.indices for m in sol.minimizers} == tied
 
 
 class TestClusteringCost:
@@ -160,6 +319,20 @@ class TestKMeansExact:
             subset = rng.choice(10, size=size, replace=False).tolist()
             assert clustering_cost(space, subset, 2.0) >= sol.objective * (1.0 - 1e-9)
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 64])
+    def test_blocks_cut_anywhere(self, monkeypatch, rows):
+        # blocks of `rows` candidates cut the runs of one prefix at every
+        # place; a wide tie tolerance makes the family hold many sets
+        rng = np.random.default_rng(rows)
+        space, _ = random_space(rng, 12)
+        monkeypatch.setattr(space_module, "_BLOCK_ENTRIES", rows * 12)
+        for k in (2, 3, 4):
+            sol = k_means_exact(space, k, 2.0, tie_tol=0.3)
+            obj, tied = brute_kmeans(space, k, 2.0, tie_tol=0.3)
+            assert sol.objective == pytest.approx(obj, rel=1e-12)
+            assert [m.indices for m in sol.minimizers] == sorted(tied)
+            assert len(tied) >= 2
+
     def test_budget_guard(self):
         rng = np.random.default_rng(1)
         space, _ = random_space(rng, 10)
@@ -191,9 +364,9 @@ class TestKMeansPam:
 
     def test_exact_cost_tie_terminates(self):
         # these six points admit two center pairs with bitwise-equal power
-        # cost; the matrix-product cost route undershoots the gathered one by
-        # an ulp, and a swap descent that rebuilds its acceptance baseline
-        # each pass flips between the tied pairs forever
+        # cost; a swap descent whose candidate costs and recomputed baseline
+        # can disagree by an ulp, and which rebuilds that baseline each pass,
+        # flips between the tied pairs forever
         pts = np.array(
             [[0.9325308535813264, -0.08360030374828975],
              [0.5490546223724171, -0.930211358685348],
