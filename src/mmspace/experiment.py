@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +34,7 @@ from .io import dump_json, read_cloud_csv
 from .samplers import covering_radius, derived_seed, sample, true_distance_matrix
 from .space import FiniteMetricMeasureSpace, _pairwise, k_means_exact, k_means_pam, one_sided_center_deviation
 from .voronoi import cluster_deviation, voronoi_cells
-from .wasserstein import build_ground_metric, worker_count
+from .wasserstein import build_ground_metric
 
 CSV_COLUMNS = [
     "n",
@@ -294,6 +295,20 @@ def _run_trial(config: ExperimentConfig, trial: int):
             row["cluster_deviation"] = cluster_deviation(cell_sets, ref_cells)
         rows.append(row)
     return rows
+
+
+def worker_count() -> int:
+    """Thread cap: MM_THREADS when set, else the CPU count."""
+    env = os.environ.get("MM_THREADS")
+    if env is not None:
+        try:
+            cap = int(env)
+        except ValueError:
+            raise InvalidArgumentError(f"MM_THREADS must be an integer, got {env!r}")
+        if cap < 1:
+            raise InvalidArgumentError("MM_THREADS must be >= 1")
+        return cap
+    return os.cpu_count() or 1
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:

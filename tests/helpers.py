@@ -119,15 +119,48 @@ def relaxation_geodesics(points, weight):
 
 
 def wasserstein_1d_uniform(xs, ys, p):
-    """W_p between uniform empirical measures on the line, equal sizes.
+    """W_p between uniform empirical measures on the line.
 
-    The optimal coupling in one dimension is the monotone one, so the distance
-    is the p-mean of sorted coordinate differences.
+    The optimal coupling in one dimension is the monotone (quantile) one.  On
+    the common refinement of the two quantile grids, lcm(len(xs), len(ys))
+    equal steps, both quantile functions are constant, so the distance is the
+    p-mean of the stepwise differences; for equal sizes that is the p-mean of
+    sorted coordinate differences.
     """
     xs = sorted(xs)
     ys = sorted(ys)
-    assert len(xs) == len(ys)
-    total = sum(abs(a - b) ** p for a, b in zip(xs, ys)) / len(xs)
+    steps = math.lcm(len(xs), len(ys))
+    total = sum(
+        abs(xs[k * len(xs) // steps] - ys[k * len(ys) // steps]) ** p for k in range(steps)
+    ) / steps
+    return total ** (1.0 / p)
+
+
+def wasserstein_1d_weighted(xs, wx, ys, wy, p):
+    """W_p between weighted measures on the line, by the quantile coupling.
+
+    The quantile functions are constant between consecutive breakpoints of
+    the two cumulative mass sequences, so the distance is a finite sum over
+    those intervals.  Masses must each sum to 1.
+    """
+    xs, wx = zip(*sorted(zip(xs, wx)))
+    ys, wy = zip(*sorted(zip(ys, wy)))
+    total = 0.0
+    i = j = 0
+    ci, cj = wx[0], wy[0]  # cumulative mass through atom i and atom j
+    u = 0.0
+    while True:
+        top = min(ci, cj)
+        total += (top - u) * abs(xs[i] - ys[j]) ** p
+        u = top
+        if i == len(xs) - 1 and j == len(ys) - 1:
+            break
+        if j == len(ys) - 1 or (ci <= cj and i < len(xs) - 1):
+            i += 1
+            ci += wx[i]
+        else:
+            j += 1
+            cj += wy[j]
     return total ** (1.0 / p)
 
 

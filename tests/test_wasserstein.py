@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from mmspace import wasserstein
 from mmspace import (
     DiscreteMeasure,
     InvalidArgumentError,
@@ -15,7 +18,7 @@ from mmspace import (
     worker_count,
 )
 
-from helpers import random_space, wasserstein_1d_uniform
+from helpers import random_space, wasserstein_1d_uniform, wasserstein_1d_weighted
 
 
 def line_ground(coords):
@@ -113,6 +116,87 @@ class TestWassersteinDistance:
         with pytest.raises(InvalidArgumentError):
             wasserstein_distance(np.zeros((2, 3)), a, DiscreteMeasure.dirac(1), 2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_ground_entry_is_typed_on_both_routes(self, bad):
+        ground = line_ground(np.arange(6.0))
+        ground[1, 4] = ground[4, 1] = bad
+        uniform = (DiscreteMeasure.from_points([0, 1, 2]), DiscreteMeasure.from_points([3, 4, 5]))
+        weighted = (
+            DiscreteMeasure((0, 1, 2), np.array([0.5, 0.25, 0.25])),
+            DiscreteMeasure((3, 4, 5), np.array([0.2, 0.3, 0.5])),
+        )
+        for a, b in (uniform, weighted):
+            with pytest.raises(InvalidArgumentError, match="finite and nonnegative"):
+                wasserstein_distance(ground, a, b, 2.0)
+            with pytest.raises(InvalidArgumentError, match="finite and nonnegative"):
+                wasserstein_space([a, b], ground, 2.0)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("this pair must not reach this solver")
+
+
+def line_pair(seed, na, nb):
+    """Two groups from one law on the line, their pooled ground metric, and index ranges.
+
+    Overlapping groups keep W_p small against the costs, which is where an LP
+    stopped at loose feasibility tolerances shows its error.
+    """
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(size=na)
+    ys = rng.uniform(size=nb)
+    return xs, ys, line_ground(np.concatenate([xs, ys])), range(na), range(na, na + nb)
+
+
+class TestSolveRoutes:
+    """Uniform pairs up to the cap are assignments; every other pair is the LP."""
+
+    @pytest.mark.parametrize("na, nb", [(40, 30), (40, 40), (7, 5), (1, 9)])
+    def test_uniform_pairs_by_assignment(self, monkeypatch, na, nb):
+        monkeypatch.setattr(wasserstein, "linprog", _forbidden)
+        xs, ys, ground, ia, ib = line_pair(na * 100 + nb, na, nb)
+        a, b = DiscreteMeasure.from_points(ia), DiscreteMeasure.from_points(ib)
+        for p in (1.0, 2.0, 3.0):
+            want = wasserstein_1d_uniform(xs, ys, p)
+            assert wasserstein_distance(ground, a, b, p) == pytest.approx(want, rel=1e-12, abs=0)
+            assert wasserstein_distance(ground, b, a, p) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def lp_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        linprog = wasserstein.linprog
+        monkeypatch.setattr(wasserstein, "linprog", counted)
+        monkeypatch.setattr(wasserstein, "linear_sum_assignment", _forbidden)
+        return calls
+
+    def test_coprime_pair_above_the_cap_takes_the_lp(self, monkeypatch):
+        na, nb = 60, 59
+        assert math.lcm(na, nb) > wasserstein._ASSIGNMENT_MAX_L
+        calls = self.lp_calls(monkeypatch)
+        for seed in range(4):
+            xs, ys, ground, ia, ib = line_pair(seed, na, nb)
+            a, b = DiscreteMeasure.from_points(ia), DiscreteMeasure.from_points(ib)
+            for p in (1.0, 2.0, 3.0):
+                want = wasserstein_1d_uniform(xs, ys, p)
+                assert wasserstein_distance(ground, a, b, p) == pytest.approx(want, rel=1e-12, abs=0)
+        assert len(calls) == 12
+
+    def test_weighted_pair_takes_the_lp(self, monkeypatch):
+        calls = self.lp_calls(monkeypatch)
+        rng = np.random.default_rng(12)
+        for na, nb in ((9, 7), (6, 6), (1, 8)):
+            xs, ys, ground, ia, ib = line_pair(int(rng.integers(1000)), na, nb)
+            wa, wb = rng.dirichlet(np.ones(na)), rng.dirichlet(np.ones(nb))
+            a, b = DiscreteMeasure(tuple(ia), wa), DiscreteMeasure(tuple(ib), wb)
+            for p in (1.0, 2.0, 3.0):
+                want = wasserstein_1d_weighted(xs, wa, ys, wb, p)
+                assert wasserstein_distance(ground, a, b, p) == pytest.approx(want, rel=1e-12, abs=0)
+        assert len(calls) == 9
+
 
 class TestPerturbationBound:
     def test_bound_values(self):
@@ -154,15 +238,20 @@ class TestWassersteinSpace:
     def test_thread_cap_does_not_change_values(self, monkeypatch):
         rng = np.random.default_rng(7)
         space, _ = random_space(rng, 8)
-        measures = [
+        weighted = [
             DiscreteMeasure(tuple(range(8)), rng.dirichlet(np.ones(8)))
             for _ in range(4)
         ]
-        monkeypatch.setenv("MM_THREADS", "1")
-        d1 = wasserstein_space(measures, space.dist, 2.0).dist
-        monkeypatch.setenv("MM_THREADS", "8")
-        d8 = wasserstein_space(measures, space.dist, 2.0).dist
-        assert np.array_equal(d1, d8)
+        uniform = [
+            DiscreteMeasure.from_points(rng.choice(8, size=size, replace=False))
+            for size in (2, 3, 4, 8)
+        ]
+        for measures in (weighted, uniform):
+            monkeypatch.setenv("MM_THREADS", "1")
+            d1 = wasserstein_space(measures, space.dist, 2.0).dist
+            for threads in ("2", "8"):
+                monkeypatch.setenv("MM_THREADS", threads)
+                assert np.array_equal(d1, wasserstein_space(measures, space.dist, 2.0).dist)
 
     def test_worker_count(self, monkeypatch):
         monkeypatch.setenv("MM_THREADS", "3")
