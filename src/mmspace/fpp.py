@@ -246,16 +246,6 @@ def _ball_distance_matrix(instance: FppInstance, t: float, shell: float, budget:
     return core, tmat / t
 
 
-def _row_costs(rows: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """Cost sum_j w_j row_j**p of serving the whole ball from each row's source.
-
-    The rows go through the same fixed-order kernel as k_means_exact, which
-    sums row c of dist**p for the singleton {c}, so the two costs agree bit
-    for bit wherever the two rows agree, whatever the batch.
-    """
-    return _weighted_row_sums(rows**p, w)
-
-
 def _mean_abs_gaps(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_j w_j |a_i - a_j| for every i, from prefix sums over sorted a."""
     order = np.argsort(a, kind="stable")
@@ -312,7 +302,9 @@ def _ball_one_mean(graph, m: int, t: float, p: float) -> tuple:
 
     def evaluate(sources, rows):
         candidates.extend(sources)
-        costs.extend(_row_costs(rows, w, p).tolist())
+        # k_means_exact costs the singleton {c} as row c of dist**p through
+        # this kernel, so the two agree bit for bit wherever the rows agree
+        costs.extend(_weighted_row_sums(rows**p, w).tolist())
         return min(costs) * (1.0 + TRACK_TIE_TOL)
 
     thresh = evaluate(marks, anchors)

@@ -14,6 +14,7 @@ undoes the density dependence of quantizer placement.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -109,11 +110,17 @@ def quantize(
         rng = np.random.default_rng([seed & 0xFFFFFFFF, r])
         centers = pts[rng.choice(n, size=n_centers, replace=False)].copy()
         trace = []
-        for _ in range(max_iter):
+        moved = math.inf
+        # every pass assigns and costs the current centers; the last pass,
+        # after max_iter updates or one that moved no center by over 1e-12,
+        # only evaluates them
+        for it in itertools.count():
             dist = cdist(pts, centers)
             assign = np.argmin(dist, axis=1)
             powcost = float(_weighted_row_sums((dist[np.arange(n), assign] ** p)[None, :], w)[0])
             trace.append(powcost ** (1.0 / p))
+            if it >= max_iter or moved <= 1e-12:
+                break
             moved = 0.0
             for c in range(n_centers):
                 mask = assign == c
@@ -122,12 +129,6 @@ def quantize(
                 new = _cell_center(pts[mask], w[mask], p, centers[c])
                 moved = max(moved, float(np.linalg.norm(new - centers[c])))
                 centers[c] = new
-            if moved <= 1e-12:
-                break
-        dist = cdist(pts, centers)
-        assign = np.argmin(dist, axis=1)
-        powcost = float(_weighted_row_sums((dist[np.arange(n), assign] ** p)[None, :], w)[0])
-        trace.append(powcost ** (1.0 / p))
         histories.append(trace)
         if powcost < best_cost:
             best_cost = powcost

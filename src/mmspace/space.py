@@ -9,8 +9,6 @@ quantify over the whole family.
 """
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +24,8 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 # fits its iterator buffer (8192 elements); longer rows are cut into column
 # blocks of this width (see _weighted_row_sums)
 _KERNEL_COLUMNS = 4096
-# candidate rows of about this many entries (8 MB) are reduced per kernel call
+# _joined_costs mins and reduces its rows in blocks of about this many
+# entries (8 MB), so a prefix with many children holds no n x n temporary
 _BLOCK_ENTRIES = 1 << 20
 
 # ----------------------------------------------------------------------------
@@ -260,22 +259,22 @@ def _weighted_row_sums(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _joined_costs(pw: np.ndarray, w: np.ndarray, served: np.ndarray) -> np.ndarray:
-    """Cost, for every point c, of c joining a set whose powered distances are served.
+def _joined_costs(pw: np.ndarray, w: np.ndarray, served: np.ndarray, first: int = 0) -> np.ndarray:
+    """Cost, for every point c >= first, of c joining a set whose powered distances are served.
 
     pw is dist**p.  dist is exactly symmetric, so row c of pw holds the
     powered distances to c, and t -> t**p is monotone, so the joined set's
-    powered distances are min(served, pw[c]).  Rows are taken as contiguous
-    slices, in blocks of about _BLOCK_ENTRIES entries.
+    powered distances are min(served, pw[c]).  Entry i of the result is the
+    cost for c = first + i.  Rows are taken as contiguous slices, in blocks
+    of about _BLOCK_ENTRIES entries.
     """
     n = pw.shape[0]
     step = max(1, _BLOCK_ENTRIES // n)
-    buf = np.empty((min(step, n), n))
-    costs = np.empty(n)
-    for s in range(0, n, step):
-        rows = np.minimum(served, pw[s:s + step], out=buf[:min(step, n - s)])
-        costs[s:s + step] = _weighted_row_sums(rows, w)
-    return costs
+    if n - first <= step:
+        return _weighted_row_sums(np.minimum(served, pw[first:]), w)
+    return np.concatenate(
+        [_weighted_row_sums(np.minimum(served, pw[s:s + step]), w) for s in range(first, n, step)]
+    )
 
 
 def clustering_cost(space: FiniteMetricMeasureSpace, centers, p: float = 2.0) -> float:
@@ -288,29 +287,6 @@ def clustering_cost(space: FiniteMetricMeasureSpace, centers, p: float = 2.0) ->
 
 def _enum_count(n: int, k: int) -> int:
     return sum(math.comb(n, j) for j in range(1, min(k, n) + 1))
-
-
-def _segments(n: int, j: int, rows: int):
-    """Center sets of size j >= 2 in lexicographic order, in blocks of `rows` sets.
-
-    A set is a (j-1)-prefix q plus a last center c > q[-1].  Each block is
-    yielded with its size, as a list of runs (q, first, stop, at): the sets
-    q + (c,) for c in range(first, stop), which take block rows at, at + 1,
-    ...  A prefix's run is cut where a block fills up.
-    """
-    block, filled = [], 0
-    for q in itertools.combinations(range(n - 1), j - 1):
-        first = q[-1] + 1
-        while first < n:
-            stop = min(n, first + rows - filled)
-            block.append((q, first, stop, filled))
-            filled += stop - first
-            first = stop
-            if filled == rows:
-                yield block, filled
-                block, filled = [], 0
-    if block:
-        yield block, filled
 
 
 def k_means_exact(
@@ -327,11 +303,15 @@ def k_means_exact(
     BudgetExceededError when the candidate count exceeds the budget; use
     k_means_pam then.
 
-    The powered matrix pw = dist**p is built once.  Singletons cost the
-    weighted sums of its rows.  A larger set is a prefix plus a last center
-    c, and the sets sharing a prefix take the contiguous rows pw[c] that
-    follow it, min-ed with the prefix's own min row; consecutive prefixes
-    are batched into blocks of about _BLOCK_ENTRIES entries per reduction.
+    The powered matrix pw = dist**p is built once, and the sets are searched
+    depth first over their sorted prefixes.  A prefix q costs every set
+    q + (c,) with c > q[-1] in one step: dist is exactly symmetric, so those
+    sets serve min(served_q, pw[c]), contiguous rows of pw.  Prefixes one
+    center short of k take these rows from _joined_costs, in bounded blocks.
+    Shorter prefixes keep their block, because its row i is what child i
+    serves; at the root the block is pw itself.  Every row is reduced by
+    _weighted_row_sums, so a set costs the same bits here as in
+    clustering_cost and PAM, whatever the search order.
     """
     p = _check_p(p)
     if k < 1:
@@ -347,34 +327,37 @@ def k_means_exact(
         )
     pw = space.dist**p
     w = space.weights
+    depth = min(k, n)
 
     best = math.inf
     kept: list[tuple[float, tuple]] = []
 
-    def collect(costs, center_set):
+    def collect(costs, q, first):
+        # costs[i] is the cost of q + (first + i,); a batch whose minimum is
+        # above the tie threshold can neither lower best nor tie it
         nonlocal best
-        best = min(best, float(costs.min()))
+        low = float(costs.min())
+        if low > best * (1.0 + tie_tol):
+            return
+        best = min(best, low)
         for i in np.flatnonzero(costs <= best * (1.0 + tie_tol)).tolist():
-            kept.append((float(costs[i]), center_set(i)))
+            kept.append((float(costs[i]), q + (first + i,)))
 
-    collect(_weighted_row_sums(pw, w), lambda i: (i,))
-    rows = max(1, _BLOCK_ENTRIES // n)
-    block = np.empty((rows, n))
-    for j in range(2, min(k, n) + 1):
-        for runs, filled in _segments(n, j, rows):
-            prefixes = np.asarray([q for q, *_ in runs], dtype=np.intp)
-            served = pw[prefixes[:, 0]]
-            for t in range(1, j - 1):
-                np.minimum(served, pw[prefixes[:, t]], out=served)
-            for (q, first, stop, at), row in zip(runs, served):
-                np.minimum(row, pw[first:stop], out=block[at:at + stop - first])
-            ats = [at for *_, at in runs]
+    def expand(q, block, first):
+        # block[i] holds the powered distances served by q + (first + i,);
+        # the last child, q + (n - 1,), has no children
+        collect(_weighted_row_sums(block, w), q, first)
+        if len(q) + 1 == depth:
+            return
+        # children one center short of k cost their own children in blocks
+        leaf = len(q) + 2 == depth
+        for c in range(first, n - 1):
+            if leaf:
+                collect(_joined_costs(pw, w, block[c - first], c + 1), q + (c,), c + 1)
+            else:
+                expand(q + (c,), np.minimum(block[c - first], pw[c + 1:]), c + 1)
 
-            def center_set(i, runs=runs, ats=ats):
-                q, first, _, at = runs[bisect.bisect_right(ats, i) - 1]
-                return q + (first + i - at,)
-
-            collect(_weighted_row_sums(block[:filled], w), center_set)
+    expand((), pw, 0)
 
     final_thresh = best * (1.0 + tie_tol)
     minimizers = sorted(combo for c, combo in kept if c <= final_thresh)

@@ -37,12 +37,14 @@ from .space import FiniteMetricMeasureSpace, KMeansSolution, k_means_exact, k_me
 
 MASS_TOL = 1e-12
 
-# Largest common refinement lcm(a, b) solved by assignment.  Measured on a
-# 2-vCPU x86 host, one thread, scipy 1.17: coprime uniform pairs (a * b = L LP
-# variables, the assignment's worst case) break even near L = 240-270
-# (15 x 16: 3.4-3.9 ms assignment vs 4.2-4.5 ms LP; 16 x 17: 2.8-6.8 vs
-# 5.0-6.2 ms; 12 x 25: 9-12 vs 7 ms; 24 x 25: 68-72 vs 9 ms), while equal
-# sizes win far past it (200 x 200: 6 vs 560-740 ms).
+# Largest common refinement lcm(a, b) of unequal sizes solved by assignment.
+# Measured on a 2-vCPU x86 host, one thread, scipy 1.17: coprime uniform
+# pairs (a * b = L LP variables, the assignment's worst case) break even near
+# L = 240-270 (15 x 16: 3.4-3.9 ms assignment vs 4.2-4.5 ms LP; 16 x 17:
+# 2.8-6.8 vs 5.0-6.2 ms; 12 x 25: 9-12 vs 7 ms; 24 x 25: 68-72 vs 9 ms).
+# Equal sizes need no refinement and always take the assignment, which wins
+# at every size (200 x 200: 6 vs 560-740 ms; 241 x 241: 4-5 ms vs 0.89 s;
+# 300 x 300: 8 ms vs 3.1 s; 400 x 400: 17 ms vs 11.8 s).
 _ASSIGNMENT_MAX_L = 240
 
 # HiGHS feasibility tolerances for the transport LP; the defaults (1e-7) cost
@@ -111,9 +113,10 @@ def _check_ground(ground: np.ndarray) -> np.ndarray:
 def wasserstein_distance(ground: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float = 2.0) -> float:
     """p-Wasserstein distance between two measures over a shared ground metric.
 
-    Two uniform measures whose atom counts have lcm L <= _ASSIGNMENT_MAX_L are
-    solved by an L x L assignment; every other pair by the transportation LP.
-    Both are exact.  The closed forms live in the tests as an independent route.
+    Two uniform measures with equal atom counts, or whose atom counts have
+    lcm L <= _ASSIGNMENT_MAX_L, are solved by an L x L assignment; every
+    other pair by the transportation LP.  Both are exact.  The closed forms
+    live in the tests as an independent route.
     """
     g = _check_ground(ground)
     p = float(p)
@@ -132,7 +135,7 @@ def wasserstein_distance(ground: np.ndarray, a: DiscreteMeasure, b: DiscreteMeas
     cost = g[np.ix_(ai, bj)] ** p
 
     steps = math.lcm(na, nb)
-    if steps <= _ASSIGNMENT_MAX_L and np.all(a.masses == a.masses[0]) and np.all(b.masses == b.masses[0]):
+    if (steps <= _ASSIGNMENT_MAX_L or na == nb) and np.all(a.masses == a.masses[0]) and np.all(b.masses == b.masses[0]):
         split = np.repeat(np.repeat(cost, steps // na, axis=0), steps // nb, axis=1)
         rows, cols = linear_sum_assignment(split)
         return float(split[rows, cols].sum() / steps) ** (1.0 / p)

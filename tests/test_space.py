@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from mmspace import (
 from mmspace import geodesic
 from mmspace import space as space_module
 from mmspace.fpp import EdgeWeightLaw, FppInstance, scaled_space
-from mmspace.space import _KERNEL_COLUMNS, _weighted_row_sums
+from mmspace.space import _KERNEL_COLUMNS, _enum_count, _weighted_row_sums
 
 from helpers import brute_kmeans, random_space
 
@@ -332,6 +333,33 @@ class TestKMeansExact:
             assert sol.objective == pytest.approx(obj, rel=1e-12)
             assert [m.indices for m in sol.minimizers] == sorted(tied)
             assert len(tied) >= 2
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("block_rows", [None, 2])
+    def test_every_set_costed_exactly_once(self, monkeypatch, n, block_rows):
+        # distinct points put a zero in a set's served row exactly at its
+        # centers, so every row the kernel reduces names the set it costs
+        rng = np.random.default_rng(n)
+        space, _ = random_space(rng, n)
+        if block_rows is not None:
+            monkeypatch.setattr(space_module, "_BLOCK_ENTRIES", block_rows * n)
+        kernel = space_module._weighted_row_sums
+        costed = []
+
+        def naming(rows, w):
+            costed.extend(tuple(np.flatnonzero(row == 0.0).tolist()) for row in rows)
+            return kernel(rows, w)
+
+        monkeypatch.setattr(space_module, "_weighted_row_sums", naming)
+        for k in range(1, n + 2):
+            costed.clear()
+            sol = k_means_exact(space, k, 2.0)
+            assert len(costed) == _enum_count(n, k)
+            every = [s for j in range(1, min(k, n) + 1) for s in itertools.combinations(range(n), j)]
+            assert sorted(costed) == sorted(every)
+            obj, tied = brute_kmeans(space, k, 2.0)
+            assert sol.objective == pytest.approx(obj, rel=1e-12, abs=1e-15)
+            assert {m.indices for m in sol.minimizers} == tied
 
     def test_budget_guard(self):
         rng = np.random.default_rng(1)

@@ -149,9 +149,9 @@ def line_pair(seed, na, nb):
 
 
 class TestSolveRoutes:
-    """Uniform pairs up to the cap are assignments; every other pair is the LP."""
+    """Equal-size uniform pairs and uniform pairs up to the cap are assignments; every other pair is the LP."""
 
-    @pytest.mark.parametrize("na, nb", [(40, 30), (40, 40), (7, 5), (1, 9)])
+    @pytest.mark.parametrize("na, nb", [(40, 30), (40, 40), (7, 5), (1, 9), (300, 300)])
     def test_uniform_pairs_by_assignment(self, monkeypatch, na, nb):
         monkeypatch.setattr(wasserstein, "linprog", _forbidden)
         xs, ys, ground, ia, ib = line_pair(na * 100 + nb, na, nb)
