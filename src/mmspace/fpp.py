@@ -6,12 +6,17 @@ integers into (0, 1) and applying the law's inverse CDF.  That makes weight
 queries deterministic across processes and thread counts, and lets balls grow
 lazily with Dijkstra instead of materializing a box of the lattice.  One
 growth to t(1 + shell) gives B(t), its shell and every weight between their
-vertices, each edge hashed once, and the CSR graph on them.  The all-pairs
-matrix (scaled_space, shape_defect) is Dijkstra from every vertex of B(t) on
-that graph.  The barycenter track needs only the exact 1-mean, so it runs
-Dijkstra from a few farthest-point landmarks, bounds every candidate's cost
-from below with the landmark (ALT) triangle inequality (Goldberg & Harrelson,
-SODA 2005), and runs full rows only for candidates the bounds cannot rule out.
+vertices, each edge hashed once, and the CSR graph on them.  scaled_space
+alone builds the all-pairs matrix, by Dijkstra from every vertex of B(t) on
+that graph.  shape_defect takes its sup as a running max over blocks of
+upper-triangle rows; for deterministic weights the rows are a closed form,
+T(x, y) = S_{|x - y|_1} with S_h the h-fold rounded sum of the weight, and
+for other laws they are Dijkstra from one block of sources at a time.
+
+The barycenter track needs only the exact 1-mean, so it runs Dijkstra from a
+few farthest-point landmarks, bounds every candidate's cost from below with
+the landmark (ALT) triangle inequality (Goldberg & Harrelson, SODA 2005), and
+runs full rows only for candidates the bounds cannot rule out.
 
 The scaled ball B(t)/t with metric T/t and uniform weights is the finite
 metric measure space whose limit is the time-constant norm ball; barycenter
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -29,8 +35,9 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
+from . import geodesic
 from .errors import (
     BudgetExceededError,
     InvalidArgumentError,
@@ -47,6 +54,9 @@ LANDMARKS = 16
 _BATCH = 8
 # candidates whose strong bound is taken in one vectorised pass
 _BOUND_CHUNK = 64
+# entries per row block of shape_defect; a block holds a handful of
+# temporaries, so 1 << 17 keeps them to a few MB
+_BLOCK_ENTRIES = 1 << 17
 # A computed passage time is a sum of edge weights taken in path order, so
 # the same distance computed from the other end, or a landmark difference
 # |T(L, i) - T(L, j)|, can disagree with it in the last few ulps.  Both lower
@@ -191,14 +201,12 @@ def passage_time_ball(instance: FppInstance, t: float) -> dict:
     return _grow(instance, t)[0]
 
 
-def _ball_graph(instance: FppInstance, t: float, shell: float, budget: int):
-    """(lattice vertices of B(t), CSR graph of B(t * (1 + shell)) with B(t) first).
+def _grown_ball(instance: FppInstance, t: float, shell: float, budget: int) -> tuple:
+    """(lattice vertices of B(t), vertex times of B(t * (1 + shell)), edge weights).
 
-    shell = s routes paths through B(t * (1 + s)); s = 0 keeps them inside
-    B(t).  One growth to t * (1 + s) yields both balls and every edge weight
-    between their vertices.  The core lists the origin first, then the rest of
-    B(t) sorted; graph node i is core vertex i for i < len(core), and the
-    shell vertices follow, sorted.
+    One growth to t * (1 + shell) yields both balls and every edge weight
+    between their vertices.  The core lists the origin first, then the rest
+    of B(t) sorted.
     """
     if shell < 0:
         raise InvalidArgumentError("shell must be >= 0")
@@ -208,7 +216,17 @@ def _ball_graph(instance: FppInstance, t: float, shell: float, budget: int):
         )
     outer, weights = _grow(instance, t, shell, budget)
     inner = [v for v, d in outer.items() if d < t]
-    core = inner[:1] + sorted(inner[1:])
+    return inner[:1] + sorted(inner[1:]), outer, weights
+
+
+def _ball_graph(instance: FppInstance, t: float, shell: float, budget: int):
+    """(lattice vertices of B(t), CSR graph of B(t * (1 + shell)) with B(t) first).
+
+    shell = s routes paths through B(t * (1 + s)); s = 0 keeps them inside
+    B(t).  Graph node i is core vertex i for i < len(core), and the shell
+    vertices follow, sorted.
+    """
+    core, outer, weights = _grown_ball(instance, t, shell, budget)
     nodes = core + sorted(v for v, d in outer.items() if d >= t)
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
@@ -230,20 +248,6 @@ def _core_rows(graph, sources, m: int) -> np.ndarray:
     if not np.all(np.isfinite(rows)):
         raise SolverError("ball subgraph unexpectedly disconnected")
     return rows
-
-
-def _ball_distance_matrix(instance: FppInstance, t: float, shell: float, budget: int):
-    """(lattice vertices of B(t), scaled all-pairs T restricted to the shell graph).
-
-    Dijkstra runs from every core vertex.  The matrix is mirrored from
-    per-source rows so it is exactly symmetric, with the origin's row computed
-    from the origin itself.
-    """
-    core, graph = _ball_graph(instance, t, shell, budget)
-    tmat = _core_rows(graph, np.arange(len(core)), len(core))
-    upper = np.triu(tmat, 1)
-    tmat = upper + upper.T
-    return core, tmat / t
 
 
 def _mean_abs_gaps(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -345,10 +349,24 @@ def scaled_space(
     overestimate the unrestricted passage time; pass shell > 0 to allow
     detours through B(t * (1 + shell)).  Labels are the unscaled lattice
     coordinates, so point positions are recoverable from the space alone.
+
+    Dijkstra runs from every vertex of B(t); past geodesic.MAX_GRAPH_POINTS
+    vertices this raises BudgetExceededError before the rows are allocated.
+    The matrix is mirrored from its upper triangle, so it is exactly
+    symmetric, with the origin's row computed from the origin itself.
     """
-    core, dmat = _ball_distance_matrix(instance, t, shell, budget)
+    core, graph = _ball_graph(instance, t, shell, budget)
+    m = len(core)
+    if m > geodesic.MAX_GRAPH_POINTS:
+        raise BudgetExceededError(
+            f"scaled space on {m} points exceeds the limit of {geodesic.MAX_GRAPH_POINTS}"
+        )
+    tmat = _core_rows(graph, np.arange(m), m)
+    upper = np.triu(tmat, 1)
+    np.add(upper, upper.T, out=tmat)
+    tmat /= t
     labels = [",".join(map(str, v)) for v in core]
-    return FiniteMetricMeasureSpace.uniform(labels, dmat)
+    return FiniteMetricMeasureSpace.uniform(labels, tmat)
 
 
 @dataclass
@@ -418,6 +436,41 @@ def _dist_to_l1_ball(z: np.ndarray, radius: float) -> float:
     return float(np.linalg.norm(np.minimum(a, theta)))
 
 
+def _scaled_time_blocks(instance: FppInstance, t: float, budget: int) -> tuple:
+    """(core, blocks): the vertices of B(t) and T/t over them, paths inside B(t).
+
+    blocks yields (start, rows) for consecutive blocks of about _BLOCK_ENTRIES
+    entries; rows[k, j - start] is T(i, j)/t for source i = start + k and
+    every j >= start, as Dijkstra from i finds it.  For deterministic weights
+    the rows are a closed form: with S_0 = 0 and S_h = fl(S_{h-1} + c), every
+    h-edge path sums to S_h in path order, S is nondecreasing so the fewest
+    edges win, and B(t) is an l1 lattice ball, in which any two points are
+    joined by a path of |x - y|_1 edges (take the |.|-decreasing steps first).
+    So T(x, y) = S_{|x - y|_1}, bit for bit, for every c.  Other laws run
+    Dijkstra from one block of sources at a time.
+    """
+    if instance.law.kind == "deterministic":
+        core = _grown_ball(instance, t, 0.0, budget)[0]
+        lattice = np.asarray(core, dtype=np.float64)
+        # steps[h] = S_h / t; two vertices of B(t) are at most twice the
+        # largest l1 norm apart
+        span = 2 * int(np.abs(lattice).sum(axis=1).max())
+        sums = itertools.accumulate([instance.law.params[0]] * span, initial=0.0)
+        steps = np.array(list(sums)) / t
+
+        def rows(start, stop):
+            return steps[cdist(lattice[start:stop], lattice[start:], "cityblock").astype(np.intp)]
+    else:
+        core, graph = _ball_graph(instance, t, 0.0, budget)
+
+        def rows(start, stop):
+            return _core_rows(graph, np.arange(start, stop), m)[:, start:] / t
+
+    m = len(core)
+    step = max(1, _BLOCK_ENTRIES // m)
+    return core, ((start, rows(start, min(start + step, m))) for start in range(0, m, step))
+
+
 def shape_defect(
     instance: FppInstance,
     t: float,
@@ -432,8 +485,12 @@ def shape_defect(
     radius 1/c.  Other laws raise UnsupportedReferenceError unless a callable
     norm is supplied, in which case its unit ball is used via a grid.
 
-    The metric defect is the sup over pairs of |T/t - norm difference|; the
-    covering defect is the Hausdorff distance between the scaled vertex set
+    The metric defect is the sup over pairs of |T/t - norm difference|, with
+    paths kept inside B(t).  It is a running max over the upper-triangle row
+    blocks of _scaled_time_blocks, closed form for deterministic weights and
+    Dijkstra otherwise, so no m x m array is made.
+
+    The covering defect is the Hausdorff distance between the scaled vertex set
     and the reference ball, measured in the ambient Euclidean metric on a grid
     finer than the scaled lattice.
     """
@@ -444,38 +501,47 @@ def shape_defect(
                 "pass reference_norm explicitly"
             )
         c = instance.law.params[0]
-        norm = lambda v: c * float(np.abs(v).sum())
         l1_radius = 1.0 / c
     else:
-        norm = reference_norm
         l1_radius = None
 
-    core, dmat = _ball_distance_matrix(instance, t, 0.0, budget)
+    core, blocks = _scaled_time_blocks(instance, t, budget)
     coords = np.asarray(core, dtype=np.float64) / t
-    m = coords.shape[0]
-    if l1_radius is not None:
-        ref = instance.law.params[0] * cdist(coords, coords, "cityblock")
-    else:
-        ref = squareform(pdist(coords, lambda u, v: norm(u - v)))
-    metric_defect = float(np.abs(dmat - ref).max())
+    metric_defect = 0.0
+    for start, rows in blocks:
+        if l1_radius is not None:
+            ref = c * cdist(coords[start:start + rows.shape[0]], coords[start:], "cityblock")
+        else:
+            ref = np.zeros_like(rows)
+            for k in range(rows.shape[0]):
+                i = start + k
+                ref[k, k + 1:] = list(map(reference_norm, coords[i] - coords[i + 1:]))
+        # row i of a block counts only for the columns j > i
+        gap = np.triu(np.abs(rows - ref), 1)
+        metric_defect = max(metric_defect, float(gap.max()))
 
     # reference ball discretized finer than the 1/t lattice spacing
     h = 1.0 / (grid_factor * t)
-    radius_box = max(float(np.abs(coords).max()) if m else 0.0, 1.0 if l1_radius is None else l1_radius)
+    radius_box = max(float(np.abs(coords).max()), 1.0 if l1_radius is None else l1_radius)
     axes = [np.arange(-radius_box - h, radius_box + h, h)] * instance.dim
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([g.ravel() for g in mesh], axis=1)
-    inside = np.array([norm(z) <= 1.0 for z in grid])
+    if l1_radius is not None:
+        inside = c * np.abs(grid).sum(axis=1) <= 1.0
+    else:
+        inside = np.array([reference_norm(z) <= 1.0 for z in grid])
     grid = grid[inside]
     tree = cKDTree(coords)
     ball_to_set = float(tree.query(grid)[0].max()) if grid.size else 0.0
     if l1_radius is not None:
-        set_to_ball = max(_dist_to_l1_ball(z, l1_radius) for z in coords)
+        # _dist_to_l1_ball is exactly 0.0 inside the ball
+        outside = coords[np.abs(coords).sum(axis=1) > l1_radius]
+        set_to_ball = max((_dist_to_l1_ball(z, l1_radius) for z in outside), default=0.0)
     else:
         gtree = cKDTree(grid)
         set_to_ball = 0.0
         for z in coords:
-            if float(norm(z)) > 1.0:
+            if float(reference_norm(z)) > 1.0:
                 set_to_ball = max(set_to_ball, float(gtree.query(z)[0]))
     covering_defect = max(ball_to_set, set_to_ball)
     return metric_defect, covering_defect

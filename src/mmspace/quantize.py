@@ -92,6 +92,8 @@ def quantize(
         raise InvalidArgumentError("n_centers must be >= 1")
     if restarts < 1:
         raise InvalidArgumentError("restarts must be >= 1")
+    if max_iter < 1:
+        raise InvalidArgumentError("max_iter must be >= 1")
     if weights is None:
         w = np.full(n, 1.0 / n)
     else:

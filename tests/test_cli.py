@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -234,7 +235,28 @@ class TestWkmeans:
         assert doc["minimizer_labels"] == [["g1.csv"]]
 
 
+# sha256 of the stdout of `mm fpp`, frozen from the all-pairs Dijkstra
+# shape_defect; the exp:1 command runs the track only
+FPP_STDOUT_SHA256 = [
+    ("--dim 1 --law det:0.1 --t 2,4.5", "f06f1d65a3a32789a4a029a08d589b3df5dbe2230160bdbf113d5e9284393934"),
+    ("--dim 1 --law det:1 --t 7", "1a4e8664aa7d33593d364c7f4b9834887949942b22a948cfd2bc911fc335ab79"),
+    ("--dim 2 --law det:0.25 --t 2,4", "fd8b4b80a974b362b149a5018188eaa44f7109f0e0c53765fd3d7aaa16e27f84"),
+    ("--dim 2 --law det:0.1 --t 1.5 --shell 0", "2ab299b1fc5af0c3269a11bdfb4de5798bb69e09d9e4d11adf17e939332eb1af"),
+    ("--dim 2 --law det:1 --t 3,9 --p 1", "c17fee82398d28d16480a2a87c399ce43456b74f191e20e120c63098b9fa1b98"),
+    ("--dim 3 --law det:0.25 --t 1.5", "622c31f6feb0f5bf8dc8c57e0c5a2a53d8e9e40e138b94a5dfe33aa8f55f4c6d"),
+    ("--dim 3 --law det:1 --t 3,4", "8d8df80fcb0e22f013702e311ceb9137ff33f1c1158c55d06100b5c887c65a4d"),
+    ("--dim 3 --law det:0.1 --t 0.7", "418b67ae50c06fa0e4b91686ad602fab20ca5e4e175a1dc9e970213ee12e6f54"),
+    ("--dim 2 --law exp:1 --t 3,5 --seed 3", "12b33ea699d062c6127e0c63f50d10a359a552074e186c30bcbbb71cfb2fc268"),
+]
+
+
 class TestFpp:
+    @pytest.mark.parametrize("args,digest", FPP_STDOUT_SHA256, ids=[a for a, _ in FPP_STDOUT_SHA256])
+    def test_stdout_bytes_are_frozen(self, capsys, args, digest):
+        code, out = run_cli(capsys, "fpp", *args.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_deterministic_law(self, tmp_path, capsys):
         code, out = run_cli(
             capsys, "fpp", "--dim", "2", "--law", "det:1", "--t", "3",

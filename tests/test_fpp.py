@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from mmspace import (
     BudgetExceededError,
@@ -19,10 +22,23 @@ from mmspace import (
     scaled_space,
     shape_defect,
 )
-from mmspace import fpp
+from mmspace import fpp, geodesic
 from mmspace.fpp import _dist_to_l1_ball
 
 from helpers import relaxation_passage_times
+
+
+def count_dijkstra_sources(monkeypatch):
+    """Source count of every fpp.dijkstra call, in call order."""
+    sources = []
+    real = fpp.dijkstra
+
+    def counting(*args, **kwargs):
+        sources.append(np.size(kwargs["indices"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fpp, "dijkstra", counting)
+    return sources
 
 
 def det_instance(c=1.0, dim=2, seed=0, horizon=10.0):
@@ -149,6 +165,17 @@ class TestScaledSpace:
         loose = scaled_space(inst, 3.0, shell=0.3)
         assert loose.n == tight.n
         assert np.all(loose.dist <= tight.dist + 1e-12)
+
+    def test_size_limit_raises_before_dijkstra(self, monkeypatch):
+        sources = count_dijkstra_sources(monkeypatch)
+        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 13)
+        assert scaled_space(det_instance(), 3.0).n == 13
+        assert sources == [13]
+        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 12)
+        with pytest.raises(BudgetExceededError, match="^scaled space on 13 points exceeds the limit of 12$") as err:
+            scaled_space(det_instance(), 3.0)
+        assert err.value.exit_code == 3
+        assert sources == [13]
 
     def test_horizon_guard(self):
         inst = det_instance(horizon=3.0)
@@ -298,6 +325,121 @@ class TestShapeDefect:
         assert math.isfinite(md) and math.isfinite(cd)
 
 
+def l1_norm(v):
+    return float(np.abs(v).sum())
+
+
+def l2_norm(v):
+    return float(np.linalg.norm(v))
+
+
+def dense_shape_defect(inst, t, norm=None, grid_factor=4):
+    """shape_defect from the full Dijkstra matrix and per-point norm calls."""
+    space = scaled_space(inst, t)
+    coords = np.array([[int(v) for v in lab.split(",")] for lab in space.labels], dtype=np.float64) / t
+    if norm is None:
+        c = inst.law.params[0]
+        ref = c * cdist(coords, coords, "cityblock")
+        member = lambda z: c * float(np.abs(z).sum()) <= 1.0
+        radius = 1.0 / c
+    else:
+        ref = squareform(pdist(coords, lambda u, v: norm(u - v)))
+        member = lambda z: norm(z) <= 1.0
+        radius = 1.0
+    metric = float(np.abs(space.dist - ref).max())
+    h = 1.0 / (grid_factor * t)
+    radius = max(float(np.abs(coords).max()), radius)
+    axes = [np.arange(-radius - h, radius + h, h)] * inst.dim
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    grid = grid[np.array([member(z) for z in grid])]
+    ball_to_set = float(cKDTree(coords).query(grid)[0].max())
+    if norm is None:
+        set_to_ball = max(_dist_to_l1_ball(z, 1.0 / c) for z in coords)
+    else:
+        gtree = cKDTree(grid)
+        set_to_ball = max([float(gtree.query(z)[0]) for z in coords if norm(z) > 1.0], default=0.0)
+    return metric, max(ball_to_set, set_to_ball)
+
+
+def assembled_upper(m, blocks):
+    """Upper triangle of T/t from the row blocks, which must tile 0..m-1."""
+    out = np.zeros((m, m))
+    stop = 0
+    for start, rows in blocks:
+        assert start == stop and rows.shape == (rows.shape[0], m - start)
+        out[start:start + rows.shape[0], start:] = rows
+        stop = start + rows.shape[0]
+    assert stop == m
+    return np.triu(out, 1)
+
+
+class TestScaledTimeBlocks:
+    @pytest.mark.parametrize("c", [0.1, 0.25, 0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("dim,radius", [(1, 40), (2, 9), (3, 5)])
+    def test_deterministic_rows_are_dijkstra_bit_for_bit(self, monkeypatch, c, dim, radius):
+        # T(x, y) = S_{|x - y|_1} with S_h = fl(S_{h-1} + c); at c = 0.1 S_h
+        # is not c * h for most h, so the running sum is what Dijkstra finds
+        monkeypatch.setattr(fpp, "_BLOCK_ENTRIES", 1000)
+        t = c * (radius + 0.5)
+        inst = det_instance(c=c, dim=dim, horizon=t)
+        core, blocks = fpp._scaled_time_blocks(inst, t, 10_000)
+        space = scaled_space(inst, t)
+        assert [",".join(map(str, v)) for v in core] == space.labels
+        upper = assembled_upper(space.n, blocks)
+        assert np.array_equal(upper, np.triu(space.dist, 1))
+
+    @pytest.mark.parametrize("dim,law,t", [(1, "exp:1", 20.0), (2, "unif:0.5,1.5", 6.0), (3, "exp:1", 2.0)])
+    def test_random_rows_are_the_scaled_space_rows(self, monkeypatch, dim, law, t):
+        monkeypatch.setattr(fpp, "_BLOCK_ENTRIES", 1000)
+        inst = FppInstance(dim, EdgeWeightLaw.parse(law), 2, t)
+        core, blocks = fpp._scaled_time_blocks(inst, t, 10_000)
+        space = scaled_space(inst, t)
+        assert [",".join(map(str, v)) for v in core] == space.labels
+        assert np.array_equal(assembled_upper(space.n, blocks), np.triu(space.dist, 1))
+
+
+class TestStreamedShapeDefect:
+    @pytest.mark.parametrize("dim,c,t", [
+        (1, 0.1, 4.5), (1, 0.7, 12.0), (2, 0.1, 1.5), (2, 0.3, 2.0),
+        (2, 0.25, 3.5), (3, 0.3, 1.5), (3, 2.0, 9.0),
+    ])
+    @pytest.mark.parametrize("block", [1 << 17, 50])
+    def test_deterministic_matches_dense_oracle(self, monkeypatch, dim, c, t, block):
+        monkeypatch.setattr(fpp, "_BLOCK_ENTRIES", block)
+        inst = det_instance(c=c, dim=dim, horizon=t)
+        assert shape_defect(inst, t) == dense_shape_defect(inst, t)
+
+    @pytest.mark.parametrize("dim,law,t,norm", [
+        (1, "exp:1", 8.0, l1_norm), (2, "exp:1", 3.0, l2_norm),
+        (2, "unif:0.5,1.5", 4.0, l1_norm), (2, "det:0.3", 1.5, l2_norm),
+    ])
+    def test_callable_norm_matches_dense_oracle(self, monkeypatch, dim, law, t, norm):
+        monkeypatch.setattr(fpp, "_BLOCK_ENTRIES", 200)
+        inst = FppInstance(dim, EdgeWeightLaw.parse(law), 3, t)
+        assert shape_defect(inst, t, reference_norm=norm) == dense_shape_defect(inst, t, norm)
+
+    def test_deterministic_allocates_no_square_matrix(self):
+        inst = det_instance(c=0.25, horizon=8.0)
+        tracemalloc.start()
+        try:
+            shape_defect(inst, 8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = len(passage_time_ball(inst, 8.0))
+        assert m == 1985
+        assert peak < m * m * 8 / 4
+
+    def test_random_law_runs_dijkstra_once_per_source_in_blocks(self, monkeypatch):
+        sources = count_dijkstra_sources(monkeypatch)
+        monkeypatch.setattr(fpp, "_BLOCK_ENTRIES", 2000)
+        inst = FppInstance(2, EdgeWeightLaw.exponential(1.0), 0, 4.0)
+        shape_defect(inst, 4.0, reference_norm=l1_norm)
+        m = len(passage_time_ball(inst, 4.0))
+        assert sum(sources) == m
+        assert max(sources) == 2000 // m < m
+
+
 # (dim, law, t): balls of a few dozen to a few hundred vertices
 ORACLE_BALLS = [
     (1, "det:1", 30.0), (1, "exp:1", 30.0), (1, "unif:0.5,1.5", 30.0),
@@ -364,14 +506,7 @@ class TestPrunedTrackOracle:
         assert objective == pytest.approx(sol.objective, rel=1e-15)
 
     def test_runs_far_fewer_sources_than_ball_vertices(self, monkeypatch):
-        sources = []
-        real = fpp.dijkstra
-
-        def counting(*args, **kwargs):
-            sources.append(np.size(kwargs["indices"]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(fpp, "dijkstra", counting)
+        sources = count_dijkstra_sources(monkeypatch)
         inst = FppInstance(2, EdgeWeightLaw.exponential(1.0), 0, 12.0)
         (pt,) = fpp_barycenter_track(inst, [10.0])
         assert pt.ball_size > 1000

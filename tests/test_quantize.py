@@ -82,6 +82,10 @@ class TestQuantize:
             quantize(pts, 0)
         with pytest.raises(InvalidArgumentError):
             quantize(pts, 1, restarts=0)
+        # checked before the n_centers >= n shortcut
+        for bad in (0, -1):
+            with pytest.raises(InvalidArgumentError, match="max_iter"):
+                quantize(pts, 2, max_iter=bad)
         with pytest.raises(InvalidArgumentError):
             quantize(pts, 1, p=0.5)
         with pytest.raises(InvalidArgumentError):
