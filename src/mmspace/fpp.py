@@ -3,20 +3,27 @@
 Edge weights are never stored: the weight of the edge from u to u + e_axis is
 a pure function of (instance seed, u, axis), obtained by hashing those
 integers into (0, 1) and applying the law's inverse CDF.  That makes weight
-queries deterministic across processes and thread counts, and lets balls grow
-lazily with Dijkstra instead of materializing a box of the lattice.  One
+queries deterministic across processes and thread counts.  For random laws a
+ball grows with Dijkstra instead of materializing a box of the lattice: one
 growth to t(1 + shell) gives B(t), its shell and every weight between their
-vertices, each edge hashed once, and the CSR graph on them.  scaled_space
-alone builds the all-pairs matrix, by Dijkstra from every vertex of B(t) on
-that graph.  shape_defect takes its sup as a running max over blocks of
-upper-triangle rows; for deterministic weights the rows are a closed form,
-T(x, y) = S_{|x - y|_1} with S_h the h-fold rounded sum of the weight, and
-for other laws they are Dijkstra from one block of sources at a time.
+vertices, each edge hashed once, and the CSR graph on them.  A barycenter
+track grows once, to its largest t; each smaller ball is a prefix of that
+growth.  scaled_space alone builds the all-pairs matrix, by Dijkstra from
+every vertex of B(t) on that graph.
 
-The barycenter track needs only the exact 1-mean, so it runs Dijkstra from a
+Deterministic weights need no growth and no hashing.  With S_0 = 0 and
+S_h = fl(S_{h-1} + c), T(x, y) = S_{|x - y|_1} bit for bit inside the ball,
+so B(t) is the l1 lattice ball of radius H, the largest h with S_h < t.  The
+track and shape_defect enumerate it with numpy and take every row from S;
+the budget is checked on its closed-form size first.  shape_defect takes its
+sup as a running max over blocks of upper-triangle rows, from S for
+deterministic weights and from Dijkstra, one block of sources at a time, for
+other laws.
+
+The barycenter track needs only the exact 1-mean, so it takes rows from a
 few farthest-point landmarks, bounds every candidate's cost from below with
 the landmark (ALT) triangle inequality (Goldberg & Harrelson, SODA 2005), and
-runs full rows only for candidates the bounds cannot rule out.
+takes full rows only for candidates the bounds cannot rule out.
 
 The scaled ball B(t)/t with metric T/t and uniform weights is the finite
 metric measure space whose limit is the time-constant norm ball; barycenter
@@ -26,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -149,6 +155,29 @@ class FppInstance:
         return self.law.quantile(u)
 
 
+def _check_t(instance: FppInstance, t: float) -> None:
+    if not (0 < t <= instance.horizon):
+        raise InvalidArgumentError(
+            f"t must lie in (0, horizon={instance.horizon}], got {t!r}"
+        )
+
+
+def _check_ball(instance: FppInstance, t: float, shell: float) -> None:
+    """The argument checks of a ball B(t) with its shell, in the order they apply."""
+    if shell < 0:
+        raise InvalidArgumentError("shell must be >= 0")
+    if t * (1.0 + shell) > instance.horizon:
+        raise InvalidArgumentError(
+            f"t*(1+shell) = {t * (1.0 + shell)} exceeds horizon {instance.horizon}"
+        )
+    _check_t(instance, t)
+
+
+def _stop(t: float, shell: float) -> float:
+    """Outer radius t * (1 + shell) of a growth; a NaN shell means no shell."""
+    return t * (1.0 + shell) if shell > 0 else t
+
+
 def _grow(instance: FppInstance, t: float, shell: float = 0.0, budget: float = math.inf) -> tuple:
     """Dijkstra from the origin until every frontier value is >= t * (1 + shell).
 
@@ -159,11 +188,8 @@ def _grow(instance: FppInstance, t: float, shell: float = 0.0, budget: float = m
     time, so the growth stops with BudgetExceededError as soon as budget + 1
     vertices of B(t) have settled, before the ball is grown any further.
     """
-    if not (0 < t <= instance.horizon):
-        raise InvalidArgumentError(
-            f"t must lie in (0, horizon={instance.horizon}], got {t!r}"
-        )
-    stop = t * (1.0 + shell) if shell > 0 else t
+    _check_t(instance, t)
+    stop = _stop(t, shell)
     origin = (0,) * instance.dim
     settled: dict = {}
     weights: dict = {}
@@ -201,6 +227,12 @@ def passage_time_ball(instance: FppInstance, t: float) -> dict:
     return _grow(instance, t)[0]
 
 
+def _core(outer: dict, t: float) -> list:
+    """The vertices of outer with time < t: the origin first, then the rest sorted."""
+    inner = [v for v, d in outer.items() if d < t]
+    return inner[:1] + sorted(inner[1:])
+
+
 def _grown_ball(instance: FppInstance, t: float, shell: float, budget: int) -> tuple:
     """(lattice vertices of B(t), vertex times of B(t * (1 + shell)), edge weights).
 
@@ -208,26 +240,15 @@ def _grown_ball(instance: FppInstance, t: float, shell: float, budget: int) -> t
     between their vertices.  The core lists the origin first, then the rest
     of B(t) sorted.
     """
-    if shell < 0:
-        raise InvalidArgumentError("shell must be >= 0")
-    if t * (1.0 + shell) > instance.horizon:
-        raise InvalidArgumentError(
-            f"t*(1+shell) = {t * (1.0 + shell)} exceeds horizon {instance.horizon}"
-        )
+    _check_ball(instance, t, shell)
     outer, weights = _grow(instance, t, shell, budget)
-    inner = [v for v, d in outer.items() if d < t]
-    return inner[:1] + sorted(inner[1:]), outer, weights
+    return _core(outer, t), outer, weights
 
 
-def _ball_graph(instance: FppInstance, t: float, shell: float, budget: int):
-    """(lattice vertices of B(t), CSR graph of B(t * (1 + shell)) with B(t) first).
-
-    shell = s routes paths through B(t * (1 + s)); s = 0 keeps them inside
-    B(t).  Graph node i is core vertex i for i < len(core), and the shell
-    vertices follow, sorted.
-    """
-    core, outer, weights = _grown_ball(instance, t, shell, budget)
-    nodes = core + sorted(v for v, d in outer.items() if d >= t)
+def _graph(instance: FppInstance, core: list, outer: dict, weights: dict, t: float, stop: float):
+    """CSR graph of the vertices of outer with time < stop: node i is core
+    vertex i for i < len(core), and those with time >= t follow, sorted."""
+    nodes = core + sorted(v for v, d in outer.items() if t <= d < stop)
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
 
@@ -239,7 +260,76 @@ def _ball_graph(instance: FppInstance, t: float, shell: float, budget: int):
                 rows.append(iu)
                 cols.append(iv)
                 data.append(weights[u, axis])
-    return core, coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    return coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _ball_graph(instance: FppInstance, t: float, shell: float, budget: int):
+    """(lattice vertices of B(t), CSR graph of B(t * (1 + shell)) with B(t) first).
+
+    shell = s routes paths through B(t * (1 + s)); s = 0 keeps them inside
+    B(t).  Graph node i is core vertex i for i < len(core), and the shell
+    vertices follow, sorted.
+    """
+    core, outer, weights = _grown_ball(instance, t, shell, budget)
+    return core, _graph(instance, core, outer, weights, t, _stop(t, shell))
+
+
+def _l1_ball_size(dim: int, radius: int) -> int:
+    """|{x in Z^dim : |x|_1 <= radius}| = sum_k 2^k C(dim, k) C(radius, k)."""
+    return sum(2**k * math.comb(dim, k) * math.comb(radius, k) for k in range(dim + 1))
+
+
+def _l1_ball(dim: int, radius: int) -> np.ndarray:
+    """The lattice points with |x|_1 <= radius, (m, dim): the origin first, then
+    the rest in tuple order, the order of _grown_ball's core.
+
+    Each pass appends one coordinate: a prefix with slack r (radius minus the
+    l1 norm of the prefix) takes every value in [-r, r], in ascending order.
+    """
+    points = np.zeros((1, 0), dtype=np.int64)
+    slack = np.array([radius])
+    for _ in range(dim):
+        counts = 2 * slack + 1
+        parent = np.repeat(np.arange(len(points)), counts)
+        offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        coord = offset - slack[parent]
+        points = np.column_stack([points[parent], coord])
+        slack = slack[parent] - np.abs(coord)
+    # x -> -x reverses tuple order and fixes only the origin, so it sits in the middle
+    mid = len(points) // 2
+    return np.concatenate([points[mid:mid + 1], points[:mid], points[mid + 1:]])
+
+
+def _det_ball(instance: FppInstance, t: float, shell: float, budget: int) -> tuple:
+    """(core, steps) of B(t) for a deterministic weight c, without a growth.
+
+    With S_0 = 0 and S_h = fl(S_{h-1} + c), Dijkstra settles x at S_{|x|_1},
+    so B(t) is the l1 lattice ball of radius H, the largest h with S_h < t.
+    core is that ball in _grown_ball's order, and steps[h] = S_h / t for
+    h <= 2H, the scaled time between two of its vertices at l1 distance h
+    (see _scaled_time_blocks).  The checks are _grown_ball's; the budget is
+    checked on the closed-form size of each ball before the next S_h, so
+    nothing is allocated past budget + 1 vertices.
+    """
+    _check_ball(instance, t, shell)
+    c = instance.law.params[0]
+    sums = [0.0]
+    while True:
+        if _l1_ball_size(instance.dim, len(sums) - 1) > budget:
+            raise BudgetExceededError(f"|B(t)| exceeds the all-pairs budget {budget}")
+        nxt = sums[-1] + c
+        if nxt >= t:
+            break
+        sums.append(nxt)
+    radius = len(sums) - 1
+    for _ in range(radius):
+        sums.append(sums[-1] + c)
+    return _l1_ball(instance.dim, radius), np.array(sums) / t
+
+
+def _l1_rows(steps: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """steps[|a_i - b_j|_1] for every pair of lattice points of a and b."""
+    return steps[cdist(a, b, "cityblock").astype(np.intp)]
 
 
 def _core_rows(graph, sources, m: int) -> np.ndarray:
@@ -271,11 +361,13 @@ def _strong_bounds(anchors: np.ndarray, chunk: np.ndarray, w: np.ndarray, p: flo
     return (lb**p) @ w
 
 
-def _ball_one_mean(graph, m: int, t: float, p: float) -> tuple:
+def _ball_one_mean(rows, m: int, p: float) -> tuple:
     """(objective, sorted minimizers) of the exact 1-mean of the scaled core.
 
-    Landmarks L are picked farthest-point from the origin.  For candidate i
-    and every j, T(i, j) >= max_L |T(L, i) - T(L, j)|, so with A_L = T(L, .)
+    rows(sources) returns the scaled passage times T/t from each source to
+    the m core vertices, (len(sources), m).  Landmarks L are picked
+    farthest-point from the origin.  For candidate i and every j,
+    T(i, j) >= max_L |T(L, i) - T(L, j)|, so with A_L = T(L, .)
 
         s_i = sum_j w_j max_L |A_L(i) - A_L(j)|^p         (strong bound)
         c_i = max_L (sum_j w_j |A_L(i) - A_L(j)|)^p      (cheap bound)
@@ -283,20 +375,20 @@ def _ball_one_mean(graph, m: int, t: float, p: float) -> tuple:
     are lower bounds on the cost of i (c_i <= s_i by Jensen, p >= 1).  The
     landmarks are evaluated first; then candidates are visited in ascending
     c, the O(L m) strong bound is taken only for those the cheap one cannot
-    exclude, and full Dijkstra rows run only for those the strong one cannot.
+    exclude, and full rows are taken only for those the strong one cannot.
     The scan stops at the first c above the tie threshold.  Every candidate
     never evaluated thus costs more than best * (1 + TRACK_TIE_TOL), and all
     tied minimizers are returned, as k_means_exact would return them.
     """
     w = np.full(m, 1.0 / m)
-    origin = _core_rows(graph, [0], m)[0] / t
+    origin = rows([0])[0]
     marks, anchors = [0], [origin]
     near = origin.copy()
     while len(marks) < min(LANDMARKS, m):
         nxt = int(np.argmax(near))
         if near[nxt] == 0.0:
             break
-        row = _core_rows(graph, [nxt], m)[0] / t
+        row = rows([nxt])[0]
         marks.append(nxt)
         anchors.append(row)
         np.minimum(near, row, out=near)
@@ -304,11 +396,11 @@ def _ball_one_mean(graph, m: int, t: float, p: float) -> tuple:
 
     candidates, costs = [], []
 
-    def evaluate(sources, rows):
+    def evaluate(sources, taken):
         candidates.extend(sources)
         # k_means_exact costs the singleton {c} as row c of dist**p through
         # this kernel, so the two agree bit for bit wherever the rows agree
-        costs.extend(_weighted_row_sums(rows**p, w).tolist())
+        costs.extend(_weighted_row_sums(taken**p, w).tolist())
         return min(costs) * (1.0 + TRACK_TIE_TOL)
 
     thresh = evaluate(marks, anchors)
@@ -329,10 +421,10 @@ def _ball_one_mean(graph, m: int, t: float, p: float) -> tuple:
             if bound <= thresh:
                 pending.append(i)
                 if len(pending) == _BATCH:
-                    thresh = evaluate(pending, _core_rows(graph, pending, m) / t)
+                    thresh = evaluate(pending, rows(pending))
                     pending = []
     if pending:
-        thresh = evaluate(pending, _core_rows(graph, pending, m) / t)
+        thresh = evaluate(pending, rows(pending))
     best = min(costs)
     return best, sorted(i for i, c in zip(candidates, costs) if c <= thresh)
 
@@ -380,6 +472,41 @@ class TrackPoint:
     ball_size: int
 
 
+def _track_balls(instance: FppInstance, ts: list, shell: float, budget: int):
+    """Yields (t, core, rows) for each t of a track, rows as _ball_one_mean takes them.
+
+    Deterministic laws take each ball and every row from the closed form of
+    _det_ball.  Other laws grow once, to the largest t: Dijkstra settles the
+    same vertices at the same times in the same order until it passes a
+    smaller stop, so each B(t * (1 + shell)) is the prefix of that growth
+    below its stop, and its graph is the one _ball_graph would build.  Every
+    t is checked, in order, before the growth, and the first bad one is
+    raised after the good ones before it have grown, so a budget error among
+    those still comes first, as it does when each ball grows on its own.
+    """
+    if instance.law.kind == "deterministic":
+        for t in ts:
+            core, steps = _det_ball(instance, t, shell, budget)
+            yield t, core, lambda sources: _l1_rows(steps, core[sources], core)
+        return
+    valid, error = [], None
+    for t in ts:
+        try:
+            _check_ball(instance, t, shell)
+        except InvalidArgumentError as exc:
+            error = exc
+            break
+        valid.append(t)
+    if valid:
+        outer, weights = _grow(instance, max(valid), shell, budget)
+    if error is not None:
+        raise error
+    for t in ts:
+        core = _core(outer, t)
+        graph = _graph(instance, core, outer, weights, t, _stop(t, shell))
+        yield t, core, lambda sources: _core_rows(graph, sources, len(core)) / t
+
+
 def fpp_barycenter_track(
     instance: FppInstance,
     t_list,
@@ -394,7 +521,9 @@ def fpp_barycenter_track(
     still too symmetric or too small to localize the mean.  The minimizers are
     those k_means_exact finds on scaled_space, but the all-pairs matrix is
     never built: landmark lower bounds (see _ball_one_mean) rule out most
-    candidates before their Dijkstra row is run.  Costs go through the same
+    candidates before their row is taken.  Deterministic laws take their
+    balls and rows from a closed form (see _det_ball); other laws grow one
+    ball, to the largest t, and run Dijkstra rows.  Costs go through the same
     fixed-order reduction as k_means_exact, so the objectives are the same
     bits wherever the rows are: always for deterministic laws.  For random
     weights each objective comes from the minimizer's own Dijkstra row,
@@ -406,9 +535,8 @@ def fpp_barycenter_track(
         raise InvalidArgumentError("t_list must be nonempty and strictly ascending")
     p = _check_p(p)
     out = []
-    for t in ts:
-        core, graph = _ball_graph(instance, t, shell, budget)
-        objective, minimizers = _ball_one_mean(graph, len(core), t, p)
+    for t, core, rows in _track_balls(instance, ts, shell, budget):
+        objective, minimizers = _ball_one_mean(rows, len(core), p)
         centers = [np.asarray(core[i], dtype=np.float64) / t for i in minimizers]
         out.append(
             TrackPoint(
@@ -450,16 +578,10 @@ def _scaled_time_blocks(instance: FppInstance, t: float, budget: int) -> tuple:
     Dijkstra from one block of sources at a time.
     """
     if instance.law.kind == "deterministic":
-        core = _grown_ball(instance, t, 0.0, budget)[0]
-        lattice = np.asarray(core, dtype=np.float64)
-        # steps[h] = S_h / t; two vertices of B(t) are at most twice the
-        # largest l1 norm apart
-        span = 2 * int(np.abs(lattice).sum(axis=1).max())
-        sums = itertools.accumulate([instance.law.params[0]] * span, initial=0.0)
-        steps = np.array(list(sums)) / t
+        core, steps = _det_ball(instance, t, 0.0, budget)
 
         def rows(start, stop):
-            return steps[cdist(lattice[start:stop], lattice[start:], "cityblock").astype(np.intp)]
+            return _l1_rows(steps, core[start:stop], core[start:])
     else:
         core, graph = _ball_graph(instance, t, 0.0, budget)
 

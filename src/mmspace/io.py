@@ -51,11 +51,20 @@ def write_matrix_csv(path, labels, matrix: np.ndarray) -> None:
         raise InvalidArgumentError("matrix must be square")
     if len(labels) != m.shape[0]:
         raise InvalidArgumentError("label count must match matrix size")
+    bits = m.view(np.int64)
+    if np.array_equal(bits, bits.T):
+        # bit-symmetric (signed zeros and NaN payloads included): format the
+        # upper triangle once and mirror the strings
+        upper = np.triu_indices(m.shape[0])
+        text = np.empty(m.shape, dtype=object)
+        text[upper] = text.T[upper] = [repr(v) for v in m[upper].tolist()]
+        text = text.tolist()
+    else:
+        text = [[repr(v) for v in row] for row in m.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([str(lab) for lab in labels])
-        for row in m:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow([str(lab) for lab in labels])
+        # repr never yields a character csv would quote
+        fh.writelines(",".join(row) + "\r\n" for row in text)
 
 
 def read_matrix_csv(path):
@@ -68,13 +77,20 @@ def read_matrix_csv(path):
     n = len(labels)
     if len(rows) != n + 1:
         raise InvalidArgumentError(f"{path}: expected {n} data rows, found {len(rows) - 1}")
-    try:
-        m = np.asarray([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"{path}: non-numeric matrix entry ({exc})")
-    if m.shape != (n, n):
+    if n == 0:
+        raise InvalidArgumentError(f"{path}: empty matrix file")
+    if any(len(row) != n for row in rows[1:]):
         raise InvalidArgumentError(f"{path}: ragged matrix rows")
-    return labels, m
+    return labels, _parse_floats(rows[1:], f"{path}: non-numeric matrix entry")
+
+
+def _parse_floats(rows, context: str) -> np.ndarray:
+    """Equal-length rows of strings as a float64 array; numpy parses each
+    string as float() does, so the bits and the accepted spellings agree."""
+    try:
+        return np.array(rows, dtype=np.float64)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{context} ({exc})")
 
 
 def read_matrix(path):
@@ -136,11 +152,9 @@ def read_cloud_csv(path, intrinsic_dim: int = 0) -> PointCloud:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise InvalidArgumentError(f"{path}: empty cloud file")
-    try:
-        pts = np.asarray([[float(v) for v in row] for row in rows], dtype=np.float64)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"{path}: non-numeric entry ({exc})")
-    return PointCloud(pts, intrinsic_dim)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise InvalidArgumentError(f"{path}: ragged cloud rows")
+    return PointCloud(_parse_floats(rows, f"{path}: non-numeric entry"), intrinsic_dim)
 
 
 def solution_to_dict(solution: KMeansSolution, labels=None) -> dict:

@@ -247,6 +247,18 @@ FPP_STDOUT_SHA256 = [
     ("--dim 3 --law det:1 --t 3,4", "8d8df80fcb0e22f013702e311ceb9137ff33f1c1158c55d06100b5c887c65a4d"),
     ("--dim 3 --law det:0.1 --t 0.7", "418b67ae50c06fa0e4b91686ad602fab20ca5e4e175a1dc9e970213ee12e6f54"),
     ("--dim 2 --law exp:1 --t 3,5 --seed 3", "12b33ea699d062c6127e0c63f50d10a359a552074e186c30bcbbb71cfb2fc268"),
+    # frozen when each t grew its own ball and the det balls came from Dijkstra
+    ("--dim 1 --law exp:1 --t 5,10,20 --seed 2", "c19a6d504bbb11709c55c33dca96dc44d428081ccc35ae525ce93652bdce38a7"),
+    ("--dim 2 --law exp:1 --t 2,4,6 --seed 1 --shell 0", "2534940d1f9fa642e96b14a70d6cb1ac1d06334f03837b468942b4b5b4eea8ce"),
+    ("--dim 2 --law exp:1 --t 3,5,8 --seed 4", "7e1a2416d5ede423a62e8d07685e4b90474566d9bbaad3718900bf602fd2dfa0"),
+    ("--dim 3 --law exp:1 --t 1.5,2.5 --seed 4", "4aa6eaa9233006fc851a1277aadde69987eddee782126c15cb57cc03dc32874d"),
+    ("--dim 1 --law unif:0.5,1.5 --t 4,9 --shell 0 --seed 5", "284c6edf8391108018256c3a0d3e179412358932c01fb721b35ce2176f585811"),
+    ("--dim 2 --law unif:0.5,1.5 --t 3,5 --seed 2", "311c9b21f292b9c5d94ac4c35a96eab0ca5d895e0f8cd42ef8198f1c375ee1ff"),
+    ("--dim 3 --law unif:0.5,1.5 --t 2,3 --seed 1 --p 1", "9ea34f06ac6175e2ab7aa40c9de582a6dc2392ec0c064f0f816ba13e2f7a2921"),
+    ("--dim 2 --law exp:1 --t 5,8,10 --budget 12000 --seed 7", "cdcc9603bc17eb62c5b2a331a91c498996afb9dc113a47eb14dae49a4e383a49"),
+    ("--dim 2 --law det:0.25 --t 8", "00adba9ce0c7dd21f191605f27b66c4aaa350698909af329ee53a922402231dc"),
+    ("--dim 2 --law det:0.3 --t 1,2.5,4 --shell 0", "6c7779901dcddf4ebc22bc9fd96b2791bd0420db9fb57b4be27fdfa5fc84067b"),
+    ("--dim 3 --law det:2 --t 8,10 --p 3", "50b4f9d0b66eb8eee2744df0054b670a695ba8b3e1c990545b0045ec98d71e41"),
 ]
 
 

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+import time
 import tracemalloc
 from collections import Counter
 
@@ -23,6 +26,7 @@ from mmspace import (
     shape_defect,
 )
 from mmspace import fpp, geodesic
+from mmspace.cli import main
 from mmspace.fpp import _dist_to_l1_ball
 
 from helpers import relaxation_passage_times
@@ -203,21 +207,13 @@ class TestEdgeHashing:
         scaled_space(FppInstance(2, EdgeWeightLaw.exponential(1.0), 3, 10.0), 4.0, shell=0.2)
         assert counts and set(counts.values()) == {1}
 
-    def test_track_hashes_each_edge_once_per_ball(self, monkeypatch):
+    def test_track_hashes_each_edge_once_per_track(self, monkeypatch):
         counts = self.count_hashes(monkeypatch)
-        per_ball = []
-        real = fpp._ball_graph
-
-        def build(*args):
-            counts.clear()
-            out = real(*args)
-            per_ball.append(set(counts.values()))
-            return out
-
-        monkeypatch.setattr(fpp, "_ball_graph", build)
         inst = FppInstance(2, EdgeWeightLaw.exponential(1.0), 3, 12.0)
         fpp_barycenter_track(inst, [3.0, 5.0, 8.0], shell=0.2)
-        assert per_ball == [{1}, {1}, {1}]
+        assert counts and set(counts.values()) == {1}
+        # the edges of the one growth to the largest t, and no others
+        assert set(counts) == set(fpp._grow(inst, 8.0, 0.2)[1])
 
 
 class TestBudgetStopsGrowth:
@@ -237,6 +233,154 @@ class TestBudgetStopsGrowth:
         # the growth stops at the 101st vertex of B(t); each settled vertex
         # hashes at most its 2 * dim edges
         assert calls[0] == calls[1] <= 4 * 101
+
+
+def steps_to(c, h):
+    """S_h = fl(S_{h-1} + c) with S_0 = 0, the time Dijkstra gives h det edges."""
+    s = 0.0
+    for _ in range(h):
+        s += c
+    return s
+
+
+class TestDeterministicBall:
+    """_det_ball enumerates B(t) and its steps with no growth; Dijkstra is the oracle."""
+
+    @pytest.mark.parametrize("c", [0.1, 0.25, 0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("dim,radius", [(1, 30), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_core_and_steps_are_the_grown_ones(self, c, dim, radius, exact):
+        # exact: t is S_radius itself, which the strict cut must leave out
+        t = steps_to(c, radius) if exact else c * (radius + 0.5)
+        inst = det_instance(c=c, dim=dim, horizon=t)
+        core, steps = fpp._det_ball(inst, t, 0.0, 10_000)
+        grown, times, _ = fpp._grown_ball(inst, t, 0.0, 10_000)
+        assert [tuple(v) for v in core.tolist()] == grown
+        norms = np.abs(core).sum(axis=1)
+        assert norms.max() == (radius - 1 if exact else radius)
+        assert steps.size == 2 * norms.max() + 1
+        assert steps.tolist() == [steps_to(c, h) / t for h in range(steps.size)]
+        assert all(times[v] / t == steps[n] for v, n in zip(grown, norms.tolist()))
+
+    def test_time_equal_to_a_step_is_left_out(self):
+        inst = det_instance(c=0.25, horizon=1.0)
+        assert steps_to(0.25, 4) == 1.0
+        core, steps = fpp._det_ball(inst, 1.0, 0.0, 100)
+        assert len(core) == 25 and steps.size == 7
+        assert core[0].tolist() == [0, 0]
+        assert [tuple(v) for v in core.tolist()] == fpp._grown_ball(inst, 1.0, 0.0, 100)[0]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_size_closed_form(self, dim):
+        closed = {
+            1: lambda h: 2 * h + 1,
+            2: lambda h: 2 * h * h + 2 * h + 1,
+            3: lambda h: (2 * h + 1) * (2 * h * h + 2 * h + 3) // 3,
+        }[dim]
+        for h in range(12):
+            ball = fpp._l1_ball(dim, h)
+            assert fpp._l1_ball_size(dim, h) == closed(h) == len(ball)
+            assert len({tuple(v) for v in ball.tolist()}) == len(ball)
+            assert np.abs(ball).sum(axis=1).max() == h
+
+    @pytest.mark.parametrize("dim,t", [(1, 5.5), (2, 3.5), (3, 2.5)])
+    def test_budget_boundary_is_the_growth_one(self, dim, t):
+        inst = det_instance(dim=dim, horizon=t)
+        m = len(fpp._grown_ball(inst, t, 0.0, 10_000)[0])
+        assert len(fpp._det_ball(inst, t, 0.0, m)[0]) == m
+        for build in (fpp._det_ball, fpp._grown_ball):
+            with pytest.raises(BudgetExceededError, match=rf"^\|B\(t\)\| exceeds the all-pairs budget {m - 1}$"):
+                build(inst, t, 0.0, m - 1)
+
+    def test_budget_raises_before_any_allocation(self):
+        # B(1e6) at c = 0.001 has about 2e18 vertices; the closed-form size
+        # passes 4000 at radius 45
+        inst = FppInstance(2, EdgeWeightLaw.deterministic(0.001), 0, 1e6)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(BudgetExceededError, match=r"^\|B\(t\)\| exceeds the all-pairs budget 4000$"):
+                fpp._det_ball(inst, 1e6, 0.0, 4000)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("t,shell", [(3.0, -0.1), (3.0, 0.2), (0.0, 0.0), (-1.0, 0.0), (math.nan, 0.0), (4.0, 0.0)])
+    def test_checks_are_the_grown_ones(self, t, shell):
+        inst = det_instance(horizon=3.0)
+        with pytest.raises(InvalidArgumentError) as grown:
+            fpp._grown_ball(inst, t, shell, 100)
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(grown.value))}$"):
+            fpp._det_ball(inst, t, shell, 100)
+
+
+class TestDetTrackUsesNoGrowth:
+    def test_mm_fpp_det_hashes_no_edge_and_runs_no_dijkstra(self, monkeypatch, capsys):
+        counts = TestEdgeHashing.count_hashes(monkeypatch)
+        sources = count_dijkstra_sources(monkeypatch)
+        assert main(["fpp", "--dim", "2", "--law", "det:0.25", "--t", "2,4"]) == 0
+        assert json.loads(capsys.readouterr().out)["track"][1]["ball_size"] == 481
+        assert not counts
+        assert sources == []
+
+
+class TestRandomTrackGrowsOnce:
+    @pytest.mark.parametrize("dim,law,ts", [
+        (1, "exp:1", [5.0, 10.0, 20.0]), (2, "exp:1", [2.0, 3.0, 5.0]), (3, "unif:0.5,1.5", [1.5, 2.0, 3.0]),
+    ])
+    @pytest.mark.parametrize("shell", [0.0, 0.2])
+    def test_track_is_each_t_alone_bit_for_bit(self, dim, law, ts, shell):
+        inst = FppInstance(dim, EdgeWeightLaw.parse(law), 5, ts[-1] * (1.0 + shell))
+        track = fpp_barycenter_track(inst, ts, shell=shell)
+        for t, pt in zip(ts, track):
+            (alone,) = fpp_barycenter_track(inst, [t], shell=shell)
+            assert (pt.t, pt.ball_size, pt.tied, pt.objective) == (alone.t, alone.ball_size, alone.tied, alone.objective)
+            assert [b.tolist() for b in pt.barycenters] == [b.tolist() for b in alone.barycenters]
+
+    @pytest.mark.parametrize("shell", [0.0, 0.2])
+    def test_each_graph_is_the_one_of_its_own_growth(self, monkeypatch, shell):
+        built = []
+        real = fpp._graph
+
+        def graph(instance, core, outer, weights, t, stop):
+            built.append((t, core, real(instance, core, outer, weights, t, stop)))
+            return built[-1][2]
+
+        monkeypatch.setattr(fpp, "_graph", graph)
+        inst = FppInstance(2, EdgeWeightLaw.exponential(1.0), 2, 6.0)
+        fpp_barycenter_track(inst, [2.0, 3.5, 5.0], shell=shell)
+        monkeypatch.undo()
+        assert [t for t, _, _ in built] == [2.0, 3.5, 5.0]
+        for t, core, graph in built:
+            alone_core, alone = fpp._ball_graph(inst, t, shell, 10_000)
+            assert core == alone_core
+            assert graph.shape == alone.shape and (graph != alone).nnz == 0
+
+    def test_growth_is_to_the_largest_t(self, monkeypatch):
+        stops = []
+        real = fpp._grow
+
+        def grow(instance, t, shell=0.0, budget=math.inf):
+            stops.append((t, shell))
+            return real(instance, t, shell, budget)
+
+        monkeypatch.setattr(fpp, "_grow", grow)
+        inst = FppInstance(2, EdgeWeightLaw.exponential(1.0), 1, 6.0)
+        fpp_barycenter_track(inst, [2.0, 3.0, 5.0], shell=0.2)
+        assert stops == [(5.0, 0.2)]
+
+    def test_budget_error_of_an_early_t_comes_before_a_bad_later_t(self):
+        inst = FppInstance(2, EdgeWeightLaw.exponential(1.0), 1, 6.0)
+        # 6 * 1.2 > 6: the second t is past the horizon
+        with pytest.raises(InvalidArgumentError, match=r"^t\*\(1\+shell\) = 7.199999999999999 exceeds horizon 6.0$"):
+            fpp_barycenter_track(inst, [3.0, 6.0], shell=0.2)
+        with pytest.raises(BudgetExceededError, match=r"^\|B\(t\)\| exceeds the all-pairs budget 10$"):
+            fpp_barycenter_track(inst, [3.0, 6.0], shell=0.2, budget=10)
+        with pytest.raises(InvalidArgumentError, match=r"^t must lie in \(0, horizon=6.0\], got nan$"):
+            fpp_barycenter_track(inst, [math.nan], shell=0.2)
 
 
 class TestBarycenterTrack:
@@ -501,7 +645,7 @@ class TestPrunedTrackOracle:
         space = FiniteMetricMeasureSpace.uniform([str(i) for i in range(m)], dmat)
         sol = k_means_exact(space, 1, p, tie_tol=1e-12)
         assert [s.indices for s in sol.minimizers] == [(i,) for i in tied]
-        objective, minimizers = fpp._ball_one_mean(graph, m, 1.0, p)
+        objective, minimizers = fpp._ball_one_mean(lambda sources: fpp._core_rows(graph, sources, m), m, p)
         assert minimizers == tied
         assert objective == pytest.approx(sol.objective, rel=1e-15)
 

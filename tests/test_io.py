@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +108,98 @@ class TestMatrixCsv:
         assert labels == ["a", "b", "c"]
 
 
+NAN_PAYLOAD = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0]
+
+
+def special_matrices():
+    """Matrices whose CSV bytes are frozen: every special float, symmetric or not."""
+    sym = np.array([
+        [0.0, -0.0, np.nan, np.inf, 1e-5],
+        [-0.0, -np.inf, 1e16, 5e-324, 0.1],
+        [np.nan, 1e16, 0.1, 2.5, -1e-300],
+        [np.inf, 5e-324, 2.5, NAN_PAYLOAD, 123456789.125],
+        [1e-5, 0.1, -1e-300, 123456789.125, -0.0],
+    ])
+    signed_zero = sym.copy()
+    signed_zero[0, 1] = 0.0  # +0.0 above the diagonal, -0.0 below
+    payload = sym.copy()
+    payload[3, 3] = np.nan
+    payload[0, 2] = NAN_PAYLOAD  # NaN payloads differ across the diagonal
+    asym = np.random.default_rng(0).normal(size=(6, 6))
+    return {
+        "special_sym": sym,
+        "signed_zero": signed_zero,
+        "nan_payload": payload,
+        "asym": asym,
+        "sym_random": (asym + asym.T) / 2,
+        "one": np.array([[0.1]]),
+        "empty": np.zeros((0, 0)),
+    }
+
+
+# sha256 of the write_matrix_csv bytes, frozen from the csv.writer of every entry
+CSV_SHA256 = {
+    "special_sym": "d159edc885e35ccc14c6809890222a49495aa9b846b19ae68d0b7f3aeef8ee81",
+    "signed_zero": "31173aac474a2146604dc87f509aa51522a1b7c16987cc73fdb4132acb667f33",
+    "nan_payload": "d159edc885e35ccc14c6809890222a49495aa9b846b19ae68d0b7f3aeef8ee81",
+    "asym": "572366d9439c52f75d0af5fe7078339428149b0c92ea476622a748f44061f979",
+    "sym_random": "de161f4a0dcb89703eaa964d42c8f25b3af5ed63808a055f861386525c6c5271",
+    "one": "0564bec84eb70fd666be0318070e5df65a5c64e6b5288234b850f955aeb471ae",
+    "empty": "7eb70257593da06f682a3ddda54a9d260d4fc514f645237f5ca74b08f8da61a6",
+}
+
+
+class TestMatrixCsvFrozen:
+    @pytest.mark.parametrize("name", sorted(CSV_SHA256))
+    def test_bytes_are_frozen(self, tmp_path, name):
+        m = special_matrices()[name]
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, [f"p{i}" for i in range(m.shape[0])], m)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_SHA256[name]
+
+    def test_special_floats_spelled_out(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, ["a", "b"], np.array([[-0.0, np.nan], [np.nan, 5e-324]]))
+        assert path.read_bytes() == b"a,b\r\n-0.0,nan\r\nnan,5e-324\r\n"
+        write_matrix_csv(path, ["a", "b"], np.array([[0.0, 0.0], [-0.0, np.inf]]))
+        assert path.read_bytes() == b"a,b\r\n0.0,0.0\r\n-0.0,inf\r\n"
+
+    @pytest.mark.parametrize("name", ["special_sym", "signed_zero", "asym", "sym_random", "one"])
+    def test_read_back_bit_for_bit(self, tmp_path, name):
+        m = special_matrices()[name]
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, [f"p{i}" for i in range(m.shape[0])], m)
+        _, got = read_matrix_csv(path)
+        # a NaN is written as nan, so it reads back as the default NaN
+        want = np.where(np.isnan(m), np.nan, m)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_parses_what_float_parses(self, tmp_path):
+        tokens = ["1_0", " 1.5", "Infinity", "-nan", "1e500", "-1e-500", "\u0967\u0968", "\xa01.0"]
+        path = tmp_path / "m.csv"
+        path.write_text(",".join("abcdefgh") + "\n" + ("\n".join([",".join(tokens)] * 8)) + "\n", encoding="utf-8")
+        _, got = read_matrix_csv(path)
+        want = np.array([[float(v) for v in tokens]] * 8)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for bad in ["0x1p3", "1__0", "", "1e"]:
+            path.write_text(f'a\n"{bad}"\n')
+            with pytest.raises(InvalidArgumentError, match=re.escape(f"non-numeric matrix entry (could not convert string to float: {bad!r})")):
+                read_matrix_csv(path)
+
+    @pytest.mark.parametrize("text", ["a,b\n0.0,1.0\n1.0\n", "a,b\n0.0,1.0\n1.0,2.0,3.0\n", "a,b\n0.0\nfoo,0.0\n"])
+    def test_ragged_rows_are_named(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidArgumentError, match=r"m\.csv: ragged matrix rows$"):
+            read_matrix_csv(path)
+
+    def test_header_without_labels_is_empty(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, [], np.zeros((0, 0)))
+        with pytest.raises(InvalidArgumentError, match=r"m\.csv: empty matrix file$"):
+            read_matrix_csv(path)
+
+
 class TestSpaceJson:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -169,6 +263,13 @@ class TestCloudCsv:
             read_cloud_csv(path)
         path.write_text("1.0,foo\n")
         with pytest.raises(InvalidArgumentError):
+            read_cloud_csv(path)
+
+    @pytest.mark.parametrize("text", ["1.0,2.0\n3.0\n", "1.0\n2.0,3.0\n", "1.0,2.0\n\n3.0,4.0,foo\n"])
+    def test_ragged_rows_are_named(self, tmp_path, text):
+        path = tmp_path / "cloud.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidArgumentError, match=r"cloud\.csv: ragged cloud rows$"):
             read_cloud_csv(path)
 
 
