@@ -58,7 +58,8 @@ TRACK_TIE_TOL = 1e-12
 LANDMARKS = 16
 # Dijkstra sources per call of the track's search
 _BATCH = 8
-# candidates whose strong bound is taken in one vectorised pass
+# candidates whose strong bound, or for deterministic laws whose rows, are
+# taken in one vectorised pass
 _BOUND_CHUNK = 64
 # entries per row block of shape_defect; a block holds a handful of
 # temporaries, so 1 << 17 keeps them to a few MB
@@ -361,7 +362,7 @@ def _strong_bounds(anchors: np.ndarray, chunk: np.ndarray, w: np.ndarray, p: flo
     return (lb**p) @ w
 
 
-def _ball_one_mean(rows, m: int, p: float) -> tuple:
+def _ball_one_mean(rows, m: int, p: float, strong: bool = True) -> tuple:
     """(objective, sorted minimizers) of the exact 1-mean of the scaled core.
 
     rows(sources) returns the scaled passage times T/t from each source to
@@ -378,7 +379,10 @@ def _ball_one_mean(rows, m: int, p: float) -> tuple:
     exclude, and full rows are taken only for those the strong one cannot.
     The scan stops at the first c above the tie threshold.  Every candidate
     never evaluated thus costs more than best * (1 + TRACK_TIE_TOL), and all
-    tied minimizers are returned, as k_means_exact would return them.
+    tied minimizers are returned, as k_means_exact would return them.  With
+    strong=False, for rows that cost no more than the strong bound (the
+    closed form of deterministic laws), the candidates the cheap bound keeps
+    are costed directly, a chunk at a time; the result is the same.
     """
     w = np.full(m, 1.0 / m)
     origin = rows([0])[0]
@@ -416,8 +420,11 @@ def _ball_one_mean(rows, m: int, p: float) -> tuple:
         chunk = chunk[cheap[chunk] <= thresh]
         if not chunk.size:
             break
-        strong = _strong_bounds(anchors, chunk, w, p) * _BOUND_SLACK
-        for i, bound in zip(chunk.tolist(), strong.tolist()):
+        if not strong:
+            thresh = evaluate(chunk.tolist(), rows(chunk))
+            continue
+        bounds = _strong_bounds(anchors, chunk, w, p) * _BOUND_SLACK
+        for i, bound in zip(chunk.tolist(), bounds.tolist()):
             if bound <= thresh:
                 pending.append(i)
                 if len(pending) == _BATCH:
@@ -535,8 +542,10 @@ def fpp_barycenter_track(
         raise InvalidArgumentError("t_list must be nonempty and strictly ascending")
     p = _check_p(p)
     out = []
+    # closed-form rows cost less than the strong bound that would spare them
+    strong = instance.law.kind != "deterministic"
     for t, core, rows in _track_balls(instance, ts, shell, budget):
-        objective, minimizers = _ball_one_mean(rows, len(core), p)
+        objective, minimizers = _ball_one_mean(rows, len(core), p, strong)
         centers = [np.asarray(core[i], dtype=np.float64) / t for i in minimizers]
         out.append(
             TrackPoint(

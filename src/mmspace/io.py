@@ -21,6 +21,9 @@ from .errors import InvalidArgumentError
 from .space import FiniteMetricMeasureSpace, KMeansSolution
 
 MAGIC = b"MMSP"
+# read_matrix_csv scans a file for its layout in chunks of this many bytes
+_SCAN_BYTES = 1 << 20
+_FALLBACK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def write_matrix_bin(path, matrix: np.ndarray) -> None:
@@ -67,8 +70,63 @@ def write_matrix_csv(path, labels, matrix: np.ndarray) -> None:
         fh.writelines(",".join(row) + "\r\n" for row in text)
 
 
+def _crlf_line_count(path) -> int | None:
+    """The line count of a file laid out as write_matrix_csv writes it, else None.
+
+    That layout: every line nonempty and ended by CRLF, no other CR or LF,
+    no quote, and none of the separators U+001C..U+001F, which numpy strips
+    as whitespace around a number and float() does not.  The file is
+    scanned in chunks by memchr-based finds: every LF must follow a CR and
+    must not be followed by one (a blank line), and there must be as many
+    CRs as LFs, so every CR comes right before an LF.  last is the byte
+    before the chunk, a virtual LF before the file.
+    """
+    lines = crs = 0
+    last = b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_BYTES):
+            if any(c in chunk for c in _FALLBACK_BYTES):
+                return None
+            if last == b"\n" and chunk[:1] == b"\r":
+                return None
+            at = chunk.find(b"\n")
+            while at >= 0:
+                if (chunk[at - 1:at] if at else last) != b"\r" or chunk[at + 1:at + 2] == b"\r":
+                    return None
+                lines += 1
+                at = chunk.find(b"\n", at + 1)
+            at = chunk.find(b"\r")
+            while at >= 0:
+                crs += 1
+                at = chunk.find(b"\r", at + 1)
+            last = chunk[-1:]
+    return lines if crs == lines and last == b"\n" else None
+
+
 def read_matrix_csv(path):
-    """Returns (labels, matrix)."""
+    """Returns (labels, matrix).
+
+    A file in write_matrix_csv's layout (see _crlf_line_count) with n labels
+    and n + 1 lines has its rows parsed by numpy's C reader, streamed from
+    the file.  It and float() both parse through PyOS_string_to_double, so
+    they give the same bits wherever both accept a field; on the fields
+    loadtxt rejects and float() accepts (underscores, non-ASCII digits), and
+    on any other file, the rows go through csv.reader and _parse_floats,
+    which give every message.
+    """
+    lines = _crlf_line_count(path)
+    if lines:
+        with open(path, newline="") as fh:
+            labels = next(csv.reader([fh.readline()]))
+            n = len(labels)
+            if n and lines == n + 1:
+                try:
+                    m = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2, max_rows=n)
+                except ValueError:
+                    pass
+                else:
+                    if m.shape == (n, n):
+                        return labels, m
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:

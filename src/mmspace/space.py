@@ -25,8 +25,11 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 # blocks of this width (see _weighted_row_sums)
 _KERNEL_COLUMNS = 4096
 # _joined_costs mins and reduces its rows in blocks of about this many
-# entries (8 MB), so a prefix with many children holds no n x n temporary
-_BLOCK_ENTRIES = 1 << 20
+# entries (512 KB, about an L2 cache), so a prefix with many children holds
+# no n x n temporary
+_BLOCK_ENTRIES = 1 << 16
+# metric_validate's passes work on row blocks of about this many entries
+_VALIDATE_ENTRIES = 1 << 16
 
 # ----------------------------------------------------------------------------
 # metric validation
@@ -63,7 +66,21 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     With tol=None the tolerance is 1e-9 scaled by the largest entry, which is
     the right yardstick for learned matrices carrying accumulated rounding.
     Past geodesic.MAX_GRAPH_POINTS points it raises BudgetExceededError
-    before any n x n temporary is allocated.
+    before any temporary is allocated.
+
+    The triangle violation of (i, j, l) is fl(fl(d_ij - d_il) - d_lj), and
+    the report gives the largest, at the first l that reaches it and the
+    first (i, j) in row-major order for that l.  Rounding is monotone, so
+    for each l the largest violation over (i, j) is the largest over j of
+    fl(c_j - d_lj) with c_j = max_i fl(d_ij - d_il): two passes, one
+    subtract and a column max, then one subtract of a vector.  Only an l
+    that raises the running maximum strictly has its witness searched, in
+    the columns that reach it, and the magnitude is read from the witness
+    entry itself, so signed zeros are the entry's.  The asymmetry |d - d.T|
+    keeps its first argmax the same way, block by block with a strict >.
+    Both passes work on row blocks of about _VALIDATE_ENTRIES entries, with
+    at least n / 32 rows each so the loop over blocks stays O(32 n), and
+    hold no n x n temporary.
     """
     d = np.asarray(matrix, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -78,11 +95,19 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     if tol is None:
         tol = 1e-9 * (float(d.max()) if n > 0 else 0.0)
 
-    # one n x n buffer serves the asymmetry pass and every triangle pass
-    buf = np.empty_like(d)
-    np.abs(np.subtract(d, d.T, out=buf), out=buf)
-    a_w = np.unravel_index(int(np.argmax(buf)), d.shape)
-    a_mag = float(buf[a_w])
+    step = max(1, _VALIDATE_ENTRIES // max(n, 1), -(-n // 32))
+    blocks = [slice(s, min(s + step, n)) for s in range(0, n, step)]
+    buf = np.empty((min(step, n), n))
+
+    a_mag = -math.inf
+    a_w = (0, 0)
+    for b in blocks:
+        block = buf[: b.stop - b.start]
+        np.abs(np.subtract(d[b], d[:, b].T, out=block), out=block)
+        flat = int(np.argmax(block))
+        if block.flat[flat] > a_mag:
+            a_mag = float(block.flat[flat])
+            a_w = (b.start + flat // n, flat % n)
 
     diag = np.abs(np.diagonal(d))
     d_i = int(np.argmax(diag))
@@ -94,14 +119,19 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
 
     t_mag = -math.inf
     t_w = (0, 0, 0)
+    reach = np.empty(n)
     for l in range(n):
-        np.subtract(d, d[:, l][:, None], out=buf)
-        np.subtract(buf, d[l, :][None, :], out=buf)
-        flat = int(np.argmax(buf))
-        if buf.flat[flat] > t_mag:
-            i, j = np.unravel_index(flat, d.shape)
-            t_mag = float(buf.flat[flat])
-            t_w = (int(i), int(j), l)
+        # reach[j] = max_i fl(d_ij - d_il), then fl(reach[j] - d_lj), the
+        # largest violation through l in column j
+        reach.fill(-math.inf)
+        for b in blocks:
+            block = buf[: b.stop - b.start]
+            np.subtract(d[b], d[b, l][:, None], out=block)
+            np.maximum(reach, block.max(axis=0), out=reach)
+        np.subtract(reach, d[l], out=reach)
+        top = reach.max()
+        if top > t_mag:
+            t_mag, t_w = _triangle_witness(d, blocks, l, np.flatnonzero(reach == top), top)
     t_mag = max(t_mag, 0.0) if n > 0 else 0.0
 
     return MetricReport(
@@ -116,6 +146,26 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
         triangle_witness=t_w if t_mag > 0 else None,
         passes=bool(max(a_mag, d_mag, n_mag, t_mag) <= tol),
     )
+
+
+def _triangle_witness(d: np.ndarray, blocks: list, l: int, cols: np.ndarray, top: float) -> tuple:
+    """(value, (i, j, l)) at the first flat (i, j) whose violation through l is top.
+
+    Only the columns in cols reach top.  They are recomputed row block by
+    row block in metric_validate's order, fl(fl(d_ij - d_il) - d_lj), and the
+    value is read from the entry itself, so its sign of zero is that entry's.
+    """
+    for b in blocks:
+        vals = d[b][:, cols]
+        np.subtract(vals, d[b, l][:, None], out=vals)
+        np.subtract(vals, d[l, cols], out=vals)
+        hits = vals == top
+        rows = np.flatnonzero(hits.any(axis=1))
+        if rows.size:
+            r = int(rows[0])
+            c = int(np.argmax(hits[r]))
+            return float(vals[r, c]), (b.start + r, int(cols[c]), l)
+    raise AssertionError("no entry reaches the column maximum")
 
 
 # ----------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from mmspace import FiniteMetricMeasureSpace, enlarged_cell, voronoi_cells
+from mmspace import FiniteMetricMeasureSpace, MetricReport, enlarged_cell, voronoi_cells
 
 
 def brute_cost(space, subset, p):
@@ -234,4 +234,50 @@ def cluster_deviation_oracle(cells_n, cells_lim):
     return max(
         min(max(min(math.dist(v, w) for w in w_cell) for v in v_cell) for w_cell in cells_lim)
         for v_cell in cells_n
+    )
+
+
+def metric_validate_oracle(matrix, tol=None):
+    """metric_validate by whole-matrix passes: one n x n buffer for |d - d.T|
+    and, for each l, fl(fl(d - d[:, l]) - d[l]) with its first flat argmax,
+    taken when it beats the running maximum strictly."""
+    d = np.asarray(matrix, dtype=np.float64)
+    n = d.shape[0]
+    if tol is None:
+        tol = 1e-9 * (float(d.max()) if n > 0 else 0.0)
+    buf = np.empty_like(d)
+    np.abs(np.subtract(d, d.T, out=buf), out=buf)
+    a_w = np.unravel_index(int(np.argmax(buf)), d.shape)
+    a_mag = float(buf[a_w])
+
+    diag = np.abs(np.diagonal(d))
+    d_i = int(np.argmax(diag))
+    d_mag = float(diag[d_i])
+
+    n_w = np.unravel_index(int(np.argmin(d)), d.shape)
+    n_mag = float(max(0.0, -d[n_w]))
+
+    t_mag = -math.inf
+    t_w = (0, 0, 0)
+    for l in range(n):
+        np.subtract(d, d[:, l][:, None], out=buf)
+        np.subtract(buf, d[l, :][None, :], out=buf)
+        flat = int(np.argmax(buf))
+        if buf.flat[flat] > t_mag:
+            i, j = np.unravel_index(flat, d.shape)
+            t_mag = float(buf.flat[flat])
+            t_w = (int(i), int(j), l)
+    t_mag = max(t_mag, 0.0) if n > 0 else 0.0
+
+    return MetricReport(
+        tol=tol,
+        asymmetry=a_mag,
+        asymmetry_witness=(int(a_w[0]), int(a_w[1])) if a_mag > 0 else None,
+        diagonal=d_mag,
+        diagonal_witness=(d_i,) if d_mag > 0 else None,
+        negativity=n_mag,
+        negativity_witness=(int(n_w[0]), int(n_w[1])) if n_mag > 0 else None,
+        triangle=t_mag,
+        triangle_witness=t_w if t_mag > 0 else None,
+        passes=bool(max(a_mag, d_mag, n_mag, t_mag) <= tol),
     )

@@ -645,9 +645,29 @@ class TestPrunedTrackOracle:
         space = FiniteMetricMeasureSpace.uniform([str(i) for i in range(m)], dmat)
         sol = k_means_exact(space, 1, p, tie_tol=1e-12)
         assert [s.indices for s in sol.minimizers] == [(i,) for i in tied]
-        objective, minimizers = fpp._ball_one_mean(lambda sources: fpp._core_rows(graph, sources, m), m, p)
-        assert minimizers == tied
-        assert objective == pytest.approx(sol.objective, rel=1e-15)
+        rows = lambda sources: fpp._core_rows(graph, sources, m)
+        for strong in (True, False):
+            objective, minimizers = fpp._ball_one_mean(rows, m, p, strong)
+            assert minimizers == tied
+            assert objective == pytest.approx(sol.objective, rel=1e-15)
+
+    @pytest.mark.parametrize("dim,c,t", [(1, 0.1, 4.5), (2, 0.25, 8.0), (2, 0.3, 4.0), (2, 1.0, 9.0), (3, 0.5, 3.0)])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_det_rows_skip_the_strong_bound(self, monkeypatch, dim, c, t, p):
+        inst = FppInstance(dim, EdgeWeightLaw.deterministic(c), 0, t)
+        core, steps = fpp._det_ball(inst, t, 0.0, fpp.DEFAULT_BALL_BUDGET)
+        rows = lambda sources: fpp._l1_rows(steps, core[sources], core)
+        want = fpp._ball_one_mean(rows, len(core), p)
+
+        def refuse(*args):
+            raise AssertionError("strong bound taken for closed-form rows")
+
+        monkeypatch.setattr(fpp, "_strong_bounds", refuse)
+        got = fpp._ball_one_mean(rows, len(core), p, strong=False)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1] == want[1]
+        (pt,) = fpp_barycenter_track(inst, [t], p=p, shell=0.0)
+        assert np.float64(pt.objective).tobytes() == np.float64(want[0]).tobytes()
 
     def test_runs_far_fewer_sources_than_ball_vertices(self, monkeypatch):
         sources = count_dijkstra_sources(monkeypatch)

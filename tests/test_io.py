@@ -1,10 +1,12 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mmspace import io as io_module
 from mmspace import (
     FiniteMetricMeasureSpace,
     InvalidArgumentError,
@@ -198,6 +200,109 @@ class TestMatrixCsvFrozen:
         write_matrix_csv(path, [], np.zeros((0, 0)))
         with pytest.raises(InvalidArgumentError, match=r"m\.csv: empty matrix file$"):
             read_matrix_csv(path)
+
+
+def read_outcome(path):
+    """(labels, shape, bytes) of a read, or (error type, message)."""
+    try:
+        labels, m = read_matrix_csv(path)
+        return labels, m.shape, m.tobytes()
+    except InvalidArgumentError as exc:
+        return type(exc), str(exc)
+
+
+def csv_reader_outcome(path, monkeypatch):
+    """The outcome when every file takes the csv.reader path."""
+    with monkeypatch.context() as mp:
+        mp.setattr(io_module, "_crlf_line_count", lambda path: None)
+        return read_outcome(path)
+
+
+# (bytes, whether numpy's reader gives the result); every result must be the
+# csv.reader path's, bit for bit or message for message
+READER_CASES = {
+    "quoted_fields": (b'"a,1",b\r\n"1.0",2\r\n3,"4"\r\n', False),
+    "quoted_number": (b'a,b\r\n"1.0",2\r\n3,4\r\n', False),
+    "underscore": (b"a,b\r\n1_0,2\r\n3,4\r\n", False),
+    "non_ascii_digits": ("a,b\r\n१२,2\r\n3,١\r\n".encode(), False),
+    "blank_line_extra": (b"a,b\r\n1,2\r\n\r\n3,4\r\n", False),
+    "blank_line_counted": (b"a,b\r\n\r\n1,2\r\n", False),
+    "lf_only": (b"a,b\n0.5,1\n1,0.5\n", False),
+    "no_final_newline": (b"a,b\r\n0.5,1\r\n1,0.5", False),
+    "lone_cr": (b"a,b\r\n0.5,1\r1,0.5\r\n", False),
+    "ragged_short": (b"a,b\r\n1\r\n3,4\r\n", False),
+    "ragged_long": (b"a,b\r\n1,2,3\r\n3,4\r\n", False),
+    "extra_row": (b"a,b\r\n0,1\r\n1,0\r\n2,2\r\n", False),
+    "rows_too_wide": (b"a,b\r\n1,2,3\r\n4,5,6\r\n", False),
+    "rows_too_narrow": (b"a,b\r\n1\r\n2\r\n", False),
+    "one_label_wide_row": (b"a\r\n1,2\r\n", False),
+    "empty_field": (b"a,b\r\n1,\r\n3,4\r\n", False),
+    "file_separator": (b"a,b\r\n\x1c1,2\r\n3,4\r\n", False),
+    "header_only": (b"a\r\n", False),
+    "empty_header": (b"\r\n1\r\n", False),
+    "space_padded": (b"a,b\r\n 1.5 , 2\t\r\n3,\xc2\xa04 \r\n", True),
+    "nan_inf": (b"a,b,c\r\nnan,-inf,+inf\r\n-nan,Infinity,1e500\r\nNaN,-1e-500,5e-324\r\n", True),
+    "one_point": (b"a\r\n0.5\r\n", True),
+    "labels_with_spaces": (" a , bé \r\n0,1\r\n1,0\r\n".encode(), True),
+}
+
+
+class TestMatrixCsvReaders:
+    @pytest.mark.parametrize("name", sorted(READER_CASES))
+    def test_same_outcome_as_csv_reader(self, tmp_path, monkeypatch, name):
+        raw, numpy_reads = READER_CASES[name]
+        path = tmp_path / "m.csv"
+        path.write_bytes(raw)
+        want = csv_reader_outcome(path, monkeypatch)
+        if numpy_reads:
+            # the csv.reader path parses through _parse_floats, so it is not taken
+            monkeypatch.setattr(io_module, "_parse_floats", None)
+        assert read_outcome(path) == want
+
+    def test_blank_line_is_a_missing_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(READER_CASES["blank_line_extra"][0])
+        with pytest.raises(InvalidArgumentError, match=r"expected 2 data rows, found 3$"):
+            read_matrix_csv(path)
+
+    def test_written_files_take_numpy_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        monkeypatch.setattr(io_module, "_parse_floats", None)
+        for name in ("special_sym", "signed_zero", "asym", "sym_random", "one"):
+            m = special_matrices()[name]
+            write_matrix_csv(path, [f"p{i}" for i in range(m.shape[0])], m)
+            _, got = read_matrix_csv(path)
+            want = np.where(np.isnan(m), np.nan, m)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("scan", [1, 2, 3, 7])
+    def test_scan_chunks_cut_anywhere(self, tmp_path, monkeypatch, scan):
+        path = tmp_path / "m.csv"
+        counts = {}
+        for name, (raw, numpy_reads) in READER_CASES.items():
+            path.write_bytes(raw)
+            counts[name] = io_module._crlf_line_count(path)
+            if numpy_reads:
+                assert counts[name] == raw.count(b"\n")
+        assert counts["blank_line_counted"] is counts["lone_cr"] is counts["quoted_number"] is None
+        monkeypatch.setattr(io_module, "_SCAN_BYTES", scan)
+        for name, (raw, _) in READER_CASES.items():
+            path.write_bytes(raw)
+            assert io_module._crlf_line_count(path) == counts[name]
+
+    def test_read_holds_about_one_matrix(self, tmp_path):
+        n = 300
+        m = np.random.default_rng(3).uniform(size=(n, n))
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, [f"p{i}" for i in range(n)], m)
+        tracemalloc.start()
+        try:
+            _, got = read_matrix_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, m)
+        assert peak < 3 * 8 * n * n
 
 
 class TestSpaceJson:

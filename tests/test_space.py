@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from mmspace import space as space_module
 from mmspace.fpp import EdgeWeightLaw, FppInstance, scaled_space
 from mmspace.space import _KERNEL_COLUMNS, _enum_count, _weighted_row_sums
 
-from helpers import brute_kmeans, random_space
+from helpers import brute_kmeans, metric_validate_oracle, random_space
 
 
 def line_space(coords, weights=None):
@@ -105,30 +107,110 @@ class TestMetricValidate:
             metric_validate(np.broadcast_to(np.nan, (5, 5)))
 
     def test_report_matches_unbuffered_passes(self):
-        # the reference below allocates fresh temporaries per pass, in the
-        # same (d - d[:, l]) - d[l] order; report and witnesses are bit-equal
         rng = np.random.default_rng(8)
         for trial in range(20):
             n = int(rng.integers(1, 12))
             d = rng.uniform(0.0, 2.0, size=(n, n))
             if trial % 2:
                 d = np.round(d, 1)  # coarse entries: many tied violations
-            asym = np.abs(d - d.T)
-            a_w = np.unravel_index(int(np.argmax(asym)), asym.shape)
-            best, witness = -np.inf, None
-            for l in range(n):
-                viol = d - d[:, l][:, None] - d[l, :][None, :]
-                flat = int(np.argmax(viol))
-                if viol.flat[flat] > best:
-                    best = float(viol.flat[flat])
-                    witness = (*map(int, np.unravel_index(flat, viol.shape)), l)
+            assert report_bits(metric_validate(d)) == report_bits(metric_validate_oracle(d))
+
+
+def report_bits(report):
+    """Every field of a MetricReport, floats as their bytes, so -0.0 != 0.0."""
+    return [
+        np.float64(v).tobytes() if isinstance(v, float) else v
+        for v in (getattr(report, f.name) for f in fields(report))
+    ]
+
+
+def validate_inputs(kind, n, rng):
+    if kind == "uniform":
+        return rng.uniform(0.0, 2.0, size=(n, n))
+    if kind == "integer_ties":
+        d = rng.integers(0, 4, size=(n, n)).astype(float)
+        return np.minimum(d, d.T)
+    if kind == "negative":
+        return rng.normal(size=(n, n))
+    if kind == "asymmetric":
+        x = rng.uniform(size=(n, 2))
+        d = np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1))
+        return d * rng.uniform(0.9, 1.1, size=(n, n))
+    if kind == "signed_zeros":
+        d = rng.integers(-1, 2, size=(n, n)).astype(float)
+        return d * rng.choice([0.0, -0.0, 1.0], size=(n, n))
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0], size=(n, n))
+    if kind == "line":
+        x = rng.uniform(size=n)
+        d = np.abs(x[:, None] - x[None, :])
+        zero = rng.random((n, n)) < 0.2
+        d[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+        return d
+    raise ValueError(kind)
+
+
+class TestMetricValidateBlocks:
+    """Row blocks give the whole-matrix report, witnesses and signed zeros included."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "integer_ties", "negative", "asymmetric", "signed_zeros", "zeros", "line"])
+    @pytest.mark.parametrize("entries", [1, 7, 150, 1 << 16])
+    def test_bits_match_oracle(self, monkeypatch, kind, entries):
+        monkeypatch.setattr(space_module, "_VALIDATE_ENTRIES", entries)
+        rng = np.random.default_rng(len(kind) * 1000 + entries)
+        for n in (1, 2, 3, 17, 40, 150):
+            d = validate_inputs(kind, n, rng)
+            assert report_bits(metric_validate(d)) == report_bits(metric_validate_oracle(d))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_matrices(self, monkeypatch, zero):
+        monkeypatch.setattr(space_module, "_VALIDATE_ENTRIES", 5)
+        d = np.full((33, 33), zero)
+        got = metric_validate(d)
+        assert report_bits(got) == report_bits(metric_validate_oracle(d))
+        assert got.passes and got.triangle_witness is None
+
+    def test_holds_no_full_buffer(self):
+        n = 600
+        x = np.random.default_rng(5).uniform(size=n)
+        d = np.abs(x[:, None] - x[None, :])
+        tracemalloc.start()
+        try:
             report = metric_validate(d)
-            assert report.asymmetry == float(asym[a_w])
-            if report.asymmetry > 0:
-                assert report.asymmetry_witness == tuple(map(int, a_w))
-            assert report.triangle == max(best, 0.0)
-            if best > 0:
-                assert report.triangle_witness == witness
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passes
+        assert peak < 8 * n * n / 2
+
+
+class TestCostBlocks:
+    """_BLOCK_ENTRIES only cuts rows into blocks; costs depend on the row alone."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_objectives_and_families_do_not_move(self, monkeypatch, p):
+        rng = np.random.default_rng(int(p))
+        n = 30
+        space, _ = random_space(rng, n)
+        space_ties = line_space(np.round(rng.uniform(size=n), 1))
+
+        def solve():
+            out = []
+            for s in (space, space_ties):
+                for k in (1, 2, 3):
+                    exact = k_means_exact(s, k, p, tie_tol=1e-6)
+                    pam = k_means_pam(s, k, p, restarts=3, seed=k)
+                    out.append([
+                        (np.float64(sol.objective).tobytes(), [m.indices for m in sol.minimizers])
+                        for sol in (exact, pam)
+                    ])
+                    out.append(np.float64(clustering_cost(s, exact.best, p)).tobytes())
+            return out
+
+        want = solve()
+        for entries in (1, 7, n - 1, 1 << 16, 1 << 20):
+            monkeypatch.setattr(space_module, "_BLOCK_ENTRIES", entries)
+            assert solve() == want
 
 
 class TestWeightedRowSums:
