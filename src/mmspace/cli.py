@@ -2,8 +2,11 @@
 
 Every subcommand is a thin shell around one library call: parse, run, write.
 Outputs are byte-deterministic for fixed arguments and seed, regardless of
-MM_THREADS, so runs can be diffed.  JSON goes through sorted keys and repr
-round-trip floats; matrices use the shared CSV and binary writers.
+MM_THREADS, so runs can be diffed.  `mm experiment` runs its trials in forked
+worker processes, at most MM_THREADS of them, on Linux and serially
+elsewhere, with byte-identical output either way.  JSON goes through sorted
+keys and repr round-trip floats; matrices use the shared CSV and binary
+writers.
 
 Exit codes: 0 ok, 2 invalid input, 3 enumeration budget or graph size
 limit exceeded, 4 disconnected graph.

@@ -38,6 +38,10 @@ class DisconnectedGraphError(MmError):
         self.components = [sorted(c) for c in components]
         self.components.sort(key=lambda c: c[0])
 
+    def __reduce__(self):
+        # the default rebuilds from self.args, which lacks components
+        return type(self), (self.args[0], self.components)
+
 
 class UnsupportedReferenceError(InvalidArgumentError):
     """No closed-form reference exists for the requested comparison."""

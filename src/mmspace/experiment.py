@@ -3,8 +3,12 @@
 A config names a generator, a metric method, k-means settings, sample sizes,
 and a trial count.  Each (size, trial) cell draws its own cloud from a stream
 keyed by (master seed, trial, size), so results are reproducible cell by cell
-and independent of execution order; trials run in a thread pool capped by
-MM_THREADS, and rows are assembled in sorted order either way.
+and independent of execution order.  On Linux the trials run in forked worker
+processes, at most MM_THREADS of them, so the graph core (which holds the
+interpreter lock) runs in parallel; elsewhere they run serially.  Each trial
+is a pure function of (config, trial) and pickling keeps float bits, so the
+rows, assembled in sorted order, and the files written from them are
+byte-identical either way.
 
 Deviations are Euclidean set distances between coordinate arrays of centers
 and Voronoi cells, measured against a reference family: the largest size's
@@ -21,8 +25,11 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -298,7 +305,13 @@ def _run_trial(config: ExperimentConfig, trial: int):
 
 
 def worker_count() -> int:
-    """Thread cap: MM_THREADS when set, else the CPU count."""
+    """Worker cap: MM_THREADS when set, else the CPUs this process may run on.
+
+    The CPUs are ``os.sched_getaffinity(0)`` where it exists (so a host pinned
+    to fewer CPUs than it has never gets more workers than it can run), else
+    ``os.cpu_count()``.  ``run_experiment`` forks at most this many trial
+    workers on Linux and runs trials serially elsewhere.
+    """
     env = os.environ.get("MM_THREADS")
     if env is not None:
         try:
@@ -308,21 +321,33 @@ def worker_count() -> int:
         if cap < 1:
             raise InvalidArgumentError("MM_THREADS must be >= 1")
         return cap
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Run all (size, trial) cells, optionally writing results.csv + summary.json.
 
+    On Linux, trials run in min(worker_count(), trials) worker processes
+    forked for this call and joined before it returns or raises; elsewhere,
+    with one worker, or when the caller runs other Python threads (which a
+    fork would copy mid-operation), they run serially in this process.
     Per-cell errors are recorded in their row and the run continues; the
-    summary counts them.  Output is byte-deterministic for a fixed config,
-    regardless of MM_THREADS.
+    summary counts them.  An error that escapes a trial reaches the caller
+    with its type and message.  Output is byte-deterministic for a fixed
+    config, whatever MM_THREADS and the platform.
     """
-    trials = list(range(config.trials))
-    workers = min(worker_count(), max(1, len(trials)))
-    if workers > 1 and len(trials) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(lambda tr: _run_trial(config, tr), trials))
+    trials = range(config.trials)
+    workers = min(worker_count(), config.trials)
+    if workers > 1 and sys.platform == "linux" and threading.active_count() == 1:
+        # fork, not spawn: a spawned worker imports numpy and scipy again,
+        # which takes longer than a typical trial
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            per_trial = list(pool.map(_run_trial, [config] * config.trials, trials))
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         per_trial = [_run_trial(config, tr) for tr in trials]
 

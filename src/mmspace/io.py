@@ -41,7 +41,12 @@ def read_matrix_bin(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != MAGIC:
             raise InvalidArgumentError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        (n,) = struct.unpack("<Q", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise InvalidArgumentError(f"{path}: truncated matrix header")
+        (n,) = struct.unpack("<Q", header)
+        if n == 0:
+            raise InvalidArgumentError(f"{path}: empty matrix file")
         data = fh.read(8 * n * n)
         if len(data) != 8 * n * n:
             raise InvalidArgumentError(f"{path}: truncated matrix payload")

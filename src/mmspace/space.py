@@ -85,6 +85,8 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     d = np.asarray(matrix, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InvalidArgumentError("matrix must be square")
+    if d.shape[0] == 0:
+        raise InvalidArgumentError("matrix needs at least one point")
     if d.shape[0] > geodesic.MAX_GRAPH_POINTS:
         raise BudgetExceededError(
             f"metric validation on {d.shape[0]} points exceeds the limit of {geodesic.MAX_GRAPH_POINTS}"
@@ -93,9 +95,9 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
         raise InvalidArgumentError("matrix must be finite")
     n = d.shape[0]
     if tol is None:
-        tol = 1e-9 * (float(d.max()) if n > 0 else 0.0)
+        tol = 1e-9 * float(d.max())
 
-    step = max(1, _VALIDATE_ENTRIES // max(n, 1), -(-n // 32))
+    step = max(1, _VALIDATE_ENTRIES // n, -(-n // 32))
     blocks = [slice(s, min(s + step, n)) for s in range(0, n, step)]
     buf = np.empty((min(step, n), n))
 
@@ -132,7 +134,7 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
         top = reach.max()
         if top > t_mag:
             t_mag, t_w = _triangle_witness(d, blocks, l, np.flatnonzero(reach == top), top)
-    t_mag = max(t_mag, 0.0) if n > 0 else 0.0
+    t_mag = max(t_mag, 0.0)
 
     return MetricReport(
         tol=tol,
@@ -231,7 +233,8 @@ class FiniteMetricMeasureSpace:
     @classmethod
     def uniform(cls, labels, dist) -> "FiniteMetricMeasureSpace":
         n = len(labels)
-        return cls(labels, dist, np.full(n, 1.0 / n))
+        # no labels: an empty weight vector, so construction names the fault
+        return cls(labels, dist, np.full(n, 1.0 / n) if n else np.empty(0))
 
 
 @dataclass(frozen=True)

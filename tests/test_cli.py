@@ -384,6 +384,15 @@ class TestExperimentCmd:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("argv", [("validate", "--in"), ("kmeans", "--k", "1", "--space")])
+    def test_empty_binary_matrix_exit_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "e.bin"
+        write_matrix_bin(path, np.zeros((0, 0)))
+        code = main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {path}: empty matrix file\n"
+
     def test_pass_and_fail(self, tmp_path, capsys):
         good = tmp_path / "good.csv"
         write_matrix_csv(good, ["a", "b"], np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -232,14 +235,12 @@ class TestRunExperiment:
 
     def test_outputs_byte_deterministic(self, tmp_path, monkeypatch):
         cfg = interval_config()
-        monkeypatch.setenv("MM_THREADS", "1")
-        run_experiment(cfg, out_dir=tmp_path / "a")
-        monkeypatch.setenv("MM_THREADS", "8")
-        run_experiment(cfg, out_dir=tmp_path / "b")
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("MM_THREADS", threads)
+            run_experiment(cfg, out_dir=tmp_path / threads)
         for name in ("results.csv", "summary.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (
-                tmp_path / "b" / name
-            ).read_bytes()
+            for threads in ("2", "8"):
+                assert (tmp_path / "1" / name).read_bytes() == (tmp_path / threads / name).read_bytes()
 
     def test_csv_layout(self, tmp_path):
         run_experiment(interval_config(), out_dir=tmp_path)
@@ -279,22 +280,87 @@ def test_reference_of_wrong_dimension_rejected():
         run_experiment(config)
 
 
-def test_reference_center_with_empty_cell_is_named():
-    # 5.0 is nearest to no point of the unit interval, so its cell is empty
+def test_reference_center_with_empty_cell_is_named(monkeypatch):
+    # 5.0 is nearest to no point of the unit interval, so its cell is empty;
+    # the error is the same raised in this process or in a worker
     config = interval_config(k=2, reference="explicit", reference_centers=np.array([[0.25], [5.0]]))
-    with pytest.raises(InvalidArgumentError, match=r"reference center 1 \(5\.0\) .* n=40 .* trial 0$"):
-        run_experiment(config)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MM_THREADS", threads)
+        with pytest.raises(InvalidArgumentError, match=r"reference center 1 \(5\.0\) .* n=40 .* trial 0$"):
+            run_experiment(config)
 
 
-def test_explicit_reference_draws_each_cloud_once(monkeypatch):
-    drawn = []
+def log_draws(monkeypatch, log):
+    """Make each cloud draw append "n trial pid" to log, in whichever process draws it."""
     real = experiment._trial_cloud
 
     def counting(config, n, trial):
-        drawn.append((n, trial))
+        with open(log, "a") as fh:
+            fh.write(f"{n} {trial} {os.getpid()}\n")
         return real(config, n, trial)
 
     monkeypatch.setattr(experiment, "_trial_cloud", counting)
+
+
+def read_draws(log):
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def test_explicit_reference_draws_each_cloud_once(tmp_path, monkeypatch):
     config = interval_config(reference="explicit", reference_centers=np.array([[0.5]]))
-    run_experiment(config)
-    assert sorted(drawn) == [(20, 0), (20, 1), (40, 0), (40, 1)]
+    for threads in ("1", "2"):
+        log = tmp_path / f"draws{threads}.txt"
+        with monkeypatch.context() as patch:
+            patch.setenv("MM_THREADS", threads)
+            log_draws(patch, log)
+            run_experiment(config)
+        drawn = read_draws(log)
+        assert sorted((n, trial) for n, trial, _ in drawn) == [(20, 0), (20, 1), (40, 0), (40, 1)]
+        pids = {pid for _, _, pid in drawn}
+        if threads == "1":
+            assert pids == {os.getpid()}
+        else:
+            # the pool is really used
+            assert pids - {os.getpid()}
+
+
+def test_trials_stay_in_process_beside_other_threads(tmp_path, monkeypatch):
+    # a fork would copy the other thread's state mid-operation, so trials
+    # run serially while the caller has threads of its own
+    log = tmp_path / "draws.txt"
+    monkeypatch.setenv("MM_THREADS", "2")
+    log_draws(monkeypatch, log)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        run_experiment(interval_config())
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    assert {pid for _, _, pid in read_draws(log)} == {os.getpid()}
+
+
+def test_no_worker_outlives_the_run(monkeypatch):
+    monkeypatch.setenv("MM_THREADS", "2")
+    run_experiment(interval_config())
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    # an error that escapes a trial in a worker process keeps its type and
+    # message, and the pool is joined before it is raised
+    real = experiment._trial_cloud
+
+    def failing(config, n, trial):
+        if trial == 1:
+            raise RuntimeError(f"trial 1 drawn in process {os.getpid()}")
+        return real(config, n, trial)
+
+    monkeypatch.setenv("MM_THREADS", "2")
+    monkeypatch.setattr(experiment, "_trial_cloud", failing)
+    with pytest.raises(RuntimeError, match=r"^trial 1 drawn in process \d+$") as info:
+        run_experiment(interval_config(trials=4))
+    assert str(info.value) != f"trial 1 drawn in process {os.getpid()}"
+    assert multiprocessing.active_children() == []

@@ -67,6 +67,19 @@ class TestMatrixBin:
         with pytest.raises(InvalidArgumentError):
             write_matrix_bin(tmp_path / "m.bin", np.zeros((2, 3)))
 
+    def test_empty_rejected(self, tmp_path):
+        # the writer accepts a 0 x 0 matrix; the reader names it, as the CSV reader does
+        path = tmp_path / "m.bin"
+        write_matrix_bin(path, np.zeros((0, 0)))
+        with pytest.raises(InvalidArgumentError, match=r"m\.bin: empty matrix file$"):
+            read_matrix_bin(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"MMSP\x03\x00")
+        with pytest.raises(InvalidArgumentError, match=r"m\.bin: truncated matrix header$"):
+            read_matrix_bin(path)
+
 
 class TestMatrixCsv:
     def test_round_trip_exact(self, tmp_path):

@@ -73,6 +73,12 @@ class TestSpaceConstruction:
         with pytest.raises(InvalidArgumentError):
             FiniteMetricMeasureSpace(["a"], d, np.array([0.5, 0.5]))
 
+    def test_uniform_needs_a_point(self):
+        with pytest.raises(InvalidArgumentError, match="^space needs at least one point$"):
+            FiniteMetricMeasureSpace.uniform([], np.zeros((0, 0)))
+        with pytest.raises(InvalidArgumentError, match="^0 labels for 2 points$"):
+            FiniteMetricMeasureSpace.uniform([], np.array([[0.0, 1.0], [1.0, 0.0]]))
+
 
 class TestMetricValidate:
     def test_asymmetry_witness(self):
@@ -91,6 +97,10 @@ class TestMetricValidate:
     def test_passes_on_true_metric(self):
         s = line_space([0.0, 0.3, 1.1, 2.0])
         assert metric_validate(s.dist).passes
+
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="^matrix needs at least one point$"):
+            metric_validate(np.zeros((0, 0)))
 
     def test_non_square_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -264,6 +265,18 @@ class TestWassersteinSpace:
             worker_count()
         monkeypatch.delenv("MM_THREADS")
         assert worker_count() >= 1
+        # unset, the cap is the CPUs this process may run on, not the host's
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        assert worker_count() == 3
+        monkeypatch.setenv("MM_THREADS", "5")
+        assert worker_count() == 5
+        monkeypatch.delenv("MM_THREADS")
+        # where affinity is not offered, the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert worker_count() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count() == 1
 
 
 class TestGroundMetric:
