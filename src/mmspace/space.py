@@ -30,6 +30,18 @@ _KERNEL_COLUMNS = 4096
 _BLOCK_ENTRIES = 1 << 16
 # metric_validate's passes work on row blocks of about this many entries
 _VALIDATE_ENTRIES = 1 << 16
+# A batch of one-center extensions of some sets goes through the cdist
+# screen when rows * _ROW_ENTRIES + entries >= _SCREEN_ENTRIES, with rows the
+# number of sets and entries = rows * candidates * n.  On a 2-vCPU x86 host a
+# screen call costs about 50 us plus 0.8 ns an entry, and each set with a
+# survivor about 15 us more, where the plain kernel path costs about 10 us a
+# set plus 1.7 ns an entry.  Timed against the plain path, one set breaks
+# even near n^2 = 72K (PAM near n = 270), and a group of 10 sets pays from
+# n = 12 up; at n = 9 with up to 7 sets a group, the screen was 18% slower
+_ROW_ENTRIES = 1 << 13
+_SCREEN_ENTRIES = 10 << 13
+# k_means_exact screens the children of a prefix in groups of this many rows
+_SCREEN_ROWS = 32
 
 # ----------------------------------------------------------------------------
 # metric validation
@@ -78,9 +90,15 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     the columns that reach it, and the magnitude is read from the witness
     entry itself, so signed zeros are the entry's.  The asymmetry |d - d.T|
     keeps its first argmax the same way, block by block with a strict >.
-    Both passes work on row blocks of about _VALIDATE_ENTRIES entries, with
-    at least n / 32 rows each so the loop over blocks stays O(32 n), and
-    hold no n x n temporary.
+
+    That exact pass runs only for an l whose bound ub[l] (_triangle_bounds,
+    scipy's C Chebyshev loop over pairs of columns) exceeds the running
+    maximum: ub[l] is at least every violation through l, so a skipped l
+    could not have raised the maximum, and the report, witnesses and signed
+    zeros included, is the one the pass over every l gives.  All passes work
+    on blocks of about _VALIDATE_ENTRIES entries, with at least n / 32 rows
+    or columns each so the loops over blocks stay O(32 n), and hold no n x n
+    temporary.
     """
     d = np.asarray(matrix, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -99,6 +117,9 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
 
     step = max(1, _VALIDATE_ENTRIES // n, -(-n // 32))
     blocks = [slice(s, min(s + step, n)) for s in range(0, n, step)]
+    # before buf, so the two column blocks of the bound pass are the largest
+    # arrays alive while it runs
+    ub = _triangle_bounds(d, blocks)
     buf = np.empty((min(step, n), n))
 
     a_mag = -math.inf
@@ -123,6 +144,8 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     t_w = (0, 0, 0)
     reach = np.empty(n)
     for l in range(n):
+        if not ub[l] > t_mag:
+            continue
         # reach[j] = max_i fl(d_ij - d_il), then fl(reach[j] - d_lj), the
         # largest violation through l in column j
         reach.fill(-math.inf)
@@ -148,6 +171,29 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
         triangle_witness=t_w if t_mag > 0 else None,
         passes=bool(max(a_mag, d_mag, n_mag, t_mag) <= tol),
     )
+
+
+def _triangle_bounds(d: np.ndarray, blocks: list) -> np.ndarray:
+    """ub[l] = max_j fl(cheb(l, j) - min(d_lj, d_jl)), at least every violation through l.
+
+    cheb(l, j) = max_i |fl(d_il - d_ij)| is the Chebyshev distance between
+    columns l and j, from scipy's C loop.  It is a rigorous bound with no
+    slack: a max does not round, fl(d_ij - d_il) = -fl(d_il - d_ij), so
+    fl(d_ij - d_il) <= cheb(l, j); and rounding is monotone, so
+    fl(fl(d_ij - d_il) - d_lj) <= fl(cheb(l, j) - min(d_lj, d_jl)).  The
+    bound of (l, j) is that of (j, l), so only column block pairs J >= I are
+    computed, each updating the bounds of both blocks.
+    """
+    ub = np.full(d.shape[0], -math.inf)
+    for bi, rows in enumerate(blocks):
+        left = np.ascontiguousarray(d[:, rows].T)
+        for cols in blocks[bi:]:
+            # the right block is a temporary: at most two column blocks live
+            pen = cdist(left, left if cols == rows else np.ascontiguousarray(d[:, cols].T), "chebyshev")
+            pen -= np.minimum(d[rows, cols], d[cols, rows].T)
+            np.maximum(ub[rows], pen.max(axis=1), out=ub[rows])
+            np.maximum(ub[cols], pen.max(axis=0), out=ub[cols])
+    return ub
 
 
 def _triangle_witness(d: np.ndarray, blocks: list, l: int, cols: np.ndarray, top: float) -> tuple:
@@ -312,15 +358,104 @@ def _weighted_row_sums(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _joined_costs(pw: np.ndarray, w: np.ndarray, served: np.ndarray, first: int = 0) -> np.ndarray:
-    """Cost, for every point c >= first, of c joining a set whose powered distances are served.
+class _Extensions:
+    """One solve's powered matrix pw = dist**p and weights w, with the screen's data.
 
-    pw is dist**p.  dist is exactly symmetric, so row c of pw holds the
-    powered distances to c, and t -> t**p is monotone, so the joined set's
-    powered distances are min(served, pw[c]).  Entry i of the result is the
-    cost for c = first + i.  Rows are taken as contiguous slices, in blocks
-    of about _BLOCK_ENTRIES entries.
+    pww = pw * w holds w_i * pw[c, i] in row c, and rsum[c] its row sum, the
+    weighted cost of c alone; both are built on the first batch the screen
+    takes, once per solve.  The screen stays off for the whole solve when
+    rsum is not finite with room to spare: dist**p overflowed to inf (then
+    pww holds inf, or nan under a zero weight), or a row sum did.
     """
+
+    def __init__(self, pw: np.ndarray, w: np.ndarray):
+        self.pw = pw
+        self.w = w
+        self.pww = None
+        self.rsum = None
+        self._finite = None
+        # whether a single set's batch of all n candidates is worth screening
+        self.wide = self.screens(1, pw.shape[0])
+
+    def screens(self, rows: int, candidates: int) -> bool:
+        """Whether the candidates of rows sets are worth screening (see _SCREEN_ENTRIES)."""
+        return rows * (_ROW_ENTRIES + candidates * self.pw.shape[0]) >= _SCREEN_ENTRIES
+
+    def finite(self) -> bool:
+        """Whether the screen may run in this solve; builds pww and rsum on the first call."""
+        if self._finite is None:
+            with np.errstate(invalid="ignore", over="ignore"):
+                pww = self.pw * self.w
+                rsum = pww.sum(axis=1)
+            self._finite = math.isfinite(4.0 * float(rsum.max()))
+            if self._finite:
+                self.pww, self.rsum = pww, rsum
+        return self._finite
+
+
+# The screen.  For w_i >= 0, w_i min(s_i, y_i) = (w_i s_i + w_i y_i - |w_i s_i - w_i y_i|) / 2,
+# so the cost of c joining a set that serves s (y = pw[c]) is
+#     T_c = (S + R_c - L_c) / 2,  S = sum_i w_i s_i,  R_c = rsum[c],  L_c = ||w * s - pww[c]||_1,
+# and L_c for a whole batch is one cdist "cityblock" call on contiguous rows of
+# pww.  Error bound, with u = 2^-53 and gamma_m = m u / (1 - m u), every term
+# nonnegative, and S + R_c written B_c:
+#   - the kernel sums n rounded products in some order, so its K_c is within
+#     gamma_n T_c <= gamma_n B_c / 2 of T_c;
+#   - S (summed from the rounded w_i s_i) and R_c are such sums as well: each
+#     is within gamma_n of itself;
+#   - each |x_i - y_i| cdist adds up comes from two rounded products and one
+#     rounded difference, within (2u + u^2)(x_i + y_i) of the exact one, and
+#     its n - 1 additions put the computed L_c within gamma_{n+2} B_c of L_c;
+#   - (S + R_c - L_c) * 0.5 rounds an add and a subtract of values below
+#     1.01 B_c, within 1.01 u B_c together after the exact halving.
+# So the screen's approx_c is within (n + 2.1) u B_c of T_c, and within
+# (1.5 n + 2.2) u B_c of K_c.  err_c = 4 (n + 3) u B_c is larger by
+# (2.5 n + 9.8) u B_c, which absorbs the rounding of err_c itself and of
+# approx_c -/+ err_c (under 0.6 u B_c each).  Products that underflow lose up
+# to 2^-1075 apiece with no relative bound, about 3 n of them across screen
+# and kernel; the term (n + 3) 2^-1070 covers them.  Hence, for every c,
+#     fl(approx_c - err_c) < K_c < fl(approx_c + err_c).
+def _screen(ext: _Extensions, served: np.ndarray, first: int, thresh: float, least: bool = False, skip=None):
+    """Lower bounds on the costs of the one-center extensions of the sets served[r].
+
+    Row r of served holds the powered distances a finite set serves; that
+    set takes the candidates c = first + r, ..., n - 1.  Returns low, where
+    low[r, j] = fl(approx - err) for candidate first + j of set r, which by
+    the bound above is below its kernel cost, or inf where the candidate is
+    dropped: where low > thresh, so that its kernel cost is above thresh,
+    and for j < r.  With least (one row), thresh is first lowered to
+    min(approx + err) over the candidates not in skip, which is above the
+    smallest kernel cost among them: what is dropped then costs strictly
+    more than that smallest cost, and every candidate that reaches it
+    survives.  Candidates in skip (an index array) are always dropped.
+    Everything is computed doubled, which rounds the same, to save a pass.
+    """
+    n = ext.pw.shape[0]
+    served_w = served * ext.w
+    both = ext.rsum[first:] + served_w.sum(axis=1)[:, None]
+    low = cdist(served_w, ext.pww[first:], "cityblock")
+    np.subtract(both, low, out=low)
+    err = both
+    err *= (n + 3) * 2.0**-50
+    err += (n + 3) * 2.0**-1069
+    thresh = 2.0 * thresh
+    if least:
+        reach = low + err
+        reach[:, skip - first] = math.inf
+        thresh = min(thresh, float(reach.min()))
+    low -= err
+    low[low > thresh] = math.inf
+    if served.shape[0] > 1:
+        low[np.tri(*low.shape, -1, dtype=bool)] = math.inf
+    if skip is not None:
+        low[:, skip - first] = math.inf
+    low *= 0.5
+    return low
+
+
+def _plain_costs(ext: _Extensions, served: np.ndarray, first: int) -> np.ndarray:
+    """Kernel cost of every c >= first joining a set that serves served, in blocks."""
+    pw, w = ext.pw, ext.w
     n = pw.shape[0]
     step = max(1, _BLOCK_ENTRIES // n)
     if n - first <= step:
@@ -328,6 +463,38 @@ def _joined_costs(pw: np.ndarray, w: np.ndarray, served: np.ndarray, first: int 
     return np.concatenate(
         [_weighted_row_sums(np.minimum(served, pw[s:s + step]), w) for s in range(first, n, step)]
     )
+
+
+def _survivor_costs(ext: _Extensions, served: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Kernel cost of every c in cand joining a set that serves served, in blocks."""
+    step = max(1, _BLOCK_ENTRIES // ext.pw.shape[0])
+    costs = np.empty(cand.size)
+    for s in range(0, cand.size, step):
+        rows = ext.pw[cand[s:s + step]]
+        costs[s:s + step] = _weighted_row_sums(np.minimum(served, rows, out=rows), ext.w)
+    return costs
+
+
+def _joined_costs(ext: _Extensions, served: np.ndarray, skip: np.ndarray, thresh: float = math.inf) -> np.ndarray:
+    """Cost, for every point c, of c joining a set whose powered distances are served.
+
+    pw is dist**p.  dist is exactly symmetric, so row c of pw holds the
+    powered distances to c, and t -> t**p is monotone, so the joined set's
+    powered distances are min(served, pw[c]).  When n is large enough for
+    the screen to pay (ext.wide, see _SCREEN_ENTRIES) and served is finite,
+    the batch goes through _screen in least mode with thresh and skip: the
+    entries it drops are inf, and the kernel costs the rest.  Otherwise the
+    kernel costs every point.  Either way each entry is inf or the kernel's
+    cost, and every point outside skip whose cost is the smallest there, and
+    at most thresh, has its kernel cost.
+    """
+    n = ext.pw.shape[0]
+    if not (ext.wide and math.isfinite(served.max()) and ext.finite()):
+        return _plain_costs(ext, served, 0)
+    cand = np.flatnonzero(_screen(ext, served[None, :], 0, thresh, True, skip)[0] < math.inf)
+    costs = np.full(n, math.inf)
+    costs[cand] = _survivor_costs(ext, served, cand)
+    return costs
 
 
 def clustering_cost(space: FiniteMetricMeasureSpace, centers, p: float = 2.0) -> float:
@@ -359,12 +526,19 @@ def k_means_exact(
     The powered matrix pw = dist**p is built once, and the sets are searched
     depth first over their sorted prefixes.  A prefix q costs every set
     q + (c,) with c > q[-1] in one step: dist is exactly symmetric, so those
-    sets serve min(served_q, pw[c]), contiguous rows of pw.  Prefixes one
-    center short of k take these rows from _joined_costs, in bounded blocks.
-    Shorter prefixes keep their block, because its row i is what child i
-    serves; at the root the block is pw itself.  Every row is reduced by
-    _weighted_row_sums, so a set costs the same bits here as in
-    clustering_cost and PAM, whatever the search order.
+    sets serve min(served_q, pw[c]), contiguous rows of pw.  Shorter
+    prefixes keep their block, because its row i is what child i serves; at
+    the root the block is pw itself.  The children of a prefix two centers
+    short of k cost the leaves, the sets of size k, and go through the cdist
+    screen in groups of _SCREEN_ROWS, once a group is large enough to pay
+    (_SCREEN_ENTRIES): one call bounds every leaf of the group, and each
+    child then has the kernel cost only the leaves whose lower bound is
+    within the tie threshold best * (1 + tie_tol) at that moment.  By the
+    error bound above _screen a dropped leaf costs more than that threshold,
+    so it could neither lower best nor tie it.  Every cost that is compared
+    or reported comes from _weighted_row_sums, so a set costs the same bits
+    here as in clustering_cost and PAM, whatever the search order, and the
+    objective and family are those of costing every set.
     """
     p = _check_p(p)
     if k < 1:
@@ -380,21 +554,43 @@ def k_means_exact(
         )
     pw = space.dist**p
     w = space.weights
+    ext = _Extensions(pw, w)
     depth = min(k, n)
+    group = max(1, min(_SCREEN_ROWS, _BLOCK_ENTRIES // n))
 
     best = math.inf
     kept: list[tuple[float, tuple]] = []
 
-    def collect(costs, q, first):
-        # costs[i] is the cost of q + (first + i,); a batch whose minimum is
-        # above the tie threshold can neither lower best nor tie it
+    def collect(costs, q, first, cand=None):
+        # costs[i] is the cost of q + (first + i,), or of q + (cand[i],); a
+        # batch whose minimum is above the tie threshold can neither lower
+        # best nor tie it
         nonlocal best
         low = float(costs.min())
         if low > best * (1.0 + tie_tol):
             return
         best = min(best, low)
         for i in np.flatnonzero(costs <= best * (1.0 + tie_tol)).tolist():
-            kept.append((float(costs[i]), q + (first + i,)))
+            kept.append((float(costs[i]), q + ((first + i) if cand is None else int(cand[i]),)))
+
+    def leaves(q, block, first):
+        # child q + (c,) serves block[c - first] and costs its sets
+        # q + (c, c') for c' > c; the children are screened in groups of rows
+        for g0 in range(first, n - 1, group):
+            g1 = min(g0 + group, n - 1)
+            served = block[g0 - first:g1 - first]
+            if not (ext.screens(g1 - g0, n - g0 - 1) and ext.finite()):
+                for c in range(g0, g1):
+                    collect(_plain_costs(ext, served[c - g0], c + 1), q + (c,), c + 1)
+                continue
+            low = _screen(ext, served, g0 + 1, best * (1.0 + tie_tol))
+            # the threshold only falls while the group is costed, so each
+            # child keeps the candidates whose bound is within it then
+            for r, floor in enumerate(low.min(axis=1).tolist()):
+                thresh = best * (1.0 + tie_tol)
+                if floor <= thresh:
+                    cand = g0 + 1 + np.flatnonzero(low[r] <= thresh)
+                    collect(_survivor_costs(ext, served[r], cand), q + (g0 + r,), 0, cand)
 
     def expand(q, block, first):
         # block[i] holds the powered distances served by q + (first + i,);
@@ -402,13 +598,11 @@ def k_means_exact(
         collect(_weighted_row_sums(block, w), q, first)
         if len(q) + 1 == depth:
             return
-        # children one center short of k cost their own children in blocks
-        leaf = len(q) + 2 == depth
+        if len(q) + 2 == depth:
+            leaves(q, block, first)
+            return
         for c in range(first, n - 1):
-            if leaf:
-                collect(_joined_costs(pw, w, block[c - first], c + 1), q + (c,), c + 1)
-            else:
-                expand(q + (c,), np.minimum(block[c - first], pw[c + 1:]), c + 1)
+            expand(q + (c,), np.minimum(block[c - first], pw[c + 1:]), c + 1)
 
     expand((), pw, 0)
 
@@ -422,17 +616,23 @@ def k_means_exact(
     )
 
 
-def _greedy_build(pw: np.ndarray, w: np.ndarray, k: int) -> list:
+def _greedy_build(ext: _Extensions, k: int) -> list:
     """Classic greedy build: repeatedly add the point lowering cost the most.
 
     Each step costs every point in one vectorised pass; ties go to the
-    lowest index that is not yet a center.
+    lowest index that is not yet a center.  Steps after the first go
+    through _joined_costs' screen in least mode: a point is dropped only
+    when its kernel cost is provably above the smallest one among the
+    points that are not centers, so the first argmin over the survivors is
+    the first argmin over all.  The first step serves inf everywhere and
+    costs every point.
     """
+    pw = ext.pw
     n = pw.shape[0]
     centers: list[int] = []
     served = np.full(n, np.inf)
     for _ in range(k):
-        costs = _joined_costs(pw, w, served)
+        costs = _joined_costs(ext, served, np.asarray(centers, dtype=np.intp))
         costs[centers] = np.inf
         best_x = int(np.argmin(costs))
         centers.append(best_x)
@@ -440,18 +640,23 @@ def _greedy_build(pw: np.ndarray, w: np.ndarray, k: int) -> list:
     return centers
 
 
-def _swap_descent(pw: np.ndarray, w: np.ndarray, centers: list) -> tuple:
+def _swap_descent(ext: _Extensions, centers: list) -> tuple:
     """Swap medoids until no single swap improves the cost.
 
-    pw is dist**p.  Each pass costs, center by center, every swap of that
-    center for an outside point, and takes the first strict improvement on
-    the best so far: the first argmin in center-then-outside order.  The
+    ext holds pw = dist**p.  Each pass costs, center by center, every swap of
+    that center for an outside point, and takes the first strict improvement
+    on the best so far: the first argmin in center-then-outside order.  A
+    center's batch goes through _joined_costs' screen in least mode with the
+    best so far as threshold: an outside point is dropped only when its
+    kernel cost is provably above the batch's smallest or the best so far,
+    so it could be neither the first argmin nor an improvement.  The
     acceptance baseline is carried over from the last accepted swap, not
     recomputed from the new centers.  Both routes reduce the same row with
     the same kernel and agree bit for bit, but the carried baseline alone
     guarantees that the cost strictly falls from pass to pass, so exactly
     tied center sets can never oscillate.
     """
+    pw, w = ext.pw, ext.w
     n = pw.shape[0]
     centers = list(centers)
     carried = None
@@ -476,7 +681,7 @@ def _swap_descent(pw: np.ndarray, w: np.ndarray, centers: list) -> tuple:
         best_cost = carried
         best_swap = None
         for ci, c in enumerate(centers):
-            costs = _joined_costs(pw, w, np.where(near == c, d2, d1))[outside]
+            costs = _joined_costs(ext, np.where(near == c, d2, d1), idx, best_cost)[outside]
             j = int(np.argmin(costs))
             if costs[j] < best_cost:
                 best_cost = float(costs[j])
@@ -507,17 +712,16 @@ def k_means_pam(
         raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise InvalidArgumentError("restarts must be >= 1")
-    pw = space.dist**p
-    w = space.weights
+    ext = _Extensions(space.dist**p, space.weights)
 
     results = []
     for r in range(restarts):
         if r == 0:
-            init = _greedy_build(pw, w, k)
+            init = _greedy_build(ext, k)
         else:
             rng = np.random.default_rng([seed & 0xFFFFFFFF, r])
             init = list(rng.choice(n, size=k, replace=False))
-        centers, cost = _swap_descent(pw, w, init)
+        centers, cost = _swap_descent(ext, init)
         results.append((cost, tuple(sorted(centers))))
 
     best = min(c for c, _ in results)

@@ -118,7 +118,11 @@ def wasserstein_distance(ground: np.ndarray, a: DiscreteMeasure, b: DiscreteMeas
     other pair by the transportation LP.  Both are exact.  The closed forms
     live in the tests as an independent route.
     """
-    g = _check_ground(ground)
+    return _wasserstein(_check_ground(ground), a, b, p)
+
+
+def _wasserstein(g: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float) -> float:
+    """wasserstein_distance on a ground metric g that _check_ground has passed."""
     p = float(p)
     if not (p >= 1.0 and math.isfinite(p)):
         raise InvalidArgumentError(f"p must be >= 1, got {p!r}")
@@ -161,9 +165,9 @@ def wasserstein_space(
 ) -> FiniteMetricMeasureSpace:
     """Uniformly weighted space of measures under pairwise Wasserstein distances.
 
-    Pairs are solved one after another in upper-triangle order and both
-    triangle halves are filled from the same solve, so the matrix is exactly
-    symmetric.
+    The ground metric is checked once.  Pairs are solved one after another
+    in upper-triangle order and both triangle halves are filled from the same
+    solve, so the matrix is exactly symmetric.
     """
     measures = list(measures)
     m = len(measures)
@@ -173,7 +177,7 @@ def wasserstein_space(
     d = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            d[i, j] = d[j, i] = wasserstein_distance(g, measures[i], measures[j], p)
+            d[i, j] = d[j, i] = _wasserstein(g, measures[i], measures[j], p)
     labels = [f"measure_{i}" for i in range(m)]
     return FiniteMetricMeasureSpace(labels, d, np.full(m, 1.0 / m))
 

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from mmspace import FiniteMetricMeasureSpace, MetricReport, enlarged_cell, voronoi_cells
+from mmspace import CenterSet, FiniteMetricMeasureSpace, KMeansSolution, MetricReport, enlarged_cell, voronoi_cells
+from mmspace.space import _BLOCK_ENTRIES, _enum_count, _weighted_row_sums
 
 
 def brute_cost(space, subset, p):
@@ -281,3 +282,122 @@ def metric_validate_oracle(matrix, tol=None):
         triangle_witness=t_w if t_mag > 0 else None,
         passes=bool(max(a_mag, d_mag, n_mag, t_mag) <= tol),
     )
+
+
+def joined_costs_oracle(pw, w, served, first=0):
+    """Kernel cost of every c >= first joining a set that serves `served`, every row costed."""
+    n = pw.shape[0]
+    step = max(1, _BLOCK_ENTRIES // n)
+    return np.concatenate(
+        [_weighted_row_sums(np.minimum(served, pw[s:s + step]), w) for s in range(first, n, step)]
+    )
+
+
+def k_means_exact_oracle(space, k, p=2.0, tie_tol=1e-9):
+    """k_means_exact with no screen: the depth-first prefix search costing every set.
+
+    Same kernel, same search order, same tie rule, so its objective and
+    family are what the screened solver must give bit for bit.
+    """
+    n = space.n
+    assert _enum_count(n, k) <= 2_000_000
+    pw = space.dist**p
+    w = space.weights
+    depth = min(k, n)
+    best = math.inf
+    kept = []
+
+    def collect(costs, q, first):
+        nonlocal best
+        low = float(costs.min())
+        if low > best * (1.0 + tie_tol):
+            return
+        best = min(best, low)
+        for i in np.flatnonzero(costs <= best * (1.0 + tie_tol)).tolist():
+            kept.append((float(costs[i]), q + (first + i,)))
+
+    def expand(q, block, first):
+        collect(_weighted_row_sums(block, w), q, first)
+        if len(q) + 1 == depth:
+            return
+        leaf = len(q) + 2 == depth
+        for c in range(first, n - 1):
+            if leaf:
+                collect(joined_costs_oracle(pw, w, block[c - first], c + 1), q + (c,), c + 1)
+            else:
+                expand(q + (c,), np.minimum(block[c - first], pw[c + 1:]), c + 1)
+
+    expand((), pw, 0)
+    final_thresh = best * (1.0 + tie_tol)
+    minimizers = sorted(combo for c, combo in kept if c <= final_thresh)
+    return KMeansSolution([CenterSet.of(m) for m in minimizers], best, "exact", tie_tol)
+
+
+def greedy_build_oracle(pw, w, k):
+    """Greedy build costing every point at every step; ties to the lowest non-center."""
+    n = pw.shape[0]
+    centers = []
+    served = np.full(n, np.inf)
+    for _ in range(k):
+        costs = joined_costs_oracle(pw, w, served)
+        costs[centers] = np.inf
+        best_x = int(np.argmin(costs))
+        centers.append(best_x)
+        np.minimum(served, pw[best_x], out=served)
+    return centers
+
+
+def swap_descent_oracle(pw, w, centers):
+    """Swap descent costing every swap of every center: the first strict
+    improvement on the carried best, in center-then-outside order."""
+    n = pw.shape[0]
+    centers = list(centers)
+    carried = None
+    while True:
+        idx = np.asarray(centers, dtype=np.intp)
+        sub = pw[idx]
+        order = np.argsort(sub, axis=0, kind="stable")
+        cols = np.arange(n)
+        d1 = sub[order[0], cols]
+        near = idx[order[0]]
+        d2 = sub[order[1], cols] if len(centers) > 1 else np.full(n, np.inf)
+        cost = float(_weighted_row_sums(d1[None, :], w)[0])
+        if carried is None:
+            carried = cost
+        out_mask = np.ones(n, dtype=bool)
+        out_mask[idx] = False
+        outside = np.flatnonzero(out_mask)
+        if outside.size == 0:
+            return centers, cost
+        best_cost = carried
+        best_swap = None
+        for ci, c in enumerate(centers):
+            costs = joined_costs_oracle(pw, w, np.where(near == c, d2, d1))[outside]
+            j = int(np.argmin(costs))
+            if costs[j] < best_cost:
+                best_cost = float(costs[j])
+                best_swap = (ci, int(outside[j]))
+        if best_swap is None:
+            return centers, cost
+        centers[best_swap[0]] = best_swap[1]
+        carried = best_cost
+
+
+def k_means_pam_oracle(space, k, p=2.0, restarts=10, seed=0, tie_tol=1e-9):
+    """k_means_pam on greedy_build_oracle and swap_descent_oracle."""
+    n = space.n
+    pw = space.dist**p
+    w = space.weights
+    results = []
+    for r in range(restarts):
+        if r == 0:
+            init = greedy_build_oracle(pw, w, k)
+        else:
+            rng = np.random.default_rng([seed & 0xFFFFFFFF, r])
+            init = list(rng.choice(n, size=k, replace=False))
+        centers, cost = swap_descent_oracle(pw, w, init)
+        results.append((cost, tuple(sorted(centers))))
+    best = min(c for c, _ in results)
+    thresh = best * (1.0 + tie_tol)
+    families = sorted(set(m for c, m in results if c <= thresh))
+    return KMeansSolution([CenterSet.of(m) for m in families], best, "heuristic", tie_tol)

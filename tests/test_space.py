@@ -20,17 +20,25 @@ from mmspace import (
     InvalidArgumentError,
     clustering_cost,
     hausdorff_distance,
+    isomap_distance_matrix,
     k_means_exact,
     k_means_pam,
     metric_validate,
     one_sided_center_deviation,
+    sample,
 )
 from mmspace import geodesic
 from mmspace import space as space_module
 from mmspace.fpp import EdgeWeightLaw, FppInstance, scaled_space
 from mmspace.space import _KERNEL_COLUMNS, _enum_count, _weighted_row_sums
 
-from helpers import brute_kmeans, metric_validate_oracle, random_space
+from helpers import (
+    brute_kmeans,
+    k_means_exact_oracle,
+    k_means_pam_oracle,
+    metric_validate_oracle,
+    random_space,
+)
 
 
 def line_space(coords, weights=None):
@@ -428,30 +436,59 @@ class TestKMeansExact:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     @pytest.mark.parametrize("block_rows", [None, 2])
-    def test_every_set_costed_exactly_once(self, monkeypatch, n, block_rows):
+    @pytest.mark.parametrize("tie_tol", [0.0, 1e-9, 0.3])
+    def test_every_set_screened_or_costed_exactly_once(self, monkeypatch, n, block_rows, tie_tol):
         # distinct points put a zero in a set's served row exactly at its
-        # centers, so every row the kernel reduces names the set it costs
+        # centers, so every row the screen or the kernel sees names its set
         rng = np.random.default_rng(n)
         space, _ = random_space(rng, n)
+        every = {}
+        for j in range(1, n + 1):
+            for s in itertools.combinations(range(n), j):
+                every[s] = clustering_cost(space, s, 2.0)
         if block_rows is not None:
             monkeypatch.setattr(space_module, "_BLOCK_ENTRIES", block_rows * n)
-        kernel = space_module._weighted_row_sums
-        costed = []
+        # every group of prefixes takes the screen, however small
+        monkeypatch.setattr(space_module, "_SCREEN_ENTRIES", 0)
+        kernel, screen = space_module._weighted_row_sums, space_module._screen
+        costed, screened, kept = [], [], []
 
-        def naming(rows, w):
+        def naming_kernel(rows, w):
             costed.extend(tuple(np.flatnonzero(row == 0.0).tolist()) for row in rows)
             return kernel(rows, w)
 
-        monkeypatch.setattr(space_module, "_weighted_row_sums", naming)
+        def naming_screen(ext, served, first, *args):
+            low = screen(ext, served, first, *args)
+            for r, row in enumerate(served):
+                q = tuple(np.flatnonzero(row == 0.0).tolist())
+                for c in range(first + r, n):
+                    screened.append(q + (c,))
+                    if low[r, c - first] < math.inf:
+                        kept.append(q + (c,))
+            return low
+
+        monkeypatch.setattr(space_module, "_weighted_row_sums", naming_kernel)
+        monkeypatch.setattr(space_module, "_screen", naming_screen)
+        dropped = 0
         for k in range(1, n + 2):
-            costed.clear()
-            sol = k_means_exact(space, k, 2.0)
-            assert len(costed) == _enum_count(n, k)
-            every = [s for j in range(1, min(k, n) + 1) for s in itertools.combinations(range(n), j)]
-            assert sorted(costed) == sorted(every)
-            obj, tied = brute_kmeans(space, k, 2.0)
+            for log in (costed, screened, kept):
+                log.clear()
+            sol = k_means_exact(space, k, 2.0, tie_tol=tie_tol)
+            dropped += len(screened) - len(kept)
+            sizes = [s for s in every if len(s) <= k]
+            unscreened = [s for s in costed if s not in set(screened)]
+            # each set is screened or costed without a screen, exactly once
+            assert len(screened) + len(unscreened) == _enum_count(n, k)
+            assert sorted(screened + unscreened) == sorted(sizes)
+            assert len(set(costed)) == len(costed)
+            # the kernel costs only what the screen kept, and everything
+            # within the tie threshold of the objective
+            assert set(costed) & set(screened) <= set(kept)
+            assert {s for s in sizes if every[s] <= sol.objective * (1.0 + tie_tol)} <= set(costed)
+            obj, tied = brute_kmeans(space, k, 2.0, tie_tol=tie_tol)
             assert sol.objective == pytest.approx(obj, rel=1e-12, abs=1e-15)
             assert {m.indices for m in sol.minimizers} == tied
+        assert dropped > 0 or n < 9
 
     def test_budget_guard(self):
         rng = np.random.default_rng(1)
@@ -519,6 +556,129 @@ class TestKMeansPam:
         with pytest.raises(InvalidArgumentError):
             k_means_pam(space, 1, 2.0, restarts=0)
 
+
+
+def solution_bits(sol):
+    return np.float64(sol.objective).tobytes(), [m.indices for m in sol.minimizers]
+
+
+def oracle_space(kind, n, rng):
+    """The spaces the screened solvers are held to their unscreened parents on."""
+    if kind == "random":
+        return random_space(rng, n)[0]
+    if kind == "integer_ties":
+        d = rng.integers(1, 4, size=(n, n)).astype(float)
+        d = np.minimum(d, d.T)
+        np.fill_diagonal(d, 0.0)
+        return FiniteMetricMeasureSpace.uniform(list(range(n)), d)
+    if kind == "zero_weights":
+        x = np.round(rng.uniform(size=n), 1)
+        w = rng.uniform(size=n)
+        w[rng.random(n) < 0.3] = 0.0
+        w[0] = 1.0
+        return FiniteMetricMeasureSpace(list(range(n)), np.abs(x[:, None] - x[None, :]), w / w.sum())
+    if kind == "circle_isomap":
+        cloud = sample("circle", n, int(rng.integers(1000)))
+        return FiniteMetricMeasureSpace.uniform(list(range(n)), isomap_distance_matrix(cloud, 2.5))
+    if kind == "overflow":
+        # dist**p is inf for p >= 2, nan under the zero weight in the kernel
+        space = random_space(rng, n)[0]
+        w = space.weights.copy()
+        w[1] = 0.0
+        return FiniteMetricMeasureSpace(space.labels, space.dist * 1e200, w / w.sum())
+    raise ValueError(kind)
+
+
+class TestScreenedSolversMatchParent:
+    """Objective bits and families of the screened solvers are those of costing every candidate."""
+
+    @pytest.mark.parametrize("kind", ["random", "integer_ties", "zero_weights", "circle_isomap", "overflow"])
+    @pytest.mark.parametrize("screen_all", [False, True])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_exact_and_pam(self, monkeypatch, kind, screen_all):
+        if screen_all:
+            monkeypatch.setattr(space_module, "_SCREEN_ENTRIES", 0)
+        rng = np.random.default_rng(len(kind))
+        for n, ks in ((7, (1, 2, 3, 4)), (16, (1, 2, 3, 4)), (40, (2, 3))):
+            space = oracle_space(kind, n, rng)
+            for p in (1.0, 1.5, 2.0, 3.0):
+                for k in ks:
+                    for tie_tol in (0.0, 1e-9):
+                        got = k_means_exact(space, k, p, tie_tol=tie_tol)
+                        want = k_means_exact_oracle(space, k, p, tie_tol=tie_tol)
+                        assert solution_bits(got) == solution_bits(want), (n, p, k, tie_tol)
+                    got = k_means_pam(space, k, p, restarts=3, seed=k)
+                    want = k_means_pam_oracle(space, k, p, restarts=3, seed=k)
+                    assert solution_bits(got) == solution_bits(want), (n, p, k)
+
+    @pytest.mark.parametrize("kind", ["random", "integer_ties", "circle_isomap"])
+    def test_at_the_crossover_sizes(self, kind):
+        # past the measured crossover, with the default constants: PAM's swap
+        # batches and the exact leaves both take the screen
+        rng = np.random.default_rng(len(kind) + 50)
+        space = oracle_space(kind, 300, rng)
+        assert space_module._Extensions(space.dist, space.weights).wide
+        for p in (1.0, 2.0):
+            got = k_means_exact(space, 2, p, tie_tol=0.0)
+            assert solution_bits(got) == solution_bits(k_means_exact_oracle(space, 2, p, tie_tol=0.0))
+            got = k_means_pam(space, 4, p, restarts=2, seed=3)
+            assert solution_bits(got) == solution_bits(k_means_pam_oracle(space, 4, p, restarts=2, seed=3))
+
+
+class TestScreenBound:
+    """fl(approx - err) < kernel cost < fl(approx + err) for every candidate, at every scale."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-300, 1e100])
+    @pytest.mark.parametrize("n", [3, 40, 300])
+    def test_bounds_bracket_the_kernel(self, scale, n):
+        rng = np.random.default_rng(n)
+        space, _ = random_space(rng, n)
+        w = space.weights.copy()
+        w[rng.random(n) < 0.2] = 0.0
+        pw = (space.dist * scale) ** 2.0
+        ext = space_module._Extensions(pw, w)
+        assert ext.finite()
+        for size in (1, 2, 3):
+            first = int(rng.integers(0, n))
+            served = np.stack([
+                pw[rng.choice(n, size=size, replace=False)].min(axis=0) for _ in range(min(5, n - first))
+            ])
+            low = space_module._screen(ext, served, first, math.inf)
+            for r in range(served.shape[0]):
+                cand = np.arange(first + r, n)
+                costs = _weighted_row_sums(np.minimum(served[r], pw[cand]), w)
+                assert np.all(low[r, r:] < costs)
+                assert np.all(low[r, :r] == math.inf)
+            # least mode keeps every candidate that reaches the smallest cost
+            skip = np.sort(rng.choice(n, size=min(2, n - 1), replace=False))
+            keep = space_module._screen(ext, served[:1], 0, math.inf, True, skip)[0] < math.inf
+            costs = _weighted_row_sums(np.minimum(served[0], pw), w)
+            costs[skip] = math.inf
+            assert keep[costs == costs.min()].all()
+            assert not keep[skip].any()
+
+
+class TestSolverMemory:
+    """A solve may hold dist**p and the screen's weighted copy, but no third n x n array."""
+
+    @pytest.mark.parametrize("solve", ["exact", "pam"])
+    def test_no_third_full_array(self, solve):
+        n = 600
+        x = np.random.default_rng(5).uniform(size=n)
+        space = line_space(x)
+        tracemalloc.start()
+        try:
+            if solve == "exact":
+                sol = k_means_exact(space, 2, 2.0)
+            else:
+                sol = k_means_pam(space, 4, 2.0, restarts=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.objective > 0.0
+        # pw and pww are two n x n arrays; the screen's groups add a few
+        # blocks of rows
+        assert peak < 3 * 8 * n * n
 
 class TestHausdorff:
     def test_identical_sets(self):

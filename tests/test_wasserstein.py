@@ -133,6 +133,25 @@ class TestWassersteinDistance:
                 wasserstein_space([a, b], ground, 2.0)
 
 
+    def test_space_checks_the_ground_once(self, monkeypatch):
+        # the space's matrix is wasserstein_distance pair by pair, bit for
+        # bit, with one check of the whole ground instead of one per pair
+        rng = np.random.default_rng(6)
+        space, _ = random_space(rng, 24)
+        measures = [DiscreteMeasure.from_points(range(s, s + m)) for s, m in ((0, 4), (4, 6), (10, 3), (13, 5), (18, 6))]
+        measures.append(DiscreteMeasure((0, 5, 9, 20), np.array([0.1, 0.2, 0.3, 0.4])))
+        want = [[wasserstein_distance(space.dist, a, b, 2.0) for b in measures] for a in measures]
+        check = wasserstein._check_ground
+        calls = []
+        monkeypatch.setattr(wasserstein, "_check_ground", lambda g: calls.append(1) or check(g))
+        got = wasserstein_space(measures, space.dist, 2.0)
+        assert len(calls) == 1
+        for i in range(len(measures)):
+            for j in range(len(measures)):
+                if i != j:
+                    assert got.dist[i, j].tobytes() == np.float64(want[min(i, j)][max(i, j)]).tobytes()
+
+
 def _forbidden(*args, **kwargs):
     raise AssertionError("this pair must not reach this solver")
 
