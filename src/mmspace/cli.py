@@ -2,11 +2,15 @@
 
 Every subcommand is a thin shell around one library call: parse, run, write.
 Outputs are byte-deterministic for fixed arguments and seed, regardless of
-MM_THREADS, so runs can be diffed.  `mm experiment` runs its trials in forked
-worker processes, at most MM_THREADS of them, on Linux and serially
-elsewhere, with byte-identical output either way.  JSON goes through sorted
-keys and repr round-trip floats; matrices use the shared CSV and binary
-writers.
+MM_THREADS, so runs can be diffed.  On Linux some calls split their work
+across forked worker processes (_fork.fork_join), at most MM_THREADS of
+them: `mm experiment` its trials, and past measured crossovers the matrix
+CSV read of `mm validate`, `kmeans` and `voronoi` (files of 2 MiB or more),
+`mm kmeans --pam` its restarts (restarts * k * n^2 of 3 * 2^20 or more) and
+`mm validate` its triangle bound pass (n^3 of 2^26 or more).  Elsewhere, or
+below the crossovers, they run serially, with byte-identical output either
+way; a bad MM_THREADS exits 2 at every size.  JSON goes through sorted keys
+and repr round-trip floats; matrices use the shared CSV and binary writers.
 
 Exit codes: 0 ok, 2 invalid input, 3 enumeration budget or graph size
 limit exceeded, 4 disconnected graph.

@@ -4,11 +4,11 @@ A config names a generator, a metric method, k-means settings, sample sizes,
 and a trial count.  Each (size, trial) cell draws its own cloud from a stream
 keyed by (master seed, trial, size), so results are reproducible cell by cell
 and independent of execution order.  On Linux the trials run in forked worker
-processes, at most MM_THREADS of them, so the graph core (which holds the
-interpreter lock) runs in parallel; elsewhere they run serially.  Each trial
-is a pure function of (config, trial) and pickling keeps float bits, so the
-rows, assembled in sorted order, and the files written from them are
-byte-identical either way.
+processes (_fork.fork_join), at most MM_THREADS of them, so the graph core
+(which holds the interpreter lock) runs in parallel; elsewhere they run
+serially.  Each trial is a pure function of (config, trial) and pickling
+keeps float bits, so the rows, assembled in sorted order, and the files
+written from them are byte-identical either way.
 
 Deviations are Euclidean set distances between coordinate arrays of centers
 and Voronoi cells, measured against a reference family: the largest size's
@@ -25,16 +25,12 @@ import csv
 import hashlib
 import json
 import math
-import multiprocessing
-import os
-import sys
-import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._fork import fork_join
 from .cloud import PointCloud
 from .errors import InvalidArgumentError, MmError
 from .io import dump_json, read_cloud_csv
@@ -250,8 +246,11 @@ def _run_trial(config: ExperimentConfig, trial: int):
         }
         try:
             cloud = _trial_cloud(config, n, trial)
-            matrix = build_ground_metric(cloud, config.method, config.method_params)
-            space = FiniteMetricMeasureSpace.uniform([str(i) for i in range(n)], matrix)
+            # the space keeps an exact copy of the learned matrix, the only
+            # one held from here on
+            space = FiniteMetricMeasureSpace.uniform(
+                [str(i) for i in range(n)], build_ground_metric(cloud, config.method, config.method_params)
+            )
             sol = _solve(config, space, trial)
             center_sets = [cloud.points[list(m.indices)] for m in sol.minimizers]
             cell_sets = [
@@ -265,8 +264,9 @@ def _run_trial(config: ExperimentConfig, trial: int):
                 " ".join(repr(float(v)) for v in pt) for pt in center_sets[0]
             )
             if (config.method, config.generator) in _DEFECT_PAIRS:
-                d_true = true_distance_matrix(config.generator, cloud)
-                row["metric_defect"] = float(np.abs(matrix - d_true).max())
+                defect = true_distance_matrix(config.generator, cloud)
+                np.abs(np.subtract(space.dist, defect, out=defect), out=defect)
+                row["metric_defect"] = float(defect.max())
             if config.generator in _COVERING_GENERATORS:
                 row["covering_radius"] = covering_radius(config.generator, cloud)
             cells[n] = (row, cloud, center_sets, cell_sets)
@@ -304,54 +304,27 @@ def _run_trial(config: ExperimentConfig, trial: int):
     return rows
 
 
-def worker_count() -> int:
-    """Worker cap: MM_THREADS when set, else the CPUs this process may run on.
-
-    The CPUs are ``os.sched_getaffinity(0)`` where it exists (so a host pinned
-    to fewer CPUs than it has never gets more workers than it can run), else
-    ``os.cpu_count()``.  ``run_experiment`` forks at most this many trial
-    workers on Linux and runs trials serially elsewhere.
-    """
-    env = os.environ.get("MM_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InvalidArgumentError(f"MM_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise InvalidArgumentError("MM_THREADS must be >= 1")
-        return cap
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Run all (size, trial) cells, optionally writing results.csv + summary.json.
 
-    On Linux, trials run in min(worker_count(), trials) worker processes
-    forked for this call and joined before it returns or raises; elsewhere,
-    with one worker, or when the caller runs other Python threads (which a
-    fork would copy mid-operation), they run serially in this process.
+    The trials are split into contiguous ranges, one per _fork.fork_join
+    worker: on Linux, min(worker_count(), trials) workers, all but this
+    process forked for this call and reaped before it returns or raises;
+    elsewhere, with one worker, or when the caller runs other Python threads
+    (which a fork would copy mid-operation), serially in this process.
     Per-cell errors are recorded in their row and the run continues; the
     summary counts them.  An error that escapes a trial reaches the caller
-    with its type and message.  Output is byte-deterministic for a fixed
-    config, whatever MM_THREADS and the platform.
+    with its type and message, that of the lowest trial that raised, as in a
+    serial run.  Output is byte-deterministic for a fixed config, whatever
+    MM_THREADS and the platform.
     """
-    trials = range(config.trials)
-    workers = min(worker_count(), config.trials)
-    if workers > 1 and sys.platform == "linux" and threading.active_count() == 1:
-        # fork, not spawn: a spawned worker imports numpy and scipy again,
-        # which takes longer than a typical trial
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            per_trial = list(pool.map(_run_trial, [config] * config.trials, trials))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        per_trial = [_run_trial(config, tr) for tr in trials]
 
-    rows = [row for batch in per_trial for row in batch]
+    def share(j, workers):
+        trials = range(j * config.trials // workers, (j + 1) * config.trials // workers)
+        return [row for trial in trials for row in _run_trial(config, trial)]
+
+    # a trial is a whole pipeline, well past the cost of a fork
+    rows = [row for part in fork_join(share, config.trials, True) for row in part]
     rows.sort(key=lambda r: (r["n"], r["trial"]))
     for row in rows:
         if set(row) != set(CSV_COLUMNS):

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import mmap
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from ._fork import fork_join
 from .cloud import PointCloud
 from .errors import InvalidArgumentError
 from .space import FiniteMetricMeasureSpace, KMeansSolution
@@ -24,6 +26,11 @@ MAGIC = b"MMSP"
 # read_matrix_csv scans a file for its layout in chunks of this many bytes
 _SCAN_BYTES = 1 << 20
 _FALLBACK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# read_matrix_csv parses a file of at least this many bytes in forked row
+# ranges (see _loadtxt_rows).  On a 2-vCPU x86 host, where a fork and join
+# costs about 10 ms, two workers broke even near 2 MB (n = 330): 57 against
+# 64 ms at n = 350, 100 against 125 ms at n = 500
+_FORK_READ_BYTES = 2 << 20
 
 
 def write_matrix_bin(path, matrix: np.ndarray) -> None:
@@ -75,7 +82,7 @@ def write_matrix_csv(path, labels, matrix: np.ndarray) -> None:
         fh.writelines(",".join(row) + "\r\n" for row in text)
 
 
-def _crlf_line_count(path) -> int | None:
+def _crlf_line_count(path, starts: list | None = None) -> int | None:
     """The line count of a file laid out as write_matrix_csv writes it, else None.
 
     That layout: every line nonempty and ended by CRLF, no other CR or LF,
@@ -84,9 +91,10 @@ def _crlf_line_count(path) -> int | None:
     scanned in chunks by memchr-based finds: every LF must follow a CR and
     must not be followed by one (a blank line), and there must be as many
     CRs as LFs, so every CR comes right before an LF.  last is the byte
-    before the chunk, a virtual LF before the file.
+    before the chunk, a virtual LF before the file.  A starts list gets the
+    byte offset of the line after each LF appended.
     """
-    lines = crs = 0
+    lines = crs = pos = 0
     last = b"\n"
     with open(path, "rb") as fh:
         while chunk := fh.read(_SCAN_BYTES):
@@ -99,12 +107,15 @@ def _crlf_line_count(path) -> int | None:
                 if (chunk[at - 1:at] if at else last) != b"\r" or chunk[at + 1:at + 2] == b"\r":
                     return None
                 lines += 1
+                if starts is not None:
+                    starts.append(pos + at + 1)
                 at = chunk.find(b"\n", at + 1)
             at = chunk.find(b"\r")
             while at >= 0:
                 crs += 1
                 at = chunk.find(b"\r", at + 1)
             last = chunk[-1:]
+            pos += len(chunk)
     return lines if crs == lines and last == b"\n" else None
 
 
@@ -118,20 +129,24 @@ def read_matrix_csv(path):
     loadtxt rejects and float() accepts (underscores, non-ASCII digits), and
     on any other file, the rows go through csv.reader and _parse_floats,
     which give every message.
+
+    A file of at least _FORK_READ_BYTES bytes is read in equal row ranges
+    by _fork.fork_join, at most MM_THREADS workers on Linux: each seeks to
+    its first line, which the layout scan recorded, and parses its rows into
+    one shared anonymous mmap.  A field is parsed alone, so the bits are the
+    serial read's; any share that fails sends the whole file down the
+    csv.reader path.
     """
-    lines = _crlf_line_count(path)
+    starts = []
+    lines = _crlf_line_count(path, starts)
     if lines:
         with open(path, newline="") as fh:
             labels = next(csv.reader([fh.readline()]))
-            n = len(labels)
-            if n and lines == n + 1:
-                try:
-                    m = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2, max_rows=n)
-                except ValueError:
-                    pass
-                else:
-                    if m.shape == (n, n):
-                        return labels, m
+        n = len(labels)
+        if n and lines == n + 1:
+            m = _loadtxt_rows(path, starts, n)
+            if m is not None:
+                return labels, m
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -145,6 +160,33 @@ def read_matrix_csv(path):
     if any(len(row) != n for row in rows[1:]):
         raise InvalidArgumentError(f"{path}: ragged matrix rows")
     return labels, _parse_floats(rows[1:], f"{path}: non-numeric matrix entry")
+
+
+def _loadtxt_rows(path, starts: list, n: int):
+    """The n x n matrix numpy's reader parses from the lines at starts[:n], else None."""
+    big = starts[n] >= _FORK_READ_BYTES
+    # shared with the forked workers, which write their rows into it
+    out = np.frombuffer(mmap.mmap(-1, 8 * n * n), dtype=np.float64).reshape(n, n) if big else None
+
+    def share(j, workers):
+        r0, r1 = j * n // workers, (j + 1) * n // workers
+        with open(path, newline="") as fh:
+            fh.seek(starts[r0])
+            try:
+                m = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2, max_rows=r1 - r0)
+            except ValueError:
+                return None
+        if m.shape != (r1 - r0, n):
+            return None
+        if workers == 1:
+            return m
+        out[r0:r1] = m
+        return True
+
+    parts = fork_join(share, n, big)
+    if any(part is None for part in parts):
+        return None
+    return parts[0] if len(parts) == 1 else out
 
 
 def _parse_floats(rows, context: str) -> np.ndarray:

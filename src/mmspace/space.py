@@ -16,6 +16,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import geodesic
+from ._fork import fork_join
 from .errors import BudgetExceededError, InvalidArgumentError
 
 DEFAULT_TIE_TOL = 1e-9
@@ -42,6 +43,15 @@ _ROW_ENTRIES = 1 << 13
 _SCREEN_ENTRIES = 10 << 13
 # k_means_exact screens the children of a prefix in groups of this many rows
 _SCREEN_ROWS = 32
+# Work at which a loop is split across forked workers (_fork.fork_join):
+# k_means_pam's restarts when restarts * k * n^2 reaches the first,
+# metric_validate's bound pass when n^3 reaches the second
+# (measured on a 2-vCPU x86 host, where a fork and join costs about 10 ms,
+# with two workers: PAM broke even near 3M (n = 300, k = 4, 10 restarts: 71
+# against 79 ms; n = 200: 43 against 44 ms), the bound pass near n = 400 (43
+# against 38 ms; 25 against 19 ms at n = 300, 52 against 67 ms at n = 500))
+_FORK_PAM_ENTRIES = 3 << 20
+_FORK_TRIANGLE_ENTRIES = 1 << 26
 
 # ----------------------------------------------------------------------------
 # metric validation
@@ -98,7 +108,10 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     zeros included, is the one the pass over every l gives.  All passes work
     on blocks of about _VALIDATE_ENTRIES entries, with at least n / 32 rows
     or columns each so the loops over blocks stay O(32 n), and hold no n x n
-    temporary.
+    temporary.  The bound pass, nearly all of the time at n = 500, is split
+    across forked workers when n^3 reaches _FORK_TRIANGLE_ENTRIES = 2^26 (n
+    of 407 and up), at most MM_THREADS of them (see _fork.fork_join); its
+    merge is an exact max, so the report does not depend on MM_THREADS.
     """
     d = np.asarray(matrix, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -182,18 +195,28 @@ def _triangle_bounds(d: np.ndarray, blocks: list) -> np.ndarray:
     fl(d_ij - d_il) <= cheb(l, j); and rounding is monotone, so
     fl(fl(d_ij - d_il) - d_lj) <= fl(cheb(l, j) - min(d_lj, d_jl)).  The
     bound of (l, j) is that of (j, l), so only column block pairs J >= I are
-    computed, each updating the bounds of both blocks.
+    computed, each updating the bounds of both blocks.  The pairs are dealt
+    round-robin to _fork.fork_join's workers when n^3 reaches
+    _FORK_TRIANGLE_ENTRIES; each worker keeps its own running max, and their
+    elementwise max is exact, so ub is the same whatever the split.
     """
-    ub = np.full(d.shape[0], -math.inf)
-    for bi, rows in enumerate(blocks):
-        left = np.ascontiguousarray(d[:, rows].T)
-        for cols in blocks[bi:]:
+    pairs = [(rows, cols) for bi, rows in enumerate(blocks) for cols in blocks[bi:]]
+
+    def share(j, workers):
+        ub = np.full(d.shape[0], -math.inf)
+        left_of = left = None
+        for rows, cols in pairs[j::workers]:
+            if rows != left_of:
+                left_of, left = rows, np.ascontiguousarray(d[:, rows].T)
             # the right block is a temporary: at most two column blocks live
             pen = cdist(left, left if cols == rows else np.ascontiguousarray(d[:, cols].T), "chebyshev")
             pen -= np.minimum(d[rows, cols], d[cols, rows].T)
             np.maximum(ub[rows], pen.max(axis=1), out=ub[rows])
             np.maximum(ub[cols], pen.max(axis=0), out=ub[cols])
-    return ub
+        return ub
+
+    parts = fork_join(share, len(pairs), d.shape[0] ** 3 >= _FORK_TRIANGLE_ENTRIES)
+    return np.maximum.reduce(parts)
 
 
 def _triangle_witness(d: np.ndarray, blocks: list, l: int, cols: np.ndarray, top: float) -> tuple:
@@ -557,6 +580,12 @@ def k_means_exact(
     ext = _Extensions(pw, w)
     depth = min(k, n)
     group = max(1, min(_SCREEN_ROWS, _BLOCK_ENTRIES // n))
+    # the largest group of leaves is the first one of the first prefix two
+    # centers short of k, whose children start at depth - 2; when it is too
+    # small for the screen, no group reaches it and the leaves take the plain
+    # loop
+    lo = max(depth - 2, 0)
+    screened = ext.screens(min(group, n - 1 - lo), n - 1 - lo)
 
     best = math.inf
     kept: list[tuple[float, tuple]] = []
@@ -599,12 +628,19 @@ def k_means_exact(
         if len(q) + 1 == depth:
             return
         if len(q) + 2 == depth:
-            leaves(q, block, first)
+            if screened:
+                leaves(q, block, first)
+            else:
+                for c in range(first, n - 1):
+                    collect(_plain_costs(ext, block[c - first], c + 1), q + (c,), c + 1)
             return
         for c in range(first, n - 1):
             expand(q + (c,), np.minimum(block[c - first], pw[c + 1:]), c + 1)
 
     expand((), pw, 0)
+    # expand calls itself, so its closure is a reference cycle holding pw and
+    # ext; emptying it frees them on return, not at the next collection
+    del expand
 
     final_thresh = best * (1.0 + tie_tol)
     minimizers = sorted(combo for c, combo in kept if c <= final_thresh)
@@ -705,6 +741,13 @@ def k_means_pam(
     Restart 0 starts from the deterministic greedy build; later restarts start
     from random k-subsets drawn from a per-restart stream.  The returned
     objective can only be >= the exact one.
+
+    dist**p and the screen's arrays are built once; when restarts * k * n^2
+    reaches _FORK_PAM_ENTRIES = 3 * 2^20 the restarts are dealt round-robin
+    to forked workers, at most MM_THREADS of them (see _fork.fork_join), so
+    restart 0 and its greedy build run in this process.  Each restart is a
+    pure function of its index and the results are merged in restart order,
+    so the objective bits and the family do not depend on MM_THREADS.
     """
     p = _check_p(p)
     n = space.n
@@ -713,17 +756,23 @@ def k_means_pam(
     if restarts < 1:
         raise InvalidArgumentError("restarts must be >= 1")
     ext = _Extensions(space.dist**p, space.weights)
+    if ext.wide:
+        ext.finite()  # pww and rsum, built once before any fork
 
-    results = []
-    for r in range(restarts):
-        if r == 0:
-            init = _greedy_build(ext, k)
-        else:
-            rng = np.random.default_rng([seed & 0xFFFFFFFF, r])
-            init = list(rng.choice(n, size=k, replace=False))
-        centers, cost = _swap_descent(ext, init)
-        results.append((cost, tuple(sorted(centers))))
+    def share(j, workers):
+        out = []
+        for r in range(j, restarts, workers):
+            if r == 0:
+                init = _greedy_build(ext, k)
+            else:
+                rng = np.random.default_rng([seed & 0xFFFFFFFF, r])
+                init = list(rng.choice(n, size=k, replace=False))
+            centers, cost = _swap_descent(ext, init)
+            out.append((cost, tuple(sorted(centers))))
+        return out
 
+    parts = fork_join(share, restarts, restarts * k * n * n >= _FORK_PAM_ENTRIES)
+    results = [parts[r % len(parts)][r // len(parts)] for r in range(restarts)]
     best = min(c for c, _ in results)
     thresh = best * (1.0 + tie_tol)
     families = sorted(set(m for c, m in results if c <= thresh))

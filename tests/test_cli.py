@@ -411,6 +411,27 @@ class TestValidate:
         assert doc["passes"] is False
         assert doc["witnesses"]["triangle"] == [0, 2, 1]
 
+    @pytest.mark.parametrize("value, message", [
+        ("0", "MM_THREADS must be >= 1"),
+        ("two", "MM_THREADS must be an integer, got 'two'"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--in"),
+        ("kmeans", "--k", "2", "--space"),
+        ("kmeans", "--k", "2", "--pam", "--space"),
+        ("voronoi", "--centers", "0,3", "--space"),
+    ])
+    def test_bad_thread_cap_exit_2_at_any_size(self, tmp_path, capsys, monkeypatch, argv, value, message):
+        # n = 5 is far below every fork crossover, and the cap is still checked
+        path = tmp_path / "m.csv"
+        x = np.arange(5.0)
+        write_matrix_csv(path, [str(i) for i in range(5)], np.abs(x[:, None] - x[None, :]))
+        monkeypatch.setenv("MM_THREADS", value)
+        code = main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_space_json(self, tmp_path, capsys):
         from mmspace import write_space
 

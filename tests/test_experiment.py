@@ -342,25 +342,52 @@ def test_trials_stay_in_process_beside_other_threads(tmp_path, monkeypatch):
     assert {pid for _, _, pid in read_draws(log)} == {os.getpid()}
 
 
+def assert_no_child_left():
+    # multiprocessing only sees its own children, so ask the kernel too: a
+    # forked worker left unreaped would still be a child of this process
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_no_worker_outlives_the_run(monkeypatch):
     monkeypatch.setenv("MM_THREADS", "2")
     run_experiment(interval_config())
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):
     # an error that escapes a trial in a worker process keeps its type and
-    # message, and the pool is joined before it is raised
+    # message, and every worker is reaped before it is raised; with 2 workers
+    # and 4 trials, trial 3 runs in the forked one
     real = experiment._trial_cloud
 
     def failing(config, n, trial):
-        if trial == 1:
-            raise RuntimeError(f"trial 1 drawn in process {os.getpid()}")
+        if trial == 3:
+            raise RuntimeError(f"trial 3 drawn in process {os.getpid()}")
         return real(config, n, trial)
 
     monkeypatch.setenv("MM_THREADS", "2")
     monkeypatch.setattr(experiment, "_trial_cloud", failing)
-    with pytest.raises(RuntimeError, match=r"^trial 1 drawn in process \d+$") as info:
+    with pytest.raises(RuntimeError, match=r"^trial 3 drawn in process \d+$") as info:
         run_experiment(interval_config(trials=4))
-    assert str(info.value) != f"trial 1 drawn in process {os.getpid()}"
-    assert multiprocessing.active_children() == []
+    assert str(info.value) != f"trial 3 drawn in process {os.getpid()}"
+    assert_no_child_left()
+
+
+def test_lowest_failing_trial_is_raised(monkeypatch):
+    # as in a serial run, the error of the lowest trial that raises reaches
+    # the caller, whichever worker ran it
+    real = experiment._trial_cloud
+
+    def failing(config, n, trial):
+        if trial in (1, 2, 3):
+            raise RuntimeError(f"trial {trial}")
+        return real(config, n, trial)
+
+    monkeypatch.setattr(experiment, "_trial_cloud", failing)
+    for threads in ("1", "2", "3", "8"):
+        monkeypatch.setenv("MM_THREADS", threads)
+        with pytest.raises(RuntimeError, match=r"^trial 1$"):
+            run_experiment(interval_config(trials=4))
+        assert_no_child_left()

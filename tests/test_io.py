@@ -227,7 +227,7 @@ def read_outcome(path):
 def csv_reader_outcome(path, monkeypatch):
     """The outcome when every file takes the csv.reader path."""
     with monkeypatch.context() as mp:
-        mp.setattr(io_module, "_crlf_line_count", lambda path: None)
+        mp.setattr(io_module, "_crlf_line_count", lambda path, starts=None: None)
         return read_outcome(path)
 
 
