@@ -4,19 +4,27 @@ Edge weights are never stored: the weight of the edge from u to u + e_axis is
 a pure function of (instance seed, u, axis), obtained by hashing those
 integers into (0, 1) and applying the law's inverse CDF.  That makes weight
 queries deterministic across processes and thread counts.  For random laws a
-ball grows with Dijkstra instead of materializing a box of the lattice: one
-growth to t(1 + shell) gives B(t), its shell and every weight between their
-vertices, each edge hashed once, and the CSR graph on them.  A barycenter
-track grows once, to its largest t; each smaller ball is a prefix of that
-growth.  scaled_space alone builds the all-pairs matrix, by Dijkstra from
-every vertex of B(t) on that graph.
+ball grows with Dijkstra instead of materializing a box of the lattice.  The
+growth numbers each vertex in settle order, hashes each edge once, and builds
+one CSR graph of the edges between settled vertices.  Vertices settle in
+increasing time, so every ball B(s) up to the growth's radius is a prefix of
+that order, and its graph is the leading square block: one growth to
+t(1 + shell) gives B(t), its shell and the graph on them.  A barycenter track
+grows once, to its largest t.  One permutation per ball lists its vertices
+the origin first, then sorted, as every output reports them; Dijkstra runs
+on settle numbers and its rows are gathered back through the permutation.
+A Dijkstra distance is the minimum over paths of the path's sum in path
+order, which no renumbering changes.  scaled_space alone builds the
+all-pairs matrix, from a growth for every law, by Dijkstra from every vertex
+of B(t).
 
 Deterministic weights need no growth and no hashing.  With S_0 = 0 and
 S_h = fl(S_{h-1} + c), T(x, y) = S_{|x - y|_1} bit for bit inside the ball,
 so B(t) is the l1 lattice ball of radius H, the largest h with S_h < t.  The
 track and shape_defect enumerate it with numpy and take every row from S;
-the budget is checked on its closed-form size first.  shape_defect takes its
-sup as a running max over blocks of upper-triangle rows, from S for
+the budget is checked on its closed-form size first.  _balls is the one
+place that picks between this closed form and a growth.  shape_defect takes
+its sup as a running max over blocks of upper-triangle rows, from S for
 deterministic weights and from Dijkstra, one block of sources at a time, for
 other laws.
 
@@ -38,7 +46,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
@@ -182,41 +190,54 @@ def _stop(t: float, shell: float) -> float:
 def _grow(instance: FppInstance, t: float, shell: float = 0.0, budget: float = math.inf) -> tuple:
     """Dijkstra from the origin until every frontier value is >= t * (1 + shell).
 
-    Returns (settled, weights): settled maps each vertex of B(t * (1 + shell))
-    to its passage time, in settle order; weights maps (lower end, axis) to
-    the weight of every edge with a settled end, hashed once, when its first
-    end settles.  A NaN shell means no shell.  Vertices settle in increasing
-    time, so the growth stops with BudgetExceededError as soon as budget + 1
-    vertices of B(t) have settled, before the ball is grown any further.
+    Returns (vertices, times, graph) for B(t * (1 + shell)), each vertex
+    numbered in settle order: vertices (n, dim) lattice points, times their
+    passage times, and graph the n x n CSR graph of the lattice edges between
+    them.  An edge's weight is hashed once, when its first end settles, and
+    the edge enters the graph, as a row entry of its second end, when that
+    end settles.  Vertices settle in increasing time, so for any s up to
+    t * (1 + shell), B(s) is the first N vertices, N the count of times
+    below s, and its graph is graph[:N, :N].  A NaN shell means no shell.
+    The growth stops with BudgetExceededError as soon as budget + 1 vertices
+    of B(t) have settled, before the ball is grown any further.
     """
     _check_t(instance, t)
     stop = _stop(t, shell)
     origin = (0,) * instance.dim
-    settled: dict = {}
+    index: dict = {}
+    times: list = []
     weights: dict = {}
+    indptr, cols, data = [0], [], []
     best = {origin: 0.0}
     heap = [(0.0, origin)]
     while heap:
         d, u = heapq.heappop(heap)
-        if u in settled:
+        if u in index:
             continue
         if d >= stop:
             break
-        settled[u] = d
-        if d < t and len(settled) > budget:
+        index[u] = len(times)
+        times.append(d)
+        if d < t and len(times) > budget:
             raise BudgetExceededError(f"|B(t)| exceeds the all-pairs budget {budget}")
         for axis in range(instance.dim):
             for sign in (1, -1):
                 v = u[:axis] + (u[axis] + sign,) + u[axis + 1:]
-                if v in settled:
-                    continue
                 key = (u, axis) if sign == 1 else (v, axis)
+                j = index.get(v)
+                if j is not None:
+                    cols.append(j)
+                    data.append(weights.pop(key))
+                    continue
                 w = weights[key] = instance.edge_weight(*key)
                 nd = d + w
                 if nd < best.get(v, math.inf):
                     best[v] = nd
                     heapq.heappush(heap, (nd, v))
-    return settled, weights
+        indptr.append(len(cols))
+    n = len(times)
+    vertices = np.array(list(index), dtype=np.int64).reshape(n, instance.dim)
+    return vertices, np.array(times), csr_matrix((data, cols, indptr), shape=(n, n))
 
 
 def passage_time_ball(instance: FppInstance, t: float) -> dict:
@@ -225,54 +246,34 @@ def passage_time_ball(instance: FppInstance, t: float) -> dict:
     Grows Dijkstra from the origin until every frontier value is >= t, so the
     returned dict is exactly B(t) = {y : T(0, y) < t}.
     """
-    return _grow(instance, t)[0]
+    vertices, times, _ = _grow(instance, t)
+    return dict(zip(map(tuple, vertices.tolist()), times.tolist()))
 
 
-def _core(outer: dict, t: float) -> list:
-    """The vertices of outer with time < t: the origin first, then the rest sorted."""
-    inner = [v for v, d in outer.items() if d < t]
-    return inner[:1] + sorted(inner[1:])
+def _prefix_ball(growth: tuple, t: float, shell: float) -> tuple:
+    """(core, rows) of B(t), paths inside B(t * (1 + shell)), from a growth
+    at least that far.
 
-
-def _grown_ball(instance: FppInstance, t: float, shell: float, budget: int) -> tuple:
-    """(lattice vertices of B(t), vertex times of B(t * (1 + shell)), edge weights).
-
-    One growth to t * (1 + shell) yields both balls and every edge weight
-    between their vertices.  The core lists the origin first, then the rest
-    of B(t) sorted.
+    core lists the lattice vertices of B(t), the origin first, then the rest
+    sorted; rows(sources, start=0) returns T/t from each core index in
+    sources to core vertices start, start + 1, ...  Both balls are prefixes
+    of the growth, and one permutation maps core indices to settle indices:
+    sources go through it and each row's columns are gathered through it.
     """
-    _check_ball(instance, t, shell)
-    outer, weights = _grow(instance, t, shell, budget)
-    return _core(outer, t), outer, weights
+    vertices, times, graph = growth
+    m = int(np.searchsorted(times, t))
+    n = int(np.searchsorted(times, _stop(t, shell)))
+    graph = graph[:n, :n]
+    perm = np.concatenate([[0], 1 + np.lexsort(vertices[1:m].T[::-1])])
 
+    def rows(sources, start=0):
+        out = dijkstra(graph, directed=False, indices=perm[sources])[:, perm[start:]]
+        if not np.all(np.isfinite(out)):
+            raise SolverError("ball subgraph unexpectedly disconnected")
+        out /= t
+        return out
 
-def _graph(instance: FppInstance, core: list, outer: dict, weights: dict, t: float, stop: float):
-    """CSR graph of the vertices of outer with time < stop: node i is core
-    vertex i for i < len(core), and those with time >= t follow, sorted."""
-    nodes = core + sorted(v for v, d in outer.items() if t <= d < stop)
-    index = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-
-    rows, cols, data = [], [], []
-    for iu, u in enumerate(nodes):
-        for axis in range(instance.dim):
-            iv = index.get(u[:axis] + (u[axis] + 1,) + u[axis + 1:])
-            if iv is not None:
-                rows.append(iu)
-                cols.append(iv)
-                data.append(weights[u, axis])
-    return coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def _ball_graph(instance: FppInstance, t: float, shell: float, budget: int):
-    """(lattice vertices of B(t), CSR graph of B(t * (1 + shell)) with B(t) first).
-
-    shell = s routes paths through B(t * (1 + s)); s = 0 keeps them inside
-    B(t).  Graph node i is core vertex i for i < len(core), and the shell
-    vertices follow, sorted.
-    """
-    core, outer, weights = _grown_ball(instance, t, shell, budget)
-    return core, _graph(instance, core, outer, weights, t, _stop(t, shell))
+    return vertices[perm], rows
 
 
 def _l1_ball_size(dim: int, radius: int) -> int:
@@ -282,7 +283,7 @@ def _l1_ball_size(dim: int, radius: int) -> int:
 
 def _l1_ball(dim: int, radius: int) -> np.ndarray:
     """The lattice points with |x|_1 <= radius, (m, dim): the origin first, then
-    the rest in tuple order, the order of _grown_ball's core.
+    the rest in tuple order, the order of _prefix_ball's core.
 
     Each pass appends one coordinate: a prefix with slack r (radius minus the
     l1 norm of the prefix) takes every value in [-r, r], in ascending order.
@@ -304,13 +305,16 @@ def _l1_ball(dim: int, radius: int) -> np.ndarray:
 def _det_ball(instance: FppInstance, t: float, shell: float, budget: int) -> tuple:
     """(core, steps) of B(t) for a deterministic weight c, without a growth.
 
-    With S_0 = 0 and S_h = fl(S_{h-1} + c), Dijkstra settles x at S_{|x|_1},
-    so B(t) is the l1 lattice ball of radius H, the largest h with S_h < t.
-    core is that ball in _grown_ball's order, and steps[h] = S_h / t for
-    h <= 2H, the scaled time between two of its vertices at l1 distance h
-    (see _scaled_time_blocks).  The checks are _grown_ball's; the budget is
-    checked on the closed-form size of each ball before the next S_h, so
-    nothing is allocated past budget + 1 vertices.
+    With S_0 = 0 and S_h = fl(S_{h-1} + c), every h-edge path sums to S_h in
+    path order, and S is nondecreasing, so the fewest edges win: Dijkstra
+    settles x at S_{|x|_1}, and B(t) is the l1 lattice ball of radius H, the
+    largest h with S_h < t.  Any two of its points are joined inside it by a
+    path of |x - y|_1 edges (take the |.|-decreasing steps first), so
+    T(x, y) = S_{|x - y|_1} bit for bit, for every c and every shell.  core
+    is that ball in _prefix_ball's order, and steps[h] = S_h / t for
+    h <= 2H.  The checks are those of a growth; the budget is checked on the
+    closed-form size of each ball before the next S_h, so nothing is
+    allocated past budget + 1 vertices.
     """
     _check_ball(instance, t, shell)
     c = instance.law.params[0]
@@ -333,14 +337,6 @@ def _l1_rows(steps: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return steps[cdist(a, b, "cityblock").astype(np.intp)]
 
 
-def _core_rows(graph, sources, m: int) -> np.ndarray:
-    """Passage times from each source to the m core vertices, (sources, m)."""
-    rows = np.array(dijkstra(graph, directed=False, indices=sources)[:, :m])
-    if not np.all(np.isfinite(rows)):
-        raise SolverError("ball subgraph unexpectedly disconnected")
-    return rows
-
-
 def _mean_abs_gaps(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_j w_j |a_i - a_j| for every i, from prefix sums over sorted a."""
     order = np.argsort(a, kind="stable")
@@ -359,6 +355,9 @@ def _strong_bounds(anchors: np.ndarray, chunk: np.ndarray, w: np.ndarray, p: flo
     for a in anchors[1:]:
         np.abs(np.subtract(a, a[chunk, None], out=gap), out=gap)
         np.maximum(lb, gap, out=lb)
+    # BLAS may sum in any order, so the bound can move by a few ulps with the
+    # library or its threads; _BOUND_SLACK absorbs that, and no reported
+    # objective passes through here, only the choice of rows to take
     return (lb**p) @ w
 
 
@@ -454,17 +453,17 @@ def scaled_space(
     The matrix is mirrored from its upper triangle, so it is exactly
     symmetric, with the origin's row computed from the origin itself.
     """
-    core, graph = _ball_graph(instance, t, shell, budget)
+    _check_ball(instance, t, shell)
+    core, rows = _prefix_ball(_grow(instance, t, shell, budget), t, shell)
     m = len(core)
     if m > geodesic.MAX_GRAPH_POINTS:
         raise BudgetExceededError(
             f"scaled space on {m} points exceeds the limit of {geodesic.MAX_GRAPH_POINTS}"
         )
-    tmat = _core_rows(graph, np.arange(m), m)
+    tmat = rows(np.arange(m))
     upper = np.triu(tmat, 1)
     np.add(upper, upper.T, out=tmat)
-    tmat /= t
-    labels = [",".join(map(str, v)) for v in core]
+    labels = [",".join(map(str, v)) for v in core.tolist()]
     return FiniteMetricMeasureSpace.uniform(labels, tmat)
 
 
@@ -479,22 +478,22 @@ class TrackPoint:
     ball_size: int
 
 
-def _track_balls(instance: FppInstance, ts: list, shell: float, budget: int):
-    """Yields (t, core, rows) for each t of a track, rows as _ball_one_mean takes them.
+def _balls(instance: FppInstance, ts: list, shell: float, budget: int):
+    """Yields (t, core, rows) for each t: B(t) and its rows, as _prefix_ball
+    gives them, paths inside B(t * (1 + shell)).
 
     Deterministic laws take each ball and every row from the closed form of
     _det_ball.  Other laws grow once, to the largest t: Dijkstra settles the
     same vertices at the same times in the same order until it passes a
-    smaller stop, so each B(t * (1 + shell)) is the prefix of that growth
-    below its stop, and its graph is the one _ball_graph would build.  Every
-    t is checked, in order, before the growth, and the first bad one is
-    raised after the good ones before it have grown, so a budget error among
-    those still comes first, as it does when each ball grows on its own.
+    smaller stop, so every ball is a prefix of that one growth.  Every t is
+    checked, in order, before the growth, and the first bad one is raised
+    after the good ones before it have grown, so a budget error among those
+    still comes first, as it does when each ball grows on its own.
     """
     if instance.law.kind == "deterministic":
         for t in ts:
             core, steps = _det_ball(instance, t, shell, budget)
-            yield t, core, lambda sources: _l1_rows(steps, core[sources], core)
+            yield t, core, lambda sources, start=0: _l1_rows(steps, core[sources], core[start:])
         return
     valid, error = [], None
     for t in ts:
@@ -505,13 +504,11 @@ def _track_balls(instance: FppInstance, ts: list, shell: float, budget: int):
             break
         valid.append(t)
     if valid:
-        outer, weights = _grow(instance, max(valid), shell, budget)
+        growth = _grow(instance, max(valid), shell, budget)
     if error is not None:
         raise error
     for t in ts:
-        core = _core(outer, t)
-        graph = _graph(instance, core, outer, weights, t, _stop(t, shell))
-        yield t, core, lambda sources: _core_rows(graph, sources, len(core)) / t
+        yield (t, *_prefix_ball(growth, t, shell))
 
 
 def fpp_barycenter_track(
@@ -544,7 +541,7 @@ def fpp_barycenter_track(
     out = []
     # closed-form rows cost less than the strong bound that would spare them
     strong = instance.law.kind != "deterministic"
-    for t, core, rows in _track_balls(instance, ts, shell, budget):
+    for t, core, rows in _balls(instance, ts, shell, budget):
         objective, minimizers = _ball_one_mean(rows, len(core), p, strong)
         centers = [np.asarray(core[i], dtype=np.float64) / t for i in minimizers]
         out.append(
@@ -573,35 +570,6 @@ def _dist_to_l1_ball(z: np.ndarray, radius: float) -> float:
     return float(np.linalg.norm(np.minimum(a, theta)))
 
 
-def _scaled_time_blocks(instance: FppInstance, t: float, budget: int) -> tuple:
-    """(core, blocks): the vertices of B(t) and T/t over them, paths inside B(t).
-
-    blocks yields (start, rows) for consecutive blocks of about _BLOCK_ENTRIES
-    entries; rows[k, j - start] is T(i, j)/t for source i = start + k and
-    every j >= start, as Dijkstra from i finds it.  For deterministic weights
-    the rows are a closed form: with S_0 = 0 and S_h = fl(S_{h-1} + c), every
-    h-edge path sums to S_h in path order, S is nondecreasing so the fewest
-    edges win, and B(t) is an l1 lattice ball, in which any two points are
-    joined by a path of |x - y|_1 edges (take the |.|-decreasing steps first).
-    So T(x, y) = S_{|x - y|_1}, bit for bit, for every c.  Other laws run
-    Dijkstra from one block of sources at a time.
-    """
-    if instance.law.kind == "deterministic":
-        core, steps = _det_ball(instance, t, 0.0, budget)
-
-        def rows(start, stop):
-            return _l1_rows(steps, core[start:stop], core[start:])
-    else:
-        core, graph = _ball_graph(instance, t, 0.0, budget)
-
-        def rows(start, stop):
-            return _core_rows(graph, np.arange(start, stop), m)[:, start:] / t
-
-    m = len(core)
-    step = max(1, _BLOCK_ENTRIES // m)
-    return core, ((start, rows(start, min(start + step, m))) for start in range(0, m, step))
-
-
 def shape_defect(
     instance: FppInstance,
     t: float,
@@ -618,8 +586,8 @@ def shape_defect(
 
     The metric defect is the sup over pairs of |T/t - norm difference|, with
     paths kept inside B(t).  It is a running max over the upper-triangle row
-    blocks of _scaled_time_blocks, closed form for deterministic weights and
-    Dijkstra otherwise, so no m x m array is made.
+    blocks of _balls' rows, closed form for deterministic weights and Dijkstra
+    from one block of sources at a time otherwise, so no m x m array is made.
 
     The covering defect is the Hausdorff distance between the scaled vertex set
     and the reference ball, measured in the ambient Euclidean metric on a grid
@@ -636,19 +604,23 @@ def shape_defect(
     else:
         l1_radius = None
 
-    core, blocks = _scaled_time_blocks(instance, t, budget)
+    ((_, core, rows),) = _balls(instance, [t], 0.0, budget)
     coords = np.asarray(core, dtype=np.float64) / t
+    m = len(core)
+    step = max(1, _BLOCK_ENTRIES // m)
     metric_defect = 0.0
-    for start, rows in blocks:
+    for start in range(0, m, step):
+        # row k of a block is T/t from source start + k to every j >= start
+        block = rows(np.arange(start, min(start + step, m)), start)
         if l1_radius is not None:
-            ref = c * cdist(coords[start:start + rows.shape[0]], coords[start:], "cityblock")
+            ref = c * cdist(coords[start:start + block.shape[0]], coords[start:], "cityblock")
         else:
-            ref = np.zeros_like(rows)
-            for k in range(rows.shape[0]):
+            ref = np.zeros_like(block)
+            for k in range(block.shape[0]):
                 i = start + k
                 ref[k, k + 1:] = list(map(reference_norm, coords[i] - coords[i + 1:]))
         # row i of a block counts only for the columns j > i
-        gap = np.triu(np.abs(rows - ref), 1)
+        gap = np.triu(np.abs(block - ref), 1)
         metric_defect = max(metric_defect, float(gap.max()))
 
     # reference ball discretized finer than the 1/t lattice spacing

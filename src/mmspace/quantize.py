@@ -135,6 +135,10 @@ def quantize(
         if powcost < best_cost:
             best_cost = powcost
             best_centers = centers.copy()
+    if best_centers is None:
+        raise InvalidArgumentError(
+            "the quantization cost is not finite on any restart; the samples are too large to quantize"
+        )
 
     order = np.lexsort(best_centers.T[::-1])
     centers = best_centers[order]

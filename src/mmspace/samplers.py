@@ -133,9 +133,11 @@ def circle_arc_metric(points) -> np.ndarray:
     epsilon_net_graph.
     """
     theta = _circle_angles(points)
-    d = _circular_diff(theta[:, None], theta[None, :])
-    np.fill_diagonal(d, 0.0)
-    return np.minimum(d, d.T)
+    # fl(a - b) = -fl(b - a) and a - a = 0, so d is symmetric with a zero
+    # diagonal as computed
+    d = np.subtract.outer(theta, theta)
+    np.abs(d, out=d)
+    return np.minimum(d, 2.0 * math.pi - d, out=d)
 
 
 def true_distance_matrix(generator: str, cloud: PointCloud) -> np.ndarray:

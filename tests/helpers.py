@@ -12,6 +12,7 @@ import numpy as np
 
 from mmspace import CenterSet, FiniteMetricMeasureSpace, KMeansSolution, MetricReport, enlarged_cell, voronoi_cells
 from mmspace.space import _BLOCK_ENTRIES, _enum_count, _weighted_row_sums
+from mmspace.samplers import _circle_angles
 
 
 def brute_cost(space, subset, p):
@@ -401,3 +402,40 @@ def k_means_pam_oracle(space, k, p=2.0, restarts=10, seed=0, tie_tol=1e-9):
     thresh = best * (1.0 + tie_tol)
     families = sorted(set(m for c, m in results if c <= thresh))
     return KMeansSolution([CenterSet.of(m) for m in families], best, "heuristic", tie_tol)
+
+
+def networkx_ball_rows(instance, t, shell):
+    """(core, rows): T/t between the vertices of B(t), paths inside
+    B(t * (1 + shell)), by networkx Dijkstra on the induced lattice graph.
+
+    The graph lists the origin first, then the rest of B(t) sorted, then the
+    shell vertices sorted, and adds each edge from its lower end in that
+    order, weighted by its hash.  core is B(t) in that order.
+    """
+    import networkx as nx
+
+    from mmspace import passage_time_ball
+
+    outer = passage_time_ball(instance, t * (1.0 + shell))
+    inner = [v for v, d in outer.items() if d < t]
+    core = inner[:1] + sorted(inner[1:])
+    nodes = core + sorted(v for v, d in outer.items() if d >= t)
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    for u in nodes:
+        for axis in range(instance.dim):
+            v = u[:axis] + (u[axis] + 1,) + u[axis + 1:]
+            if v in outer:
+                graph.add_edge(u, v, weight=instance.edge_weight(u, axis))
+    rows = [nx.single_source_dijkstra_path_length(graph, s) for s in core]
+    return core, np.array([[dist[v] for v in core] for dist in rows]) / t
+
+
+def circle_arc_oracle(points):
+    """Arc lengths on the unit circle, folded both ways, the diagonal zeroed
+    and the matrix symmetrised explicitly."""
+    theta = _circle_angles(points)
+    d = np.abs(theta[:, None] - theta[None, :])
+    d = np.minimum(d, 2.0 * math.pi - d)
+    np.fill_diagonal(d, 0.0)
+    return np.minimum(d, d.T)

@@ -325,6 +325,17 @@ class TestQuantizeCmd:
         assert doc["centers"][1][0] == pytest.approx(10.05, abs=1e-6)
         assert doc["masses"] == pytest.approx([0.6, 0.4])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_cost_exits_2(self, tmp_path, capsys):
+        cloud = tmp_path / "c.csv"
+        write_line_cloud(cloud, [-1e160, 0.0, 5e159, 1e160])
+        code = main(["quantize", "--in", str(cloud), "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: the quantization cost is not finite on any restart; the samples are too large to quantize\n"
+        )
+
 
 class TestNet:
     def test_admissibility_flip(self, capsys):

@@ -29,7 +29,7 @@ from mmspace import fpp, geodesic
 from mmspace.cli import main
 from mmspace.fpp import _dist_to_l1_ball
 
-from helpers import relaxation_passage_times
+from helpers import networkx_ball_rows, relaxation_passage_times
 
 
 def count_dijkstra_sources(monkeypatch):
@@ -213,7 +213,10 @@ class TestEdgeHashing:
         fpp_barycenter_track(inst, [3.0, 5.0, 8.0], shell=0.2)
         assert counts and set(counts.values()) == {1}
         # the edges of the one growth to the largest t, and no others
-        assert set(counts) == set(fpp._grow(inst, 8.0, 0.2)[1])
+        track = set(counts)
+        counts.clear()
+        fpp._grow(inst, 8.0, 0.2)
+        assert set(counts) == track
 
 
 class TestBudgetStopsGrowth:
@@ -235,6 +238,13 @@ class TestBudgetStopsGrowth:
         assert calls[0] == calls[1] <= 4 * 101
 
 
+def grown_core(inst, t, budget=10_000):
+    """B(t) in core order, and its vertex times, from a growth to t."""
+    growth = fpp._grow(inst, t, 0.0, budget)
+    times = dict(zip(map(tuple, growth[0].tolist()), growth[1].tolist()))
+    return [tuple(v) for v in fpp._prefix_ball(growth, t, 0.0)[0].tolist()], times
+
+
 def steps_to(c, h):
     """S_h = fl(S_{h-1} + c) with S_0 = 0, the time Dijkstra gives h det edges."""
     s = 0.0
@@ -244,7 +254,8 @@ def steps_to(c, h):
 
 
 class TestDeterministicBall:
-    """_det_ball enumerates B(t) and its steps with no growth; Dijkstra is the oracle."""
+    """_det_ball enumerates B(t) and its steps with no growth; Dijkstra is the
+    oracle, through the growth that scaled_space runs for every law."""
 
     @pytest.mark.parametrize("c", [0.1, 0.25, 0.3, 1.0, 2.0])
     @pytest.mark.parametrize("dim,radius", [(1, 30), (2, 8), (3, 4)])
@@ -254,7 +265,7 @@ class TestDeterministicBall:
         t = steps_to(c, radius) if exact else c * (radius + 0.5)
         inst = det_instance(c=c, dim=dim, horizon=t)
         core, steps = fpp._det_ball(inst, t, 0.0, 10_000)
-        grown, times, _ = fpp._grown_ball(inst, t, 0.0, 10_000)
+        grown, times = grown_core(inst, t)
         assert [tuple(v) for v in core.tolist()] == grown
         norms = np.abs(core).sum(axis=1)
         assert norms.max() == (radius - 1 if exact else radius)
@@ -268,7 +279,7 @@ class TestDeterministicBall:
         core, steps = fpp._det_ball(inst, 1.0, 0.0, 100)
         assert len(core) == 25 and steps.size == 7
         assert core[0].tolist() == [0, 0]
-        assert [tuple(v) for v in core.tolist()] == fpp._grown_ball(inst, 1.0, 0.0, 100)[0]
+        assert [tuple(v) for v in core.tolist()] == grown_core(inst, 1.0, 100)[0]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_size_closed_form(self, dim):
@@ -286,9 +297,9 @@ class TestDeterministicBall:
     @pytest.mark.parametrize("dim,t", [(1, 5.5), (2, 3.5), (3, 2.5)])
     def test_budget_boundary_is_the_growth_one(self, dim, t):
         inst = det_instance(dim=dim, horizon=t)
-        m = len(fpp._grown_ball(inst, t, 0.0, 10_000)[0])
+        m = len(grown_core(inst, t)[0])
         assert len(fpp._det_ball(inst, t, 0.0, m)[0]) == m
-        for build in (fpp._det_ball, fpp._grown_ball):
+        for build in (fpp._det_ball, scaled_space):
             with pytest.raises(BudgetExceededError, match=rf"^\|B\(t\)\| exceeds the all-pairs budget {m - 1}$"):
                 build(inst, t, 0.0, m - 1)
 
@@ -312,7 +323,7 @@ class TestDeterministicBall:
     def test_checks_are_the_grown_ones(self, t, shell):
         inst = det_instance(horizon=3.0)
         with pytest.raises(InvalidArgumentError) as grown:
-            fpp._grown_ball(inst, t, shell, 100)
+            scaled_space(inst, t, shell, 100)
         with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(grown.value))}$"):
             fpp._det_ball(inst, t, shell, 100)
 
@@ -342,22 +353,44 @@ class TestRandomTrackGrowsOnce:
 
     @pytest.mark.parametrize("shell", [0.0, 0.2])
     def test_each_graph_is_the_one_of_its_own_growth(self, monkeypatch, shell):
-        built = []
-        real = fpp._graph
+        balls, graphs, built = [], [], []
+        real_prefix, real_dijkstra, real_csr = fpp._prefix_ball, fpp.dijkstra, fpp.csr_matrix
 
-        def graph(instance, core, outer, weights, t, stop):
-            built.append((t, core, real(instance, core, outer, weights, t, stop)))
-            return built[-1][2]
+        def prefix(growth, t, shell):
+            balls.append((t, growth, real_prefix(growth, t, shell)))
+            return balls[-1][2]
 
-        monkeypatch.setattr(fpp, "_graph", graph)
+        def dijkstra(graph, **kwargs):
+            if not any(graph is g for g in graphs):
+                graphs.append(graph)
+            return real_dijkstra(graph, **kwargs)
+
+        def csr_matrix(*args, **kwargs):
+            built.append(args)
+            return real_csr(*args, **kwargs)
+
+        monkeypatch.setattr(fpp, "_prefix_ball", prefix)
+        monkeypatch.setattr(fpp, "dijkstra", dijkstra)
+        monkeypatch.setattr(fpp, "csr_matrix", csr_matrix)
         inst = FppInstance(2, EdgeWeightLaw.exponential(1.0), 2, 6.0)
         fpp_barycenter_track(inst, [2.0, 3.5, 5.0], shell=shell)
         monkeypatch.undo()
-        assert [t for t, _, _ in built] == [2.0, 3.5, 5.0]
-        for t, core, graph in built:
-            alone_core, alone = fpp._ball_graph(inst, t, shell, 10_000)
-            assert core == alone_core
-            assert graph.shape == alone.shape and (graph != alone).nnz == 0
+        # one growth and one CSR for the whole track
+        assert len(built) == 1
+        assert [t for t, _, _ in balls] == [2.0, 3.5, 5.0]
+        vertices, times, whole = balls[0][1]
+        assert all(growth is balls[0][1] for _, growth, _ in balls)
+        assert len(graphs) == 3
+        for (t, _, (core, _)), graph in zip(balls, graphs):
+            alone = fpp._grow(inst, t, shell, 10_000)
+            n = len(alone[1])
+            # B(t * (1 + shell)) grown alone is the prefix below its stop
+            assert n == np.searchsorted(times, t * (1.0 + shell))
+            assert np.array_equal(vertices[:n], alone[0]) and np.array_equal(times[:n], alone[1])
+            assert np.array_equal(core, fpp._prefix_ball(alone, t, shell)[0])
+            # the graph Dijkstra ran on is the prefix slice and that growth's own graph
+            for other in (whole[:n, :n], alone[2]):
+                assert graph.shape == other.shape and (graph != other).nnz == 0
 
     def test_growth_is_to_the_largest_t(self, monkeypatch):
         stops = []
@@ -381,6 +414,25 @@ class TestRandomTrackGrowsOnce:
             fpp_barycenter_track(inst, [3.0, 6.0], shell=0.2, budget=10)
         with pytest.raises(InvalidArgumentError, match=r"^t must lie in \(0, horizon=6.0\], got nan$"):
             fpp_barycenter_track(inst, [math.nan], shell=0.2)
+
+
+class TestBallRowsNetworkxOracle:
+    @pytest.mark.parametrize("dim,law,ts", [
+        (1, "exp:1", [8.0, 16.0]), (2, "exp:1", [2.5, 4.0]), (3, "exp:1", [1.2, 1.8]),
+        (1, "unif:0.5,1.5", [10.0, 20.0]), (2, "unif:0,1", [2.0, 3.5]), (3, "unif:0.5,1.5", [2.0, 3.0]),
+    ])
+    @pytest.mark.parametrize("shell", [0.0, 0.2])
+    def test_rows_are_networkx_dijkstra_bit_for_bit(self, dim, law, ts, shell):
+        # the library numbers vertices in settle order; the oracle builds the
+        # graph in core order, so the two share no node numbering
+        pytest.importorskip("networkx")
+        inst = FppInstance(dim, EdgeWeightLaw.parse(law), 7, ts[-1] * (1.0 + shell))
+        for t, core, rows in fpp._balls(inst, ts, shell, 10_000):
+            want_core, want = networkx_ball_rows(inst, t, shell)
+            assert [tuple(v) for v in core.tolist()] == want_core
+            m = len(want_core)
+            assert np.array_equal(rows(np.arange(m)), want)
+            assert np.array_equal(rows(np.arange(1, m, 2), m // 2), want[1::2, m // 2:])
 
 
 class TestBarycenterTrack:
@@ -505,6 +557,13 @@ def dense_shape_defect(inst, t, norm=None, grid_factor=4):
     return metric, max(ball_to_set, set_to_ball)
 
 
+def ball_blocks(inst, t, step):
+    """(core, blocks) of B(t) from the ball source, step sources per block."""
+    ((_, core, rows),) = fpp._balls(inst, [t], 0.0, 10_000)
+    m = len(core)
+    return core, [(s, rows(np.arange(s, min(s + step, m)), s)) for s in range(0, m, step)]
+
+
 def assembled_upper(m, blocks):
     """Upper triangle of T/t from the row blocks, which must tile 0..m-1."""
     out = np.zeros((m, m))
@@ -518,27 +577,27 @@ def assembled_upper(m, blocks):
 
 
 class TestScaledTimeBlocks:
+    """Row blocks of T/t from the ball source, as shape_defect takes them."""
+
     @pytest.mark.parametrize("c", [0.1, 0.25, 0.3, 1.0, 2.0])
     @pytest.mark.parametrize("dim,radius", [(1, 40), (2, 9), (3, 5)])
-    def test_deterministic_rows_are_dijkstra_bit_for_bit(self, monkeypatch, c, dim, radius):
+    def test_deterministic_rows_are_dijkstra_bit_for_bit(self, c, dim, radius):
         # T(x, y) = S_{|x - y|_1} with S_h = fl(S_{h-1} + c); at c = 0.1 S_h
         # is not c * h for most h, so the running sum is what Dijkstra finds
-        monkeypatch.setattr(fpp, "_BLOCK_ENTRIES", 1000)
         t = c * (radius + 0.5)
         inst = det_instance(c=c, dim=dim, horizon=t)
-        core, blocks = fpp._scaled_time_blocks(inst, t, 10_000)
         space = scaled_space(inst, t)
-        assert [",".join(map(str, v)) for v in core] == space.labels
+        core, blocks = ball_blocks(inst, t, max(1, 1000 // space.n))
+        assert [",".join(map(str, v)) for v in core.tolist()] == space.labels
         upper = assembled_upper(space.n, blocks)
         assert np.array_equal(upper, np.triu(space.dist, 1))
 
     @pytest.mark.parametrize("dim,law,t", [(1, "exp:1", 20.0), (2, "unif:0.5,1.5", 6.0), (3, "exp:1", 2.0)])
-    def test_random_rows_are_the_scaled_space_rows(self, monkeypatch, dim, law, t):
-        monkeypatch.setattr(fpp, "_BLOCK_ENTRIES", 1000)
+    def test_random_rows_are_the_scaled_space_rows(self, dim, law, t):
         inst = FppInstance(dim, EdgeWeightLaw.parse(law), 2, t)
-        core, blocks = fpp._scaled_time_blocks(inst, t, 10_000)
         space = scaled_space(inst, t)
-        assert [",".join(map(str, v)) for v in core] == space.labels
+        core, blocks = ball_blocks(inst, t, max(1, 1000 // space.n))
+        assert [",".join(map(str, v)) for v in core.tolist()] == space.labels
         assert np.array_equal(assembled_upper(space.n, blocks), np.triu(space.dist, 1))
 
 
@@ -645,7 +704,7 @@ class TestPrunedTrackOracle:
         space = FiniteMetricMeasureSpace.uniform([str(i) for i in range(m)], dmat)
         sol = k_means_exact(space, 1, p, tie_tol=1e-12)
         assert [s.indices for s in sol.minimizers] == [(i,) for i in tied]
-        rows = lambda sources: fpp._core_rows(graph, sources, m)
+        rows = lambda sources: fpp.dijkstra(graph, directed=False, indices=sources)
         for strong in (True, False):
             objective, minimizers = fpp._ball_one_mean(rows, m, p, strong)
             assert minimizers == tied

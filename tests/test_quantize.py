@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from mmspace import (
     quantize_density_1d,
 )
 from mmspace import geodesic
+
+from helpers import circle_arc_oracle
 
 
 class TestQuantize:
@@ -93,6 +96,14 @@ class TestQuantize:
         with pytest.raises(InvalidArgumentError):
             quantize(np.array([np.nan, 0.0]), 1)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_cost_is_an_argument_error(self):
+        # every restart's cost overflows to inf, so no restart improves on inf
+        with pytest.raises(InvalidArgumentError, match="not finite on any restart"):
+            quantize(np.array([-1e160, 0.0, 5e159, 1e160]), 2)
+        res = quantize(np.array([-1e150, 0.0, 5e149, 1e150]), 2)
+        assert math.isfinite(res.objective)
+
 
 class TestGridMeasure:
     def test_masses_normalize(self):
@@ -155,6 +166,26 @@ class TestCircleArcMetric:
         angles = np.array([0.0, 1.0, 2.5, 4.0])
         coords = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         assert np.allclose(circle_arc_metric(angles), circle_arc_metric(coords), atol=1e-12)
+
+
+    def test_is_the_symmetrised_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for trial in range(400):
+            n = int(rng.integers(1, 60))
+            angles = rng.uniform(-20.0, 20.0, size=n)
+            angles[rng.integers(0, n, size=n // 4)] = angles[0]
+            points = angles if trial % 2 else np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            assert np.array_equal(circle_arc_metric(points), circle_arc_oracle(points))
+
+    def test_peak_is_two_matrices(self):
+        angles = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, size=400)
+        tracemalloc.start()
+        try:
+            circle_arc_metric(angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 400 * 400 * 8
 
 
 class TestEquispacedNet:
