@@ -187,19 +187,12 @@ def _stop(t: float, shell: float) -> float:
     return t * (1.0 + shell) if shell > 0 else t
 
 
-def _grow(instance: FppInstance, t: float, shell: float = 0.0, budget: float = math.inf) -> tuple:
-    """Dijkstra from the origin until every frontier value is >= t * (1 + shell).
+def _settle(instance: FppInstance, t: float, shell: float, budget: float) -> tuple:
+    """The Dijkstra growth of _grow, before any array is built.
 
-    Returns (vertices, times, graph) for B(t * (1 + shell)), each vertex
-    numbered in settle order: vertices (n, dim) lattice points, times their
-    passage times, and graph the n x n CSR graph of the lattice edges between
-    them.  An edge's weight is hashed once, when its first end settles, and
-    the edge enters the graph, as a row entry of its second end, when that
-    end settles.  Vertices settle in increasing time, so for any s up to
-    t * (1 + shell), B(s) is the first N vertices, N the count of times
-    below s, and its graph is graph[:N, :N].  A NaN shell means no shell.
-    The growth stops with BudgetExceededError as soon as budget + 1 vertices
-    of B(t) have settled, before the ball is grown any further.
+    Returns (index, times, (data, cols, indptr)): index maps each settled
+    lattice point to its settle number, times lists the passage times in
+    that order, and the lists hold the graph in CSR form.
     """
     _check_t(instance, t)
     stop = _stop(t, shell)
@@ -235,9 +228,27 @@ def _grow(instance: FppInstance, t: float, shell: float = 0.0, budget: float = m
                     best[v] = nd
                     heapq.heappush(heap, (nd, v))
         indptr.append(len(cols))
+    return index, times, (data, cols, indptr)
+
+
+def _grow(instance: FppInstance, t: float, shell: float = 0.0, budget: float = math.inf) -> tuple:
+    """Dijkstra from the origin until every frontier value is >= t * (1 + shell).
+
+    Returns (vertices, times, graph) for B(t * (1 + shell)), each vertex
+    numbered in settle order: vertices (n, dim) lattice points, times their
+    passage times, and graph the n x n CSR graph of the lattice edges between
+    them.  An edge's weight is hashed once, when its first end settles, and
+    the edge enters the graph, as a row entry of its second end, when that
+    end settles.  Vertices settle in increasing time, so for any s up to
+    t * (1 + shell), B(s) is the first N vertices, N the count of times
+    below s, and its graph is graph[:N, :N].  A NaN shell means no shell.
+    The growth stops with BudgetExceededError as soon as budget + 1 vertices
+    of B(t) have settled, before the ball is grown any further.
+    """
+    index, times, csr = _settle(instance, t, shell, budget)
     n = len(times)
     vertices = np.array(list(index), dtype=np.int64).reshape(n, instance.dim)
-    return vertices, np.array(times), csr_matrix((data, cols, indptr), shape=(n, n))
+    return vertices, np.array(times), csr_matrix(csr, shape=(n, n))
 
 
 def passage_time_ball(instance: FppInstance, t: float) -> dict:
@@ -246,8 +257,8 @@ def passage_time_ball(instance: FppInstance, t: float) -> dict:
     Grows Dijkstra from the origin until every frontier value is >= t, so the
     returned dict is exactly B(t) = {y : T(0, y) < t}.
     """
-    vertices, times, _ = _grow(instance, t)
-    return dict(zip(map(tuple, vertices.tolist()), times.tolist()))
+    index, times, _ = _settle(instance, t, 0.0, math.inf)
+    return dict(zip(index, times))
 
 
 def _prefix_ball(growth: tuple, t: float, shell: float) -> tuple:

@@ -1,14 +1,23 @@
 """Graph-geodesic metric estimators on point clouds.
 
-Two estimators share one graph core: each lists its edges, and the core
-builds an explicit sparse graph from that list, checks that it connects the
-cloud, and takes all-pairs shortest paths.  Every listed edge is kept,
-including zero and tiny weights (a dense weight matrix would let scipy read
-weights within about 1e-8 of zero as missing edges).  Fermat distances weight
-the complete graph by Euclidean length to the power alpha >= 1; the isomap
-variant connects points within radius eps at plain Euclidean length.  Both
-return exactly symmetric matrices because the Floyd-Warshall relaxations are
-symmetric expressions of symmetric inputs.
+Two estimators share one graph core: each lists the edges of its graph G,
+and the core takes all-pairs shortest paths over them.  Every listed edge is
+kept, including zero and tiny weights (a dense weight matrix would let scipy
+read weights within about 1e-8 of zero as missing edges).  Fermat distances
+weight the complete graph by Euclidean length to the power alpha >= 1; the
+isomap variant connects points within radius eps at plain Euclidean length.
+
+The core first tries a sparse candidate subgraph H of G, where the builder
+knows one that carries every shortest path, and certifies it (the lemma: if
+D_H(i, j) <= W(i, j) for every edge of G, every G-path is dominated by an
+H-path, so D_H = D_G).  The candidates are the sorted-neighbour chain of a
+1-D cloud, and for Fermat at alpha >= 2 in two or three dimensions the
+Delaunay edges, which contain the Gabriel graph that carries every such
+path.  A certified matrix is Dijkstra's on H with its upper triangle
+mirrored, so it is exactly symmetric by construction.  Without a candidate,
+or when the check fails, G runs Floyd-Warshall, whose relaxations are
+symmetric expressions of symmetric inputs, so that matrix is exactly
+symmetric too.
 
 Also here: the closed-form population Fermat distance for a one-dimensional
 Gaussian, a Monte Carlo moment probe built on it, and a pointwise check of
@@ -19,11 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, floyd_warshall
+from scipy.sparse.csgraph import connected_components, dijkstra, floyd_warshall
+from scipy.spatial import Delaunay, QhullError
 from scipy.spatial.distance import cdist
 
 from .cloud import PointCloud
@@ -64,8 +75,10 @@ def _dedupe(pts: np.ndarray):
     return pts[np.sort(first)], rank[inv]
 
 
-def _graph_distances(n: int, edges, knob: str, members: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs shortest paths over an undirected graph given by an edge list.
+def _graph_distances(
+    n: int, edges, knob: str, members: np.ndarray | None = None, candidate=None
+) -> np.ndarray:
+    """All-pairs shortest paths over an undirected graph G given by an edge list.
 
     edges is called with no arguments and returns (rows, cols, weights), one
     entry per edge between vertices in [0, m); it runs only after the size
@@ -73,9 +86,24 @@ def _graph_distances(n: int, edges, knob: str, members: np.ndarray | None = None
     zero and tiny weights stay edges; where both (i, j) and (j, i) are listed
     the smaller weight counts.  members maps the n points onto the m vertices
     (duplicates share a vertex); None means one vertex per point.  The result
-    is n x n over the points.  Raises BudgetExceededError when n exceeds
-    MAX_GRAPH_POINTS, and DisconnectedGraphError, carrying the point index
-    sets of the components and naming knob, when the graph does not connect.
+    is n x n over the points.
+
+    candidate, when given, is called after edges with no arguments and
+    returns None or the pairs (i, j), i < j, of a subgraph H to try first;
+    edges must then list each edge once, with i < j, in row-major order.
+    Pairs that are not edges of G are dropped, so H is a subgraph of G with
+    G's weights.  D_H, Dijkstra's matrix on H with its upper triangle
+    mirrored, is returned when one pass over G's edges, in blocks of m,
+    shows D_H(i, j) <= W(i, j) (1 + 4 (m + 3) 2^-53) on every edge of G.
+    Then every G-path is dominated by an H-path, so D_H = D_G up to that
+    factor, which covers the rounding of m summed weights, the order of
+    Floyd-Warshall's own.  Otherwise, or with no candidate, G runs
+    Floyd-Warshall; G's CSR is built only then.
+
+    Raises BudgetExceededError when n exceeds MAX_GRAPH_POINTS,
+    InvalidArgumentError when a weight overflows to inf, and
+    DisconnectedGraphError, carrying the point index sets of the components
+    and naming knob, when the graph does not connect.
     """
     if n > MAX_GRAPH_POINTS:
         raise BudgetExceededError(
@@ -85,16 +113,66 @@ def _graph_distances(n: int, edges, knob: str, members: np.ndarray | None = None
     if m == 1:
         return np.zeros((n, n))
     rows, cols, weights = edges()
-    graph = csr_matrix((weights, (rows, cols)), shape=(m, m))
-    ncomp, labels = connected_components(graph, directed=False)
-    if ncomp > 1:
-        point_labels = labels if members is None else labels[members]
-        comps = [np.flatnonzero(point_labels == c).tolist() for c in range(ncomp)]
-        raise DisconnectedGraphError(
-            f"{knob} graph has {ncomp} components; raise {knob.partition('=')[0]}", comps
+    if not np.all(np.isfinite(weights)):
+        raise InvalidArgumentError(
+            "graph edge weights overflow float64; rescale the points"
         )
-    dist = floyd_warshall(graph, directed=False)
+    pairs = None if candidate is None else candidate()
+    dist = None if pairs is None else _certified(m, rows, cols, weights, *pairs)
+    if dist is None:
+        graph = csr_matrix((weights, (rows, cols)), shape=(m, m))
+        ncomp, labels = connected_components(graph, directed=False)
+        if ncomp > 1:
+            point_labels = labels if members is None else labels[members]
+            comps = [np.flatnonzero(point_labels == c).tolist() for c in range(ncomp)]
+            raise DisconnectedGraphError(
+                f"{knob} graph has {ncomp} components; raise {knob.partition('=')[0]}", comps
+            )
+        dist = floyd_warshall(graph, directed=False)
     return dist if members is None else dist[np.ix_(members, members)]
+
+
+def _certified(m: int, rows, cols, weights, hr, hc) -> np.ndarray | None:
+    """D_H for the pairs (hr, hc) of G's row-major edge list, or None when H
+    does not connect or fails the check of _graph_distances."""
+    if not rows.size:
+        return None
+    keys = rows * m + cols
+    want = hr * m + hc
+    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    pos = pos[keys[pos] == want]
+    sub = csr_matrix((weights[pos], (rows[pos], cols[pos])), shape=(m, m))
+    if connected_components(sub, directed=False)[0] > 1:
+        return None
+    dist = dijkstra(sub, directed=False)
+    upper = np.triu(dist, 1)
+    np.add(upper, upper.T, out=dist)
+    slack = 1.0 + 4.0 * (m + 3) * 2.0**-53
+    for s in range(0, rows.size, m):
+        block = slice(s, s + m)
+        if not np.all(dist[rows[block], cols[block]] <= weights[block] * slack):
+            return None
+    return dist
+
+
+def _chain(uniq: np.ndarray):
+    """Pairs (i, j), i < j, of neighbours in sorted order along a 1-D cloud."""
+    order = np.argsort(uniq[:, 0], kind="stable")
+    a, b = order[:-1], order[1:]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _delaunay_pairs(uniq: np.ndarray):
+    """Pairs (i, j), i < j, of Delaunay edges (qhull, joggled input), or None
+    when qhull cannot triangulate the points."""
+    try:
+        simplices = Delaunay(uniq, qhull_options="QJ").simplices
+    except QhullError:
+        return None
+    a, b = np.triu_indices(simplices.shape[1], 1)
+    i, j = simplices[:, a].ravel(), simplices[:, b].ravel()
+    keys = np.unique(np.minimum(i, j) * uniq.shape[0] + np.maximum(i, j))
+    return np.divmod(keys, uniq.shape[0])
 
 
 def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = None) -> np.ndarray:
@@ -105,9 +183,13 @@ def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = No
     Sparser than the complete graph, it can only lengthen paths, so it matches
     the complete-graph matrix only when knn is large enough; check that on a
     moderate instance before relying on it at scale.  Raises
-    DisconnectedGraphError if the restriction disconnects the cloud.
+    DisconnectedGraphError if the restriction disconnects the cloud, and
+    InvalidArgumentError when a weight |step|^alpha overflows float64.
     Duplicate points are collapsed before the shortest-path pass and
     re-expanded, so exact duplicates sit at distance zero as they should.
+    The complete graph tries the sorted-neighbour chain of a 1-D cloud, and
+    the Delaunay edges at alpha >= 2 in two or three dimensions, as the
+    graph core's candidate.
     """
     if not (alpha >= 1.0 and math.isfinite(alpha)):
         raise InvalidArgumentError(f"alpha must be >= 1, got {alpha!r}")
@@ -115,7 +197,7 @@ def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = No
     if pts.shape[0] < 2:
         raise InvalidArgumentError("need at least 2 points")
     uniq, inv = _dedupe(pts)
-    m = uniq.shape[0]
+    m, dim = uniq.shape
     if knn is not None and m > 1 and not 1 <= knn < m:
         raise InvalidArgumentError(f"knn must be in [1, {m - 1}], got {knn}")
 
@@ -126,23 +208,35 @@ def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = No
         else:
             rows = np.repeat(np.arange(m), knn)
             cols = np.argsort(e, axis=1, kind="stable")[:, 1 : knn + 1].ravel()
-        return rows, cols, e[rows, cols] ** alpha
+        # an overflow reads inf, which the graph core rejects
+        with np.errstate(over="ignore"):
+            return rows, cols, e[rows, cols] ** alpha
 
-    return _graph_distances(pts.shape[0], edges, f"knn={knn}", inv)
+    candidate = None
+    if knn is None and dim == 1:
+        candidate = partial(_chain, uniq)
+    elif knn is None and alpha >= 2.0 and dim in (2, 3):
+        candidate = partial(_delaunay_pairs, uniq)
+    return _graph_distances(pts.shape[0], edges, f"knn={knn}", inv, candidate)
 
 
 def fermat_scaled(matrix: np.ndarray, n: int, alpha: float, intrinsic_dim: int) -> np.ndarray:
     """Rescale an empirical Fermat matrix by n^((alpha-1)/intrinsic_dim).
 
     This is the normalization under which the empirical distances converge;
-    alpha = 1 leaves the matrix unchanged.
+    alpha = 1 leaves the matrix unchanged.  A product that overflows, or any
+    entry that is not finite, raises InvalidArgumentError.
     """
     FermatParams(alpha, intrinsic_dim)
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
     # 0 exponent gives factor exactly 1.0, so alpha=1 is bitwise a no-op
     factor = float(n) ** ((alpha - 1.0) / intrinsic_dim)
-    return np.asarray(matrix, dtype=np.float64) * factor
+    with np.errstate(over="ignore"):
+        out = np.asarray(matrix, dtype=np.float64) * factor
+    if not np.all(np.isfinite(out)):
+        raise InvalidArgumentError("the rescaled Fermat matrix overflows float64; rescale the points")
+    return out
 
 
 def isomap_distance_matrix(cloud: PointCloud, eps: float) -> np.ndarray:
@@ -150,7 +244,9 @@ def isomap_distance_matrix(cloud: PointCloud, eps: float) -> np.ndarray:
 
     Points are adjacent iff their Euclidean distance is <= eps.  Raises
     DisconnectedGraphError (carrying the component index sets) when the graph
-    does not connect the cloud.
+    does not connect the cloud, and InvalidArgumentError when a distance
+    overflows float64.  A 1-D cloud tries its sorted-neighbour chain as the
+    graph core's candidate.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise InvalidArgumentError(f"eps must be positive, got {eps!r}")
@@ -164,7 +260,8 @@ def isomap_distance_matrix(cloud: PointCloud, eps: float) -> np.ndarray:
         rows, cols = np.nonzero(np.triu(e <= eps, 1))
         return rows, cols, e[rows, cols]
 
-    return _graph_distances(pts.shape[0], edges, f"eps={eps}", inv)
+    candidate = partial(_chain, uniq) if uniq.shape[1] == 1 else None
+    return _graph_distances(pts.shape[0], edges, f"eps={eps}", inv, candidate)
 
 
 # ----------------------------------------------------------------------------

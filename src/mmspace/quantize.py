@@ -63,9 +63,11 @@ def _cell_center(points: np.ndarray, w: np.ndarray, p: float, start: np.ndarray)
     def cost(c):
         return float(np.dot(w, np.linalg.norm(points - c[None, :], axis=1) ** p))
 
-    res = minimize(cost, start, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12})
-    # keep the update only if it actually improves, preserving monotonicity
-    return res.x if res.fun <= cost(start) else start
+    # a cost that overflows reads inf; its warnings would reach the CLI's stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = minimize(cost, start, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12})
+        # keep the update only if it actually improves, preserving monotonicity
+        return res.x if res.fun <= cost(start) else start
 
 
 def quantize(
@@ -129,7 +131,9 @@ def quantize(
                 if not np.any(mask):
                     continue
                 new = _cell_center(pts[mask], w[mask], p, centers[c])
-                moved = max(moved, float(np.linalg.norm(new - centers[c])))
+                # a move too large to square reads inf, which is not <= 1e-12
+                with np.errstate(over="ignore"):
+                    moved = max(moved, float(np.linalg.norm(new - centers[c])))
                 centers[c] = new
         histories.append(trace)
         if powcost < best_cost:

@@ -132,7 +132,12 @@ def circle_arc_metric(points) -> np.ndarray:
     Accepts angles or (n, 2) coordinates, like the circle branch of
     epsilon_net_graph.
     """
-    theta = _circle_angles(points)
+    return _arc_gaps(_circle_angles(points))
+
+
+def _arc_gaps(theta: np.ndarray) -> np.ndarray:
+    """|a - b| folded to the shorter way round, for angles within 2 pi of
+    each other, as one n x n array built in place."""
     # fl(a - b) = -fl(b - a) and a - a = 0, so d is symmetric with a zero
     # diagonal as computed
     d = np.subtract.outer(theta, theta)
@@ -155,12 +160,15 @@ def true_distance_matrix(generator: str, cloud: PointCloud) -> np.ndarray:
     if generator == "circle":
         return circle_arc_metric(pts)
     if generator == "torus":
+        # each folded gap is symmetric with a zero diagonal, so the sum of
+        # squares and its root are too
         ang = _torus_angles(pts)
-        d1 = _circular_diff(ang[:, 0][:, None], ang[:, 0][None, :])
-        d2 = _circular_diff(ang[:, 1][:, None], ang[:, 1][None, :])
-        d = np.sqrt(d1 * d1 + d2 * d2)
-        np.fill_diagonal(d, 0.0)
-        return np.minimum(d, d.T)
+        d = _arc_gaps(ang[:, 0])
+        np.multiply(d, d, out=d)
+        d2 = _arc_gaps(ang[:, 1])
+        np.multiply(d2, d2, out=d2)
+        np.add(d, d2, out=d)
+        return np.sqrt(d, out=d)
     raise InvalidArgumentError(f"no closed-form geometry for generator {generator!r}")
 
 

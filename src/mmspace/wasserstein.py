@@ -204,35 +204,42 @@ def _learn_metric(cloud: PointCloud, method: str, params: dict | None = None, sc
     the quotient "classes" of points the diffusion cannot separate.
     scaled=False leaves the Fermat matrix without its n^((alpha-1)/dim) factor.
     Past geodesic.MAX_GRAPH_POINTS points it raises BudgetExceededError before
-    any n x n array is built.
+    any n x n array is built; a matrix with an entry that overflowed to inf
+    raises InvalidArgumentError.
     """
     if cloud.n > geodesic.MAX_GRAPH_POINTS:
         raise BudgetExceededError(
             f"{method} metric on {cloud.n} points exceeds the limit of {geodesic.MAX_GRAPH_POINTS}"
         )
     params = dict(params or {})
+    diagnostics = {}
     if method == "euclid":
-        return euclidean_matrix(cloud), {}
-    if method == "fermat":
+        d = euclidean_matrix(cloud)
+    elif method == "fermat":
         alpha = float(params.get("alpha", 2.0))
         d = fermat_distance_matrix(cloud, alpha, knn=params.get("knn"))
         if scaled:
             d = fermat_scaled(d, cloud.n, alpha, cloud.intrinsic_dim)
-        return d, {}
-    if method == "isomap":
+    elif method == "isomap":
         if "eps" not in params:
             raise InvalidArgumentError("isomap ground metric needs eps")
-        return isomap_distance_matrix(cloud, float(params["eps"])), {}
-    if method == "diffusion":
+        d = isomap_distance_matrix(cloud, float(params["eps"]))
+    elif method == "diffusion":
         sigma = float(params.get("sigma", 1.0))
         k = int(params.get("embed_k", min(cloud.n, 10)))
         t = float(params.get("t", 1.0))
         dec = spectral_decomposition(normalized_laplacian(similarity_matrix(cloud, sigma)), k)
         d, classes = diffusion_distance_matrix(embedding_from_decomposition(dec, t))
-        return d, {"eigenvalues": dec.eigenvalues, "gap_warnings": dec.gap_warnings, "classes": classes}
-    raise InvalidArgumentError(
-        f"unknown ground method {method!r}; expected one of {GROUND_METHODS}"
-    )
+        diagnostics = {"eigenvalues": dec.eigenvalues, "gap_warnings": dec.gap_warnings, "classes": classes}
+    else:
+        raise InvalidArgumentError(
+            f"unknown ground method {method!r}; expected one of {GROUND_METHODS}"
+        )
+    if not np.all(np.isfinite(d)):
+        raise InvalidArgumentError(
+            f"the {method} metric overflows float64; rescale the points"
+        )
+    return d, diagnostics
 
 
 def build_ground_metric(cloud: PointCloud, method: str, params: dict | None = None) -> np.ndarray:

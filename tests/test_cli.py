@@ -137,6 +137,19 @@ class TestSampleAndDist:
             code, _ = run_cli(capsys, "dist", *flags, "--in", str(cloud), "--out", str(tmp_path / "d.csv"))
             assert code == 3
 
+    # a warning would escape to stderr beside the error, so it fails the test
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [["--method", "euclid"], ["--method", "fermat", "--alpha", "2"]])
+    def test_overflowing_matrix_exits_2(self, tmp_path, capsys, flags):
+        cloud = tmp_path / "c.csv"
+        write_line_cloud(cloud, [1e308, -1e308, 0.0])
+        out = tmp_path / "d.csv"
+        code = main(["dist", *flags, "--in", str(cloud), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "overflow" in captured.err
+
     def test_missing_input_exit_2(self, tmp_path, capsys):
         code, _ = run_cli(
             capsys, "dist", "--method", "euclid", "--in", str(tmp_path / "absent.csv"),
@@ -325,11 +338,24 @@ class TestQuantizeCmd:
         assert doc["centers"][1][0] == pytest.approx(10.05, abs=1e-6)
         assert doc["masses"] == pytest.approx([0.6, 0.4])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # a warning would escape to stderr before the error, so it fails the test
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_cost_exits_2(self, tmp_path, capsys):
         cloud = tmp_path / "c.csv"
         write_line_cloud(cloud, [-1e160, 0.0, 5e159, 1e160])
         code = main(["quantize", "--in", str(cloud), "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: the quantization cost is not finite on any restart; the samples are too large to quantize\n"
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_cost_at_p3_exits_2(self, tmp_path, capsys):
+        # p != 2 moves each center by Nelder-Mead on a cost that overflows
+        cloud = tmp_path / "c.csv"
+        write_line_cloud(cloud, [-1e160, 0.0, 5e159, 1e160])
+        code = main(["quantize", "--in", str(cloud), "--n", "2", "--p", "3"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == (

@@ -137,6 +137,19 @@ class TestBall:
         for v, time in small.items():
             assert big[v] == time
 
+    @pytest.mark.parametrize("dim, law", [(1, "exp:1"), (2, "exp:1"), (2, "unif:0.5,1.5"), (3, "det:1")])
+    def test_is_the_growth_and_builds_no_graph(self, monkeypatch, dim, law):
+        inst = FppInstance(dim, EdgeWeightLaw.parse(law), 3, 10.0)
+        vertices, times, _ = fpp._grow(inst, 4.0)
+
+        def no_csr(*args, **kwargs):
+            raise AssertionError("a ball read no graph")
+
+        monkeypatch.setattr(fpp, "csr_matrix", no_csr)
+        ball = passage_time_ball(inst, 4.0)
+        # the same vertices and times, in the same (settle) order
+        assert list(ball.items()) == list(zip(map(tuple, vertices.tolist()), times.tolist()))
+
     def test_t_validation(self):
         inst = det_instance(horizon=5.0)
         with pytest.raises(InvalidArgumentError):

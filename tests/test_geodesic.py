@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import floyd_warshall
 from scipy.special import erfi
 
 from mmspace import (
@@ -135,6 +137,10 @@ class TestIsomap:
         with pytest.raises(DisconnectedGraphError) as err:
             isomap_distance_matrix(cloud_1d([0.0, 0.5, 1.2]), eps=0.6)
         assert err.value.components == [[0, 1], [2]]
+        # no edge at all: the chain has nothing to look up
+        with pytest.raises(DisconnectedGraphError) as err:
+            isomap_distance_matrix(cloud_1d([0.0, 1.0, 3.0]), eps=0.5)
+        assert err.value.components == [[0], [1], [2]]
 
     def test_dominates_euclidean(self):
         rng = np.random.default_rng(6)
@@ -421,3 +427,175 @@ class TestCurvatureCondition:
                 lambda x: np.zeros((2, 2)),
                 2.0, 2, 0.0, np.zeros((1, 2)), frames,
             )
+
+
+def complete_floyd_warshall(points, alpha):
+    """Fermat distances by Floyd-Warshall over every pair of points, with
+    duplicates joined by explicit zero-weight edges."""
+    pts = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
+    rows, cols = np.triu_indices(len(pts), 1)
+    w = np.linalg.norm(pts[rows] - pts[cols], axis=1) ** alpha
+    graph = csr_matrix((w, (rows, cols)), shape=(len(pts), len(pts)))
+    return floyd_warshall(graph, directed=False)
+
+
+def cocircular_cloud():
+    """Twelve points on the unit circle, four of them at the quarter turns,
+    and the center."""
+    theta = np.concatenate([np.arange(4) * math.pi / 2.0, np.linspace(0.3, 5.9, 8)])
+    return np.vstack([np.stack([np.cos(theta), np.sin(theta)], axis=1), [[0.0, 0.0]]])
+
+
+def collinear_cloud(seed):
+    """Random points on a tilted line in the plane, one of them doubled."""
+    t = np.random.default_rng(seed).uniform(size=15)
+    pts = np.stack([t, 0.5 * t + 0.25], axis=1)
+    return np.vstack([pts, pts[:1]])
+
+
+def random_cloud(seed, dim):
+    return np.random.default_rng(seed).uniform(size=(25, dim))
+
+
+class TestCertifiedGraph:
+    """The sparse candidate is used only when it reproduces the complete graph."""
+
+    @staticmethod
+    def spy(monkeypatch, name, calls):
+        real = getattr(geodesic, name)
+
+        def spied(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, name, spied)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("cloud, certifies", [
+        # a 1-D chain carries every path at any alpha; generic, cocircular
+        # and collinear Delaunay sets carry every alpha >= 2 path
+        pytest.param(lambda: random_cloud(2, 1), lambda alpha: True, id="line"),
+        pytest.param(
+            lambda: np.concatenate([random_cloud(3, 1), [[0.5], [0.5 + 1e-12], [0.5]]]),
+            lambda alpha: True, id="line-near-duplicates",
+        ),
+        pytest.param(lambda: random_cloud(4, 2), lambda alpha: alpha >= 2.0, id="square"),
+        pytest.param(lambda: random_cloud(5, 3), lambda alpha: alpha >= 2.0, id="cube"),
+        pytest.param(cocircular_cloud, lambda alpha: alpha >= 2.0, id="cocircular"),
+        pytest.param(lambda: collinear_cloud(1), lambda alpha: alpha >= 2.0, id="collinear"),
+        # the joggle may lose these; either path must give the same matrix
+        pytest.param(lambda: near_duplicate_cloud(0), None, id="plane-near-duplicates"),
+    ])
+    def test_matches_complete_floyd_warshall_and_relaxation(self, monkeypatch, cloud, certifies, alpha):
+        pts = cloud()
+        calls = []
+        self.spy(monkeypatch, "floyd_warshall", calls)
+        d = fermat_distance_matrix(PointCloud(pts), alpha)
+        if certifies is not None:
+            assert calls == ([] if certifies(alpha) else ["floyd_warshall"])
+        np.testing.assert_allclose(d, complete_floyd_warshall(pts, alpha), rtol=1e-12, atol=0.0)
+        oracle = relaxation_geodesics(pts, lambda length: length**alpha)
+        np.testing.assert_allclose(d, oracle, rtol=1e-12, atol=0.0)
+        assert np.array_equal(d, d.T)
+
+    def test_interval_isomap_matches_relaxation(self, monkeypatch):
+        x = np.random.default_rng(6).uniform(size=30)
+        calls = []
+        self.spy(monkeypatch, "floyd_warshall", calls)
+        d = isomap_distance_matrix(cloud_1d(x), eps=0.3)
+        assert calls == []
+        oracle = relaxation_geodesics(x[:, None], lambda length: length if length <= 0.3 else None)
+        np.testing.assert_allclose(d, oracle, rtol=1e-12, atol=0.0)
+
+    def test_pooled_bench_ground_certifies(self, monkeypatch):
+        # the shape of the wkmeans ground of a CLI session: 12 groups around
+        # 0 and 1 pooled into 440 points, isomap at eps = 1
+        rng = np.random.default_rng([1, 3])
+        sizes = (40,) * 8 + (30,) * 4
+        x = np.concatenate([(i % 2) + rng.uniform(-0.5, 0.5, size=m) for i, m in enumerate(sizes)])
+        monkeypatch.setattr(geodesic, "_chain", lambda uniq: None)
+        fallback = isomap_distance_matrix(cloud_1d(x), eps=1.0)
+        monkeypatch.undo()
+
+        def no_floyd_warshall(*args, **kwargs):
+            raise AssertionError("the chain should have certified")
+
+        monkeypatch.setattr(geodesic, "floyd_warshall", no_floyd_warshall)
+        d = isomap_distance_matrix(cloud_1d(x), eps=1.0)
+        np.testing.assert_allclose(d, fallback, rtol=1e-12, atol=0.0)
+        assert np.array_equal(d, d.T)
+
+    @pytest.mark.parametrize("build", [
+        lambda c: isomap_distance_matrix(c, eps=0.5),
+        lambda c: fermat_distance_matrix(c, 1.0),
+        lambda c: fermat_distance_matrix(c, 1.5),
+        lambda c: fermat_distance_matrix(c, 2.0, knn=8),
+    ], ids=["isomap", "fermat-alpha-1", "fermat-alpha-1.5", "fermat-knn"])
+    def test_no_candidate_runs_no_dijkstra(self, monkeypatch, build):
+        def no_dijkstra(*args, **kwargs):
+            raise AssertionError("no candidate was expected")
+
+        monkeypatch.setattr(geodesic, "dijkstra", no_dijkstra)
+        build(PointCloud(random_cloud(7, 2)))
+
+    def test_one_needed_edge_removed_fails_and_falls_back(self, monkeypatch):
+        pts = random_cloud(8, 2)
+        e = euclidean_matrix(PointCloud(pts))
+        np.fill_diagonal(e, np.inf)
+        # the closest pair: any other path has two hops at least as long
+        i, j = sorted(np.unravel_index(np.argmin(e), e.shape))
+        real = geodesic._delaunay_pairs
+
+        def without_closest(uniq):
+            hr, hc = real(uniq)
+            keep = ~((hr == i) & (hc == j))
+            assert not keep.all()
+            return hr[keep], hc[keep]
+
+        monkeypatch.setattr(geodesic, "_delaunay_pairs", lambda uniq: None)
+        fallback = fermat_distance_matrix(PointCloud(pts), 2.0)
+        monkeypatch.setattr(geodesic, "_delaunay_pairs", without_closest)
+        calls = []
+        self.spy(monkeypatch, "dijkstra", calls)
+        self.spy(monkeypatch, "floyd_warshall", calls)
+        d = fermat_distance_matrix(PointCloud(pts), 2.0)
+        # the pruned H still connects, so the check itself turned it down
+        assert calls == ["dijkstra", "floyd_warshall"]
+        assert np.array_equal(d, fallback)
+
+
+    def test_chain_rounding_above_the_direct_edge_still_certifies(self, monkeypatch):
+        # the chain's rounded sum from -0.751 to 0.726, in Dijkstra's order,
+        # is one ulp above the rounded direct distance, so an exact
+        # comparison would fall back
+        x = np.array([-0.943, -0.751, -0.401, -0.155, 0.083, 0.341, 0.726])
+        gaps = np.abs(np.diff(x)).tolist()
+        assert sum(gaps[1:]) > abs(x[6] - x[1])
+        calls = []
+        self.spy(monkeypatch, "floyd_warshall", calls)
+        d = fermat_distance_matrix(cloud_1d(x), 1.0)
+        assert calls == []
+        np.testing.assert_allclose(d, relaxation_geodesics(x[:, None], lambda length: length), rtol=1e-12, atol=0.0)
+
+    def test_a_detour_longer_by_1e12_relative_is_turned_down(self, monkeypatch):
+        # B sits just outside the circle on diameter AC: the path A-B-C costs
+        # 1 + 1e-12 against the direct edge's 1, far above rounding
+        pts = np.array([[0.0, 0.0], [0.5, 0.5 + 5e-13], [1.0, 0.0]])
+        fallback = complete_floyd_warshall(pts, 2.0)
+        monkeypatch.setattr(geodesic, "_delaunay_pairs", lambda uniq: (np.array([0, 1]), np.array([1, 2])))
+        calls = []
+        self.spy(monkeypatch, "dijkstra", calls)
+        self.spy(monkeypatch, "floyd_warshall", calls)
+        d = fermat_distance_matrix(PointCloud(pts), 2.0)
+        assert calls == ["dijkstra", "floyd_warshall"]
+        assert d[0, 2] == fallback[0, 2] == 1.0
+
+
+class TestOverflow:
+    def test_fermat_weight_overflow_is_named(self):
+        with pytest.raises(InvalidArgumentError, match="overflow"):
+            fermat_distance_matrix(cloud_1d([1e308, -1e308, 0.0]), 2.0)
+        # every distance is finite, one cube is not; an inf weight would pass
+        # the chain's check without checking anything
+        with pytest.raises(InvalidArgumentError, match="overflow"):
+            fermat_distance_matrix(cloud_1d([0.0, 5e102, 1e103]), 3.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from mmspace import (
     stream,
     true_distance_matrix,
 )
+
+from helpers import torus_distance_oracle
 
 
 class TestStreams:
@@ -124,6 +127,29 @@ class TestTrueDistances:
         )
         d = true_distance_matrix("torus", PointCloud(pts, 2))
         assert d[0, 1] == pytest.approx(math.pi * math.sqrt(2.0))
+
+    def test_torus_is_the_symmetrised_oracle_bit_for_bit(self):
+        from mmspace import PointCloud
+
+        rng = np.random.default_rng(12)
+        for _ in range(150):
+            n = int(rng.integers(1, 60))
+            ang = rng.uniform(-20.0, 20.0, size=(n, 2))
+            ang[rng.integers(0, n, size=n // 4)] = ang[0]
+            pts = np.concatenate([np.cos(ang[:, :1]), np.sin(ang[:, :1]), np.cos(ang[:, 1:]), np.sin(ang[:, 1:])], axis=1)
+            assert np.array_equal(true_distance_matrix("torus", PointCloud(pts, 2)), torus_distance_oracle(pts))
+
+    def test_torus_peak_is_three_matrices(self):
+        cloud = sample("torus", 400, 0)
+        tracemalloc.start()
+        try:
+            true_distance_matrix("torus", cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result, the second angle's gaps and one fold temporary; the
+        # unfolded form held about four
+        assert peak < 3.1 * 400 * 400 * 8
 
     def test_no_closed_form(self):
         cloud = sample("gaussian", 5, 0)

@@ -316,6 +316,17 @@ class TestGroundMetric:
         with pytest.raises(InvalidArgumentError):
             build_ground_metric(cloud, "nope")
 
+    @pytest.mark.parametrize("coords, method, params", [
+        ([1e308, -1e308, 0.0], "euclid", {}),
+        ([1e308, -1e308, 0.0], "fermat", {"alpha": 2.0}),
+        # every entry is finite before the n^((alpha-1)/dim) = 2 rescaling
+        ([0.0, 1.3e154], "fermat", {"alpha": 2.0}),
+    ])
+    def test_overflow_is_an_error_not_an_inf_matrix(self, coords, method, params):
+        cloud = PointCloud(np.array(coords)[:, None])
+        with pytest.raises(InvalidArgumentError, match="overflow"):
+            build_ground_metric(cloud, method, params)
+
 
 class TestLearnedPipeline:
     def three_groups(self):
