@@ -10,14 +10,13 @@ isomap variant connects points within radius eps at plain Euclidean length.
 The core first tries a sparse candidate subgraph H of G, where the builder
 knows one that carries every shortest path, and certifies it (the lemma: if
 D_H(i, j) <= W(i, j) for every edge of G, every G-path is dominated by an
-H-path, so D_H = D_G).  The candidates are the sorted-neighbour chain of a
-1-D cloud, and for Fermat at alpha >= 2 in two or three dimensions the
-Delaunay edges, which contain the Gabriel graph that carries every such
-path.  A certified matrix is Dijkstra's on H with its upper triangle
-mirrored, so it is exactly symmetric by construction.  Without a candidate,
-or when the check fails, G runs Floyd-Warshall, whose relaxations are
-symmetric expressions of symmetric inputs, so that matrix is exactly
-symmetric too.
+H-path, so D_H = D_G).  The one candidate is the sorted-neighbour chain of a
+1-D cloud, which carries every path of isomap and of Fermat at any alpha,
+since the points are collinear.  A certified matrix is Dijkstra's on H with
+its upper triangle mirrored, so it is exactly symmetric by construction.
+Without a candidate, or when the check fails, G runs Floyd-Warshall, whose
+relaxations are symmetric expressions of symmetric inputs, so that matrix
+is exactly symmetric too.
 
 Also here: the closed-form population Fermat distance for a one-dimensional
 Gaussian, a Monte Carlo moment probe built on it, and a pointwise check of
@@ -34,7 +33,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra, floyd_warshall
-from scipy.spatial import Delaunay, QhullError
 from scipy.spatial.distance import cdist
 
 from .cloud import PointCloud
@@ -112,6 +110,13 @@ def _graph_distances(
     m = n if members is None else int(members.max()) + 1
     if m == 1:
         return np.zeros((n, n))
+    # the edge list dies with _vertex_distances, before the expansion
+    dist = _vertex_distances(m, edges, knob, members, candidate)
+    return dist if members is None else dist[np.ix_(members, members)]
+
+
+def _vertex_distances(m: int, edges, knob: str, members, candidate) -> np.ndarray:
+    """The m x m matrix of _graph_distances over the vertices."""
     rows, cols, weights = edges()
     if not np.all(np.isfinite(weights)):
         raise InvalidArgumentError(
@@ -129,24 +134,29 @@ def _graph_distances(
                 f"{knob} graph has {ncomp} components; raise {knob.partition('=')[0]}", comps
             )
         dist = floyd_warshall(graph, directed=False)
-    return dist if members is None else dist[np.ix_(members, members)]
+    return dist
 
 
 def _certified(m: int, rows, cols, weights, hr, hc) -> np.ndarray | None:
     """D_H for the pairs (hr, hc) of G's row-major edge list, or None when H
-    does not connect or fails the check of _graph_distances."""
+    does not connect or fails the check of _graph_distances.  Beside G's
+    edge list it holds one key per edge while it looks H up, and then only
+    the m x m result."""
     if not rows.size:
         return None
-    keys = rows * m + cols
+    keys = rows * m
+    keys += cols
     want = hr * m + hc
     pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
     pos = pos[keys[pos] == want]
+    del keys
     sub = csr_matrix((weights[pos], (rows[pos], cols[pos])), shape=(m, m))
     if connected_components(sub, directed=False)[0] > 1:
         return None
     dist = dijkstra(sub, directed=False)
-    upper = np.triu(dist, 1)
-    np.add(upper, upper.T, out=dist)
+    # mirror the upper triangle in place; the diagonal is 0
+    for i in range(1, m):
+        dist[i, :i] = dist[:i, i]
     slack = 1.0 + 4.0 * (m + 3) * 2.0**-53
     for s in range(0, rows.size, m):
         block = slice(s, s + m)
@@ -162,19 +172,6 @@ def _chain(uniq: np.ndarray):
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def _delaunay_pairs(uniq: np.ndarray):
-    """Pairs (i, j), i < j, of Delaunay edges (qhull, joggled input), or None
-    when qhull cannot triangulate the points."""
-    try:
-        simplices = Delaunay(uniq, qhull_options="QJ").simplices
-    except QhullError:
-        return None
-    a, b = np.triu_indices(simplices.shape[1], 1)
-    i, j = simplices[:, a].ravel(), simplices[:, b].ravel()
-    keys = np.unique(np.minimum(i, j) * uniq.shape[0] + np.maximum(i, j))
-    return np.divmod(keys, uniq.shape[0])
-
-
 def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = None) -> np.ndarray:
     """Empirical Fermat distances: cheapest path cost with hop cost |step|^alpha.
 
@@ -187,9 +184,8 @@ def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = No
     InvalidArgumentError when a weight |step|^alpha overflows float64.
     Duplicate points are collapsed before the shortest-path pass and
     re-expanded, so exact duplicates sit at distance zero as they should.
-    The complete graph tries the sorted-neighbour chain of a 1-D cloud, and
-    the Delaunay edges at alpha >= 2 in two or three dimensions, as the
-    graph core's candidate.
+    The complete graph of a 1-D cloud tries its sorted-neighbour chain as
+    the graph core's candidate.
     """
     if not (alpha >= 1.0 and math.isfinite(alpha)):
         raise InvalidArgumentError(f"alpha must be >= 1, got {alpha!r}")
@@ -212,11 +208,7 @@ def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = No
         with np.errstate(over="ignore"):
             return rows, cols, e[rows, cols] ** alpha
 
-    candidate = None
-    if knn is None and dim == 1:
-        candidate = partial(_chain, uniq)
-    elif knn is None and alpha >= 2.0 and dim in (2, 3):
-        candidate = partial(_delaunay_pairs, uniq)
+    candidate = partial(_chain, uniq) if knn is None and dim == 1 else None
     return _graph_distances(pts.shape[0], edges, f"knn={knn}", inv, candidate)
 
 
@@ -224,19 +216,16 @@ def fermat_scaled(matrix: np.ndarray, n: int, alpha: float, intrinsic_dim: int) 
     """Rescale an empirical Fermat matrix by n^((alpha-1)/intrinsic_dim).
 
     This is the normalization under which the empirical distances converge;
-    alpha = 1 leaves the matrix unchanged.  A product that overflows, or any
-    entry that is not finite, raises InvalidArgumentError.
+    alpha = 1 leaves the matrix unchanged.
     """
     FermatParams(alpha, intrinsic_dim)
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
     # 0 exponent gives factor exactly 1.0, so alpha=1 is bitwise a no-op
     factor = float(n) ** ((alpha - 1.0) / intrinsic_dim)
+    # an overflow reads inf, which the metric's finiteness check rejects
     with np.errstate(over="ignore"):
-        out = np.asarray(matrix, dtype=np.float64) * factor
-    if not np.all(np.isfinite(out)):
-        raise InvalidArgumentError("the rescaled Fermat matrix overflows float64; rescale the points")
-    return out
+        return np.asarray(matrix, dtype=np.float64) * factor
 
 
 def isomap_distance_matrix(cloud: PointCloud, eps: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -472,27 +473,25 @@ class TestCertifiedGraph:
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("cloud, certifies", [
-        # a 1-D chain carries every path at any alpha; generic, cocircular
-        # and collinear Delaunay sets carry every alpha >= 2 path
-        pytest.param(lambda: random_cloud(2, 1), lambda alpha: True, id="line"),
+        # a 1-D chain carries every path at any alpha; clouds in dims 2-3
+        # have no candidate and keep Floyd-Warshall
+        pytest.param(lambda: random_cloud(2, 1), True, id="line"),
         pytest.param(
             lambda: np.concatenate([random_cloud(3, 1), [[0.5], [0.5 + 1e-12], [0.5]]]),
-            lambda alpha: True, id="line-near-duplicates",
+            True, id="line-near-duplicates",
         ),
-        pytest.param(lambda: random_cloud(4, 2), lambda alpha: alpha >= 2.0, id="square"),
-        pytest.param(lambda: random_cloud(5, 3), lambda alpha: alpha >= 2.0, id="cube"),
-        pytest.param(cocircular_cloud, lambda alpha: alpha >= 2.0, id="cocircular"),
-        pytest.param(lambda: collinear_cloud(1), lambda alpha: alpha >= 2.0, id="collinear"),
-        # the joggle may lose these; either path must give the same matrix
-        pytest.param(lambda: near_duplicate_cloud(0), None, id="plane-near-duplicates"),
+        pytest.param(lambda: random_cloud(4, 2), False, id="square"),
+        pytest.param(lambda: random_cloud(5, 3), False, id="cube"),
+        pytest.param(cocircular_cloud, False, id="cocircular"),
+        pytest.param(lambda: collinear_cloud(1), False, id="collinear"),
+        pytest.param(lambda: near_duplicate_cloud(0), False, id="plane-near-duplicates"),
     ])
     def test_matches_complete_floyd_warshall_and_relaxation(self, monkeypatch, cloud, certifies, alpha):
         pts = cloud()
         calls = []
         self.spy(monkeypatch, "floyd_warshall", calls)
         d = fermat_distance_matrix(PointCloud(pts), alpha)
-        if certifies is not None:
-            assert calls == ([] if certifies(alpha) else ["floyd_warshall"])
+        assert calls == ([] if certifies else ["floyd_warshall"])
         np.testing.assert_allclose(d, complete_floyd_warshall(pts, alpha), rtol=1e-12, atol=0.0)
         oracle = relaxation_geodesics(pts, lambda length: length**alpha)
         np.testing.assert_allclose(d, oracle, rtol=1e-12, atol=0.0)
@@ -529,8 +528,9 @@ class TestCertifiedGraph:
         lambda c: isomap_distance_matrix(c, eps=0.5),
         lambda c: fermat_distance_matrix(c, 1.0),
         lambda c: fermat_distance_matrix(c, 1.5),
+        lambda c: fermat_distance_matrix(c, 2.0),
         lambda c: fermat_distance_matrix(c, 2.0, knn=8),
-    ], ids=["isomap", "fermat-alpha-1", "fermat-alpha-1.5", "fermat-knn"])
+    ], ids=["isomap", "fermat-alpha-1", "fermat-alpha-1.5", "fermat-alpha-2", "fermat-knn"])
     def test_no_candidate_runs_no_dijkstra(self, monkeypatch, build):
         def no_dijkstra(*args, **kwargs):
             raise AssertionError("no candidate was expected")
@@ -539,30 +539,29 @@ class TestCertifiedGraph:
         build(PointCloud(random_cloud(7, 2)))
 
     def test_one_needed_edge_removed_fails_and_falls_back(self, monkeypatch):
-        pts = random_cloud(8, 2)
-        e = euclidean_matrix(PointCloud(pts))
-        np.fill_diagonal(e, np.inf)
-        # the closest pair: any other path has two hops at least as long
-        i, j = sorted(np.unravel_index(np.argmin(e), e.shape))
-        real = geodesic._delaunay_pairs
+        x = np.random.default_rng(8).uniform(size=25)
+        real = geodesic._chain
 
-        def without_closest(uniq):
+        def rerouted(uniq):
+            # the chain edge between the 10th and 11th points goes to the
+            # 12th instead, so H still connects but misses a needed edge
             hr, hc = real(uniq)
-            keep = ~((hr == i) & (hc == j))
-            assert not keep.all()
-            return hr[keep], hc[keep]
+            order = np.argsort(uniq[:, 0], kind="stable")
+            a, c = order[10], order[12]
+            hr, hc = hr.copy(), hc.copy()
+            hr[10], hc[10] = min(a, c), max(a, c)
+            return hr, hc
 
-        monkeypatch.setattr(geodesic, "_delaunay_pairs", lambda uniq: None)
-        fallback = fermat_distance_matrix(PointCloud(pts), 2.0)
-        monkeypatch.setattr(geodesic, "_delaunay_pairs", without_closest)
+        monkeypatch.setattr(geodesic, "_chain", lambda uniq: None)
+        fallback = fermat_distance_matrix(cloud_1d(x), 2.0)
+        monkeypatch.setattr(geodesic, "_chain", rerouted)
         calls = []
         self.spy(monkeypatch, "dijkstra", calls)
         self.spy(monkeypatch, "floyd_warshall", calls)
-        d = fermat_distance_matrix(PointCloud(pts), 2.0)
-        # the pruned H still connects, so the check itself turned it down
+        d = fermat_distance_matrix(cloud_1d(x), 2.0)
+        # the rerouted H connects, so the check itself turned it down
         assert calls == ["dijkstra", "floyd_warshall"]
         assert np.array_equal(d, fallback)
-
 
     def test_chain_rounding_above_the_direct_edge_still_certifies(self, monkeypatch):
         # the chain's rounded sum from -0.751 to 0.726, in Dijkstra's order,
@@ -578,18 +577,40 @@ class TestCertifiedGraph:
         np.testing.assert_allclose(d, relaxation_geodesics(x[:, None], lambda length: length), rtol=1e-12, atol=0.0)
 
     def test_a_detour_longer_by_1e12_relative_is_turned_down(self, monkeypatch):
-        # B sits just outside the circle on diameter AC: the path A-B-C costs
-        # 1 + 1e-12 against the direct edge's 1, far above rounding
+        # B sits just outside the circle on diameter AC: at alpha = 2 the
+        # path A-B-C costs 1 + 1e-12 against the direct edge's 1, far above
+        # rounding
         pts = np.array([[0.0, 0.0], [0.5, 0.5 + 5e-13], [1.0, 0.0]])
-        fallback = complete_floyd_warshall(pts, 2.0)
-        monkeypatch.setattr(geodesic, "_delaunay_pairs", lambda uniq: (np.array([0, 1]), np.array([1, 2])))
+        rows, cols = np.triu_indices(3, 1)
+        weights = np.linalg.norm(pts[rows] - pts[cols], axis=1) ** 2
         calls = []
         self.spy(monkeypatch, "dijkstra", calls)
         self.spy(monkeypatch, "floyd_warshall", calls)
-        d = fermat_distance_matrix(PointCloud(pts), 2.0)
+        d = geodesic._graph_distances(
+            3, lambda: (rows, cols, weights), "knn=None",
+            candidate=lambda: (np.array([0, 1]), np.array([1, 2])),
+        )
         assert calls == ["dijkstra", "floyd_warshall"]
-        assert d[0, 2] == fallback[0, 2] == 1.0
+        assert d[0, 2] == complete_floyd_warshall(pts, 2.0)[0, 2] == 1.0
 
+    def test_certified_peak_is_the_result_and_one_key_per_edge(self, monkeypatch):
+        n = 400
+        x = np.random.default_rng(9).uniform(size=n)
+        rows, cols = np.triu_indices(n, 1)
+        weights = np.abs(x[rows] - x[cols]) ** 2
+        pairs = geodesic._chain(x[:, None])
+        calls = []
+        self.spy(monkeypatch, "floyd_warshall", calls)
+        tracemalloc.start()
+        try:
+            geodesic._graph_distances(n, lambda: (rows, cols, weights), "knn=None", candidate=lambda: pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        # beside the caller's edge list: the n x n result, or one int64 key
+        # per edge (half a matrix) while H is looked up
+        assert peak < 1.25 * n * n * 8
 
 class TestOverflow:
     def test_fermat_weight_overflow_is_named(self):
