@@ -47,10 +47,23 @@ class PointCloud:
 
 
 def euclidean_matrix(cloud: PointCloud | np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distance matrix of a cloud."""
+    """Pairwise Euclidean distance matrix of a cloud.
+
+    cdist squares each coordinate gap, so a distance past about 1.3e154
+    reads inf although it is a finite float.  Only then is the matrix
+    recomputed by folding the coordinate gaps together with np.hypot, which
+    scales each pair, so no entry overflows unless a gap or the distance
+    itself does, and no small one underflows.  Other inputs keep cdist's
+    bits.
+    """
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     d = cdist(pts, pts)
+    if not np.all(np.isfinite(d)):
+        with np.errstate(over="ignore"):
+            d = np.abs(np.subtract.outer(pts[:, 0], pts[:, 0]))
+            for k in range(1, pts.shape[1]):
+                np.hypot(d, np.subtract.outer(pts[:, k], pts[:, k]), out=d)
     np.fill_diagonal(d, 0.0)
     return d

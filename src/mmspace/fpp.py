@@ -5,16 +5,18 @@ a pure function of (instance seed, u, axis), obtained by hashing those
 integers into (0, 1) and applying the law's inverse CDF.  That makes weight
 queries deterministic across processes and thread counts.  For random laws a
 ball grows with Dijkstra instead of materializing a box of the lattice.  The
-growth numbers each vertex in settle order, hashes each edge once, and builds
-one CSR graph of the edges between settled vertices.  Vertices settle in
-increasing time, so every ball B(s) up to the growth's radius is a prefix of
-that order, and its graph is the leading square block: one growth to
-t(1 + shell) gives B(t), its shell and the graph on them.  A barycenter track
-grows once, to its largest t.  One permutation per ball lists its vertices
-the origin first, then sorted, as every output reports them; Dijkstra runs
-on settle numbers and its rows are gathered back through the permutation.
-A Dijkstra distance is the minimum over paths of the path's sum in path
-order, which no renumbering changes.  scaled_space alone builds the
+growth numbers each vertex in settle order, hashes each edge once through one
+hash function built for the growth, and builds one symmetric CSR graph of the
+edges between settled vertices, each edge stored in both directions, so
+Dijkstra runs on it directed.  Vertices settle in increasing time, so every
+ball B(s) up to the growth's radius is a prefix of that order, and its graph
+is the leading square block: one growth to t(1 + shell) gives B(t), its
+shell and the graph on them.  A barycenter track grows once, to its largest
+t.  One permutation per ball lists its vertices the origin first, then
+sorted, as every output reports them; Dijkstra runs on settle numbers and its
+rows are gathered back through the permutation.  A Dijkstra distance is the
+minimum over paths of the path's sum in path order, which neither the
+renumbering nor the adjacency layout changes.  scaled_space alone builds the
 all-pairs matrix, from a growth for every law, by Dijkstra from every vertex
 of B(t).
 
@@ -31,7 +33,11 @@ other laws.
 The barycenter track needs only the exact 1-mean, so it takes rows from a
 few farthest-point landmarks, bounds every candidate's cost from below with
 the landmark (ALT) triangle inequality (Goldberg & Harrelson, SODA 2005), and
-takes full rows only for candidates the bounds cannot rule out.
+takes full rows only for candidates the bounds cannot rule out.  The bounds
+form a cascade (see _ball_one_mean): a cheap bound from each landmark row's
+mean absolute gaps, or for p >= 2 the tighter second-moment bound from its
+mean and variance, both O(L) per candidate once the rows are summarized;
+then, for the candidates that survive, the strong bound, O(L m) each.
 
 The scaled ball B(t)/t with metric T/t and uniform weights is the finite
 metric measure space whose limit is the time-constant norm ball; barycenter
@@ -78,6 +84,16 @@ _BLOCK_ENTRIES = 1 << 17
 # bounds are shrunk by this factor, far above any such rounding, so a bound
 # never exceeds the cost computed for the same candidate and every minimizer
 # tied at TRACK_TIE_TOL is still evaluated.
+#
+# The second-moment bound adds rounding of its own.  mu_L and var_L are dot
+# products of nonnegative-weighted terms (times, then squares), so each is
+# within about m * 2**-53 of its exact value, relatively.  A slip d in mu_L
+# moves (A_L(i) - mu_L)**2 + var_L by at most 2 |A_L(i) - mu_L| d; every
+# landmark row holds its own 0 at weight 1/m, so var_L >= mu_L**2 / m, and
+# that slip is at most 2 m**1.5 * 2**-53 of the sum.  The power p/2 scales
+# the relative error by p/2, to about p * m**1.5 * 2**-53 in all.  The bound
+# is used only where that is at most half the slack (at p = 3, balls of up
+# to about 13,000 vertices); elsewhere the cheap bound serves alone.
 _BOUND_SLACK = 1.0 - 1e-9
 
 
@@ -151,17 +167,58 @@ class FppInstance:
             raise InvalidArgumentError(f"dim must be 1, 2, or 3, got {self.dim}")
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise InvalidArgumentError(f"horizon must be positive, got {self.horizon!r}")
+        if _int64(self.seed) is None:
+            raise InvalidArgumentError(f"seed must be an integer in the int64 range, got {self.seed!r}")
 
     def edge_weight(self, base, axis: int) -> float:
-        """Weight of the edge from base to base + e_axis (base is the lower end)."""
-        if not 0 <= axis < self.dim:
-            raise InvalidArgumentError(f"axis must be in [0, {self.dim}), got {axis}")
-        payload = struct.pack(
-            f"<qq{self.dim}q", int(self.seed), int(axis), *(int(c) for c in base)
-        )
-        digest = hashlib.blake2b(payload, digest_size=8).digest()
-        u = (int.from_bytes(digest, "little") + 0.5) / 2.0**64
-        return self.law.quantile(u)
+        """Weight of the edge from base to base + e_axis (base is the lower end).
+
+        base must hold dim integral coordinates in the int64 range, and axis
+        must be an integer in [0, dim); anything else raises
+        InvalidArgumentError.
+        """
+        index = _int64(axis)
+        if index is None or not 0 <= index < self.dim:
+            raise InvalidArgumentError(f"axis must be an integer in [0, {self.dim}), got {axis!r}")
+        try:
+            point = tuple(map(_int64, base))
+        except TypeError:
+            point = ()
+        if len(point) != self.dim or None in point:
+            raise InvalidArgumentError(
+                f"base must be {self.dim} integer coordinates in the int64 range, got {base!r}"
+            )
+        return _edge_hash(self)(point, index)
+
+
+def _int64(value):
+    """value as an int when it is integral and inside the int64 range, else None;
+    the hash packs the seed, the axis and each coordinate as int64."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if n == value and -(1 << 63) <= n < 1 << 63 else None
+
+
+def _edge_hash(instance: FppInstance):
+    """weight(base, axis) for a tuple base of dim ints and an int axis.
+
+    The packer of (seed, axis, *base), the seed and the law's quantile are
+    bound once, so a growth builds this once and calls it per edge; the
+    weight hashes the packed integers with blake2b into (0, 1) and applies
+    the quantile.  FppInstance.edge_weight checks its arguments and calls it.
+    """
+    pack = struct.Struct(f"<qq{instance.dim}q").pack
+    seed = int(instance.seed)
+    quantile = instance.law.quantile
+    blake2b = hashlib.blake2b
+
+    def weight(base, axis):
+        digest = blake2b(pack(seed, axis, *base), digest_size=8).digest()
+        return quantile((int.from_bytes(digest, "little") + 0.5) / 2.0**64)
+
+    return weight
 
 
 def _check_t(instance: FppInstance, t: float) -> None:
@@ -192,10 +249,12 @@ def _settle(instance: FppInstance, t: float, shell: float, budget: float) -> tup
 
     Returns (index, times, (data, cols, indptr)): index maps each settled
     lattice point to its settle number, times lists the passage times in
-    that order, and the lists hold the graph in CSR form.
+    that order, and the lists hold, in CSR form, each edge between settled
+    vertices once, in the row of its later end.
     """
     _check_t(instance, t)
     stop = _stop(t, shell)
+    edge_weight = _edge_hash(instance)
     origin = (0,) * instance.dim
     index: dict = {}
     times: list = []
@@ -222,7 +281,7 @@ def _settle(instance: FppInstance, t: float, shell: float, budget: float) -> tup
                     cols.append(j)
                     data.append(weights.pop(key))
                     continue
-                w = weights[key] = instance.edge_weight(*key)
+                w = weights[key] = edge_weight(*key)
                 nd = d + w
                 if nd < best.get(v, math.inf):
                     best[v] = nd
@@ -238,17 +297,23 @@ def _grow(instance: FppInstance, t: float, shell: float = 0.0, budget: float = m
     numbered in settle order: vertices (n, dim) lattice points, times their
     passage times, and graph the n x n CSR graph of the lattice edges between
     them.  An edge's weight is hashed once, when its first end settles, and
-    the edge enters the graph, as a row entry of its second end, when that
-    end settles.  Vertices settle in increasing time, so for any s up to
-    t * (1 + shell), B(s) is the first N vertices, N the count of times
-    below s, and its graph is graph[:N, :N].  A NaN shell means no shell.
-    The growth stops with BudgetExceededError as soon as budget + 1 vertices
-    of B(t) have settled, before the ball is grown any further.
+    the edge is listed when its second end settles.  The graph stores each
+    edge in both directions, built in one call from both directions of that
+    list, so it is symmetric and Dijkstra runs on it directed, with no
+    transpose built per call.  Vertices settle in increasing time, so for
+    any s up to t * (1 + shell), B(s) is the first N vertices, N the count
+    of times below s, and its graph is graph[:N, :N].  A NaN shell means no
+    shell.  The growth stops with BudgetExceededError as soon as budget + 1
+    vertices of B(t) have settled, before the ball is grown any further.
     """
-    index, times, csr = _settle(instance, t, shell, budget)
+    index, times, (data, cols, indptr) = _settle(instance, t, shell, budget)
     n = len(times)
     vertices = np.array(list(index), dtype=np.int64).reshape(n, instance.dim)
-    return vertices, np.array(times), csr_matrix(csr, shape=(n, n))
+    later = np.repeat(np.arange(n), np.diff(indptr))
+    earlier = np.array(cols, dtype=later.dtype)
+    ends = (np.concatenate([later, earlier]), np.concatenate([earlier, later]))
+    graph = csr_matrix((np.tile(data, 2), ends), shape=(n, n))
+    return vertices, np.array(times), graph
 
 
 def passage_time_ball(instance: FppInstance, t: float) -> dict:
@@ -278,7 +343,7 @@ def _prefix_ball(growth: tuple, t: float, shell: float) -> tuple:
     perm = np.concatenate([[0], 1 + np.lexsort(vertices[1:m].T[::-1])])
 
     def rows(sources, start=0):
-        out = dijkstra(graph, directed=False, indices=perm[sources])[:, perm[start:]]
+        out = dijkstra(graph, directed=True, indices=perm[sources])[:, perm[start:]]
         if not np.all(np.isfinite(out)):
             raise SolverError("ball subgraph unexpectedly disconnected")
         out /= t
@@ -359,6 +424,20 @@ def _mean_abs_gaps(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return gaps
 
 
+def _second_moment_bounds(anchors: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """max_L ((A_L(i) - mu_L)^2 + var_L)^(p/2) for every i, mu_L and var_L the
+    w-weighted mean and variance of row A_L.
+
+    (A_L(i) - mu_L)^2 + var_L = sum_j w_j (A_L(i) - A_L(j))^2, and for p >= 2
+    Jensen lifts it to the power p/2 below sum_j w_j |A_L(i) - A_L(j)|^p.
+    """
+    mu = anchors @ w
+    spread = anchors - mu[:, None]
+    np.square(spread, out=spread)
+    spread += (spread @ w)[:, None]
+    return spread.max(axis=0) ** (p / 2)
+
+
 def _strong_bounds(anchors: np.ndarray, chunk: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     """sum_j w_j max_L |A_L(i) - A_L(j)|^p for each candidate i in chunk."""
     gap = np.empty((chunk.size, anchors.shape[1]))
@@ -378,21 +457,27 @@ def _ball_one_mean(rows, m: int, p: float, strong: bool = True) -> tuple:
     rows(sources) returns the scaled passage times T/t from each source to
     the m core vertices, (len(sources), m).  Landmarks L are picked
     farthest-point from the origin.  For candidate i and every j,
-    T(i, j) >= max_L |T(L, i) - T(L, j)|, so with A_L = T(L, .)
+    T(i, j) >= max_L |T(L, i) - T(L, j)|, so with A_L = T(L, .), mu_L and
+    var_L the w-weighted mean and variance of A_L,
 
-        s_i = sum_j w_j max_L |A_L(i) - A_L(j)|^p         (strong bound)
-        c_i = max_L (sum_j w_j |A_L(i) - A_L(j)|)^p      (cheap bound)
+        c_i = max_L (sum_j w_j |A_L(i) - A_L(j)|)^p          (cheap bound)
+        v_i = max_L ((A_L(i) - mu_L)^2 + var_L)^(p/2)     (second moment)
+        s_i = sum_j w_j max_L |A_L(i) - A_L(j)|^p          (strong bound)
 
-    are lower bounds on the cost of i (c_i <= s_i by Jensen, p >= 1).  The
-    landmarks are evaluated first; then candidates are visited in ascending
-    c, the O(L m) strong bound is taken only for those the cheap one cannot
+    are lower bounds on the cost of i.  By Jensen c_i <= s_i for p >= 1, and
+    c_i <= v_i <= s_i for p >= 2, since (A_L(i) - mu_L)^2 + var_L is
+    sum_j w_j (A_L(i) - A_L(j))^2.  c and v cost O(L m) for all candidates
+    together, s O(L m) for each.  The landmarks are evaluated first; then
+    candidates are visited in ascending first bound (v for p >= 2, c
+    below), the strong bound is taken only for those the first cannot
     exclude, and full rows are taken only for those the strong one cannot.
-    The scan stops at the first c above the tie threshold.  Every candidate
-    never evaluated thus costs more than best * (1 + TRACK_TIE_TOL), and all
-    tied minimizers are returned, as k_means_exact would return them.  With
-    strong=False, for rows that cost no more than the strong bound (the
-    closed form of deterministic laws), the candidates the cheap bound keeps
-    are costed directly, a chunk at a time; the result is the same.
+    The scan stops at the first bound above the tie threshold.  Every
+    candidate never evaluated thus costs more than best * (1 +
+    TRACK_TIE_TOL), and all tied minimizers are returned, as k_means_exact
+    would return them.  With strong=False, for rows that cost no more than
+    the strong bound (the closed form of deterministic laws), the
+    candidates the first bound keeps are costed directly, a chunk at a
+    time; the result is the same.
     """
     w = np.full(m, 1.0 / m)
     origin = rows([0])[0]
@@ -419,15 +504,18 @@ def _ball_one_mean(rows, m: int, p: float, strong: bool = True) -> tuple:
 
     thresh = evaluate(marks, anchors)
 
-    # rounding can leave a gap of a coincident pair a hair below zero
-    gaps = np.maximum(np.max([_mean_abs_gaps(a, w) for a in anchors], axis=0), 0.0)
-    cheap = gaps**p * _BOUND_SLACK
-    cheap[marks] = math.inf
-    order = np.argsort(cheap, kind="stable")
+    if p >= 2 and p * m**1.5 * 2.0**-53 <= (1.0 - _BOUND_SLACK) / 2:
+        first = _second_moment_bounds(anchors, w, p) * _BOUND_SLACK
+    else:
+        # rounding can leave a gap of a coincident pair a hair below zero
+        gaps = np.maximum(np.max([_mean_abs_gaps(a, w) for a in anchors], axis=0), 0.0)
+        first = gaps**p * _BOUND_SLACK
+    first[marks] = math.inf
+    order = np.argsort(first, kind="stable")
     pending = []
     for start in range(0, m, _BOUND_CHUNK):
         chunk = order[start:start + _BOUND_CHUNK]
-        chunk = chunk[cheap[chunk] <= thresh]
+        chunk = chunk[first[chunk] <= thresh]
         if not chunk.size:
             break
         if not strong:
@@ -623,16 +711,22 @@ def shape_defect(
     for start in range(0, m, step):
         # row k of a block is T/t from source start + k to every j >= start
         block = rows(np.arange(start, min(start + step, m)), start)
+        b = block.shape[0]
         if l1_radius is not None:
-            ref = c * cdist(coords[start:start + block.shape[0]], coords[start:], "cityblock")
+            ref = cdist(coords[start:start + b], coords[start:], "cityblock")
+            ref *= c
         else:
             ref = np.zeros_like(block)
-            for k in range(block.shape[0]):
+            for k in range(b):
                 i = start + k
                 ref[k, k + 1:] = list(map(reference_norm, coords[i] - coords[i + 1:]))
-        # row i of a block counts only for the columns j > i
-        gap = np.triu(np.abs(block - ref), 1)
-        metric_defect = max(metric_defect, float(gap.max()))
+        block -= ref
+        np.abs(block, out=block)
+        # row i of a block counts only for the columns j > i: every column
+        # past the leading b x b square, and the square's strict upper part
+        metric_defect = max(metric_defect, float(np.triu(block[:, :b], 1).max()))
+        if block.shape[1] > b:
+            metric_defect = max(metric_defect, float(block[:, b:].max()))
 
     # reference ball discretized finer than the 1/t lattice spacing
     h = 1.0 / (grid_factor * t)

@@ -33,9 +33,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra, floyd_warshall
-from scipy.spatial.distance import cdist
 
-from .cloud import PointCloud
+from .cloud import PointCloud, euclidean_matrix
 from .errors import BudgetExceededError, DisconnectedGraphError, InvalidArgumentError
 
 # Largest point count the graph core and the metric dispatch accept.  Every
@@ -198,7 +197,7 @@ def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = No
         raise InvalidArgumentError(f"knn must be in [1, {m - 1}], got {knn}")
 
     def edges():
-        e = cdist(uniq, uniq)
+        e = euclidean_matrix(uniq)
         if knn is None:
             rows, cols = np.triu_indices(m, 1)
         else:
@@ -245,7 +244,7 @@ def isomap_distance_matrix(cloud: PointCloud, eps: float) -> np.ndarray:
     uniq, inv = _dedupe(pts)
 
     def edges():
-        e = cdist(uniq, uniq)
+        e = euclidean_matrix(uniq)
         rows, cols = np.nonzero(np.triu(e <= eps, 1))
         return rows, cols, e[rows, cols]
 

@@ -10,6 +10,7 @@ from mmspace import (
     build_ground_metric,
     fermat_distance_matrix,
     read_cloud_csv,
+    read_matrix_bin,
     write_cloud_csv,
     write_matrix_bin,
     write_matrix_csv,
@@ -149,6 +150,25 @@ class TestSampleAndDist:
         assert code == 2 and captured.out == "" and not out.exists()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "overflow" in captured.err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags,want", [
+        (["--method", "euclid"], 0),
+        (["--method", "isomap", "--eps", "1e201"], 0),
+        # the Fermat weight at alpha = 2 is the square itself
+        (["--method", "fermat", "--alpha", "2"], 2),
+    ])
+    def test_distance_whose_square_overflows(self, tmp_path, capsys, flags, want):
+        # cdist squares the gap 1e200; the distance itself is a finite float
+        cloud = tmp_path / "c.csv"
+        write_cloud_csv(cloud, PointCloud(np.array([[0.0, 0.0], [1e200, 0.0]])))
+        out = tmp_path / "d.bin"
+        code = main(["dist", *flags, "--in", str(cloud), "--out", str(out)])
+        assert code == want
+        if want == 0:
+            assert np.array_equal(read_matrix_bin(out), [[0.0, 1e200], [1e200, 0.0]])
+        else:
+            assert "overflow" in capsys.readouterr().err and not out.exists()
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         code, _ = run_cli(
@@ -318,6 +338,12 @@ class TestFpp:
         code = main(["fpp", "--dim", "2", "--law", "exp:1", "--t", "3", "--shell", shell])
         assert code == 2
         assert capsys.readouterr().err == f"error: --shell must be finite and >= 0, got {float(shell)!r}\n"
+
+    @pytest.mark.parametrize("seed", [str(1 << 63), str(-(1 << 63) - 1)])
+    def test_seed_past_int64_is_named(self, capsys, seed):
+        code = main(["fpp", "--dim", "2", "--law", "exp:1", "--t", "3", "--seed", seed])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: seed must be an integer in the int64 range, got {seed}\n"
 
     def test_budget_exit_3(self, capsys):
         code = main(["fpp", "--dim", "2", "--law", "exp:1", "--t", "50", "--budget", "100"])

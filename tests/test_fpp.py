@@ -101,9 +101,24 @@ class TestInstance:
             FppInstance(4, EdgeWeightLaw.deterministic(1.0), 0, 1.0)
         with pytest.raises(InvalidArgumentError):
             FppInstance(2, EdgeWeightLaw.deterministic(1.0), 0, 0.0)
+        # the hash packs the seed as int64
+        for seed in (1.5, 1 << 63, -(1 << 63) - 1, "1"):
+            with pytest.raises(InvalidArgumentError):
+                FppInstance(2, EdgeWeightLaw.deterministic(1.0), seed, 1.0)
         inst = det_instance()
         with pytest.raises(InvalidArgumentError):
             inst.edge_weight((0, 0), 2)
+        # a base of the wrong length, with a non-integral or out-of-range
+        # coordinate, or not a sequence; a non-integral axis
+        for base, axis in [
+            ((0, 0, 0), 0), ((1,), 0), ((1.5, 2), 0), ((0, math.nan), 1), ((0, 1 << 63), 0), (0, 0),
+            ((0, 0), 0.5), ((0, 0), "1"),
+        ]:
+            with pytest.raises(InvalidArgumentError):
+                inst.edge_weight(base, axis)
+        # integral coordinates of any type give the weight of the integer point
+        exp = FppInstance(2, EdgeWeightLaw.exponential(1.0), 7, 10.0)
+        assert exp.edge_weight((1.0, np.int64(2)), np.int64(1)) == exp.edge_weight((1, 2), 1)
 
 
 class TestBall:
@@ -205,14 +220,21 @@ class TestScaledSpace:
 class TestEdgeHashing:
     @staticmethod
     def count_hashes(monkeypatch):
+        """Counts every edge hashed, by growths and edge_weight alike: both
+        hash through the function fpp._edge_hash builds."""
         counts = Counter()
-        real = FppInstance.edge_weight
+        real = fpp._edge_hash
 
-        def counting(self, base, axis):
-            counts[tuple(base), axis] += 1
-            return real(self, base, axis)
+        def build(instance):
+            weight = real(instance)
 
-        monkeypatch.setattr(FppInstance, "edge_weight", counting)
+            def counting(base, axis):
+                counts[tuple(base), axis] += 1
+                return weight(base, axis)
+
+            return counting
+
+        monkeypatch.setattr(fpp, "_edge_hash", build)
         return counts
 
     def test_scaled_space_hashes_each_edge_once(self, monkeypatch):
@@ -689,7 +711,7 @@ def double_star(leaves):
 class TestPrunedTrackOracle:
     @pytest.mark.parametrize("dim,law,t", ORACLE_BALLS)
     @pytest.mark.parametrize("shell", [0.0, 0.2])
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0])
     @pytest.mark.parametrize("seed", [0, 4])
     def test_matches_k_means_exact(self, dim, law, t, shell, p, seed):
         inst = FppInstance(dim, EdgeWeightLaw.parse(law), seed, t * (1.0 + shell))
@@ -753,3 +775,39 @@ class TestPrunedTrackOracle:
         with pytest.raises(InvalidArgumentError, match="p must be a real number >= 1"):
             fpp_barycenter_track(det_instance(), [3.0], p=0.5)
         assert not counts
+
+
+def tiny_and_small_ts(inst, t):
+    """t, and times giving balls of 1, 2 and 3 vertices where the law has them."""
+    times = np.unique(fpp._grow(inst, t)[1])
+    return [t] + [(a + b) / 2 for a, b in zip(times[:3], times[1:4])]
+
+
+class TestSecondMomentBound:
+    @pytest.mark.parametrize("dim,law,t", [
+        (1, "exp:1", 20.0), (1, "unif:0.5,1.5", 20.0), (1, "det:0.3", 6.0),
+        (2, "exp:1", 4.0), (2, "unif:0.5,1.5", 5.0), (2, "det:0.5", 3.0),
+        (3, "exp:1", 1.5), (3, "unif:0.5,1.5", 2.5), (3, "det:1", 3.0),
+    ])
+    @pytest.mark.parametrize("shell", [0.0, 0.2])
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+    def test_bound_is_valid_and_between_cheap_and_strong(self, dim, law, t, shell, p):
+        inst = FppInstance(dim, EdgeWeightLaw.parse(law), 1, t * (1.0 + shell))
+        sizes = set()
+        for s in tiny_and_small_ts(inst, t):
+            ((_, core, rows),) = fpp._balls(inst, [s], shell, 10_000)
+            m = len(core)
+            sizes.add(m)
+            w = np.full(m, 1.0 / m)
+            # every vertex a landmark: each row holds its own 0, as a landmark's does
+            full = rows(np.arange(m))
+            bound = fpp._second_moment_bounds(full, w, p)
+            # the cost of every vertex from its full row, through the track's kernel
+            cost = fpp._weighted_row_sums(full**p, w)
+            assert np.all(bound * fpp._BOUND_SLACK <= cost)
+            cheap = np.max([fpp._mean_abs_gaps(a, w) for a in full], axis=0) ** p
+            strong = fpp._strong_bounds(full, np.arange(m), w, p)
+            assert np.all(cheap * fpp._BOUND_SLACK <= bound)
+            assert np.all(bound * fpp._BOUND_SLACK <= strong)
+        # det balls jump from 1 vertex to 2 * dim + 1
+        assert {1, 2, 3} <= sizes if not law.startswith("det") else {1, 2 * dim + 1} <= sizes

@@ -230,11 +230,11 @@ class TestSizeGuard:
         assert d[0, 3] == pytest.approx(3.0)
 
     def test_raises_before_any_dense_allocation(self, monkeypatch):
-        def no_cdist(*args, **kwargs):
+        def no_distances(*args, **kwargs):
             raise AssertionError("pairwise distances computed past the limit")
 
         monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 4)
-        monkeypatch.setattr(geodesic, "cdist", no_cdist)
+        monkeypatch.setattr(geodesic, "euclidean_matrix", no_distances)
         cloud = cloud_1d([0.0, 1.0, 2.0, 3.0, 4.0])
         with pytest.raises(BudgetExceededError):
             fermat_distance_matrix(cloud, 2.0)
@@ -613,6 +613,15 @@ class TestCertifiedGraph:
         assert peak < 1.25 * n * n * 8
 
 class TestOverflow:
+    def test_euclidean_matrix_scales_past_the_square_overflow(self):
+        # cdist squares the gaps: 2^1200 overflows and 2^-1200 underflows,
+        # though every distance is a finite float
+        big, small = 2.0**600, 2.0**-600
+        pts = np.array([[0.0, 0.0], [3 * big, 4 * big], [3 * small, 4 * small]])
+        want = np.array([[0.0, 5 * big, 5 * small], [5 * big, 0.0, 5 * big], [5 * small, 5 * big, 0.0]])
+        assert np.array_equal(euclidean_matrix(pts), want)
+        assert np.array_equal(euclidean_matrix(PointCloud(pts)), want)
+
     def test_fermat_weight_overflow_is_named(self):
         with pytest.raises(InvalidArgumentError, match="overflow"):
             fermat_distance_matrix(cloud_1d([1e308, -1e308, 0.0]), 2.0)
