@@ -273,7 +273,20 @@ def cmd_validate(args) -> int:
     return 0 if report.passes else EXIT_INVALID_INPUT
 
 
+_PARSER = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The `mm` parser, built on the first call and shared by every later call
+    in the process: parse_args keeps no state between calls, and the help
+    text is formatted per call, so a shared parser prints the same bytes."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _new_parser()
+    return _PARSER
+
+
+def _new_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -25,10 +25,17 @@ S_h = fl(S_{h-1} + c), T(x, y) = S_{|x - y|_1} bit for bit inside the ball,
 so B(t) is the l1 lattice ball of radius H, the largest h with S_h < t.  The
 track and shape_defect enumerate it with numpy and take every row from S;
 the budget is checked on its closed-form size first.  _balls is the one
-place that picks between this closed form and a growth.  shape_defect takes
-its sup as a running max over blocks of upper-triangle rows, from S for
-deterministic weights and from Dijkstra, one block of sources at a time, for
-other laws.
+place that picks between this closed form and a growth.
+
+shape_defect takes its metric sup as a running max over row blocks.  Against
+the closed-form l1 reference every entry keeps its bits under a change of
+sign of any axis, and in 2-D under the swap of the two axes, so the rows are
+only those of one representative per orbit, against every column; with a
+callable norm they are the upper-triangle blocks, from S or, for random
+laws, from Dijkstra one block of sources at a time.  Its covering sup builds
+the reference grid a slab at a time, keeping only the points inside the
+reference ball, and queries the nearest vertex only at the grid points that
+do not round to a vertex, whenever their max certifies the whole grid's.
 
 The barycenter track needs only the exact 1-mean, so it takes rows from a
 few farthest-point landmarks, bounds every candidate's cost from below with
@@ -75,8 +82,9 @@ _BATCH = 8
 # candidates whose strong bound, or for deterministic laws whose rows, are
 # taken in one vectorised pass
 _BOUND_CHUNK = 64
-# entries per row block of shape_defect; a block holds a handful of
-# temporaries, so 1 << 17 keeps them to a few MB
+# entries per row block of shape_defect, and box points per slab of its
+# covering grid; each holds a handful of temporaries, so 1 << 17 keeps them to
+# a few MB
 _BLOCK_ENTRIES = 1 << 17
 # A computed passage time is a sum of edge weights taken in path order, so
 # the same distance computed from the other end, or a landmark difference
@@ -669,6 +677,78 @@ def _dist_to_l1_ball(z: np.ndarray, radius: float) -> float:
     return float(np.linalg.norm(np.minimum(a, theta)))
 
 
+def _orbit_representatives(core: np.ndarray) -> np.ndarray:
+    """Indices of the core points with every coordinate >= 0 and, in 2-D, also
+    x0 >= x1: one point of each orbit of the axis sign changes and, in 2-D, of
+    the axis swap."""
+    keep = np.all(core >= 0, axis=1)
+    if core.shape[1] == 2:
+        keep &= core[:, 0] >= core[:, 1]
+    return np.flatnonzero(keep)
+
+
+def _covering_grid(axis: np.ndarray, core: np.ndarray, t: float, inside) -> tuple:
+    """(grid, near): the points g of the box axis^dim, in C order, inside the
+    reference ball, and whether rint(g t) is a lattice point of core.
+
+    inside(parts) takes the sparse ij meshgrid of a part of the box and
+    returns the mask of its points inside the ball.  The box is taken one
+    slab of the first axis at a time, at most _BLOCK_ENTRIES points (at
+    least one value of the first axis) each, and only the inside points of a
+    slab are kept, so the whole box is never held; C-order slabs list the
+    same points in the same order as the whole box.  Every coordinate of a
+    grid point is an axis value, so rint(g t) is looked up per axis value,
+    in one boolean box over core's bounding box, padded by one empty cell
+    on each side to take every cell outside it.
+    """
+    dim = core.shape[1]
+    low = core.min(axis=0)
+    shape = core.max(axis=0) - low + 1
+    box = np.zeros(shape + 2, dtype=bool)
+    box[tuple((core - low + 1).T)] = True
+    rounded = np.rint(axis * t)
+    cells = [np.clip(rounded - lo + 1, 0, n + 1).astype(np.intp) for lo, n in zip(low, shape)]
+    rows = max(1, _BLOCK_ENTRIES // axis.size ** (dim - 1))
+    grids, nears = [], []
+    for start in range(0, axis.size, rows):
+        part = slice(start, start + rows)
+        axes = [axis[part]] + [axis] * (dim - 1)
+        index = np.nonzero(inside(np.meshgrid(*axes, indexing="ij", sparse=True)))
+        grids.append(np.column_stack([a[i] for a, i in zip(axes, index)]))
+        near_cells = [cells[0][part]] + cells[1:]
+        nears.append(box[tuple(c[i] for c, i in zip(near_cells, index))])
+    return np.concatenate(grids), np.concatenate(nears)
+
+
+def _ball_to_set(tree: cKDTree, grid: np.ndarray, near: np.ndarray, t: float, extent: float) -> float:
+    """max over the grid of the distance to the nearest point of tree, scaled
+    lattice points of spacing 1/t.
+
+    A grid point g is near when k = rint(fl(g t)) is a lattice point of the
+    set; then g lies within bound = sqrt(dim) / (2t) of k / t, so the tree is
+    queried at the other points first.  With u = 2**-53 and G >= |g| t (G =
+    extent * t, extent bounding every grid coordinate), per coordinate
+    |fl(g t) - k| <= 1/2 and |fl(g t) - g t| <= u G give
+    |g - k/t| <= (1 + 2uG) / (2t), and the stored vertex fl(k/t) is within
+    u (G + 1) / t of k / t, so g is within (1 + u (4G + 2)) / (2t) of it.
+    The tree's distance (a difference, a square and a sum per coordinate,
+    then a square root) and the threshold's own arithmetic round a dozen
+    times more at most, so the slack 1 + (4G + 16) 2**-52, twice all of
+    that, bounds every near point's computed distance.  When the other
+    points' max exceeds bound times the slack it is the whole grid's max bit
+    for bit, since each query's answer does not depend on the rest of the
+    batch; otherwise the whole grid is queried.
+    """
+    if not grid.size:
+        return 0.0
+    bound = math.sqrt(grid.shape[1]) / (2.0 * t) * (1.0 + (4.0 * extent * t + 16.0) * 2.0**-52)
+    if not near.all():
+        far = float(tree.query(grid[~near])[0].max())
+        if far > bound:
+            return far
+    return float(tree.query(grid)[0].max())
+
+
 def shape_defect(
     instance: FppInstance,
     t: float,
@@ -682,16 +762,32 @@ def shape_defect(
     so the reference norm is c times the l1 norm and the limit ball has l1
     radius 1/c.  Other laws raise UnsupportedReferenceError unless a callable
     norm is supplied, in which case its unit ball is used via a grid.
+    grid_factor must be positive and finite, else InvalidArgumentError.
 
     The metric defect is the sup over pairs of |T/t - norm difference|, with
-    paths kept inside B(t).  It is a running max over the upper-triangle row
-    blocks of _balls' rows, closed form for deterministic weights and Dijkstra
-    from one block of sources at a time otherwise, so no m x m array is made.
+    paths kept inside B(t), taken as a running max over row blocks of _balls'
+    rows, so no m x m array is made.  Against the closed-form l1 reference
+    every entry keeps its bits when an axis changes sign, since
+    fl(-x/t) = -fl(x/t) and |(-a) - (-b)| = |a - b|, and in 2-D also when
+    the two axes swap, since a two-term sum commutes (a three-term sum is not
+    associative, so 3-D keeps its axis order); the l1 ball is invariant under
+    the same maps.  So rows are taken only from one representative per orbit
+    (every coordinate >= 0, and in 2-D x0 >= x1) against all m columns.  With
+    a callable norm the rows are the upper-triangle blocks, from Dijkstra one
+    block of sources at a time for random laws.
 
     The covering defect is the Hausdorff distance between the scaled vertex set
     and the reference ball, measured in the ambient Euclidean metric on a grid
-    finer than the scaled lattice.
+    finer than the scaled lattice, of spacing 1/(grid_factor t).  The grid
+    is built one slab of its first axis at a time and keeps only the points
+    inside the reference ball, so the box around it is never held.  The
+    nearest-vertex query skips the grid points that round to a vertex, each
+    within sqrt(dim) / (2t) of it, whenever the max over the rest exceeds
+    that bound times a rounding slack, and otherwise queries the whole grid
+    (see _ball_to_set); either way the max is the same bits.
     """
+    if not (grid_factor > 0 and math.isfinite(grid_factor)):
+        raise InvalidArgumentError(f"grid_factor must be positive and finite, got {grid_factor!r}")
     if reference_norm is None:
         if instance.law.kind != "deterministic":
             raise UnsupportedReferenceError(
@@ -707,40 +803,53 @@ def shape_defect(
     coords = np.asarray(core, dtype=np.float64) / t
     m = len(core)
     step = max(1, _BLOCK_ENTRIES // m)
+    if l1_radius is not None:
+        reps = _orbit_representatives(core)
+        blocks = [(reps[s:s + step], 0) for s in range(0, len(reps), step)]
+    else:
+        blocks = [(np.arange(s, min(s + step, m)), s) for s in range(0, m, step)]
     metric_defect = 0.0
-    for start in range(0, m, step):
-        # row k of a block is T/t from source start + k to every j >= start
-        block = rows(np.arange(start, min(start + step, m)), start)
-        b = block.shape[0]
+    for sources, start in blocks:
+        # row k of a block is T/t from sources[k] to every j >= start
+        block = rows(sources, start)
         if l1_radius is not None:
-            ref = cdist(coords[start:start + b], coords[start:], "cityblock")
+            ref = cdist(coords[sources], coords, "cityblock")
             ref *= c
         else:
             ref = np.zeros_like(block)
-            for k in range(b):
-                i = start + k
+            for k, i in enumerate(sources.tolist()):
                 ref[k, k + 1:] = list(map(reference_norm, coords[i] - coords[i + 1:]))
         block -= ref
         np.abs(block, out=block)
-        # row i of a block counts only for the columns j > i: every column
-        # past the leading b x b square, and the square's strict upper part
-        metric_defect = max(metric_defect, float(np.triu(block[:, :b], 1).max()))
-        if block.shape[1] > b:
-            metric_defect = max(metric_defect, float(block[:, b:].max()))
+        if l1_radius is None:
+            # upper-triangle rows count only for the columns j > i
+            block = np.triu(block, 1)
+        metric_defect = max(metric_defect, float(block.max()))
 
     # reference ball discretized finer than the 1/t lattice spacing
     h = 1.0 / (grid_factor * t)
     radius_box = max(float(np.abs(coords).max()), 1.0 if l1_radius is None else l1_radius)
-    axes = [np.arange(-radius_box - h, radius_box + h, h)] * instance.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([g.ravel() for g in mesh], axis=1)
+    axis = np.arange(-radius_box - h, radius_box + h, h)
     if l1_radius is not None:
-        inside = c * np.abs(grid).sum(axis=1) <= 1.0
+
+        def inside(parts):
+            # |x_0| + |x_1| + ... added left to right, the order of a sum
+            # over one point's coordinates, so boundary points keep their side
+            total = np.abs(parts[0])
+            for part in parts[1:]:
+                total = total + np.abs(part)
+            return c * total <= 1.0
+
     else:
-        inside = np.array([reference_norm(z) <= 1.0 for z in grid])
-    grid = grid[inside]
+
+        def inside(parts):
+            points = np.stack(np.broadcast_arrays(*parts), axis=-1)
+            keep = [reference_norm(z) <= 1.0 for z in points.reshape(-1, instance.dim)]
+            return np.array(keep, dtype=bool).reshape(points.shape[:-1])
+
+    grid, near = _covering_grid(axis, core, t, inside)
     tree = cKDTree(coords)
-    ball_to_set = float(tree.query(grid)[0].max()) if grid.size else 0.0
+    ball_to_set = _ball_to_set(tree, grid, near, t, radius_box + h)
     if l1_radius is not None:
         # _dist_to_l1_ball is exactly 0.0 inside the ball
         outside = coords[np.abs(coords).sum(axis=1) > l1_radius]

@@ -9,9 +9,12 @@ import itertools
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from mmspace import CenterSet, FiniteMetricMeasureSpace, KMeansSolution, MetricReport, enlarged_cell, voronoi_cells
 from mmspace.space import _BLOCK_ENTRIES, _enum_count, _weighted_row_sums
+from mmspace.fpp import _dist_to_l1_ball
 from mmspace.samplers import _circle_angles
 
 
@@ -455,3 +458,35 @@ def torus_distance_oracle(points):
     d = np.sqrt(gaps[0] * gaps[0] + gaps[1] * gaps[1])
     np.fill_diagonal(d, 0.0)
     return np.minimum(d, d.T)
+
+
+def dense_shape_defect(inst, t, norm=None, grid_factor=4):
+    """shape_defect from the full Dijkstra matrix of scaled_space, the whole
+    box of the covering grid with per-point membership calls, and one
+    nearest-vertex query at every grid point inside the reference ball."""
+    from mmspace import scaled_space
+
+    space = scaled_space(inst, t)
+    coords = np.array([[int(v) for v in lab.split(",")] for lab in space.labels], dtype=np.float64) / t
+    if norm is None:
+        c = inst.law.params[0]
+        ref = c * cdist(coords, coords, "cityblock")
+        member = lambda z: c * float(np.abs(z).sum()) <= 1.0
+        radius = 1.0 / c
+    else:
+        ref = squareform(pdist(coords, lambda u, v: norm(u - v)))
+        member = lambda z: norm(z) <= 1.0
+        radius = 1.0
+    metric = float(np.abs(space.dist - ref).max())
+    h = 1.0 / (grid_factor * t)
+    radius = max(float(np.abs(coords).max()), radius)
+    axes = [np.arange(-radius - h, radius + h, h)] * inst.dim
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    grid = grid[np.array([member(z) for z in grid])]
+    ball_to_set = float(cKDTree(coords).query(grid)[0].max())
+    if norm is None:
+        set_to_ball = max(_dist_to_l1_ball(z, 1.0 / c) for z in coords)
+    else:
+        gtree = cKDTree(grid)
+        set_to_ball = max([float(gtree.query(z)[0]) for z in coords if norm(z) > 1.0], default=0.0)
+    return metric, max(ball_to_set, set_to_ball)

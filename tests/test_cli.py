@@ -15,7 +15,7 @@ from mmspace import (
     write_matrix_bin,
     write_matrix_csv,
 )
-from mmspace import geodesic
+from mmspace import cli, geodesic
 from mmspace.cli import main
 
 from helpers import random_space
@@ -522,3 +522,42 @@ class TestDeterminism:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+class TestSharedParser:
+    def run(self, capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_one_parser_per_process_prints_what_a_fresh_one_does(self, tmp_path, capsys, monkeypatch):
+        cloud, dist = str(tmp_path / "c.csv"), str(tmp_path / "d.csv")
+        session = [
+            ["sample", "--generator", "circle", "--n", "12", "--seed", "3", "--out", cloud],
+            ["dist", "--method", "euclid", "--in", cloud, "--out", dist],
+            ["kmeans", "--space", dist, "--k", "2", "--p", "1.5"],
+            ["kmeans", "--space", dist, "--k", "2", "--pam", "--restarts", "3"],
+            ["kmeans", "--space", dist, "--k", "2", "--bogus"],
+            ["validate", "--in", dist],
+            ["voronoi", "--space", dist, "--centers", "0,5"],
+            ["fpp", "--dim", "2", "--law", "det:0.5", "--t", "2,3"],
+            ["fpp", "--dim", "2", "--law", "exp:1", "--t", "9", "--budget", "20"],
+            ["net", "--points", "20", "--eps", "0.5"],
+            ["fpp", "--help"],
+            ["--help"],
+            ["frobnicate"],
+        ]
+        shared = [self.run(capsys, argv) for argv in session]
+        assert cli.build_parser() is cli.build_parser()
+        fresh = []
+        for argv in session:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(self.run(capsys, argv))
+        assert shared == fresh
+        codes = [code for code, _, _ in shared]
+        assert codes == [0, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 2]
+        assert "unrecognized arguments: --bogus" in shared[4][2]
+        assert shared[10][1].startswith("usage: mm fpp")

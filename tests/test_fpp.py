@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from mmspace import (
     BudgetExceededError,
@@ -29,7 +29,7 @@ from mmspace import fpp, geodesic
 from mmspace.cli import main
 from mmspace.fpp import _dist_to_l1_ball
 
-from helpers import networkx_ball_rows, relaxation_passage_times
+from helpers import dense_shape_defect, networkx_ball_rows, relaxation_passage_times
 
 
 def count_dijkstra_sources(monkeypatch):
@@ -564,34 +564,6 @@ def l2_norm(v):
     return float(np.linalg.norm(v))
 
 
-def dense_shape_defect(inst, t, norm=None, grid_factor=4):
-    """shape_defect from the full Dijkstra matrix and per-point norm calls."""
-    space = scaled_space(inst, t)
-    coords = np.array([[int(v) for v in lab.split(",")] for lab in space.labels], dtype=np.float64) / t
-    if norm is None:
-        c = inst.law.params[0]
-        ref = c * cdist(coords, coords, "cityblock")
-        member = lambda z: c * float(np.abs(z).sum()) <= 1.0
-        radius = 1.0 / c
-    else:
-        ref = squareform(pdist(coords, lambda u, v: norm(u - v)))
-        member = lambda z: norm(z) <= 1.0
-        radius = 1.0
-    metric = float(np.abs(space.dist - ref).max())
-    h = 1.0 / (grid_factor * t)
-    radius = max(float(np.abs(coords).max()), radius)
-    axes = [np.arange(-radius - h, radius + h, h)] * inst.dim
-    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    grid = grid[np.array([member(z) for z in grid])]
-    ball_to_set = float(cKDTree(coords).query(grid)[0].max())
-    if norm is None:
-        set_to_ball = max(_dist_to_l1_ball(z, 1.0 / c) for z in coords)
-    else:
-        gtree = cKDTree(grid)
-        set_to_ball = max([float(gtree.query(z)[0]) for z in coords if norm(z) > 1.0], default=0.0)
-    return metric, max(ball_to_set, set_to_ball)
-
-
 def ball_blocks(inst, t, step):
     """(core, blocks) of B(t) from the ball source, step sources per block."""
     ((_, core, rows),) = fpp._balls(inst, [t], 0.0, 10_000)
@@ -636,25 +608,130 @@ class TestScaledTimeBlocks:
         assert np.array_equal(assembled_upper(space.n, blocks), np.triu(space.dist, 1))
 
 
+# (dim, c, t) for deterministic balls; the covering query is certified by the
+# grid points that round to no vertex on some and falls back to the whole grid
+# on others (see TestStreamedShapeDefect.test_covering_query_paths)
+DET_DEFECT_CASES = [
+    (1, 0.1, 4.5), (1, 0.25, 7.0), (1, 0.3, 4.5), (1, 0.7, 12.0), (1, 1.0, 10.0), (1, 2.0, 9.0),
+    (2, 0.1, 1.5), (2, 0.25, 3.5), (2, 0.3, 2.0), (2, 0.3, 3.0), (2, 1.0, 3.0), (2, 2.0, 4.5),
+    (2, 0.25, 8.0),
+    (3, 0.1, 0.8), (3, 0.25, 2.0), (3, 0.3, 1.5), (3, 0.3, 3.0), (3, 1.0, 1.5),
+    (3, 2.0, 3.0), (3, 2.0, 9.0),
+]
+
+# (dim, law, t, norm) for callable reference norms
+NORM_DEFECT_CASES = [
+    (1, "exp:1", 8.0, l1_norm), (1, "unif:0.5,1.5", 10.0, l2_norm),
+    (2, "exp:1", 3.0, l2_norm), (2, "exp:1", 4.0, l1_norm),
+    (2, "unif:0.5,1.5", 4.0, l1_norm), (2, "det:0.3", 1.5, l2_norm),
+    (3, "exp:1", 2.0, l2_norm), (3, "unif:0.5,1.5", 2.5, l1_norm),
+]
+
+
+def count_kd_queries(monkeypatch):
+    """Record the number of points of each cKDTree.query of fpp."""
+    counts = []
+
+    class Tree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            counts.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(fpp, "cKDTree", Tree)
+    return counts
+
+
+# each oracle case is run twice, at the default block size and at a tiny one
+cached_dense_shape_defect = functools.lru_cache(maxsize=None)(dense_shape_defect)
+
+
 class TestStreamedShapeDefect:
-    @pytest.mark.parametrize("dim,c,t", [
-        (1, 0.1, 4.5), (1, 0.7, 12.0), (2, 0.1, 1.5), (2, 0.3, 2.0),
-        (2, 0.25, 3.5), (3, 0.3, 1.5), (3, 2.0, 9.0),
-    ])
+    @pytest.mark.parametrize("dim,c,t", DET_DEFECT_CASES)
     @pytest.mark.parametrize("block", [1 << 17, 50])
     def test_deterministic_matches_dense_oracle(self, monkeypatch, dim, c, t, block):
+        # at 50 entries every orbit chunk holds one row and every slab of the
+        # covering grid one value of its first axis
         monkeypatch.setattr(fpp, "_BLOCK_ENTRIES", block)
         inst = det_instance(c=c, dim=dim, horizon=t)
-        assert shape_defect(inst, t) == dense_shape_defect(inst, t)
+        assert shape_defect(inst, t) == cached_dense_shape_defect(inst, t)
 
-    @pytest.mark.parametrize("dim,law,t,norm", [
-        (1, "exp:1", 8.0, l1_norm), (2, "exp:1", 3.0, l2_norm),
-        (2, "unif:0.5,1.5", 4.0, l1_norm), (2, "det:0.3", 1.5, l2_norm),
-    ])
+    @pytest.mark.parametrize("dim,law,t,norm", NORM_DEFECT_CASES)
     def test_callable_norm_matches_dense_oracle(self, monkeypatch, dim, law, t, norm):
         monkeypatch.setattr(fpp, "_BLOCK_ENTRIES", 200)
         inst = FppInstance(dim, EdgeWeightLaw.parse(law), 3, t)
         assert shape_defect(inst, t, reference_norm=norm) == dense_shape_defect(inst, t, norm)
+
+    @pytest.mark.parametrize("grid_factor", [1, 2.5, 7])
+    def test_grid_factor_matches_dense_oracle(self, grid_factor):
+        inst = det_instance(c=0.3, dim=2, horizon=3.0)
+        assert shape_defect(inst, 3.0, grid_factor=grid_factor) == dense_shape_defect(
+            inst, 3.0, grid_factor=grid_factor
+        )
+
+    @pytest.mark.parametrize("dim,c,t,queries", [
+        # the bench's ball: 1,320 of 33,025 grid points round to no vertex
+        (2, 0.25, 8.0, [1320]),
+        (2, 0.3, 2.0, [92]),
+        # the max is the cube centre's distance sqrt(3) / (2t) itself
+        (3, 0.3, 3.0, [450, 84912]),
+        (3, 1.0, 1.5, [30, 286]),
+    ])
+    def test_covering_query_paths(self, monkeypatch, dim, c, t, queries):
+        counts = count_kd_queries(monkeypatch)
+        shape_defect(det_instance(c=c, dim=dim, horizon=t), t)
+        assert counts == queries
+
+    def test_certificate_needs_the_rounding_slack(self):
+        # t = 3, one vertex (100, 100) / 3: the first grid point rounds to it
+        # (99.5 rounds to even) yet lies a hair past sqrt(2) / (2t) from it,
+        # and the second, rounding to no vertex, lies between the two, so the
+        # far point's max passes the bare bound but not the slack
+        t = 3.0
+        tree = cKDTree(np.array([[100.0, 100.0]]) / t)
+        grid = np.array([[33.166666666666664, 33.166666666666664], [33.50000000000001, 33.16666666666667]])
+        near = np.all(np.rint(grid * t) == 100.0, axis=1)
+        assert near.tolist() == [True, False]
+        dist = tree.query(grid)[0]
+        assert math.sqrt(2) / (2 * t) < dist[1] < dist[0]
+        assert fpp._ball_to_set(tree, grid, near, t, 34.0) == dist[0]
+
+    @pytest.mark.parametrize("dim,c,t,reps", [
+        (1, 0.25, 7.0, 28), (2, 0.25, 8.0, 272), (3, 0.3, 3.0, 286),
+    ])
+    def test_orbit_pass_takes_one_row_per_orbit(self, monkeypatch, dim, c, t, reps):
+        taken = []
+        l1_rows = fpp._l1_rows
+
+        def counted(steps, a, b):
+            taken.append(len(a))
+            return l1_rows(steps, a, b)
+
+        monkeypatch.setattr(fpp, "_l1_rows", counted)
+        inst = det_instance(c=c, dim=dim, horizon=t)
+        shape_defect(inst, t)
+        core, _ = fpp._det_ball(inst, t, 0.0, 10_000)
+        radius = int(np.abs(core).sum(axis=1).max())
+        # points with 0 <= x_1 <= x_0 (2-D) or every x_i >= 0, |x|_1 <= radius
+        expected = {1: radius + 1, 2: (radius // 2 + 1) * (radius + 1 - radius // 2),
+                    3: math.comb(radius + 3, 3)}[dim]
+        assert sum(taken) == reps == expected
+
+    def test_callable_norm_takes_upper_triangle_rows(self, monkeypatch):
+        taken = []
+        l1_rows = fpp._l1_rows
+        monkeypatch.setattr(fpp, "_l1_rows", lambda s, a, b: taken.append((len(a), len(b))) or l1_rows(s, a, b))
+        monkeypatch.setattr(fpp, "_BLOCK_ENTRIES", 1000)
+        inst = det_instance(c=0.3, dim=2, horizon=1.5)
+        shape_defect(inst, 1.5, reference_norm=l2_norm)
+        m = len(passage_time_ball(inst, 1.5))
+        assert sum(a for a, _ in taken) == m
+        assert [b for _, b in taken] == list(range(m, 0, -(1000 // m)))
+
+    @pytest.mark.parametrize("grid_factor", [0, -1, -0.5, math.nan, math.inf, -math.inf])
+    def test_grid_factor_must_be_positive_and_finite(self, grid_factor):
+        inst = det_instance(c=0.25, dim=2, horizon=3.0)
+        with pytest.raises(InvalidArgumentError, match="grid_factor"):
+            shape_defect(inst, 3.0, grid_factor=grid_factor)
 
     def test_deterministic_allocates_no_square_matrix(self):
         inst = det_instance(c=0.25, horizon=8.0)
@@ -667,6 +744,27 @@ class TestStreamedShapeDefect:
         m = len(passage_time_ball(inst, 8.0))
         assert m == 1985
         assert peak < m * m * 8 / 4
+
+    def test_covering_grid_holds_only_the_inside_points(self):
+        # det:1 in 3-D at t = 12: the box of the grid has 98^3 = 941,192
+        # points, about six times the inside ones; the peak allows the inside
+        # grid twice (its slabs, then their concatenation) plus a few
+        # temporaries of one block or slab
+        inst = det_instance(c=1.0, dim=3, horizon=12.0)
+        h = 1.0 / (4 * 12.0)
+        axis = np.arange(-1.0 - h, 1.0 + h, h)
+        assert axis.size == 98
+        box = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], axis=1)
+        inside = int(np.count_nonzero(np.abs(box).sum(axis=1) <= 1.0))
+        del box
+        tracemalloc.start()
+        try:
+            shape_defect(inst, 12.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * inside * 3 * 8 + 6 * fpp._BLOCK_ENTRIES * 8
+        assert peak < axis.size**3 * 3 * 8 / 2
 
     def test_random_law_runs_dijkstra_once_per_source_in_blocks(self, monkeypatch):
         sources = count_dijkstra_sources(monkeypatch)
