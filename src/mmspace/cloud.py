@@ -46,15 +46,23 @@ class PointCloud:
         return self.points.shape[1]
 
 
+# Below this a cdist entry may have lost bits to squares in the subnormal
+# range; at or above it the largest squared gap, at least _TINY**2 / D, is a
+# normal float, and any term that underflowed moved the sum by under one ulp.
+_TINY = 2.0**-500
+
+
 def euclidean_matrix(cloud: PointCloud | np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distance matrix of a cloud.
 
     cdist squares each coordinate gap, so a distance past about 1.3e154
-    reads inf although it is a finite float.  Only then is the matrix
-    recomputed by folding the coordinate gaps together with np.hypot, which
-    scales each pair, so no entry overflows unless a gap or the distance
-    itself does, and no small one underflows.  Other inputs keep cdist's
-    bits.
+    reads inf, and one below about 1.5e-154 loses bits or reads 0, although
+    each is a finite float.  Only then are those entries recomputed by
+    folding the coordinate gaps together with np.hypot, which scales each
+    pair, so no entry overflows unless a gap or the distance itself does,
+    and no small one underflows: the whole matrix after an overflow, the
+    entries below _TINY otherwise (exact duplicates among them, which stay
+    0).  Other entries keep cdist's bits.
     """
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
     if pts.ndim == 1:
@@ -65,5 +73,8 @@ def euclidean_matrix(cloud: PointCloud | np.ndarray) -> np.ndarray:
             d = np.abs(np.subtract.outer(pts[:, 0], pts[:, 0]))
             for k in range(1, pts.shape[1]):
                 np.hypot(d, np.subtract.outer(pts[:, k], pts[:, k]), out=d)
+    else:
+        rows, cols = np.nonzero(d < _TINY)
+        d[rows, cols] = np.hypot.reduce(np.abs(pts[rows] - pts[cols]), axis=1)
     np.fill_diagonal(d, 0.0)
     return d

@@ -35,7 +35,8 @@ callable norm they are the upper-triangle blocks, from S or, for random
 laws, from Dijkstra one block of sources at a time.  Its covering sup builds
 the reference grid a slab at a time, keeping only the points inside the
 reference ball, and queries the nearest vertex only at the grid points that
-do not round to a vertex, whenever their max certifies the whole grid's.
+do not round to a vertex, whenever their max certifies the whole grid's; a
+box past a fixed point budget raises BudgetExceededError before any pass.
 
 The barycenter track needs only the exact 1-mean, so it takes rows from a
 few farthest-point landmarks, bounds every candidate's cost from below with
@@ -86,6 +87,10 @@ _BOUND_CHUNK = 64
 # covering grid; each holds a handful of temporaries, so 1 << 17 keeps them to
 # a few MB
 _BLOCK_ENTRIES = 1 << 17
+# points in the box of shape_defect's covering grid: a 2-D box of 2^21 points
+# (det:0.25, t = 8, grid_factor 22.6) peaked at 36 MB traced, so one at the
+# budget holds about 145 MB
+_GRID_BUDGET = 1 << 23
 # A computed passage time is a sum of edge weights taken in path order, so
 # the same distance computed from the other end, or a landmark difference
 # |T(L, i) - T(L, j)|, can disagree with it in the last few ulps.  Both lower
@@ -784,7 +789,9 @@ def shape_defect(
     nearest-vertex query skips the grid points that round to a vertex, each
     within sqrt(dim) / (2t) of it, whenever the max over the rest exceeds
     that bound times a rounding slack, and otherwise queries the whole grid
-    (see _ball_to_set); either way the max is the same bits.
+    (see _ball_to_set); either way the max is the same bits.  A box of more
+    than _GRID_BUDGET points, counted on the axis length before the axis is
+    built, raises BudgetExceededError before either pass runs.
     """
     if not (grid_factor > 0 and math.isfinite(grid_factor)):
         raise InvalidArgumentError(f"grid_factor must be positive and finite, got {grid_factor!r}")
@@ -802,6 +809,19 @@ def shape_defect(
     ((_, core, rows),) = _balls(instance, [t], 0.0, budget)
     coords = np.asarray(core, dtype=np.float64) / t
     m = len(core)
+    # reference ball discretized finer than the 1/t lattice spacing; the box
+    # is checked against the budget, at the axis length np.arange would give,
+    # before anything is built
+    h = 1.0 / (grid_factor * t)
+    radius_box = max(float(np.abs(coords).max()), 1.0 if l1_radius is None else l1_radius)
+    low, high = -radius_box - h, radius_box + h
+    count = (high - low) / h if h > 0.0 else math.inf
+    count = math.ceil(count) if math.isfinite(count) else math.inf
+    if count ** instance.dim > _GRID_BUDGET:
+        raise BudgetExceededError(
+            f"covering grid of {count:.6g} points per axis in {instance.dim}-D "
+            f"exceeds the budget of {_GRID_BUDGET} points"
+        )
     step = max(1, _BLOCK_ENTRIES // m)
     if l1_radius is not None:
         reps = _orbit_representatives(core)
@@ -826,10 +846,7 @@ def shape_defect(
             block = np.triu(block, 1)
         metric_defect = max(metric_defect, float(block.max()))
 
-    # reference ball discretized finer than the 1/t lattice spacing
-    h = 1.0 / (grid_factor * t)
-    radius_box = max(float(np.abs(coords).max()), 1.0 if l1_radius is None else l1_radius)
-    axis = np.arange(-radius_box - h, radius_box + h, h)
+    axis = np.arange(low, high, h)
     if l1_radius is not None:
 
         def inside(parts):

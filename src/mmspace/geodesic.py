@@ -14,9 +14,15 @@ H-path, so D_H = D_G).  The one candidate is the sorted-neighbour chain of a
 1-D cloud, which carries every path of isomap and of Fermat at any alpha,
 since the points are collinear.  A certified matrix is Dijkstra's on H with
 its upper triangle mirrored, so it is exactly symmetric by construction.
-Without a candidate, or when the check fails, G runs Floyd-Warshall, whose
+Without a candidate, or when the check fails, G runs Floyd-Warshall in
+breadth-first vertex order, the bandwidth-reducing numbering of Cuthill and
+McKee without their sort by degree: scipy's kernel skips row i at step k
+while D[i, k] is still inf, and in a banded order it stays inf for longer.
+The BFS starts from a pseudo-peripheral vertex, the last one a BFS from
+vertex 0 reaches; that first BFS is also the connectivity check.  The
 relaxations are symmetric expressions of symmetric inputs, so that matrix
-is exactly symmetric too.
+is exactly symmetric too, and the numbering is undone in the expansion from
+vertices to points.
 
 Also here: the closed-form population Fermat distance for a one-dimensional
 Gaussian, a Monte Carlo moment probe built on it, and a pointwise check of
@@ -32,7 +38,7 @@ from functools import partial
 import numpy as np
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra, floyd_warshall
+from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra, floyd_warshall
 
 from .cloud import PointCloud, euclidean_matrix
 from .errors import BudgetExceededError, DisconnectedGraphError, InvalidArgumentError
@@ -94,8 +100,17 @@ def _graph_distances(
     shows D_H(i, j) <= W(i, j) (1 + 4 (m + 3) 2^-53) on every edge of G.
     Then every G-path is dominated by an H-path, so D_H = D_G up to that
     factor, which covers the rounding of m summed weights, the order of
-    Floyd-Warshall's own.  Otherwise, or with no candidate, G runs
-    Floyd-Warshall; G's CSR is built only then.
+    Floyd-Warshall's own.  Otherwise, or with no candidate, G's CSR is built
+    and G runs Floyd-Warshall with its vertices numbered in the order of a
+    BFS from the last vertex a BFS from vertex 0 reaches.  A BFS visits each
+    vertex's neighbours in CSR index order and sorts nothing, so the
+    numbering is the same whatever sort numpy dispatches to (an order that
+    breaks degree ties with np.argsort, as reverse_cuthill_mckee does, is
+    not).  The first BFS doubles as the connectivity check: only a graph it
+    does not span runs connected_components, to name the components.  The
+    result is read back through the inverse numbering in the one gather
+    that expands vertices to points; Floyd-Warshall's matrix is exactly
+    symmetric in any numbering, and so is the gathered one.
 
     Raises BudgetExceededError when n exceeds MAX_GRAPH_POINTS,
     InvalidArgumentError when a weight overflows to inf, and
@@ -110,12 +125,27 @@ def _graph_distances(
     if m == 1:
         return np.zeros((n, n))
     # the edge list dies with _vertex_distances, before the expansion
-    dist = _vertex_distances(m, edges, knob, members, candidate)
-    return dist if members is None else dist[np.ix_(members, members)]
+    dist, rank = _vertex_distances(m, edges, knob, members, candidate)
+    if rank is not None:
+        # undo the relabelling in the same gather as the expansion
+        members = rank if members is None else rank[members]
+    return dist if members is None else _gather(dist, members)
 
 
-def _vertex_distances(m: int, edges, knob: str, members, candidate) -> np.ndarray:
-    """The m x m matrix of _graph_distances over the vertices."""
+def _gather(dist: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """dist[np.ix_(index, index)], one row at a time: np.take into each row
+    of the result holds no index buffer beside it, where fancy indexing
+    holds a 128 KB one at the peak."""
+    out = np.empty((index.size, index.size))
+    for row, i in zip(out, index.tolist()):
+        dist[i].take(index, out=row, mode="clip")
+    return out
+
+
+def _vertex_distances(m: int, edges, knob: str, members, candidate) -> tuple:
+    """(dist, rank): the shortest paths of _graph_distances between the m
+    vertices, vertex v at row rank[v] of dist, or at row v when rank is
+    None."""
     rows, cols, weights = edges()
     if not np.all(np.isfinite(weights)):
         raise InvalidArgumentError(
@@ -123,17 +153,26 @@ def _vertex_distances(m: int, edges, knob: str, members, candidate) -> np.ndarra
         )
     pairs = None if candidate is None else candidate()
     dist = None if pairs is None else _certified(m, rows, cols, weights, *pairs)
-    if dist is None:
-        graph = csr_matrix((weights, (rows, cols)), shape=(m, m))
+    if dist is not None:
+        return dist, None
+    graph = csr_matrix((weights, (rows, cols)), shape=(m, m))
+    del rows, cols, weights
+    order = breadth_first_order(graph, 0, directed=False, return_predecessors=False)
+    if order.size < m:
         ncomp, labels = connected_components(graph, directed=False)
-        if ncomp > 1:
-            point_labels = labels if members is None else labels[members]
-            comps = [np.flatnonzero(point_labels == c).tolist() for c in range(ncomp)]
-            raise DisconnectedGraphError(
-                f"{knob} graph has {ncomp} components; raise {knob.partition('=')[0]}", comps
-            )
-        dist = floyd_warshall(graph, directed=False)
-    return dist
+        point_labels = labels if members is None else labels[members]
+        comps = [np.flatnonzero(point_labels == c).tolist() for c in range(ncomp)]
+        raise DisconnectedGraphError(
+            f"{knob} graph has {ncomp} components; raise {knob.partition('=')[0]}", comps
+        )
+    # a BFS from the last vertex the first one reached, a pseudo-peripheral
+    # vertex, numbers the vertices in bands of equal hop distance
+    order = breadth_first_order(graph, int(order[-1]), directed=False, return_predecessors=False)
+    rank = np.empty(m, dtype=graph.indices.dtype)
+    rank[order] = np.arange(m)
+    # vertex order[r] becomes r: renumber the columns, then take the rows
+    graph = csr_matrix((graph.data, rank[graph.indices], graph.indptr), shape=(m, m))[order]
+    return floyd_warshall(graph, directed=False), rank
 
 
 def _certified(m: int, rows, cols, weights, hr, hc) -> np.ndarray | None:

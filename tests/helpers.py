@@ -86,13 +86,14 @@ def relaxation_passage_times(instance, vertices):
     return dist
 
 
-def relaxation_geodesics(points, weight):
+def relaxation_geodesics(points, weight, adjacent=None):
     """All-pairs graph geodesics by repeated edge relaxation, in plain Python.
 
     points is a sequence of coordinate tuples; weight(length) gives the edge
-    weight for a Euclidean length, or None when the pair is not an edge.  Zero
-    and tiny weights are edges like any other.  Relaxes d[i][j] through every
-    middle point until nothing changes, so no shortest-path library is
+    weight for a Euclidean length, or None when the pair is not an edge.
+    adjacent(i, j), when given, must also hold for the pair to be an edge.
+    Zero and tiny weights are edges like any other.  Relaxes d[i][j] through
+    every middle point until nothing changes, so no shortest-path library is
     involved.
     """
     pts = [tuple(float(c) for c in p) for p in points]
@@ -102,7 +103,7 @@ def relaxation_geodesics(points, weight):
     for i in range(n):
         dist[i][i] = 0.0
         for j in range(n):
-            if i != j:
+            if i != j and (adjacent is None or adjacent(i, j)):
                 w = weight(math.dist(pts[i], pts[j]))
                 if w is not None:
                     dist[i][j] = w

@@ -1,13 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from mmspace import (
     PointCloud,
     build_ground_metric,
+    euclidean_matrix,
     fermat_distance_matrix,
     read_cloud_csv,
     read_matrix_bin,
@@ -18,7 +25,7 @@ from mmspace import (
 from mmspace import cli, geodesic
 from mmspace.cli import main
 
-from helpers import random_space
+from helpers import random_space, relaxation_geodesics
 
 
 def run_cli(capsys, *argv):
@@ -561,3 +568,96 @@ class TestSharedParser:
         assert codes == [0, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 2]
         assert "unrecognized arguments: --bogus" in shared[4][2]
         assert shared[10][1].startswith("usage: mm fpp")
+
+
+@st.composite
+def dist_runs(draw):
+    """(points, flags) for `mm dist --method isomap|fermat` on 2-40 points in
+    2-D or 3-D: uniform, collinear or cocircular, with exact duplicates,
+    copies 1e-9 away, eps values from far below the diameter (disconnected)
+    to above it, alpha in {1, 1.5, 2, 3}, and knn in and out of range."""
+    dim = draw(st.sampled_from([2, 3]))
+    coord = st.floats(-1.0, 1.0, allow_nan=False, width=32)
+    kind = draw(st.sampled_from(["uniform", "collinear", "cocircular"]))
+    if kind == "uniform":
+        pts = np.array(draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=30)))
+    elif kind == "collinear":
+        ts = np.array(draw(st.lists(coord, min_size=1, max_size=30)))
+        origin, direction = (np.array(draw(st.tuples(*[coord] * dim))) for _ in range(2))
+        pts = origin + ts[:, None] * direction
+    else:
+        angles = np.array(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=30)))
+        pts = np.zeros((angles.size, dim))
+        pts[:, 0], pts[:, 1] = np.cos(angles), np.sin(angles)
+        pts *= draw(st.floats(0.1, 2.0))
+    index = st.integers(0, len(pts) - 1)
+    copies = pts[draw(st.lists(index, max_size=5))]
+    near = pts[draw(st.lists(index, max_size=5))] + np.array([1e-9] + [0.0] * (dim - 1))
+    pts = np.vstack([pts, copies, near])
+    assume(2 <= len(pts) <= 40)
+    pts = pts[draw(st.permutations(range(len(pts))))]
+    e = euclidean_matrix(pts)
+    if draw(st.booleans()):
+        diam = float(e.max())
+        eps = draw(st.sampled_from([1.01, 0.6, 0.3, 0.1, 1e-6])) * (diam if diam > 0 else 1.0)
+        # an eps one rounding away from a distance would test the edge rule,
+        # not the paths
+        assume(np.all(np.abs(e - eps) > 1e-9 * eps))
+        return pts, ["--method", "isomap", "--eps", repr(eps)]
+    flags = ["--method", "fermat", "--alpha", repr(draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])))]
+    knn = draw(st.none() | st.integers(1, 4) | st.integers(0, len(pts) + 1))
+    return pts, flags + ([] if knn is None else ["--knn", str(knn)])
+
+
+def dist_oracle(pts, flags):
+    """The matrix of `mm dist` by edge relaxation in plain Python; inf where
+    the graph does not connect.  knn edges join each distinct point to its
+    knn nearest distinct points, in the builder's stable order, so ties pick
+    the same neighbours."""
+    opts = dict(zip(flags[::2], flags[1::2]))
+    if opts["--method"] == "isomap":
+        eps = float(opts["--eps"])
+        return relaxation_geodesics(pts, lambda length: length if length <= eps else None)
+    alpha = float(opts["--alpha"])
+    adjacent = None
+    if "--knn" in opts:
+        knn = int(opts["--knn"])
+        _, first, vertex = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+        vertex = np.argsort(np.argsort(first, kind="stable"), kind="stable")[vertex.ravel()]
+        uniq = pts[np.sort(first)]
+        near = np.argsort(euclidean_matrix(uniq), axis=1, kind="stable")[:, 1 : knn + 1]
+        picks = {(a, b) for a in range(len(uniq)) for b in near[a].tolist()}
+
+        def adjacent(i, j):
+            a, b = vertex[i], vertex[j]
+            return a == b or (a, b) in picks or (b, a) in picks
+
+    return relaxation_geodesics(pts, lambda length: length**alpha, adjacent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=dist_runs())
+def test_mm_dist_graph_methods_fuzz(run):
+    pts, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cloud, out = Path(tmp) / "c.csv", Path(tmp) / "d.bin"
+        write_cloud_csv(cloud, PointCloud(pts))
+        with contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = main(["dist", *flags, "--in", str(cloud), "--out", str(out)])
+        err = stderr.getvalue()
+        event(f"{' '.join(flags[:2])}{' --knn' if '--knn' in flags else ''} exit {code}")
+        assert code in (0, 2, 3, 4), (code, err)
+        assert all(line.startswith("error: ") for line in err.splitlines())
+        m = len(np.unique(pts, axis=0))
+        opts = dict(zip(flags[::2], flags[1::2]))
+        if "--knn" in opts and m > 1 and not 1 <= int(opts["--knn"]) < m:
+            assert code == 2 and "knn must be in" in err
+            return
+        want = dist_oracle(pts, flags)
+        if not np.all(np.isfinite(want)):
+            assert code == 4 and "components" in err
+            return
+        assert code == 0 and err == "" and stdout.getvalue().startswith("wrote ")
+        d = read_matrix_bin(out)
+    np.testing.assert_allclose(d, want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(d, d.T)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from mmspace import (
     InvalidArgumentError,
     PointCloud,
+    build_ground_metric,
     diffusion_distance_matrix,
     embedding_from_decomposition,
     normalized_laplacian,
+    sample,
     similarity_matrix,
     spectral_decomposition,
     spectral_embedding,
@@ -159,6 +161,30 @@ class TestEmbedding:
             if prev is not None:
                 assert np.all(d <= prev + 1e-12)
             prev = d
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_full_spectrum_matches_matrix_power_at_scale(self, t):
+        # with every eigenpair kept, D_t(i, j)^2 = sum_l (1 - lambda_l)^(2t)
+        # (v_l(i) - v_l(j))^2 = (e_i - e_j)' M^(2t) (e_i - e_j), M = I - L,
+        # computed here with matrix products and no eigensolver; the
+        # Gaussian kernel is positive definite, so the clip of 1 - lambda
+        # at 0 acts only at rounding level
+        n = 1000
+        cloud = sample("interval", n, 7)
+        d = build_ground_metric(cloud, "diffusion", {"sigma": 0.1, "embed_k": n, "t": t})
+        lap = normalized_laplacian(similarity_matrix(cloud, 0.1))
+        power = np.linalg.matrix_power(np.eye(n) - lap, 2 * t)
+        diag = np.diag(power)
+        squared = diag[:, None] + diag[None, :] - 2.0 * power
+        diam2 = squared.max()
+        # each side is an n-term sum of terms of the size of the squared
+        # diameter, so they agree to n u relative to it
+        u = np.finfo(np.float64).eps / 2.0
+        assert np.abs(d * d - squared).max() <= n * u * diam2
+        # near 0 the square root turns that into |a - b| <= sqrt(|a^2 - b^2|),
+        # a gap relative to the diameter
+        want = np.sqrt(np.clip(squared, 0.0, None))
+        assert np.abs(d - want).max() <= math.sqrt(n * u) * math.sqrt(diam2)
 
     def test_negative_t_rejected(self):
         lap, _ = two_point_laplacian(1.0, 1.0)

@@ -733,6 +733,42 @@ class TestStreamedShapeDefect:
         with pytest.raises(InvalidArgumentError, match="grid_factor"):
             shape_defect(inst, 3.0, grid_factor=grid_factor)
 
+    @pytest.mark.parametrize("grid_factor", [1e7, 1e300, 1e308])
+    def test_covering_grid_over_budget_raises_before_any_pass(self, monkeypatch, grid_factor):
+        # 4e7 points per axis at 1e7; past 1e308 the spacing is 0
+        def never(*args, **kwargs):
+            raise AssertionError("an over-budget grid should raise first")
+
+        monkeypatch.setattr(fpp, "_l1_rows", never)
+        monkeypatch.setattr(fpp, "_covering_grid", never)
+        inst = det_instance(c=1.0, dim=2, horizon=2.0)
+        with pytest.raises(BudgetExceededError, match="covering grid"):
+            shape_defect(inst, 2.0, grid_factor=grid_factor)
+
+    @pytest.mark.parametrize("dim,c,t,count", [
+        (2, 0.25, 8.0, 258), (3, 1.0, 12.0, 98), (1, 0.3, 4.5, 122),
+        # the axis spans 55.33 spacings, which np.arange rounds up
+        (2, 0.3, 2.0, 56),
+    ])
+    def test_covering_grid_budget_counts_the_axis_exactly(self, monkeypatch, dim, c, t, count):
+        # count is the axis length np.arange gives; a budget of exactly
+        # count^dim points passes with the same bytes, one point less raises
+        inst = det_instance(c=c, dim=dim, horizon=t)
+        want = shape_defect(inst, t)
+        monkeypatch.setattr(fpp, "_GRID_BUDGET", count**dim)
+        assert shape_defect(inst, t) == want
+        monkeypatch.setattr(fpp, "_GRID_BUDGET", count**dim - 1)
+        with pytest.raises(BudgetExceededError, match=f"{count} points per axis in {dim}-D"):
+            shape_defect(inst, t)
+
+    def test_mm_fpp_exits_3_past_the_grid_budget(self, monkeypatch, capsys):
+        # the bench's det command has a 258^2 box
+        monkeypatch.setattr(fpp, "_GRID_BUDGET", 258**2 - 1)
+        assert main(["fpp", "--dim", "2", "--law", "det:0.25", "--t", "8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: covering grid of 258 points per axis")
+
     def test_deterministic_allocates_no_square_matrix(self):
         inst = det_instance(c=0.25, horizon=8.0)
         tracemalloc.start()

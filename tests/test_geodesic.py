@@ -1,10 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import floyd_warshall
+from scipy.sparse.csgraph import floyd_warshall, shortest_path
+from scipy.spatial.distance import cdist
 from scipy.special import erfi
 
 from mmspace import (
@@ -13,7 +19,10 @@ from mmspace import (
     FermatParams,
     InvalidArgumentError,
     PointCloud,
+    circle_arc_metric,
     curvature_condition_check,
+    epsilon_net_graph,
+    equispaced_circle_net,
     euclidean_matrix,
     fermat_distance_matrix,
     fermat_scaled,
@@ -612,6 +621,179 @@ class TestCertifiedGraph:
         # per edge (half a matrix) while H is looked up
         assert peak < 1.25 * n * n * 8
 
+
+def shuffled_circle(n, seed):
+    """n points of the unit circle in random order, so the identity numbering
+    of a neighbourhood graph has bandwidth close to n."""
+    return sample("circle", n, seed).points
+
+
+def with_duplicates(pts, seed):
+    """pts with a few rows repeated at random places, and one row 1e-9 away."""
+    rng = np.random.default_rng(seed)
+    extra = pts[rng.integers(0, len(pts), size=4)]
+    near = pts[:1] + 1e-9
+    return rng.permutation(np.vstack([pts, extra, near]))
+
+
+# builders with no candidate, so every one runs the dense fallback
+FALLBACK_BUILDERS = {
+    "isomap-circle": lambda: isomap_distance_matrix(PointCloud(shuffled_circle(160, 1)), eps=0.4),
+    "isomap-circle-duplicates": lambda: isomap_distance_matrix(
+        PointCloud(with_duplicates(shuffled_circle(120, 2), 3)), eps=0.5
+    ),
+    "isomap-cube": lambda: isomap_distance_matrix(PointCloud(random_cloud(11, 3)), eps=0.5),
+    "fermat-complete-duplicates": lambda: fermat_distance_matrix(
+        PointCloud(with_duplicates(random_cloud(12, 2), 4)), 1.5
+    ),
+    "fermat-3d-alpha-2": lambda: fermat_distance_matrix(PointCloud(random_cloud(13, 3)), 2.0),
+    "fermat-knn": lambda: fermat_distance_matrix(PointCloud(with_duplicates(shuffled_circle(100, 5), 6)), 3.0, knn=4),
+    "net-circle": lambda: epsilon_net_graph(
+        np.random.default_rng(7).permutation(equispaced_circle_net(90)), "circle", eps=0.2, diam=math.pi
+    ).dist,
+    "net-matrix-zeros": lambda: epsilon_net_graph(
+        None, circle_arc_metric(with_duplicates(shuffled_circle(80, 8), 9)), eps=0.6, diam=math.pi
+    ).dist,
+}
+
+
+def identity_order(monkeypatch):
+    """Make the graph core number the vertices as given, the order of a plain
+    floyd_warshall on G."""
+    monkeypatch.setattr(
+        geodesic, "breadth_first_order", lambda graph, start, **kwargs: np.arange(graph.shape[0], dtype=np.int32)
+    )
+
+
+class TestBreadthFirstFallback:
+    """The dense fallback runs Floyd-Warshall on G in breadth-first order and
+    undoes the numbering in the expansion to the points."""
+
+    @pytest.mark.parametrize("name", list(FALLBACK_BUILDERS))
+    def test_matches_identity_order_and_is_exactly_symmetric(self, monkeypatch, name):
+        graphs = []
+        real = geodesic.floyd_warshall
+        monkeypatch.setattr(geodesic, "floyd_warshall", lambda graph, **kw: graphs.append(graph) or real(graph, **kw))
+        d = FALLBACK_BUILDERS[name]()
+        identity_order(monkeypatch)
+        want = FALLBACK_BUILDERS[name]()
+        assert len(graphs) == 2
+        np.testing.assert_allclose(d, want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(d, d.T)
+        assert np.array_equal(np.diag(d), np.zeros(len(d)))
+        # the relabelled graph is G under a permutation that is not the identity
+        relabelled, plain = (g.tocoo() for g in graphs)
+        assert sorted(relabelled.data.tolist()) == sorted(plain.data.tolist())
+        assert not np.array_equal(relabelled.toarray(), plain.toarray())
+
+    @pytest.mark.parametrize("n,eps", [(200, 0.3), (400, 1.0)])
+    def test_numbering_is_breadth_first_from_a_far_vertex(self, monkeypatch, n, eps):
+        pts = shuffled_circle(n, n)
+        e = euclidean_matrix(pts)
+        rows, cols = np.nonzero(np.triu(e <= eps, 1))
+        graphs = []
+        real = geodesic.floyd_warshall
+        monkeypatch.setattr(geodesic, "floyd_warshall", lambda graph, **kw: graphs.append(graph) or real(graph, **kw))
+        dist, rank = geodesic._vertex_distances(n, lambda: (rows, cols, e[rows, cols]), f"eps={eps}", None, None)
+        (graph,) = graphs
+        # new vertex r is old vertex order[r]: its edges are G's, renumbered
+        relabelled = graph.tocoo()
+        edges = {(min(a, b), max(a, b)) for a, b in zip(relabelled.row.tolist(), relabelled.col.tolist())}
+        assert edges == {(min(a, b), max(a, b)) for a, b in zip(rank[rows].tolist(), rank[cols].tolist())}
+        hops = shortest_path(graph, directed=False, unweighted=True, indices=0)
+        assert np.all(np.diff(hops) >= 0)
+        # the start is the last vertex a BFS from old vertex 0 reaches
+        from_zero = shortest_path(graph, directed=False, unweighted=True, indices=int(rank[0]))
+        assert from_zero[0] == from_zero.max()
+        # each edge joins two vertices at most one level apart, so the band
+        # is under two levels wide, against nearly n for the point order
+        band = int(np.abs(relabelled.row - relabelled.col).max())
+        widths = np.bincount(hops.astype(int))
+        assert band < 2 * widths.max()
+        assert band < int(np.abs(rows - cols).max())
+        plain = floyd_warshall(csr_matrix((e[rows, cols], (rows, cols)), shape=(n, n)), directed=False)
+        np.testing.assert_allclose(dist[np.ix_(rank, rank)], plain, rtol=1e-12, atol=0.0)
+
+    def test_components_are_named_only_when_the_bfs_falls_short(self, monkeypatch):
+        calls = []
+        real = geodesic.connected_components
+        monkeypatch.setattr(geodesic, "connected_components", lambda *a, **k: calls.append(1) or real(*a, **k))
+        FALLBACK_BUILDERS["isomap-circle"]()
+        assert calls == []
+        # three clusters in the plane, one point doubled, in mixed order
+        pts = np.array([[0.0, 0.0], [5.0, 0.0], [0.1, 0.0], [0.0, 5.0], [5.1, 0.0], [0.0, 0.0], [0.0, 5.1]])
+        with pytest.raises(DisconnectedGraphError, match=r"^eps=0\.3 graph has 3 components; raise eps$") as err:
+            isomap_distance_matrix(PointCloud(pts), eps=0.3)
+        assert err.value.components == [[0, 2, 5], [1, 4], [3, 6]]
+        assert calls == [1]
+        with pytest.raises(DisconnectedGraphError, match=r"^knn=1 graph has 3 components; raise knn$") as err:
+            fermat_distance_matrix(PointCloud(pts), 2.0, knn=1)
+        assert err.value.components == [[0, 2, 5], [1, 4], [3, 6]]
+        # a vertex with no edge at all, last in the point order
+        with pytest.raises(DisconnectedGraphError) as err:
+            isomap_distance_matrix(PointCloud(np.vstack([shuffled_circle(30, 3), [[9.0, 9.0]]])), eps=1.0)
+        assert err.value.components == [list(range(30)), [30]]
+
+    def test_a_zero_weight_edge_connects(self):
+        # vertex 1 reaches the others only through its explicit zero-weight
+        # edge to vertex 0; the BFS must count it as an edge
+        amb = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
+        want = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        assert np.array_equal(epsilon_net_graph(None, amb, eps=2.0, diam=1.0).dist, want)
+
+    def test_isomap_peak_is_the_matrix_and_the_result(self):
+        # the m x m Floyd-Warshall matrix and the n x n result, beside
+        # index vectors; fancy indexing's 128 KB buffer would not fit
+        cloud = PointCloud(shuffled_circle(400, 1))
+        isomap_distance_matrix(cloud, eps=1.0)
+        tracemalloc.start()
+        try:
+            isomap_distance_matrix(cloud, eps=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 400 * 400 * 8 + 100_000
+
+
+_FALLBACK_HASHES = """
+import hashlib, json
+import numpy as np
+from mmspace import PointCloud, fermat_distance_matrix, isomap_distance_matrix, sample
+
+cube = np.random.default_rng(5).uniform(size=(160, 3))
+runs = {
+    "isomap-2d": isomap_distance_matrix(PointCloud(sample("circle", 300, 1).points), eps=0.5),
+    "fermat-3d-alpha-2": fermat_distance_matrix(PointCloud(cube), 2.0),
+    "fermat-knn": fermat_distance_matrix(PointCloud(sample("circle", 300, 3).points), 2.0, knn=12),
+}
+print(json.dumps({name: hashlib.sha256(d.tobytes()).hexdigest() for name, d in runs.items()}))
+"""
+
+
+def test_dense_fallback_bytes_do_not_depend_on_simd_or_threads():
+    # the breadth-first numbering breaks no ties by sorting, so it is the
+    # same whichever sort numpy dispatches to.  Every graph here has many
+    # vertices of equal degree (the complete graph all of them); on the two
+    # circle graphs, an order that breaks degree ties with np.argsort
+    # (reverse_cuthill_mckee's) differs with AVX-512 disabled, and so do the
+    # matrices Floyd-Warshall computes in it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for extra in (
+        {"MM_THREADS": "1"},
+        {"MM_THREADS": "2"},
+        {"MM_THREADS": "1", "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    ):
+        env = dict(os.environ, **extra)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-c", _FALLBACK_HASHES], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1] == runs[2]
+
+
 class TestOverflow:
     def test_euclidean_matrix_scales_past_the_square_overflow(self):
         # cdist squares the gaps: 2^1200 overflows and 2^-1200 underflows,
@@ -621,6 +803,21 @@ class TestOverflow:
         want = np.array([[0.0, 5 * big, 5 * small], [5 * big, 0.0, 5 * big], [5 * small, 5 * big, 0.0]])
         assert np.array_equal(euclidean_matrix(pts), want)
         assert np.array_equal(euclidean_matrix(PointCloud(pts)), want)
+
+    def test_euclidean_matrix_keeps_gaps_whose_square_underflows(self):
+        # no overflow here: 2^-600 and the 1.4e-173 gap found by the mm dist
+        # fuzz square to 0 in cdist, which read both as duplicates
+        small = 2.0**-600
+        pts = np.array([[1.0, 0.0], [1.0, 1.40722286e-173], [3 * small, 4 * small], [0.0, 0.0], [1.0, 0.0]])
+        d = euclidean_matrix(pts)
+        assert d[0, 1] == d[1, 0] == 1.40722286e-173
+        assert d[2, 3] == d[3, 2] == 5 * small
+        assert d[0, 4] == d[4, 0] == 0.0
+        # every entry at or above 2^-500 keeps cdist's bits
+        ref = cdist(pts, pts)
+        big = ref >= 2.0**-500
+        assert big.sum() == 12 and np.array_equal(d[big], ref[big])
+        assert np.array_equal(isomap_distance_matrix(PointCloud(pts[:2]), eps=1.0), d[:2, :2])
 
     def test_fermat_weight_overflow_is_named(self):
         with pytest.raises(InvalidArgumentError, match="overflow"):
