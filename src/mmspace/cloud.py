@@ -50,6 +50,8 @@ class PointCloud:
 # range; at or above it the largest squared gap, at least _TINY**2 / D, is a
 # normal float, and any term that underflowed moved the sum by under one ulp.
 _TINY = 2.0**-500
+# Entries per row block of the np.hypot fold, which bounds its temporaries.
+_FOLD_ENTRIES = 1 << 18
 
 
 def euclidean_matrix(cloud: PointCloud | np.ndarray) -> np.ndarray:
@@ -61,20 +63,29 @@ def euclidean_matrix(cloud: PointCloud | np.ndarray) -> np.ndarray:
     folding the coordinate gaps together with np.hypot, which scales each
     pair, so no entry overflows unless a gap or the distance itself does,
     and no small one underflows: the whole matrix after an overflow, the
-    entries below _TINY otherwise (exact duplicates among them, which stay
-    0).  Other entries keep cdist's bits.
+    off-diagonal entries below _TINY otherwise (exact duplicates among
+    them, which stay 0).  Other entries keep cdist's bits.  The fold runs
+    in place, in row blocks of about _FOLD_ENTRIES entries, so it holds a
+    few MB beside the matrix however many entries it recomputes.
     """
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     d = cdist(pts, pts)
-    if not np.all(np.isfinite(d)):
-        with np.errstate(over="ignore"):
-            d = np.abs(np.subtract.outer(pts[:, 0], pts[:, 0]))
+    overflow = not np.all(np.isfinite(d))
+    n = pts.shape[0]
+    step = max(1, _FOLD_ENTRIES // max(n, 1))
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, step):
+            block = d[lo : lo + step]
+            if not overflow:
+                redo = block < _TINY
+                np.fill_diagonal(redo[:, lo:], False)
+                if not redo.any():
+                    continue
+            fold = np.abs(np.subtract.outer(pts[lo : lo + step, 0], pts[:, 0]))
             for k in range(1, pts.shape[1]):
-                np.hypot(d, np.subtract.outer(pts[:, k], pts[:, k]), out=d)
-    else:
-        rows, cols = np.nonzero(d < _TINY)
-        d[rows, cols] = np.hypot.reduce(np.abs(pts[rows] - pts[cols]), axis=1)
+                np.hypot(fold, np.subtract.outer(pts[lo : lo + step, k], pts[:, k]), out=fold)
+            np.copyto(block, fold, where=True if overflow else redo)
     np.fill_diagonal(d, 0.0)
     return d

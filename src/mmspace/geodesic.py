@@ -15,14 +15,14 @@ H-path, so D_H = D_G).  The one candidate is the sorted-neighbour chain of a
 since the points are collinear.  A certified matrix is Dijkstra's on H with
 its upper triangle mirrored, so it is exactly symmetric by construction.
 Without a candidate, or when the check fails, G runs Floyd-Warshall in
-breadth-first vertex order, the bandwidth-reducing numbering of Cuthill and
-McKee without their sort by degree: scipy's kernel skips row i at step k
-while D[i, k] is still inf, and in a banded order it stays inf for longer.
-The BFS starts from a pseudo-peripheral vertex, the last one a BFS from
-vertex 0 reaches; that first BFS is also the connectivity check.  The
-relaxations are symmetric expressions of symmetric inputs, so that matrix
-is exactly symmetric too, and the numbering is undone in the expansion from
-vertices to points.
+reversed breadth-first vertex order, the bandwidth-reducing numbering of
+reverse Cuthill-McKee without its sort by degree: scipy's kernel skips row
+i at step k while D[i, k] is still inf, and in a banded order it stays inf
+for longer.  The BFS starts from a pseudo-peripheral vertex, the last one a
+BFS from vertex 0 reaches; that first BFS is also the connectivity check.
+The relaxations are symmetric expressions of symmetric inputs, so that
+matrix is exactly symmetric too, and the numbering is undone in the
+expansion from vertices to points.
 
 Also here: the closed-form population Fermat distance for a one-dimensional
 Gaussian, a Monte Carlo moment probe built on it, and a pointwise check of
@@ -101,8 +101,11 @@ def _graph_distances(
     Then every G-path is dominated by an H-path, so D_H = D_G up to that
     factor, which covers the rounding of m summed weights, the order of
     Floyd-Warshall's own.  Otherwise, or with no candidate, G's CSR is built
-    and G runs Floyd-Warshall with its vertices numbered in the order of a
-    BFS from the last vertex a BFS from vertex 0 reaches.  A BFS visits each
+    and G runs Floyd-Warshall with its vertices numbered in the reverse of
+    the order of a BFS from the last vertex a BFS from vertex 0 reaches (the
+    reversal leaves the kernel fewer rows to relax than the BFS order on the
+    circle, torus and Gaussian eps-graphs, as Cuthill-McKee's reversal
+    leaves Gaussian elimination less fill).  A BFS visits each
     vertex's neighbours in CSR index order and sorts nothing, so the
     numbering is the same whatever sort numpy dispatches to (an order that
     breaks degree ties with np.argsort, as reverse_cuthill_mckee does, is
@@ -127,19 +130,14 @@ def _graph_distances(
     # the edge list dies with _vertex_distances, before the expansion
     dist, rank = _vertex_distances(m, edges, knob, members, candidate)
     if rank is not None:
-        # undo the relabelling in the same gather as the expansion
+        # undo the numbering in the same gather as the expansion
         members = rank if members is None else rank[members]
-    return dist if members is None else _gather(dist, members)
-
-
-def _gather(dist: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """dist[np.ix_(index, index)], one row at a time: np.take into each row
-    of the result holds no index buffer beside it, where fancy indexing
-    holds a 128 KB one at the peak."""
-    out = np.empty((index.size, index.size))
-    for row, i in zip(out, index.tolist()):
-        dist[i].take(index, out=row, mode="clip")
-    return out
+    if members is None:
+        return dist
+    # rows, then columns: dist[np.ix_(members, members)] without the index
+    # buffer (128 KB) that fancy indexing holds beside the two matrices
+    dist = dist.take(members, axis=0)
+    return dist.take(members, axis=1)
 
 
 def _vertex_distances(m: int, edges, knob: str, members, candidate) -> tuple:
@@ -166,8 +164,9 @@ def _vertex_distances(m: int, edges, knob: str, members, candidate) -> tuple:
             f"{knob} graph has {ncomp} components; raise {knob.partition('=')[0]}", comps
         )
     # a BFS from the last vertex the first one reached, a pseudo-peripheral
-    # vertex, numbers the vertices in bands of equal hop distance
-    order = breadth_first_order(graph, int(order[-1]), directed=False, return_predecessors=False)
+    # vertex, orders the vertices in bands of equal hop distance; they are
+    # numbered from the far end, the reversal of Cuthill-McKee's order
+    order = breadth_first_order(graph, int(order[-1]), directed=False, return_predecessors=False)[::-1]
     rank = np.empty(m, dtype=graph.indices.dtype)
     rank[order] = np.arange(m)
     # vertex order[r] becomes r: renumber the columns, then take the rows

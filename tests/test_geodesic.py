@@ -687,7 +687,7 @@ class TestBreadthFirstFallback:
         assert not np.array_equal(relabelled.toarray(), plain.toarray())
 
     @pytest.mark.parametrize("n,eps", [(200, 0.3), (400, 1.0)])
-    def test_numbering_is_breadth_first_from_a_far_vertex(self, monkeypatch, n, eps):
+    def test_numbering_is_reversed_breadth_first_from_a_far_vertex(self, monkeypatch, n, eps):
         pts = shuffled_circle(n, n)
         e = euclidean_matrix(pts)
         rows, cols = np.nonzero(np.triu(e <= eps, 1))
@@ -700,11 +700,12 @@ class TestBreadthFirstFallback:
         relabelled = graph.tocoo()
         edges = {(min(a, b), max(a, b)) for a, b in zip(relabelled.row.tolist(), relabelled.col.tolist())}
         assert edges == {(min(a, b), max(a, b)) for a, b in zip(rank[rows].tolist(), rank[cols].tolist())}
-        hops = shortest_path(graph, directed=False, unweighted=True, indices=0)
-        assert np.all(np.diff(hops) >= 0)
+        # the BFS start is numbered last, and the hop levels fall toward it
+        hops = shortest_path(graph, directed=False, unweighted=True, indices=n - 1)
+        assert np.all(np.diff(hops) <= 0)
         # the start is the last vertex a BFS from old vertex 0 reaches
         from_zero = shortest_path(graph, directed=False, unweighted=True, indices=int(rank[0]))
-        assert from_zero[0] == from_zero.max()
+        assert from_zero[n - 1] == from_zero.max()
         # each edge joins two vertices at most one level apart, so the band
         # is under two levels wide, against nearly n for the point order
         band = int(np.abs(relabelled.row - relabelled.col).max())
@@ -741,9 +742,9 @@ class TestBreadthFirstFallback:
         want = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         assert np.array_equal(epsilon_net_graph(None, amb, eps=2.0, diam=1.0).dist, want)
 
-    def test_isomap_peak_is_the_matrix_and_the_result(self):
-        # the m x m Floyd-Warshall matrix and the n x n result, beside
-        # index vectors; fancy indexing's 128 KB buffer would not fit
+    def test_isomap_peak_is_not_above_the_point_order(self):
+        # 2,702,699 bytes: the peak of Floyd-Warshall in point order with
+        # the expansion dist[np.ix_(members, members)], on this cloud
         cloud = PointCloud(shuffled_circle(400, 1))
         isomap_distance_matrix(cloud, eps=1.0)
         tracemalloc.start()
@@ -752,7 +753,7 @@ class TestBreadthFirstFallback:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 400 * 400 * 8 + 100_000
+        assert peak <= 2_702_699
 
 
 _FALLBACK_HASHES = """
@@ -818,6 +819,23 @@ class TestOverflow:
         big = ref >= 2.0**-500
         assert big.sum() == 12 and np.array_equal(d[big], ref[big])
         assert np.array_equal(isomap_distance_matrix(PointCloud(pts[:2]), eps=1.0), d[:2, :2])
+
+    def test_euclidean_matrix_recomputes_duplicates_in_bounded_memory(self):
+        # every off-diagonal pair of equal points is below 2^-500 and is
+        # recomputed; the fold holds row blocks, not one row per pair
+        n = 1500
+        pts = np.repeat(np.array([[0.5, -1.0], [0.5, 2.0], [3.0, 1e-170]]), n // 3, axis=0)
+        tracemalloc.start()
+        try:
+            d = euclidean_matrix(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8
+        same = np.equal.outer(np.arange(n) // 500, np.arange(n) // 500)
+        assert not d[same].any()
+        ref = cdist(pts, pts)
+        assert np.array_equal(d[~same], ref[~same])
 
     def test_fermat_weight_overflow_is_named(self):
         with pytest.raises(InvalidArgumentError, match="overflow"):
