@@ -26,23 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EXIT_INVALID_INPUT, InvalidArgumentError, MmError
-from .experiment import _parse_rows, load_config, run_experiment
+from .experiment import load_config, run_experiment
 from .fpp import DEFAULT_BALL_BUDGET, DEFAULT_SHELL, EdgeWeightLaw, FppInstance, fpp_barycenter_track, shape_defect
-from .io import (
-    dump_json,
-    read_cloud_csv,
-    read_matrix,
-    read_space,
-    solution_to_dict,
-    write_cloud_csv,
-    write_matrix_bin,
-    write_matrix_csv,
-)
+from .io import _write_matrix, dump_json, read_cloud_csv, read_matrix, read_space, solution_to_dict, write_cloud_csv
 from .quantize import circle_arc_metric, epsilon_net_graph, equispaced_circle_net, quantize
-from .samplers import sample
+from .samplers import _generator_params, sample
 from .space import FiniteMetricMeasureSpace, k_means_exact, k_means_pam, metric_validate
 from .voronoi import enlarged_cell, enlargement_threshold, voronoi_cells
-from .wasserstein import GROUND_METHODS, _learn_metric, learned_wasserstein_kmeans
+from .wasserstein import _METRIC_PARAMS, GROUND_METHODS, _learn_metric, learned_wasserstein_kmeans
 
 # flags `mm dist` insists on, though the library has a default sigma
 _DIST_REQUIRED = {"isomap": "eps", "diffusion": "sigma"}
@@ -50,8 +41,7 @@ _DIST_REQUIRED = {"isomap": "eps", "diffusion": "sigma"}
 
 def _metric_params(args) -> dict:
     """Ground-metric params from the flags that were given."""
-    keys = ("alpha", "knn", "eps", "sigma", "embed_k", "t")
-    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+    return {key: getattr(args, key) for key in _METRIC_PARAMS if getattr(args, key, None) is not None}
 
 
 def _load_space(path) -> FiniteMetricMeasureSpace:
@@ -60,13 +50,6 @@ def _load_space(path) -> FiniteMetricMeasureSpace:
         return read_space(path)
     labels, matrix = read_matrix(path)
     return FiniteMetricMeasureSpace.uniform(labels, matrix)
-
-
-def _write_matrix(path, matrix: np.ndarray) -> None:
-    if str(path).endswith(".bin"):
-        write_matrix_bin(path, matrix)
-    else:
-        write_matrix_csv(path, [str(i) for i in range(matrix.shape[0])], matrix)
 
 
 def _emit(doc: dict, out) -> None:
@@ -78,14 +61,7 @@ def _emit(doc: dict, out) -> None:
 
 
 def cmd_sample(args) -> int:
-    params = {}
-    if args.dim is not None:
-        params["dim"] = args.dim
-    if args.centers is not None:
-        params["centers"] = _parse_rows(args.centers)
-    if args.scales is not None:
-        params["scales"] = np.asarray([float(v) for v in args.scales.split()])
-    cloud = sample(args.generator, args.n, args.seed, **params)
+    cloud = sample(args.generator, args.n, args.seed, **_generator_params(vars(args)))
     write_cloud_csv(args.out, cloud)
     print(f"wrote {args.out}: n={cloud.n} dim={cloud.ambient_dim}")
     return 0
@@ -107,7 +83,7 @@ def cmd_dist(args) -> int:
                 ],
             },
         )
-    _write_matrix(args.out, matrix)
+    _write_matrix(args.out, [str(i) for i in range(matrix.shape[0])], matrix)
     print(f"wrote {args.out}: n={matrix.shape[0]} method={args.method}")
     return 0
 

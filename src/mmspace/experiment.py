@@ -34,10 +34,10 @@ from ._fork import fork_join
 from .cloud import PointCloud
 from .errors import InvalidArgumentError, MmError
 from .io import dump_json, read_cloud_csv
-from .samplers import covering_radius, derived_seed, sample, true_distance_matrix
+from .samplers import _generator_params, _parse_rows, covering_radius, derived_seed, sample, true_distance_matrix
 from .space import FiniteMetricMeasureSpace, _pairwise, k_means_exact, k_means_pam, one_sided_center_deviation
 from .voronoi import cluster_deviation, voronoi_cells
-from .wasserstein import build_ground_metric
+from .wasserstein import _METRIC_PARAMS, build_ground_metric
 
 CSV_COLUMNS = [
     "n",
@@ -139,11 +139,6 @@ def _jsonable(v):
     return v
 
 
-def _parse_rows(text: str) -> np.ndarray:
-    rows = [r.strip() for r in text.split(";") if r.strip()]
-    return np.asarray([[float(v) for v in r.split()] for r in rows], dtype=np.float64)
-
-
 def load_config(path) -> ExperimentConfig:
     """Read a config from sectioned key-value text (INI)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -155,36 +150,20 @@ def load_config(path) -> ExperimentConfig:
     kmeans = parser["kmeans"] if parser.has_section("kmeans") else {}
     run = parser["run"] if parser.has_section("run") else {}
 
-    gparams = {}
-    if "dim" in data:
-        gparams["dim"] = int(data["dim"])
-    if "centers" in data:
-        gparams["centers"] = _parse_rows(data["centers"])
-    if "scales" in data:
-        gparams["scales"] = np.asarray([float(v) for v in data["scales"].split()])
-    if "path" in data:
-        gparams["path"] = data["path"]
-
-    mparams = {}
-    for key in ("alpha", "eps", "sigma", "t"):
-        if key in metric:
-            mparams[key] = float(metric[key])
-    for key in ("embed_k", "knn"):
-        if key in metric:
-            mparams[key] = int(metric[key])
-
-    reference = run.get("reference", "self").strip()
-    ref_centers = None
-    if reference != "self":
-        ref_centers = _parse_rows(reference)
-        reference = "explicit"
-
     try:
+        gparams = _generator_params(data)
+        if "path" in data:
+            gparams["path"] = data["path"]
+        reference = run.get("reference", "self").strip()
+        ref_centers = None
+        if reference != "self":
+            ref_centers = _parse_rows(reference)
+            reference = "explicit"
         return ExperimentConfig(
             generator=data.get("generator", "interval"),
             generator_params=gparams,
             method=metric.get("method", "euclid"),
-            method_params=mparams,
+            method_params={key: kind(metric[key]) for key, kind in _METRIC_PARAMS.items() if key in metric},
             k=int(kmeans.get("k", 1)),
             p=float(kmeans.get("p", 2.0)),
             solver=kmeans.get("solver", "exact"),

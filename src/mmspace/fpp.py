@@ -243,18 +243,13 @@ def _check_t(instance: FppInstance, t: float) -> None:
 
 def _check_ball(instance: FppInstance, t: float, shell: float) -> None:
     """The argument checks of a ball B(t) with its shell, in the order they apply."""
-    if shell < 0:
+    if not shell >= 0:
         raise InvalidArgumentError("shell must be >= 0")
     if t * (1.0 + shell) > instance.horizon:
         raise InvalidArgumentError(
             f"t*(1+shell) = {t * (1.0 + shell)} exceeds horizon {instance.horizon}"
         )
     _check_t(instance, t)
-
-
-def _stop(t: float, shell: float) -> float:
-    """Outer radius t * (1 + shell) of a growth; a NaN shell means no shell."""
-    return t * (1.0 + shell) if shell > 0 else t
 
 
 def _settle(instance: FppInstance, t: float, shell: float, budget: float) -> tuple:
@@ -266,7 +261,7 @@ def _settle(instance: FppInstance, t: float, shell: float, budget: float) -> tup
     vertices once, in the row of its later end.
     """
     _check_t(instance, t)
-    stop = _stop(t, shell)
+    stop = t * (1.0 + shell)
     edge_weight = _edge_hash(instance)
     origin = (0,) * instance.dim
     index: dict = {}
@@ -315,8 +310,7 @@ def _grow(instance: FppInstance, t: float, shell: float = 0.0, budget: float = m
     list, so it is symmetric and Dijkstra runs on it directed, with no
     transpose built per call.  Vertices settle in increasing time, so for
     any s up to t * (1 + shell), B(s) is the first N vertices, N the count
-    of times below s, and its graph is graph[:N, :N].  A NaN shell means no
-    shell.  The growth stops with BudgetExceededError as soon as budget + 1
+    of times below s, and its graph is graph[:N, :N].  The growth stops with BudgetExceededError as soon as budget + 1
     vertices of B(t) have settled, before the ball is grown any further.
     """
     index, times, (data, cols, indptr) = _settle(instance, t, shell, budget)
@@ -351,7 +345,7 @@ def _prefix_ball(growth: tuple, t: float, shell: float) -> tuple:
     """
     vertices, times, graph = growth
     m = int(np.searchsorted(times, t))
-    n = int(np.searchsorted(times, _stop(t, shell)))
+    n = int(np.searchsorted(times, t * (1.0 + shell)))
     graph = graph[:n, :n]
     perm = np.concatenate([[0], 1 + np.lexsort(vertices[1:m].T[::-1])])
 
@@ -572,9 +566,7 @@ def scaled_space(
         raise BudgetExceededError(
             f"scaled space on {m} points exceeds the limit of {geodesic.MAX_GRAPH_POINTS}"
         )
-    tmat = rows(np.arange(m))
-    upper = np.triu(tmat, 1)
-    np.add(upper, upper.T, out=tmat)
+    tmat = geodesic._mirror_upper(rows(np.arange(m)))
     labels = [",".join(map(str, v)) for v in core.tolist()]
     return FiniteMetricMeasureSpace.uniform(labels, tmat)
 

@@ -190,15 +190,20 @@ def _certified(m: int, rows, cols, weights, hr, hc) -> np.ndarray | None:
     sub = csr_matrix((weights[pos], (rows[pos], cols[pos])), shape=(m, m))
     if connected_components(sub, directed=False)[0] > 1:
         return None
-    dist = dijkstra(sub, directed=False)
-    # mirror the upper triangle in place; the diagonal is 0
-    for i in range(1, m):
-        dist[i, :i] = dist[:i, i]
+    dist = _mirror_upper(dijkstra(sub, directed=False))
     slack = 1.0 + 4.0 * (m + 3) * 2.0**-53
     for s in range(0, rows.size, m):
         block = slice(s, s + m)
         if not np.all(dist[rows[block], cols[block]] <= weights[block] * slack):
             return None
+    return dist
+
+
+def _mirror_upper(dist: np.ndarray) -> np.ndarray:
+    """dist with its strict upper triangle copied onto the lower one, in
+    place, so it is exactly symmetric; the diagonal is kept."""
+    for i in range(1, dist.shape[0]):
+        dist[i, :i] = dist[:i, i]
     return dist
 
 

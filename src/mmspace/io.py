@@ -33,6 +33,19 @@ _FALLBACK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _FORK_READ_BYTES = 2 << 20
 
 
+def _binary(path) -> bool:
+    """Whether a matrix file is in the binary format: its name has the suffix .bin."""
+    return Path(path).suffix == ".bin"
+
+
+def _write_matrix(path, labels, matrix: np.ndarray) -> None:
+    """Write a matrix in the format read_matrix reads back from path."""
+    if _binary(path):
+        write_matrix_bin(path, matrix)
+    else:
+        write_matrix_csv(path, labels, matrix)
+
+
 def write_matrix_bin(path, matrix: np.ndarray) -> None:
     m = np.ascontiguousarray(np.asarray(matrix, dtype="<f8"))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -199,9 +212,8 @@ def _parse_floats(rows, context: str) -> np.ndarray:
 
 
 def read_matrix(path):
-    """Dispatch on extension: .bin -> binary (index labels), else CSV."""
-    path = Path(path)
-    if path.suffix == ".bin":
+    """Dispatch on the name (see _binary): binary with index labels, else CSV."""
+    if _binary(path):
         m = read_matrix_bin(path)
         return [str(i) for i in range(m.shape[0])], m
     return read_matrix_csv(path)
@@ -215,11 +227,7 @@ def write_space(path, space: FiniteMetricMeasureSpace, dist_ref: str | None = No
     path = Path(path)
     if dist_ref is None:
         dist_ref = path.stem + ".dist.bin"
-    target = path.parent / dist_ref
-    if target.suffix == ".bin":
-        write_matrix_bin(target, space.dist)
-    else:
-        write_matrix_csv(target, space.labels, space.dist)
+    _write_matrix(path.parent / dist_ref, space.labels, space.dist)
     doc = {
         "labels": [str(lab) for lab in space.labels],
         "weights": [float(w) for w in space.weights],

@@ -27,7 +27,7 @@ from .cloud import euclidean_matrix
 from .errors import InvalidArgumentError
 from .geodesic import _graph_distances
 from .samplers import _circle_angles, _circle_covering_radius, circle_arc_metric
-from .space import _weighted_row_sums
+from .space import _check_p, _weighted_row_sums
 
 
 @dataclass
@@ -87,9 +87,7 @@ def quantize(
     """
     pts = _as_samples(samples)
     n, dim = pts.shape
-    p = float(p)
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise InvalidArgumentError(f"p must be >= 1, got {p!r}")
+    p = _check_p(p)
     if n_centers < 1:
         raise InvalidArgumentError("n_centers must be >= 1")
     if restarts < 1:
@@ -284,9 +282,7 @@ def density_compensation(rho_values, p: float, intrinsic_dim: int) -> np.ndarray
         raise InvalidArgumentError("rho_values must be a nonempty vector")
     if rho.min() <= 0 or not np.all(np.isfinite(rho)):
         raise InvalidArgumentError("density values must be positive and finite")
-    p = float(p)
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise InvalidArgumentError(f"p must be >= 1, got {p!r}")
+    p = _check_p(p)
     if intrinsic_dim < 1:
         raise InvalidArgumentError("intrinsic_dim must be >= 1")
     w = rho ** (-(p + intrinsic_dim) / intrinsic_dim)

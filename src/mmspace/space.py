@@ -580,12 +580,6 @@ def k_means_exact(
     ext = _Extensions(pw, w)
     depth = min(k, n)
     group = max(1, min(_SCREEN_ROWS, _BLOCK_ENTRIES // n))
-    # the largest group of leaves is the first one of the first prefix two
-    # centers short of k, whose children start at depth - 2; when it is too
-    # small for the screen, no group reaches it and the leaves take the plain
-    # loop
-    lo = max(depth - 2, 0)
-    screened = ext.screens(min(group, n - 1 - lo), n - 1 - lo)
 
     best = math.inf
     kept: list[tuple[float, tuple]] = []
@@ -604,7 +598,9 @@ def k_means_exact(
 
     def leaves(q, block, first):
         # child q + (c,) serves block[c - first] and costs its sets
-        # q + (c, c') for c' > c; the children are screened in groups of rows
+        # q + (c, c') for c' > c; the children are screened in groups of rows,
+        # and a group too small to screen goes to the kernel alone (screens
+        # falls from group to group, so every later group does too)
         for g0 in range(first, n - 1, group):
             g1 = min(g0 + group, n - 1)
             served = block[g0 - first:g1 - first]
@@ -628,11 +624,7 @@ def k_means_exact(
         if len(q) + 1 == depth:
             return
         if len(q) + 2 == depth:
-            if screened:
-                leaves(q, block, first)
-            else:
-                for c in range(first, n - 1):
-                    collect(_plain_costs(ext, block[c - first], c + 1), q + (c,), c + 1)
+            leaves(q, block, first)
             return
         for c in range(first, n - 1):
             expand(q + (c,), np.minimum(block[c - first], pw[c + 1:]), c + 1)

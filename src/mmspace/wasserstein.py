@@ -33,7 +33,7 @@ from .diffusion import (
 from . import geodesic
 from .errors import BudgetExceededError, InvalidArgumentError, SolverError
 from .geodesic import fermat_distance_matrix, fermat_scaled, isomap_distance_matrix
-from .space import FiniteMetricMeasureSpace, KMeansSolution, k_means_exact, k_means_pam
+from .space import FiniteMetricMeasureSpace, KMeansSolution, _check_p, k_means_exact, k_means_pam
 
 MASS_TOL = 1e-12
 
@@ -123,9 +123,7 @@ def wasserstein_distance(ground: np.ndarray, a: DiscreteMeasure, b: DiscreteMeas
 
 def _wasserstein(g: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float) -> float:
     """wasserstein_distance on a ground metric g that _check_ground has passed."""
-    p = float(p)
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise InvalidArgumentError(f"p must be >= 1, got {p!r}")
+    p = _check_p(p)
     n = g.shape[0]
     for meas in (a, b):
         if min(meas.ground_indices) < 0 or max(meas.ground_indices) >= n:
@@ -194,6 +192,8 @@ def isometry_defect_bound(eps: float, diam: float) -> float:
 
 
 GROUND_METHODS = ("euclid", "fermat", "isomap", "diffusion")
+# the parameters a ground method reads, each with the type it is parsed as
+_METRIC_PARAMS = {"alpha": float, "knn": int, "eps": float, "sigma": float, "embed_k": int, "t": float}
 
 
 def _learn_metric(cloud: PointCloud, method: str, params: dict | None = None, scaled: bool = True):
