@@ -27,9 +27,12 @@ def similarity_matrix(cloud: PointCloud, sigma: float) -> np.ndarray:
     """Gaussian kernel exp(-|x-y|^2 / (2 sigma^2)); unit diagonal."""
     if not (sigma > 0 and math.isfinite(sigma)):
         raise InvalidArgumentError(f"sigma must be positive, got {sigma!r}")
+    # Python floats round to 0 or inf where a numpy scalar would warn
+    scale = 2.0 * float(sigma) * float(sigma)
+    if not 0.0 < scale < math.inf:
+        raise InvalidArgumentError(f"sigma is out of range: 2 sigma^2 = {scale!r} in float64, got sigma = {sigma!r}")
     sq = cdist(cloud.points, cloud.points, "sqeuclidean")
-    eta = np.exp(-sq / (2.0 * sigma * sigma))
-    return eta
+    return np.exp(-sq / scale)
 
 
 def normalized_laplacian(eta: np.ndarray) -> np.ndarray:

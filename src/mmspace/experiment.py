@@ -33,7 +33,7 @@ import numpy as np
 from ._fork import fork_join
 from .cloud import PointCloud
 from .errors import InvalidArgumentError, MmError
-from .io import dump_json, read_cloud_csv
+from .io import _decoding, dump_json, read_cloud_csv
 from .samplers import _generator_params, _parse_rows, covering_radius, derived_seed, sample, true_distance_matrix
 from .space import FiniteMetricMeasureSpace, _pairwise, k_means_exact, k_means_pam, one_sided_center_deviation
 from .voronoi import cluster_deviation, voronoi_cells
@@ -142,7 +142,8 @@ def _jsonable(v):
 def load_config(path) -> ExperimentConfig:
     """Read a config from sectioned key-value text (INI)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    with _decoding(path):
+        read = parser.read(path)
     if not read:
         raise InvalidArgumentError(f"cannot read config {path!r}")
     data = parser["data"] if parser.has_section("data") else {}

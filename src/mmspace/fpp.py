@@ -310,8 +310,9 @@ def _grow(instance: FppInstance, t: float, shell: float = 0.0, budget: float = m
     list, so it is symmetric and Dijkstra runs on it directed, with no
     transpose built per call.  Vertices settle in increasing time, so for
     any s up to t * (1 + shell), B(s) is the first N vertices, N the count
-    of times below s, and its graph is graph[:N, :N].  The growth stops with BudgetExceededError as soon as budget + 1
-    vertices of B(t) have settled, before the ball is grown any further.
+    of times below s, and its graph is graph[:N, :N].  The growth stops
+    with BudgetExceededError as soon as budget + 1 vertices of B(t) have
+    settled, before the ball is grown any further.
     """
     index, times, (data, cols, indptr) = _settle(instance, t, shell, budget)
     n = len(times)

@@ -13,6 +13,7 @@ import csv
 import json
 import mmap
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,15 @@ _FALLBACK_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # costs about 10 ms, two workers broke even near 2 MB (n = 330): 57 against
 # 64 ms at n = 350, 100 against 125 ms at n = 500
 _FORK_READ_BYTES = 2 << 20
+
+
+@contextmanager
+def _decoding(path):
+    """Reports text in path that does not decode as InvalidArgumentError naming path."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
 
 
 def _binary(path) -> bool:
@@ -153,14 +163,14 @@ def read_matrix_csv(path):
     starts = []
     lines = _crlf_line_count(path, starts)
     if lines:
-        with open(path, newline="") as fh:
+        with _decoding(path), open(path, newline="") as fh:
             labels = next(csv.reader([fh.readline()]))
         n = len(labels)
         if n and lines == n + 1:
             m = _loadtxt_rows(path, starts, n)
             if m is not None:
                 return labels, m
-    with open(path, newline="") as fh:
+    with _decoding(path), open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise InvalidArgumentError(f"{path}: empty matrix file")
@@ -239,7 +249,7 @@ def write_space(path, space: FiniteMetricMeasureSpace, dist_ref: str | None = No
 def read_space(path) -> FiniteMetricMeasureSpace:
     path = Path(path)
     try:
-        with open(path) as fh:
+        with _decoding(path), open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"{path}: not valid JSON ({exc})")
@@ -261,7 +271,7 @@ def write_cloud_csv(path, cloud: PointCloud) -> None:
 
 
 def read_cloud_csv(path, intrinsic_dim: int = 0) -> PointCloud:
-    with open(path, newline="") as fh:
+    with _decoding(path), open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise InvalidArgumentError(f"{path}: empty cloud file")

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -511,6 +512,70 @@ class TestValidate:
         write_space(path, space)
         code, out = run_cli(capsys, "validate", "--in", str(path))
         assert code == 0
+
+
+# bytes that do not decode as UTF-8
+NOT_UTF8 = b"0,\xff\r\n"
+EXPERIMENT = ["experiment", "--config", "{d}/e.ini", "--out", "{d}/r"]
+# (id, argv, files written first, text the one error line holds); {d} is the test's directory
+FRONT_DOOR = [
+    ("sample-centers", ["sample", "--generator", "mixture", "--n", "5", "--centers", "a b", "--out", "{d}/c.csv"], {},
+     "bad centers 'a b': could not convert string to float: 'a'"),
+    ("sample-scales", ["sample", "--generator", "mixture", "--n", "5", "--centers", "0", "--scales", "x", "--out", "{d}/c.csv"], {},
+     "bad scales 'x': could not convert string to float: 'x'"),
+    ("data-dim", EXPERIMENT, {"e.ini": b"[data]\ngenerator = gaussian\ndim = two\n"},
+     "bad config value: bad dim 'two': invalid literal for int() with base 10: 'two'"),
+    ("data-centers", EXPERIMENT, {"e.ini": b"[data]\ngenerator = mixture\ncenters = 0 0, 1 1\n"},
+     "bad config value: bad centers '0 0, 1 1': could not convert string to float: '0,'"),
+    ("data-scales", EXPERIMENT, {"e.ini": b"[data]\ngenerator = mixture\ncenters = 0\nscales = x\n"},
+     "bad config value: bad scales 'x'"),
+    ("metric-alpha", EXPERIMENT, {"e.ini": b"[metric]\nmethod = fermat\nalpha = x\n"},
+     "bad config value: could not convert string to float: 'x'"),
+    ("metric-eps", EXPERIMENT, {"e.ini": b"[metric]\nmethod = isomap\neps = wide\n"},
+     "bad config value: could not convert string to float: 'wide'"),
+    ("metric-knn", EXPERIMENT, {"e.ini": b"[metric]\nmethod = fermat\nknn = 2.5\n"},
+     "bad config value: invalid literal for int() with base 10: '2.5'"),
+    ("run-reference", EXPERIMENT, {"e.ini": b"[run]\nreference = a b\n"},
+     "bad config value: could not convert string to float: 'a'"),
+    ("diffusion-sigma", ["dist", "--method", "diffusion", "--sigma", "1e-300", "--in", "{d}/c.csv", "--out", "{d}/d.csv"],
+     {"c.csv": b"0.0\n0.5\n1.0\n"}, "sigma is out of range: 2 sigma^2 = 0.0 in float64, got sigma = 1e-300"),
+    ("matrix-validate", ["validate", "--in", "{d}/m.csv"], {"m.csv": NOT_UTF8}, "{d}/m.csv: not utf-8 text"),
+    ("matrix-kmeans", ["kmeans", "--k", "1", "--space", "{d}/m.csv"], {"m.csv": NOT_UTF8}, "{d}/m.csv: not utf-8 text"),
+    ("matrix-voronoi", ["voronoi", "--centers", "0", "--space", "{d}/m.csv"], {"m.csv": NOT_UTF8}, "{d}/m.csv: not utf-8 text"),
+    ("cloud-dist", ["dist", "--method", "euclid", "--in", "{d}/c.csv", "--out", "{d}/d.csv"], {"c.csv": NOT_UTF8},
+     "{d}/c.csv: not utf-8 text"),
+    ("cloud-quantize", ["quantize", "--in", "{d}/c.csv", "--n", "1"], {"c.csv": NOT_UTF8}, "{d}/c.csv: not utf-8 text"),
+    ("cloud-wkmeans", ["wkmeans", "--groups", "{d}/c.csv", "--k", "1"], {"c.csv": NOT_UTF8}, "{d}/c.csv: not utf-8 text"),
+    ("space-validate", ["validate", "--in", "{d}/s.json"], {"s.json": b'{"labels": ["\xff"]}'}, "{d}/s.json: not utf-8 text"),
+    ("space-kmeans", ["kmeans", "--k", "1", "--space", "{d}/s.json"], {"s.json": b'{"labels": ["\xff"]}'},
+     "{d}/s.json: not utf-8 text"),
+    ("config", EXPERIMENT, {"e.ini": b"[run]\nsizes = 10 # \xff\n"}, "{d}/e.ini: not utf-8 text"),
+]
+
+
+class TestFrontDoor:
+    @pytest.mark.parametrize("argv, files, message", [c[1:] for c in FRONT_DOOR], ids=[c[0] for c in FRONT_DOOR])
+    def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, argv, files, message):
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        with warnings.catch_warnings():
+            # a warning numpy prints on the way to the error is a failure too
+            warnings.simplefilter("error")
+            code = main([a.format(d=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert message.format(d=tmp_path) in captured.err
+
+    @pytest.mark.parametrize("name, binary", [(".bin", False), ("m.bin", True), ("m.csv", False), ("m.bin.csv", False)])
+    def test_matrix_is_read_in_the_format_it_was_written(self, tmp_path, capsys, name, binary):
+        cloud = tmp_path / "c.csv"
+        write_line_cloud(cloud, [0.0, 1.0, 3.0])
+        out = tmp_path / name
+        assert run_cli(capsys, "dist", "--method", "euclid", "--in", str(cloud), "--out", str(out))[0] == 0
+        assert out.read_bytes().startswith(b"MMSP") == binary
+        code, report = run_cli(capsys, "validate", "--in", str(out))
+        assert code == 0 and json.loads(report)["passes"] is True
 
 
 class TestDeterminism:

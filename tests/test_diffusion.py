@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,14 @@ class TestSimilarity:
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(InvalidArgumentError):
                 similarity_matrix(cloud, bad)
+
+    @pytest.mark.parametrize("sigma, scale", [(1e-300, "0.0"), (5e-324, "0.0"), (1e200, "inf"), (np.float64(1e200), "inf")])
+    def test_sigma_whose_two_sigma_squared_is_not_a_positive_float_is_named(self, sigma, scale):
+        cloud = PointCloud(np.array([[0.0], [1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=rf"^sigma is out of range: 2 sigma\^2 = {scale} in float64"):
+                similarity_matrix(cloud, sigma)
 
 
 class TestLaplacian:

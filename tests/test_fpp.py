@@ -450,6 +450,14 @@ class TestRandomTrackGrowsOnce:
         with pytest.raises(InvalidArgumentError, match=r"^t must lie in \(0, horizon=6.0\], got nan$"):
             fpp_barycenter_track(inst, [math.nan], shell=0.2)
 
+    @pytest.mark.parametrize("law", ["exp:1", "det:0.5"])
+    def test_nan_shell_raises(self, law):
+        inst = FppInstance(2, EdgeWeightLaw.parse(law), 1, 6.0)
+        with pytest.raises(InvalidArgumentError, match=r"^shell must be >= 0$"):
+            fpp_barycenter_track(inst, [2.0, 3.0], shell=math.nan)
+        with pytest.raises(InvalidArgumentError, match=r"^shell must be >= 0$"):
+            scaled_space(inst, 3.0, shell=math.nan)
+
 
 class TestBallRowsNetworkxOracle:
     @pytest.mark.parametrize("dim,law,ts", [
