@@ -28,10 +28,10 @@ import numpy as np
 from .errors import EXIT_INVALID_INPUT, InvalidArgumentError, MmError
 from .experiment import load_config, run_experiment
 from .fpp import DEFAULT_BALL_BUDGET, DEFAULT_SHELL, EdgeWeightLaw, FppInstance, fpp_barycenter_track, shape_defect
-from .io import _write_matrix, dump_json, read_cloud_csv, read_matrix, read_space, solution_to_dict, write_cloud_csv
+from .io import _space_json, _write_matrix, dump_json, read_cloud_csv, read_matrix, read_space, solution_to_dict, write_cloud_csv
 from .quantize import circle_arc_metric, epsilon_net_graph, equispaced_circle_net, quantize
 from .samplers import _generator_params, sample
-from .space import FiniteMetricMeasureSpace, k_means_exact, k_means_pam, metric_validate
+from .space import FiniteMetricMeasureSpace, _k_means, metric_validate
 from .voronoi import enlarged_cell, enlargement_threshold, voronoi_cells
 from .wasserstein import _METRIC_PARAMS, GROUND_METHODS, _learn_metric, learned_wasserstein_kmeans
 
@@ -46,7 +46,7 @@ def _metric_params(args) -> dict:
 
 def _load_space(path) -> FiniteMetricMeasureSpace:
     """Space JSON, or a bare matrix file promoted to uniform weights."""
-    if str(path).endswith(".json"):
+    if _space_json(path):
         return read_space(path)
     labels, matrix = read_matrix(path)
     return FiniteMetricMeasureSpace.uniform(labels, matrix)
@@ -90,10 +90,9 @@ def cmd_dist(args) -> int:
 
 def cmd_kmeans(args) -> int:
     space = _load_space(args.space)
-    if args.pam:
-        sol = k_means_pam(space, args.k, args.p, restarts=args.restarts, seed=args.seed)
-    else:
-        sol = k_means_exact(space, args.k, args.p, budget=args.budget)
+    sol = _k_means(
+        space, "pam" if args.pam else "exact", args.k, args.p, restarts=args.restarts, seed=args.seed, budget=args.budget
+    )
     doc = {"k": args.k, "p": args.p}
     doc.update(solution_to_dict(sol, labels=space.labels))
     _emit(doc, args.out)
@@ -226,7 +225,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if str(args.infile).endswith(".json"):
+    if _space_json(args.infile):
         matrix = read_space(args.infile).dist
     else:
         _, matrix = read_matrix(args.infile)

@@ -9,6 +9,25 @@ from scipy.spatial.distance import cdist
 from .errors import InvalidArgumentError
 
 
+def _as_points(points, name: str) -> np.ndarray:
+    """The one point-set rule: a finite float64 (n, D) array with n, D >= 1.
+
+    A 1-D input is n points on a line.  Anything else, a ragged list
+    included, raises InvalidArgumentError naming the argument.
+    """
+    try:
+        pts = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError):
+        pts = np.empty(0)  # ragged or not numeric: fails the shape test
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or 0 in pts.shape:
+        raise InvalidArgumentError(f"{name} must be a nonempty (n, D) array")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidArgumentError(f"{name} must be finite")
+    return pts
+
+
 @dataclass
 class PointCloud:
     """n points in R^D plus a user-declared intrinsic dimension.
@@ -21,14 +40,7 @@ class PointCloud:
     intrinsic_dim: int = 0
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise InvalidArgumentError("points must be a nonempty (n, D) array")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidArgumentError("points must be finite")
-        self.points = pts
+        self.points = pts = _as_points(self.points, "points")
         if self.intrinsic_dim == 0:
             self.intrinsic_dim = pts.shape[1]
         if not 1 <= self.intrinsic_dim <= pts.shape[1]:
@@ -68,9 +80,7 @@ def euclidean_matrix(cloud: PointCloud | np.ndarray) -> np.ndarray:
     in place, in row blocks of about _FOLD_ENTRIES entries, so it holds a
     few MB beside the matrix however many entries it recomputes.
     """
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = cloud.points if isinstance(cloud, PointCloud) else _as_points(cloud, "cloud")
     d = cdist(pts, pts)
     overflow = not np.all(np.isfinite(d))
     n = pts.shape[0]

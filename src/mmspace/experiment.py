@@ -25,19 +25,19 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from ._fork import fork_join
-from .cloud import PointCloud
+from .cloud import PointCloud, _as_points
 from .errors import InvalidArgumentError, MmError
 from .io import _decoding, dump_json, read_cloud_csv
-from .samplers import _generator_params, _parse_rows, covering_radius, derived_seed, sample, true_distance_matrix
-from .space import FiniteMetricMeasureSpace, _pairwise, k_means_exact, k_means_pam, one_sided_center_deviation
-from .voronoi import cluster_deviation, voronoi_cells
-from .wasserstein import _METRIC_PARAMS, build_ground_metric
+from .samplers import GENERATORS, _generator_params, _parse_rows, covering_radius, derived_seed, sample, true_distance_matrix
+from .space import FiniteMetricMeasureSpace, _k_means, _k_means_check, _pairwise, one_sided_center_deviation
+from .voronoi import _cell_mask, cluster_deviation, voronoi_cells
+from .wasserstein import _METRIC_PARAMS, GROUND_METHODS, build_ground_metric
 
 CSV_COLUMNS = [
     "n",
@@ -69,7 +69,7 @@ _COVERING_GENERATORS = ("interval", "circle", "torus")
 
 @dataclass
 class ExperimentConfig:
-    generator: str
+    generator: str = "interval"
     generator_params: dict = field(default_factory=dict)
     method: str = "euclid"
     method_params: dict = field(default_factory=dict)
@@ -84,6 +84,10 @@ class ExperimentConfig:
     reference_centers: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.generator not in GENERATORS + ("file",):
+            raise InvalidArgumentError(f"unknown generator {self.generator!r}; expected one of {GENERATORS + ('file',)}")
+        if self.method not in GROUND_METHODS:
+            raise InvalidArgumentError(f"unknown ground method {self.method!r}; expected one of {GROUND_METHODS}")
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise InvalidArgumentError("sizes must be positive")
         if sorted(self.sizes) != list(self.sizes) or len(set(self.sizes)) != len(self.sizes):
@@ -92,39 +96,22 @@ class ExperimentConfig:
             raise InvalidArgumentError("trials must be >= 1")
         if self.k < 1:
             raise InvalidArgumentError("k must be >= 1")
-        if self.solver not in ("exact", "pam"):
-            raise InvalidArgumentError("solver must be 'exact' or 'pam'")
+        _k_means_check(self.solver)
         if self.reference != "self" and self.reference_centers is None:
             raise InvalidArgumentError(
                 "reference must be 'self' or come with explicit reference_centers"
             )
         if self.reference_centers is not None:
-            # a 1-D array is k points on a line, as the set distances read it
-            ref = np.asarray(self.reference_centers, dtype=np.float64)
-            self.reference_centers = ref.reshape(-1, 1) if ref.ndim == 1 else ref
+            self.reference_centers = _as_points(self.reference_centers, "reference_centers")
         if self.generator == "file":
             path = self.generator_params.get("path")
             if not path or not Path(path).exists():
                 raise InvalidArgumentError(f"file generator needs an existing path, got {path!r}")
 
     def to_dict(self) -> dict:
-        doc = {
-            "generator": self.generator,
-            "generator_params": {k: _jsonable(v) for k, v in sorted(self.generator_params.items())},
-            "method": self.method,
-            "method_params": {k: _jsonable(v) for k, v in sorted(self.method_params.items())},
-            "k": self.k,
-            "p": self.p,
-            "solver": self.solver,
-            "restarts": self.restarts,
-            "sizes": list(self.sizes),
-            "trials": self.trials,
-            "seed": self.seed,
-            "reference": self.reference,
-        }
-        if self.reference_centers is not None:
-            doc["reference_centers"] = [list(map(float, r)) for r in self.reference_centers]
-        return doc
+        """Every field that is set, as JSON values; reference_centers only when given."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: _jsonable(v) for name, v in values if v is not None}
 
     def digest(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
@@ -132,11 +119,25 @@ class ExperimentConfig:
 
 
 def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (np.floating, np.integer, np.ndarray)):
         return v.tolist()
     return v
+
+
+# config keys read as ExperimentConfig fields: key -> (section, parser)
+_CONFIG_KEYS = {
+    "generator": ("data", str),
+    "method": ("metric", str),
+    "k": ("kmeans", int),
+    "p": ("kmeans", float),
+    "solver": ("kmeans", str),
+    "restarts": ("kmeans", int),
+    "sizes": ("run", lambda text: [int(v) for v in text.split()]),
+    "trials": ("run", int),
+    "seed": ("run", int),
+}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -146,35 +147,24 @@ def load_config(path) -> ExperimentConfig:
         read = parser.read(path)
     if not read:
         raise InvalidArgumentError(f"cannot read config {path!r}")
-    data = parser["data"] if parser.has_section("data") else {}
-    metric = parser["metric"] if parser.has_section("metric") else {}
-    kmeans = parser["kmeans"] if parser.has_section("kmeans") else {}
-    run = parser["run"] if parser.has_section("run") else {}
+    sections = {name: parser[name] if parser.has_section(name) else {} for name in ("data", "metric", "kmeans", "run")}
+    data, metric, run = sections["data"], sections["metric"], sections["run"]
 
     try:
-        gparams = _generator_params(data)
+        # a key the file leaves out takes ExperimentConfig's default
+        kwargs = {
+            key: parse(sections[section][key])
+            for key, (section, parse) in _CONFIG_KEYS.items()
+            if key in sections[section]
+        }
+        kwargs["generator_params"] = _generator_params(data)
         if "path" in data:
-            gparams["path"] = data["path"]
+            kwargs["generator_params"]["path"] = data["path"]
+        kwargs["method_params"] = {key: kind(metric[key]) for key, kind in _METRIC_PARAMS.items() if key in metric}
         reference = run.get("reference", "self").strip()
-        ref_centers = None
         if reference != "self":
-            ref_centers = _parse_rows(reference)
-            reference = "explicit"
-        return ExperimentConfig(
-            generator=data.get("generator", "interval"),
-            generator_params=gparams,
-            method=metric.get("method", "euclid"),
-            method_params={key: kind(metric[key]) for key, kind in _METRIC_PARAMS.items() if key in metric},
-            k=int(kmeans.get("k", 1)),
-            p=float(kmeans.get("p", 2.0)),
-            solver=kmeans.get("solver", "exact"),
-            restarts=int(kmeans.get("restarts", 10)),
-            sizes=[int(v) for v in run.get("sizes", "100").split()],
-            trials=int(run.get("trials", 1)),
-            seed=int(run.get("seed", 0)),
-            reference=reference,
-            reference_centers=ref_centers,
-        )
+            kwargs.update(reference="explicit", reference_centers=_parse_rows(reference))
+        return ExperimentConfig(**kwargs)
     except ValueError as exc:
         raise InvalidArgumentError(f"bad config value: {exc}")
 
@@ -194,18 +184,6 @@ def _trial_cloud(config: ExperimentConfig, n: int, trial: int) -> PointCloud:
         return PointCloud(cloud.points[:n], cloud.intrinsic_dim)
     seed = derived_seed(config.seed, "trial", trial, "n", n)
     return sample(config.generator, n, seed, **config.generator_params)
-
-
-def _solve(config: ExperimentConfig, space: FiniteMetricMeasureSpace, trial: int):
-    if config.solver == "exact":
-        return k_means_exact(space, config.k, config.p)
-    return k_means_pam(
-        space,
-        config.k,
-        config.p,
-        restarts=config.restarts,
-        seed=derived_seed(config.seed, "pam", trial),
-    )
 
 
 def _run_trial(config: ExperimentConfig, trial: int):
@@ -231,7 +209,10 @@ def _run_trial(config: ExperimentConfig, trial: int):
             space = FiniteMetricMeasureSpace.uniform(
                 [str(i) for i in range(n)], build_ground_metric(cloud, config.method, config.method_params)
             )
-            sol = _solve(config, space, trial)
+            sol = _k_means(
+                space, config.solver, config.k, config.p,
+                restarts=config.restarts, seed=derived_seed(config.seed, "pam", trial),
+            )
             center_sets = [cloud.points[list(m.indices)] for m in sol.minimizers]
             cell_sets = [
                 cloud.points[members]
@@ -263,9 +244,8 @@ def _run_trial(config: ExperimentConfig, trial: int):
     _, cloud, ref_centers, ref_cells = cells[largest_ok]
     if config.reference == "explicit":
         ref_centers = [config.reference_centers]
-        assign_d = _pairwise(cloud.points, config.reference_centers)
-        dmin = assign_d.min(axis=1)
-        ref_cells = [cloud.points[assign_d[:, j] <= dmin] for j in range(assign_d.shape[1])]
+        mask = _cell_mask(_pairwise(cloud.points, config.reference_centers, "points", "reference_centers"))
+        ref_cells = [cloud.points[col] for col in mask.T]
         for j, (center, cell) in enumerate(zip(config.reference_centers, ref_cells)):
             if len(cell) == 0:
                 coords = " ".join(repr(float(v)) for v in center)

@@ -72,7 +72,7 @@ from .errors import (
     SolverError,
     UnsupportedReferenceError,
 )
-from .space import FiniteMetricMeasureSpace, _check_p, _weighted_row_sums
+from .space import FiniteMetricMeasureSpace, _check_p, _tie_family, _weighted_row_sums
 
 DEFAULT_BALL_BUDGET = 4000
 DEFAULT_SHELL = 0.2
@@ -537,9 +537,9 @@ def _ball_one_mean(rows, m: int, p: float, strong: bool = True) -> tuple:
                     thresh = evaluate(pending, rows(pending))
                     pending = []
     if pending:
-        thresh = evaluate(pending, rows(pending))
+        evaluate(pending, rows(pending))
     best = min(costs)
-    return best, sorted(i for i, c in zip(candidates, costs) if c <= thresh)
+    return best, _tie_family(zip(costs, candidates), best, TRACK_TIE_TOL)
 
 
 def scaled_space(

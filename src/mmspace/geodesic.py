@@ -40,7 +40,7 @@ from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra, floyd_warshall
 
-from .cloud import PointCloud, euclidean_matrix
+from .cloud import PointCloud, _as_points, euclidean_matrix
 from .errors import BudgetExceededError, DisconnectedGraphError, InvalidArgumentError
 
 # Largest point count the graph core and the metric dispatch accept.  Every
@@ -391,9 +391,7 @@ def curvature_condition_check(
     """
     params = FermatParams(alpha, intrinsic_dim)
     kappa = params.kappa
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(points, "points")
     frm = np.asarray(frames, dtype=np.float64)
     if frm.shape != (pts.shape[0], 2, pts.shape[1]):
         raise InvalidArgumentError(

@@ -48,6 +48,11 @@ def _binary(path) -> bool:
     return Path(path).suffix == ".bin"
 
 
+def _space_json(path) -> bool:
+    """Whether a file is a space JSON (see read_space), not a matrix: its name has the suffix .json."""
+    return Path(path).suffix == ".json"
+
+
 def _write_matrix(path, labels, matrix: np.ndarray) -> None:
     """Write a matrix in the format read_matrix reads back from path."""
     if _binary(path):

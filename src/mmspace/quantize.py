@@ -23,10 +23,10 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
-from .cloud import euclidean_matrix
+from .cloud import _as_points, euclidean_matrix
 from .errors import InvalidArgumentError
 from .geodesic import _graph_distances
-from .samplers import _circle_angles, _circle_covering_radius, circle_arc_metric
+from .samplers import _arc_gaps, _circle_angles, _circle_covering_radius, circle_arc_metric
 from .space import _check_p, _weighted_row_sums
 
 
@@ -42,17 +42,6 @@ class QuantizeResult:
     masses: np.ndarray
     objective: float
     histories: list
-
-
-def _as_samples(samples) -> np.ndarray:
-    pts = np.asarray(samples, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise InvalidArgumentError("samples must be a nonempty (n, D) array")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidArgumentError("samples must be finite")
-    return pts
 
 
 def _cell_center(points: np.ndarray, w: np.ndarray, p: float, start: np.ndarray) -> np.ndarray:
@@ -85,7 +74,7 @@ def quantize(
     When n_centers >= the sample count, the samples themselves are the optimal
     centers at objective zero.
     """
-    pts = _as_samples(samples)
+    pts = _as_points(samples, "samples")
     n, dim = pts.shape
     p = _check_p(p)
     if n_centers < 1:
@@ -227,13 +216,14 @@ def epsilon_net_graph(
     if not (diam > 0 and math.isfinite(diam)):
         raise InvalidArgumentError(f"diam must be positive, got {diam!r}")
     if isinstance(ambient_metric, str):
-        pts = np.asarray(net_points, dtype=np.float64)
         if ambient_metric == "euclidean":
+            pts = _as_points(net_points, "net_points")
             ambient = partial(euclidean_matrix, pts)
         elif ambient_metric == "circle":
-            ambient = partial(circle_arc_metric, pts)
+            pts = _circle_angles(net_points, "net_points")
+            ambient = partial(_arc_gaps, pts)
             if net_radius is None:
-                net_radius = _circle_covering_radius(_circle_angles(pts))
+                net_radius = _circle_covering_radius(pts)
         else:
             raise InvalidArgumentError(
                 f"ambient_metric must be 'euclidean', 'circle', or a matrix, got {ambient_metric!r}"
@@ -245,8 +235,8 @@ def epsilon_net_graph(
             raise InvalidArgumentError("ambient metric matrix must be square")
         ambient = partial(np.asarray, matrix)
         n = len(matrix)
-    if n < 1:
-        raise InvalidArgumentError("net must be nonempty")
+        if n < 1:
+            raise InvalidArgumentError("net must be nonempty")
 
     def edges():
         amb = ambient()

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, _as_points, euclidean_matrix
 from .errors import InvalidArgumentError
 
 GENERATORS = ("interval", "circle", "torus", "gaussian", "mixture")
@@ -51,7 +51,7 @@ def sample(generator: str, n: int, seed: int, **params) -> PointCloud:
         raise InvalidArgumentError("n must be >= 1")
     if generator == "interval":
         x = stream(seed, "interval").random(n)
-        return PointCloud(x[:, None], 1)
+        return PointCloud(x, 1)
     if generator == "circle":
         theta = stream(seed, "circle").random(n) * 2.0 * math.pi
         return PointCloud(np.stack([np.cos(theta), np.sin(theta)], axis=1), 1)
@@ -68,11 +68,7 @@ def sample(generator: str, n: int, seed: int, **params) -> PointCloud:
         z = stream(seed, "normal").standard_normal((n, dim))
         return PointCloud(z, dim)
     if generator == "mixture":
-        centers = np.asarray(params.get("centers"), dtype=np.float64)
-        if centers.ndim == 0 or centers.size == 0:
-            raise InvalidArgumentError("mixture needs a nonempty centers list")
-        if centers.ndim == 1:
-            centers = centers[:, None]
+        centers = _as_points(params.get("centers"), "mixture centers")
         m, dim = centers.shape
         scales = np.asarray(params.get("scales", 1.0), dtype=np.float64)
         if scales.ndim == 0:
@@ -120,21 +116,18 @@ def _torus_angles(points: np.ndarray) -> np.ndarray:
     )
 
 
-def _circular_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = np.abs(a - b)
-    return np.minimum(d, 2.0 * math.pi - d)
-
-
-def _circle_angles(points) -> np.ndarray:
+def _circle_angles(points, name: str = "points") -> np.ndarray:
     """Angles of points on the unit circle, from angles or (n, 2) coordinates.
 
-    Raw angles are reduced mod 2 pi; coordinates give their arctan2, in
-    [-pi, pi].  Either range keeps every pairwise difference within 2 pi.
+    points pass the point-set rule (cloud._as_points) under name; a 1-D
+    input is read as angles.  Raw angles are reduced mod 2 pi; coordinates
+    give their arctan2, in [-pi, pi].  Either range keeps every pairwise
+    difference within 2 pi.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        return np.mod(pts, 2.0 * math.pi)
-    if pts.ndim == 2 and pts.shape[1] == 2:
+    pts = _as_points(points, name)
+    if np.ndim(points) == 1:
+        return np.mod(pts[:, 0], 2.0 * math.pi)
+    if pts.shape[1] == 2:
         return np.arctan2(pts[:, 1], pts[:, 0])
     raise InvalidArgumentError("circle points must be angles or (n, 2) coordinates")
 
@@ -155,12 +148,16 @@ def circle_arc_metric(points) -> np.ndarray:
     return _arc_gaps(_circle_angles(points))
 
 
-def _arc_gaps(theta: np.ndarray) -> np.ndarray:
-    """|a - b| folded to the shorter way round, for angles within 2 pi of
-    each other, as one n x n array built in place."""
-    # fl(a - b) = -fl(b - a) and a - a = 0, so d is symmetric with a zero
-    # diagonal as computed
-    d = np.subtract.outer(theta, theta)
+def _arc_gaps(theta: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
+    """|a - b| folded to the shorter way round, for a in theta and b in
+    other (default theta), as one array built in place.
+
+    The fold is exact for angles within 2 pi of each other; a gap between
+    2 pi and 3 pi folds to minus its arc, which a square does not see.
+    """
+    # fl(a - b) = -fl(b - a) and a - a = 0, so d(theta, theta) is symmetric
+    # with a zero diagonal as computed
+    d = np.subtract.outer(theta, theta if other is None else other)
     np.abs(d, out=d)
     return np.minimum(d, 2.0 * math.pi - d, out=d)
 
@@ -174,8 +171,6 @@ def true_distance_matrix(generator: str, cloud: PointCloud) -> np.ndarray:
     """
     pts = cloud.points
     if generator in ("interval", "gaussian", "mixture"):
-        from .cloud import euclidean_matrix
-
         return euclidean_matrix(cloud)
     if generator == "circle":
         return circle_arc_metric(pts)
@@ -210,8 +205,8 @@ def covering_radius(generator: str, cloud: PointCloud, grid_size: int = 2048) ->
         g = np.linspace(0.0, 2.0 * math.pi, side, endpoint=False)
         gt, gp = np.meshgrid(g, g, indexing="ij")
         grid = np.stack([gt.ravel(), gp.ravel()], axis=1)
-        d1 = _circular_diff(grid[:, 0][:, None], ang[:, 0][None, :])
-        d2 = _circular_diff(grid[:, 1][:, None], ang[:, 1][None, :])
+        d1 = _arc_gaps(grid[:, 0], ang[:, 0])
+        d2 = _arc_gaps(grid[:, 1], ang[:, 1])
         return float(np.sqrt(d1 * d1 + d2 * d2).min(axis=1).max())
     raise InvalidArgumentError(f"no covering radius for generator {generator!r}")
 

@@ -17,6 +17,7 @@ from scipy.spatial.distance import cdist
 
 from . import geodesic
 from ._fork import fork_join
+from .cloud import _as_points
 from .errors import BudgetExceededError, InvalidArgumentError
 
 DEFAULT_TIE_TOL = 1e-9
@@ -345,12 +346,10 @@ class KMeansSolution:
 
 
 def _center_indices(space: FiniteMetricMeasureSpace, centers) -> np.ndarray:
-    if isinstance(centers, CenterSet):
-        idx = np.asarray(centers.indices, dtype=np.intp)
-    else:
-        idx = np.asarray(sorted(set(int(i) for i in centers)), dtype=np.intp)
-    if idx.size == 0:
-        raise InvalidArgumentError("center set must be nonempty")
+    """The sorted indices of a center set (see CenterSet.of), checked against space."""
+    if not isinstance(centers, CenterSet):
+        centers = CenterSet.of(centers)
+    idx = np.asarray(centers.indices, dtype=np.intp)
     if idx.min() < 0 or idx.max() >= space.n:
         raise InvalidArgumentError("center index out of range")
     return idx
@@ -634,14 +633,7 @@ def k_means_exact(
     # ext; emptying it frees them on return, not at the next collection
     del expand
 
-    final_thresh = best * (1.0 + tie_tol)
-    minimizers = sorted(combo for c, combo in kept if c <= final_thresh)
-    return KMeansSolution(
-        minimizers=[CenterSet.of(m) for m in minimizers],
-        objective=best,
-        method="exact",
-        tie_tolerance=tie_tol,
-    )
+    return _solution(kept, best, tie_tol, "exact")
 
 
 def _greedy_build(ext: _Extensions, k: int) -> list:
@@ -765,15 +757,37 @@ def k_means_pam(
 
     parts = fork_join(share, restarts, restarts * k * n * n >= _FORK_PAM_ENTRIES)
     results = [parts[r % len(parts)][r // len(parts)] for r in range(restarts)]
-    best = min(c for c, _ in results)
-    thresh = best * (1.0 + tie_tol)
-    families = sorted(set(m for c, m in results if c <= thresh))
-    return KMeansSolution(
-        minimizers=[CenterSet.of(m) for m in families],
-        objective=best,
-        method="heuristic",
-        tie_tolerance=tie_tol,
-    )
+    return _solution(results, min(c for c, _ in results), tie_tol, "heuristic")
+
+
+def _tie_family(scored, best: float, tol: float) -> list:
+    """Every family's tie rule: the members of the (cost, member) pairs in
+    scored whose cost is within best * (1 + tol), sorted, without duplicates."""
+    thresh = best * (1.0 + tol)
+    return sorted(set(m for c, m in scored if c <= thresh))
+
+
+def _solution(scored, best: float, tie_tol: float, method: str) -> KMeansSolution:
+    family = [CenterSet.of(m) for m in _tie_family(scored, best, tie_tol)]
+    return KMeansSolution(minimizers=family, objective=best, method=method, tie_tolerance=tie_tol)
+
+
+SOLVERS = ("exact", "pam")
+
+
+def _k_means_check(solver: str) -> str:
+    if solver not in SOLVERS:
+        raise InvalidArgumentError(f"solver must be {' or '.join(map(repr, SOLVERS))}, got {solver!r}")
+    return solver
+
+
+def _k_means(
+    space, solver: str, k: int, p: float, restarts: int, seed: int, budget: int = DEFAULT_ENUM_BUDGET
+) -> KMeansSolution:
+    """The solver named in SOLVERS: k_means_exact under budget, or k_means_pam with restarts and seed."""
+    if _k_means_check(solver) == "exact":
+        return k_means_exact(space, k, p, budget=budget)
+    return k_means_pam(space, k, p, restarts=restarts, seed=seed)
 
 
 # ----------------------------------------------------------------------------
@@ -781,24 +795,25 @@ def k_means_pam(
 # ----------------------------------------------------------------------------
 
 
-def _pairwise(a_points, b_points) -> np.ndarray:
-    """Euclidean distance matrix between two nonempty point sets in R^D.
+def _pairwise(a_points, b_points, a_name: str = "a_points", b_name: str = "b_points") -> np.ndarray:
+    """Euclidean distance matrix between two point sets in R^D.
 
-    Each set becomes an (m, D) array; a 1-D set is m points on a line.
+    Each set is read by the point-set rule (cloud._as_points), whose errors
+    name it a_name or b_name.
     """
-    a, b = (np.asarray(s, dtype=np.float64) for s in (a_points, b_points))
-    a, b = (x[:, None] if x.ndim == 1 else x for x in (a, b))
-    if a.ndim != 2 or b.ndim != 2 or 0 in a.shape or 0 in b.shape:
-        raise InvalidArgumentError("set distances need nonempty (m, D) point sets")
+    a, b = _as_points(a_points, a_name), _as_points(b_points, b_name)
     if a.shape[1] != b.shape[1]:
         raise InvalidArgumentError(f"point sets differ in dimension: D={a.shape[1]} vs D={b.shape[1]}")
     return cdist(a, b)
 
 
+def _hausdorff(d: np.ndarray) -> float:
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
 def hausdorff_distance(a_points, b_points) -> float:
     """Euclidean Hausdorff distance between two nonempty finite point sets."""
-    d = _pairwise(a_points, b_points)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return _hausdorff(_pairwise(a_points, b_points))
 
 
 def one_sided_center_deviation(family_n, family_lim) -> float:
@@ -813,4 +828,4 @@ def one_sided_center_deviation(family_n, family_lim) -> float:
     fl = list(family_lim)
     if not fn or not fl:
         raise InvalidArgumentError("deviation needs nonempty families")
-    return max(min(hausdorff_distance(sn, s) for s in fl) for sn in fn)
+    return max(min(_hausdorff(_pairwise(sn, s, "family_n", "family_lim")) for s in fl) for sn in fn)

@@ -26,16 +26,28 @@ class VoronoiPartition:
         return self.cells[center]
 
 
+def _cell_mask(sub: np.ndarray, delta: float = 0.0) -> np.ndarray:
+    """The one cell rule on sub, point-to-center distances (points by
+    centers): mask[i, j] when sub[i, j] <= min(sub[i]) + delta.  fl(s + delta)
+    is monotone in s, so that is sub[i, j] <= sub[i, l] + delta for every l;
+    delta = 0 gives the non-strict nearest-center cells."""
+    return sub <= sub.min(axis=1, keepdims=True) + delta
+
+
 def voronoi_cells(space: FiniteMetricMeasureSpace, centers) -> VoronoiPartition:
     """Assign every point to the cell of each of its nearest centers."""
     idx = _center_indices(space, centers)
-    sub = space.dist[:, idx]
-    dmin = sub.min(axis=1)
-    cells = {}
-    for j, c in enumerate(idx):
-        members = np.flatnonzero(sub[:, j] <= dmin)
-        cells[int(c)] = [int(i) for i in members]
+    mask = _cell_mask(space.dist[:, idx])
+    cells = {int(c): np.flatnonzero(mask[:, j]).tolist() for j, c in enumerate(idx)}
     return VoronoiPartition(centers=CenterSet.of(idx), cells=cells)
+
+
+def _position(idx: np.ndarray, center) -> int:
+    """The column of center among the sorted center indices idx."""
+    center, idx = int(center), idx.tolist()
+    if center not in idx:
+        raise InvalidArgumentError(f"center {center} is not in the center set")
+    return idx.index(center)
 
 
 def enlarged_cell(space: FiniteMetricMeasureSpace, centers, center: int, delta: float) -> list:
@@ -47,13 +59,8 @@ def enlarged_cell(space: FiniteMetricMeasureSpace, centers, center: int, delta: 
     if delta < 0:
         raise InvalidArgumentError("delta must be >= 0")
     idx = _center_indices(space, centers)
-    center = int(center)
-    if center not in set(int(i) for i in idx):
-        raise InvalidArgumentError(f"center {center} is not in the center set")
-    col = space.dist[:, center]
-    sub = space.dist[:, idx]
-    mask = np.all(col[:, None] <= sub + delta, axis=1)
-    return [int(i) for i in np.flatnonzero(mask)]
+    j = _position(idx, center)
+    return np.flatnonzero(_cell_mask(space.dist[:, idx], delta)[:, j]).tolist()
 
 
 def enlargement_threshold(space: FiniteMetricMeasureSpace, centers, center: int) -> float:
@@ -65,12 +72,8 @@ def enlargement_threshold(space: FiniteMetricMeasureSpace, centers, center: int)
     already the whole space.
     """
     idx = _center_indices(space, centers)
-    center = int(center)
-    if center not in set(int(i) for i in idx):
-        raise InvalidArgumentError(f"center {center} is not in the center set")
-    col = space.dist[:, center]
     sub = space.dist[:, idx]
-    gaps = (col[:, None] - sub).max(axis=1)
+    gaps = (sub[:, [_position(idx, center)]] - sub).max(axis=1)
     positive = gaps[gaps > 0]
     return float(positive.min()) if positive.size else float("inf")
 
@@ -87,6 +90,6 @@ def cluster_deviation(cells_n, cells_lim) -> float:
     if not vn or not vl:
         raise InvalidArgumentError("cluster_deviation needs nonempty cell families")
     return max(
-        min(float(_pairwise(v_cell, w_cell).min(axis=1).max()) for w_cell in vl)
+        min(float(_pairwise(v_cell, w_cell, "cells_n", "cells_lim").min(axis=1).max()) for w_cell in vl)
         for v_cell in vn
     )

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 
-from .cloud import PointCloud, euclidean_matrix
+from .cloud import PointCloud, _as_points, euclidean_matrix
 from .diffusion import (
     diffusion_distance_matrix,
     embedding_from_decomposition,
@@ -33,7 +33,7 @@ from .diffusion import (
 from . import geodesic
 from .errors import BudgetExceededError, InvalidArgumentError, SolverError
 from .geodesic import fermat_distance_matrix, fermat_scaled, isomap_distance_matrix
-from .space import FiniteMetricMeasureSpace, KMeansSolution, _check_p, k_means_exact, k_means_pam
+from .space import FiniteMetricMeasureSpace, KMeansSolution, _check_p, _k_means
 
 MASS_TOL = 1e-12
 
@@ -261,15 +261,11 @@ def learned_wasserstein_space(
     Each group becomes the uniform empirical measure on its own points inside
     the pooled cloud.  Returns (space, measures, pooled cloud, ground matrix).
     """
-    groups = [np.asarray(grp, dtype=np.float64) for grp in sample_groups]
+    groups = [_as_points(grp, "sample_groups") for grp in sample_groups]
     if not groups:
         raise InvalidArgumentError("need at least one sample group")
-    groups = [g[:, None] if g.ndim == 1 else g for g in groups]
-    dims = {g.shape[1] for g in groups}
-    if len(dims) != 1:
+    if len({g.shape[1] for g in groups}) != 1:
         raise InvalidArgumentError("sample groups must share an ambient dimension")
-    if any(g.shape[0] == 0 for g in groups):
-        raise InvalidArgumentError("sample groups must be nonempty")
     pooled = np.vstack(groups)
     cloud = PointCloud(pooled, intrinsic_dim or pooled.shape[1])
     ground = build_ground_metric(cloud, method, params)
@@ -300,8 +296,4 @@ def learned_wasserstein_kmeans(
     space, _, _, _ = learned_wasserstein_space(
         sample_groups, method=method, params=params, p=p, intrinsic_dim=intrinsic_dim
     )
-    if solver == "exact":
-        return k_means_exact(space, k, p)
-    if solver == "pam":
-        return k_means_pam(space, k, p, restarts=restarts, seed=seed)
-    raise InvalidArgumentError(f"solver must be 'exact' or 'pam', got {solver!r}")
+    return _k_means(space, solver, k, p, restarts=restarts, seed=seed)

@@ -537,6 +537,10 @@ FRONT_DOOR = [
      "bad config value: invalid literal for int() with base 10: '2.5'"),
     ("run-reference", EXPERIMENT, {"e.ini": b"[run]\nreference = a b\n"},
      "bad config value: could not convert string to float: 'a'"),
+    ("run-reference-empty", EXPERIMENT, {"e.ini": b"[run]\nreference =\n"},
+     "reference_centers must be a nonempty (n, D) array"),
+    ("data-generator", EXPERIMENT, {"e.ini": b"[data]\ngenerator = circel\n"}, "unknown generator 'circel'"),
+    ("metric-method", EXPERIMENT, {"e.ini": b"[metric]\nmethod = isomapp\n"}, "unknown ground method 'isomapp'"),
     ("diffusion-sigma", ["dist", "--method", "diffusion", "--sigma", "1e-300", "--in", "{d}/c.csv", "--out", "{d}/d.csv"],
      {"c.csv": b"0.0\n0.5\n1.0\n"}, "sigma is out of range: 2 sigma^2 = 0.0 in float64, got sigma = 1e-300"),
     ("matrix-validate", ["validate", "--in", "{d}/m.csv"], {"m.csv": NOT_UTF8}, "{d}/m.csv: not utf-8 text"),
@@ -566,8 +570,12 @@ class TestFrontDoor:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert message.format(d=tmp_path) in captured.err
+        # a bad config fails before any trial runs
+        assert not (tmp_path / "r" / "results.csv").exists()
 
-    @pytest.mark.parametrize("name, binary", [(".bin", False), ("m.bin", True), ("m.csv", False), ("m.bin.csv", False)])
+    @pytest.mark.parametrize(
+        "name, binary", [(".bin", False), ("m.bin", True), ("m.csv", False), ("m.bin.csv", False), (".json", False)]
+    )
     def test_matrix_is_read_in_the_format_it_was_written(self, tmp_path, capsys, name, binary):
         cloud = tmp_path / "c.csv"
         write_line_cloud(cloud, [0.0, 1.0, 3.0])
@@ -576,6 +584,7 @@ class TestFrontDoor:
         assert out.read_bytes().startswith(b"MMSP") == binary
         code, report = run_cli(capsys, "validate", "--in", str(out))
         assert code == 0 and json.loads(report)["passes"] is True
+        assert run_cli(capsys, "kmeans", "--space", str(out), "--k", "1")[0] == 0
 
 
 class TestDeterminism:

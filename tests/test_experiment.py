@@ -52,6 +52,23 @@ class TestConfig:
         assert a.digest() != c.digest()
         assert len(a.digest()) == 64
 
+    @pytest.mark.parametrize("text, digest", [
+        # the convergence benchmark's shape
+        ("[data]\ngenerator = circle\n[metric]\nmethod = isomap\neps = 1.0\n[kmeans]\nk = 2\nsolver = exact\n"
+         "[run]\nsizes = 100 200 400\ntrials = 2\n",
+         "e6e9627c813aaf250aaf9e1cc449c6fcd67d73cec13e3cf9c436f0440cf7f5c2"),
+        ("[data]\ngenerator = mixture\ncenters = -2 0; 2 0\nscales = 0.5 0.6\n"
+         "[metric]\nmethod = fermat\nalpha = 2.5\nknn = 8\n[kmeans]\nk = 2\nsolver = pam\nrestarts = 4\n"
+         "[run]\nsizes = 30 60\ntrials = 3\nseed = 11\nreference = -2 0; 2 0\n",
+         "d64a2f0a91abd6b2fb50e7da905a62320440e74e2d56c5bdcb42abb1cc51e6f3"),
+    ], ids=["convergence", "mixture-fermat-pam-explicit"])
+    def test_digest_is_frozen(self, tmp_path, text, digest):
+        # config_sha256 names a run in summary.json; a rewrite of to_dict or
+        # load_config must not move it
+        path = tmp_path / "e.ini"
+        path.write_text(text)
+        assert load_config(path).digest() == digest
+
     def test_digest_handles_array_params(self):
         cfg = ExperimentConfig(
             generator="mixture",
