@@ -9,16 +9,21 @@ from scipy.spatial.distance import cdist
 from .errors import InvalidArgumentError
 
 
+def _floats(values) -> np.ndarray:
+    """values as a float64 array; ragged or non-numeric input reads as an empty one, which every shape rule refuses."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        return np.empty(0)
+
+
 def _as_points(points, name: str) -> np.ndarray:
     """The one point-set rule: a finite float64 (n, D) array with n, D >= 1.
 
     A 1-D input is n points on a line.  Anything else, a ragged list
     included, raises InvalidArgumentError naming the argument.
     """
-    try:
-        pts = np.asarray(points, dtype=np.float64)
-    except (TypeError, ValueError):
-        pts = np.empty(0)  # ragged or not numeric: fails the shape test
+    pts = _floats(points)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or 0 in pts.shape:

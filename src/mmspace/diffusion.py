@@ -19,6 +19,7 @@ from scipy.spatial.distance import cdist
 
 from .cloud import PointCloud
 from .errors import InvalidArgumentError
+from .space import _as_square
 
 DEFAULT_GAP_TOL = 1e-8
 
@@ -41,9 +42,7 @@ def normalized_laplacian(eta: np.ndarray) -> np.ndarray:
     Symmetrized after assembly so the result is exactly symmetric; that only
     moves entries at the last-ulp level.
     """
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.ndim != 2 or eta.shape[0] != eta.shape[1]:
-        raise InvalidArgumentError("eta must be square")
+    eta = _as_square(eta, "eta")
     if not np.all(np.isfinite(eta)):
         raise InvalidArgumentError("eta must be finite")
     if np.abs(eta - eta.T).max() > 1e-12 * max(1.0, np.abs(eta).max()):
@@ -79,10 +78,10 @@ class SpectralDecomposition:
 def spectral_decomposition(
     lap: np.ndarray, k: int, gap_tol: float = DEFAULT_GAP_TOL
 ) -> SpectralDecomposition:
-    lap = np.asarray(lap, dtype=np.float64)
+    lap = _as_square(lap, "laplacian")
+    if not np.all(np.isfinite(lap)):
+        raise InvalidArgumentError("laplacian must be finite")
     n = lap.shape[0]
-    if lap.ndim != 2 or lap.shape[1] != n:
-        raise InvalidArgumentError("laplacian must be square")
     if not 1 <= k <= n:
         raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
     vals, vecs = eigh(lap)

@@ -97,9 +97,11 @@ class ExperimentConfig:
         if self.k < 1:
             raise InvalidArgumentError("k must be >= 1")
         _k_means_check(self.solver)
-        if self.reference != "self" and self.reference_centers is None:
+        if (self.reference, self.reference_centers is None) not in (("self", True), ("explicit", False)):
+            given = "without" if self.reference_centers is None else "with"
             raise InvalidArgumentError(
-                "reference must be 'self' or come with explicit reference_centers"
+                "reference must be 'self' without reference_centers or 'explicit' with them, "
+                f"got {self.reference!r} {given} reference_centers"
             )
         if self.reference_centers is not None:
             self.reference_centers = _as_points(self.reference_centers, "reference_centers")

@@ -258,14 +258,19 @@ def read_space(path) -> FiniteMetricMeasureSpace:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"{path}: not valid JSON ({exc})")
+    if not isinstance(doc, dict):
+        raise InvalidArgumentError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     for key in ("labels", "weights", "dist_ref"):
         if key not in doc:
             raise InvalidArgumentError(f"{path}: missing key {key!r}")
+    for key, kind in (("labels", list), ("dist_ref", str)):
+        if not isinstance(doc[key], kind):
+            raise InvalidArgumentError(f"{path}: {key} must be a JSON {'array' if kind is list else 'string'}")
     ref = path.parent / doc["dist_ref"]
     if not ref.exists():
         raise InvalidArgumentError(f"{path}: dist_ref {doc['dist_ref']!r} not found")
     _, matrix = read_matrix(ref)
-    return FiniteMetricMeasureSpace(doc["labels"], matrix, np.asarray(doc["weights"]))
+    return FiniteMetricMeasureSpace(doc["labels"], matrix, doc["weights"])
 
 
 def write_cloud_csv(path, cloud: PointCloud) -> None:

@@ -27,7 +27,7 @@ from .cloud import _as_points, euclidean_matrix
 from .errors import InvalidArgumentError
 from .geodesic import _graph_distances
 from .samplers import _arc_gaps, _circle_angles, _circle_covering_radius, circle_arc_metric
-from .space import _check_p, _weighted_row_sums
+from .space import _as_square, _as_weights, _check_p, _weighted_row_sums
 
 
 @dataclass
@@ -86,9 +86,7 @@ def quantize(
     if weights is None:
         w = np.full(n, 1.0 / n)
     else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,) or w.min() < 0 or w.sum() <= 0:
-            raise InvalidArgumentError("weights must be nonnegative with positive sum")
+        w = _as_weights(weights, n, "weights")
         w = w / w.sum()
 
     if n_centers >= n:
@@ -152,13 +150,8 @@ def grid_measure_1d(rho, a: float, b: float, grid_size: int = 4001):
     if grid_size < 2:
         raise InvalidArgumentError("grid_size must be >= 2")
     x = np.linspace(a, b, grid_size)
-    dens = np.asarray([float(rho(v)) for v in x])
-    if dens.min() < 0:
-        raise InvalidArgumentError("density must be nonnegative")
-    total = dens.sum()
-    if total <= 0:
-        raise InvalidArgumentError("density must have positive mass on [a, b]")
-    return x, dens / total
+    dens = _as_weights([rho(v) for v in x], grid_size, "density values")
+    return x, dens / dens.sum()
 
 
 def quantize_density_1d(
@@ -230,13 +223,11 @@ def epsilon_net_graph(
             )
         n = len(pts)
     else:
-        matrix = np.asarray(ambient_metric, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise InvalidArgumentError("ambient metric matrix must be square")
+        matrix = _as_square(ambient_metric, "ambient metric matrix")
+        if not np.all((matrix >= 0.0) & (matrix < np.inf)):
+            raise InvalidArgumentError("ambient metric matrix entries must be finite and nonnegative")
         ambient = partial(np.asarray, matrix)
         n = len(matrix)
-        if n < 1:
-            raise InvalidArgumentError("net must be nonempty")
 
     def edges():
         amb = ambient()

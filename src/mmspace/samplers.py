@@ -84,16 +84,16 @@ def sample(generator: str, n: int, seed: int, **params) -> PointCloud:
     )
 
 
-def _parse_rows(text: str) -> np.ndarray:
-    """Points written as 'x y; x y' rows."""
-    rows = [r.strip() for r in text.split(";") if r.strip()]
-    return np.asarray([[float(v) for v in r.split()] for r in rows], dtype=np.float64)
+def _parse_rows(text: str) -> list:
+    """Points written as 'x y; x y' rows, as lists; cloud._as_points checks the shape."""
+    return [[float(v) for v in r.split()] for r in text.split(";") if r.strip()]
 
 
 def _generator_params(fields) -> dict:
     """sample()'s dim, centers (_parse_rows) and space separated scales, from
     the text fields given (not None); a bad value raises InvalidArgumentError."""
-    parsers = {"dim": int, "centers": _parse_rows, "scales": lambda text: np.asarray([float(v) for v in text.split()])}
+    parsers = {"dim": int, "centers": lambda text: _as_points(_parse_rows(text), "mixture centers"),
+               "scales": lambda text: np.asarray([float(v) for v in text.split()])}
     params = {}
     for key, parse in parsers.items():
         if fields.get(key) is not None:

@@ -17,7 +17,7 @@ from scipy.spatial.distance import cdist
 
 from . import geodesic
 from ._fork import fork_join
-from .cloud import _as_points
+from .cloud import _as_points, _floats
 from .errors import BudgetExceededError, InvalidArgumentError
 
 DEFAULT_TIE_TOL = 1e-9
@@ -53,6 +53,38 @@ _SCREEN_ROWS = 32
 # against 38 ms; 25 against 19 ms at n = 300, 52 against 67 ms at n = 500))
 _FORK_PAM_ENTRIES = 3 << 20
 _FORK_TRIANGLE_ENTRIES = 1 << 26
+
+# ----------------------------------------------------------------------------
+# input rules
+# ----------------------------------------------------------------------------
+
+
+def _as_square(matrix, name: str) -> np.ndarray:
+    """The one square-matrix rule: a float64 (n, n) array with n >= 1, else an
+    InvalidArgumentError naming the argument.  Finiteness is each caller's, so
+    metric_validate can refuse an oversized matrix before any n x n temporary."""
+    m = _floats(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidArgumentError(f"{name} must be square")
+    if m.shape[0] == 0:
+        raise InvalidArgumentError(f"{name} needs at least one point")
+    return m
+
+
+def _as_weights(weights, n: int, name: str) -> np.ndarray:
+    """The one weight rule: a finite, nonnegative float64 vector of length n with
+    a positive finite sum, else an InvalidArgumentError naming the argument."""
+    w = _floats(weights)
+    if w.shape != (n,):
+        raise InvalidArgumentError(f"{name} must be a length-{n} vector")
+    if not np.all((w >= 0.0) & (w < math.inf)):
+        raise InvalidArgumentError(f"{name} must be finite and nonnegative")
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if not 0.0 < total < math.inf:
+        raise InvalidArgumentError(f"{name} must have a positive finite sum")
+    return w
+
 
 # ----------------------------------------------------------------------------
 # metric validation
@@ -93,14 +125,11 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
 
     The triangle violation of (i, j, l) is fl(fl(d_ij - d_il) - d_lj), and
     the report gives the largest, at the first l that reaches it and the
-    first (i, j) in row-major order for that l.  Rounding is monotone, so
-    for each l the largest violation over (i, j) is the largest over j of
-    fl(c_j - d_lj) with c_j = max_i fl(d_ij - d_il): two passes, one
-    subtract and a column max, then one subtract of a vector.  Only an l
-    that raises the running maximum strictly has its witness searched, in
-    the columns that reach it, and the magnitude is read from the witness
-    entry itself, so signed zeros are the entry's.  The asymmetry |d - d.T|
-    keeps its first argmax the same way, block by block with a strict >.
+    first (i, j) in row-major order for that l.  Both that pass and the
+    asymmetry |d - d.T| find their witness by one rule (_first_max): the
+    largest entry at its first row-major position, its value read from the
+    entry itself, so signed zeros are the entry's.  Only an l that raises
+    the running maximum strictly takes its witness.
 
     That exact pass runs only for an l whose bound ub[l] (_triangle_bounds,
     scipy's C Chebyshev loop over pairs of columns) exceeds the running
@@ -114,11 +143,7 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     of 407 and up), at most MM_THREADS of them (see _fork.fork_join); its
     merge is an exact max, so the report does not depend on MM_THREADS.
     """
-    d = np.asarray(matrix, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise InvalidArgumentError("matrix must be square")
-    if d.shape[0] == 0:
-        raise InvalidArgumentError("matrix needs at least one point")
+    d = _as_square(matrix, "matrix")
     if d.shape[0] > geodesic.MAX_GRAPH_POINTS:
         raise BudgetExceededError(
             f"metric validation on {d.shape[0]} points exceeds the limit of {geodesic.MAX_GRAPH_POINTS}"
@@ -136,15 +161,7 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     ub = _triangle_bounds(d, blocks)
     buf = np.empty((min(step, n), n))
 
-    a_mag = -math.inf
-    a_w = (0, 0)
-    for b in blocks:
-        block = buf[: b.stop - b.start]
-        np.abs(np.subtract(d[b], d[:, b].T, out=block), out=block)
-        flat = int(np.argmax(block))
-        if block.flat[flat] > a_mag:
-            a_mag = float(block.flat[flat])
-            a_w = (b.start + flat // n, flat % n)
+    a_mag, a_w = _first_max(blocks, buf, lambda b, out: np.abs(np.subtract(d[b], d[:, b].T, out=out), out=out))
 
     diag = np.abs(np.diagonal(d))
     d_i = int(np.argmax(diag))
@@ -156,27 +173,21 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
 
     t_mag = -math.inf
     t_w = (0, 0, 0)
-    reach = np.empty(n)
     for l in range(n):
         if not ub[l] > t_mag:
             continue
-        # reach[j] = max_i fl(d_ij - d_il), then fl(reach[j] - d_lj), the
-        # largest violation through l in column j
-        reach.fill(-math.inf)
-        for b in blocks:
-            block = buf[: b.stop - b.start]
-            np.subtract(d[b], d[b, l][:, None], out=block)
-            np.maximum(reach, block.max(axis=0), out=reach)
-        np.subtract(reach, d[l], out=reach)
-        top = reach.max()
+        # entry (i, j) is the violation fl(fl(d_ij - d_il) - d_lj) through l
+        top, (i, j) = _first_max(
+            blocks, buf, lambda b, out: np.subtract(np.subtract(d[b], d[b, l][:, None], out=out), d[l], out=out)
+        )
         if top > t_mag:
-            t_mag, t_w = _triangle_witness(d, blocks, l, np.flatnonzero(reach == top), top)
+            t_mag, t_w = top, (i, j, l)
     t_mag = max(t_mag, 0.0)
 
     return MetricReport(
         tol=tol,
         asymmetry=a_mag,
-        asymmetry_witness=(int(a_w[0]), int(a_w[1])) if a_mag > 0 else None,
+        asymmetry_witness=a_w if a_mag > 0 else None,
         diagonal=d_mag,
         diagonal_witness=(d_i,) if d_mag > 0 else None,
         negativity=n_mag,
@@ -185,6 +196,22 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
         triangle_witness=t_w if t_mag > 0 else None,
         passes=bool(max(a_mag, d_mag, n_mag, t_mag) <= tol),
     )
+
+
+def _first_max(blocks: list, buf: np.ndarray, fill) -> tuple:
+    """(value, (i, j)) of the largest entry, at its first row-major position, of
+    a matrix whose row block b fill(b, out) writes into out; the value is read
+    from that entry, so a signed zero keeps its sign."""
+    n = buf.shape[1]
+    best, at = -math.inf, (0, 0)
+    for b in blocks:
+        block = buf[: b.stop - b.start]
+        fill(b, block)
+        flat = int(np.argmax(block))
+        if block.flat[flat] > best:
+            best = float(block.flat[flat])
+            at = (b.start + flat // n, flat % n)
+    return best, at
 
 
 def _triangle_bounds(d: np.ndarray, blocks: list) -> np.ndarray:
@@ -220,26 +247,6 @@ def _triangle_bounds(d: np.ndarray, blocks: list) -> np.ndarray:
     return np.maximum.reduce(parts)
 
 
-def _triangle_witness(d: np.ndarray, blocks: list, l: int, cols: np.ndarray, top: float) -> tuple:
-    """(value, (i, j, l)) at the first flat (i, j) whose violation through l is top.
-
-    Only the columns in cols reach top.  They are recomputed row block by
-    row block in metric_validate's order, fl(fl(d_ij - d_il) - d_lj), and the
-    value is read from the entry itself, so its sign of zero is that entry's.
-    """
-    for b in blocks:
-        vals = d[b][:, cols]
-        np.subtract(vals, d[b, l][:, None], out=vals)
-        np.subtract(vals, d[l, cols], out=vals)
-        hits = vals == top
-        rows = np.flatnonzero(hits.any(axis=1))
-        if rows.size:
-            r = int(rows[0])
-            c = int(np.argmax(hits[r]))
-            return float(vals[r, c]), (b.start + r, int(cols[c]), l)
-    raise AssertionError("no entry reaches the column maximum")
-
-
 # ----------------------------------------------------------------------------
 # the space type
 # ----------------------------------------------------------------------------
@@ -260,14 +267,12 @@ class FiniteMetricMeasureSpace:
     weights: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.dist, dtype=np.float64)
-        w = np.array(self.weights, dtype=np.float64)
-        labels = list(self.labels)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise InvalidArgumentError("dist must be a square matrix")
+        d = np.array(_as_square(self.dist, "space"))  # a copy, as are the weights
         n = d.shape[0]
-        if n < 1:
-            raise InvalidArgumentError("space needs at least one point")
+        try:
+            labels = list(self.labels)
+        except TypeError:
+            raise InvalidArgumentError(f"labels must be a sequence, got {type(self.labels).__name__}") from None
         if len(labels) != n:
             raise InvalidArgumentError(f"{len(labels)} labels for {n} points")
         if not np.all(np.isfinite(d)):
@@ -278,10 +283,7 @@ class FiniteMetricMeasureSpace:
             raise InvalidArgumentError("dist diagonal must be exactly zero")
         if d.min() < 0.0:
             raise InvalidArgumentError("dist entries must be nonnegative")
-        if w.shape != (n,):
-            raise InvalidArgumentError("weights must be a length-n vector")
-        if w.min() < 0.0:
-            raise InvalidArgumentError("weights must be nonnegative")
+        w = np.array(_as_weights(self.weights, n, "weights"))
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise InvalidArgumentError(
                 f"weights must sum to 1 within 1e-12, got {float(w.sum())!r}"

@@ -33,7 +33,7 @@ from .diffusion import (
 from . import geodesic
 from .errors import BudgetExceededError, InvalidArgumentError, SolverError
 from .geodesic import fermat_distance_matrix, fermat_scaled, isomap_distance_matrix
-from .space import FiniteMetricMeasureSpace, KMeansSolution, _check_p, _k_means
+from .space import FiniteMetricMeasureSpace, KMeansSolution, _as_square, _as_weights, _check_p, _k_means
 
 MASS_TOL = 1e-12
 
@@ -61,15 +61,11 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.ground_indices)
-        m = np.asarray(self.masses, dtype=np.float64)
         if len(idx) == 0:
             raise InvalidArgumentError("measure needs at least one support point")
         if len(set(idx)) != len(idx):
             raise InvalidArgumentError("duplicate support index; aggregate masses first")
-        if m.shape != (len(idx),):
-            raise InvalidArgumentError("masses must match support size")
-        if m.min() < 0.0:
-            raise InvalidArgumentError("masses must be nonnegative")
+        m = _as_weights(self.masses, len(idx), "masses")
         if abs(float(m.sum()) - 1.0) > MASS_TOL:
             raise InvalidArgumentError(
                 f"masses must sum to 1 within {MASS_TOL}, got {float(m.sum())!r}"
@@ -86,7 +82,7 @@ class DiscreteMeasure:
         if masses is None:
             m = np.full(idx.size, 1.0 / idx.size)
         else:
-            m = np.asarray(masses, dtype=np.float64)
+            m = _as_weights(masses, idx.size, "masses")
         uniq, inv = np.unique(idx, return_inverse=True)
         agg = np.zeros(uniq.size)
         np.add.at(agg, inv, m)
@@ -102,9 +98,7 @@ class DiscreteMeasure:
 
 
 def _check_ground(ground: np.ndarray) -> np.ndarray:
-    g = np.asarray(ground, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise InvalidArgumentError("ground metric must be a square matrix")
+    g = _as_square(ground, "ground metric")
     if not np.all((g >= 0.0) & (g < np.inf)):
         raise InvalidArgumentError("ground metric entries must be finite and nonnegative")
     return g

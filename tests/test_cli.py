@@ -517,6 +517,8 @@ class TestValidate:
 # bytes that do not decode as UTF-8
 NOT_UTF8 = b"0,\xff\r\n"
 EXPERIMENT = ["experiment", "--config", "{d}/e.ini", "--out", "{d}/r"]
+KMEANS_JSON = ["kmeans", "--k", "1", "--space", "{d}/s.json"]
+ONE_POINT = b"a\r\n0.0\r\n"
 # (id, argv, files written first, text the one error line holds); {d} is the test's directory
 FRONT_DOOR = [
     ("sample-centers", ["sample", "--generator", "mixture", "--n", "5", "--centers", "a b", "--out", "{d}/c.csv"], {},
@@ -554,6 +556,20 @@ FRONT_DOOR = [
     ("space-kmeans", ["kmeans", "--k", "1", "--space", "{d}/s.json"], {"s.json": b'{"labels": ["\xff"]}'},
      "{d}/s.json: not utf-8 text"),
     ("config", EXPERIMENT, {"e.ini": b"[run]\nsizes = 10 # \xff\n"}, "{d}/e.ini: not utf-8 text"),
+    ("space-not-object", KMEANS_JSON, {"s.json": b"5"}, "{d}/s.json: expected a JSON object, got int"),
+    ("space-labels", KMEANS_JSON, {"s.json": b'{"labels": 5, "weights": [1.0], "dist_ref": "m.csv"}', "m.csv": ONE_POINT},
+     "{d}/s.json: labels must be a JSON array"),
+    ("space-dist-ref", KMEANS_JSON, {"s.json": b'{"labels": ["a"], "weights": [1.0], "dist_ref": 7}'},
+     "{d}/s.json: dist_ref must be a JSON string"),
+    ("space-nan-weight", KMEANS_JSON,
+     {"s.json": b'{"labels": ["a", "b"], "weights": [NaN, 1.0], "dist_ref": "m.csv"}', "m.csv": b"a,b\r\n0.0,1.0\r\n1.0,0.0\r\n"},
+     "weights must be finite and nonnegative"),
+    ("sample-ragged-centers", ["sample", "--generator", "mixture", "--n", "5", "--centers", "0 1; 2", "--out", "{d}/c.csv"], {},
+     "bad centers '0 1; 2': mixture centers must be a nonempty (n, D) array"),
+    ("data-ragged-centers", EXPERIMENT, {"e.ini": b"[data]\ngenerator = mixture\ncenters = 0 1; 2\n"},
+     "bad centers '0 1; 2': mixture centers must be a nonempty (n, D) array"),
+    ("run-ragged-reference", EXPERIMENT, {"e.ini": b"[run]\nreference = 0 1; 2\n"},
+     "reference_centers must be a nonempty (n, D) array"),
 ]
 
 

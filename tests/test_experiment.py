@@ -82,6 +82,18 @@ class TestConfig:
         doc = cfg.to_dict()
         json.dumps(doc)  # must be serializable as-is
 
+    @pytest.mark.parametrize("reference, centers, given", [
+        ("explicitt", [[0.5]], "with"),
+        ("self", [[0.5]], "with"),
+        ("explicit", None, "without"),
+        ("explicitt", None, "without"),
+    ])
+    def test_reference_pairs_other_than_self_alone_or_explicit_with_centers_are_named(self, reference, centers, given):
+        # a misspelt reference used to run against the self reference, and
+        # centers beside "self" were dropped
+        with pytest.raises(InvalidArgumentError, match=f"^reference must be .*, got {reference!r} {given} reference_centers$"):
+            interval_config(reference=reference, reference_centers=centers)
+
     def test_explicit_reference_kept(self):
         cfg = ExperimentConfig(
             generator="interval",

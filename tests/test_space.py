@@ -81,6 +81,10 @@ class TestSpaceConstruction:
         with pytest.raises(InvalidArgumentError):
             FiniteMetricMeasureSpace(["a"], d, np.array([0.5, 0.5]))
 
+    def test_labels_that_are_not_a_sequence_are_named(self):
+        with pytest.raises(InvalidArgumentError, match="^labels must be a sequence, got int$"):
+            FiniteMetricMeasureSpace(5, np.zeros((1, 1)), np.array([1.0]))
+
     def test_uniform_needs_a_point(self):
         with pytest.raises(InvalidArgumentError, match="^space needs at least one point$"):
             FiniteMetricMeasureSpace.uniform([], np.zeros((0, 0)))
