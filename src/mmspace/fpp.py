@@ -58,6 +58,7 @@ import heapq
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -421,6 +422,12 @@ def _l1_rows(steps: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return steps[cdist(a, b, "cityblock").astype(np.intp)]
 
 
+def _det_rows(core: np.ndarray, steps: np.ndarray, sources, start=0) -> np.ndarray:
+    """rows(sources, start) of a _det_ball (core, steps), as _prefix_ball's rows
+    gives them; bound with partial, so each ball's rows keep their own core."""
+    return _l1_rows(steps, core[sources], core[start:])
+
+
 def _mean_abs_gaps(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_j w_j |a_i - a_j| for every i, from prefix sums over sorted a."""
     order = np.argsort(a, kind="stable")
@@ -598,7 +605,7 @@ def _balls(instance: FppInstance, ts: list, shell: float, budget: int):
     if instance.law.kind == "deterministic":
         for t in ts:
             core, steps = _det_ball(instance, t, shell, budget)
-            yield t, core, lambda sources, start=0: _l1_rows(steps, core[sources], core[start:])
+            yield t, core, partial(_det_rows, core, steps)
         return
     valid, error = [], None
     for t in ts:

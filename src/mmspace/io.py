@@ -6,12 +6,19 @@ row-major float64 entries.  Spaces are JSON {labels, weights, dist_ref} with
 dist_ref naming the matrix file, resolved relative to the JSON's directory.
 All floats are written with repr, which round-trips exactly and keeps output
 byte-stable.
+
+Matrix CSV holds no Python object per entry.  write_matrix_csv keeps one
+fixed-width byte string per upper-triangle entry of a symmetric matrix and
+nothing else per entry; read_matrix_csv parses a file in the writer's layout
+with numpy's C reader, and any other file through csv.reader, which holds
+one row of strings at a time.
 """
 from __future__ import annotations
 
 import csv
 import json
 import mmap
+import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -89,25 +96,33 @@ def read_matrix_bin(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, labels, matrix: np.ndarray) -> None:
+    """Write labels and matrix as CSV: one header row, then one row of reprs per matrix row.
+
+    No Python object outlives its row.  A bit-symmetric matrix (signed zeros
+    and NaN payloads included) has each row's tail m[i, i:] formatted once
+    into a fixed-width byte table, and its head, the entries (j, i) for
+    j < i, read back from that table; repr of a float is ASCII and at most
+    24 characters, as in -2.2250738585072014e-308, so an S24 entry holds it.
+    Any other matrix is formatted row by row.
+    """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("matrix must be square")
     if len(labels) != m.shape[0]:
         raise InvalidArgumentError("label count must match matrix size")
     bits = m.view(np.int64)
-    if np.array_equal(bits, bits.T):
-        # bit-symmetric (signed zeros and NaN payloads included): format the
-        # upper triangle once and mirror the strings
-        upper = np.triu_indices(m.shape[0])
-        text = np.empty(m.shape, dtype=object)
-        text[upper] = text.T[upper] = [repr(v) for v in m[upper].tolist()]
-        text = text.tolist()
-    else:
-        text = [[repr(v) for v in row] for row in m.tolist()]
+    table = np.empty(m.shape, dtype="S24") if np.array_equal(bits, bits.T) else None
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow([str(lab) for lab in labels])
         # repr never yields a character csv would quote
-        fh.writelines(",".join(row) + "\r\n" for row in text)
+        for i, row in enumerate(m):
+            if table is None:
+                line = ",".join(map(repr, row.tolist()))
+            else:
+                tail = ",".join(map(repr, row[i:].tolist())).encode()
+                table[i, i:] = tail.split(b",")
+                line = b",".join([*table[:i, i].tolist(), tail]).decode()
+            fh.write(line + "\r\n")
 
 
 def _crlf_line_count(path, starts: list | None = None) -> int | None:
@@ -155,8 +170,8 @@ def read_matrix_csv(path):
     the file.  It and float() both parse through PyOS_string_to_double, so
     they give the same bits wherever both accept a field; on the fields
     loadtxt rejects and float() accepts (underscores, non-ASCII digits), and
-    on any other file, the rows go through csv.reader and _parse_floats,
-    which give every message.
+    on any other file, the rows go through _read_rows, which gives every
+    message.
 
     A file of at least _FORK_READ_BYTES bytes is read in equal row ranges
     by _fork.fork_join, at most MM_THREADS workers on Linux: each seeks to
@@ -175,19 +190,46 @@ def read_matrix_csv(path):
             m = _loadtxt_rows(path, starts, n)
             if m is not None:
                 return labels, m
+    return _read_rows(path)
+
+
+def _read_rows(path):
+    """read_matrix_csv through csv.reader, one row at a time into the matrix.
+
+    Every row is read before any message, so the messages keep their order:
+    an empty file, the row count, ragged rows, then the first non-numeric
+    entry.  n rows of n fields hold at least n * (n - 1) commas, so a
+    smaller file fails on its rows and no matrix is allocated for it (a
+    header of many labels over a few rows allocates nothing).
+    """
     with _decoding(path), open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise InvalidArgumentError(f"{path}: empty matrix file")
-    labels = rows[0]
-    n = len(labels)
-    if len(rows) != n + 1:
-        raise InvalidArgumentError(f"{path}: expected {n} data rows, found {len(rows) - 1}")
+        rows = csv.reader(fh)
+        labels = next(rows, None)
+        if labels is None:
+            raise InvalidArgumentError(f"{path}: empty matrix file")
+        n = len(labels)
+        m = np.empty((n, n)) if os.path.getsize(path) >= n * (n - 1) else None
+        found, ragged, bad = 0, False, None
+        for i, row in enumerate(rows):
+            found += 1
+            if i >= n or ragged:
+                continue
+            if len(row) != n:
+                ragged = True
+            elif bad is None and m is not None:
+                try:
+                    m[i] = _parse_floats(row, f"{path}: non-numeric matrix entry")
+                except InvalidArgumentError as exc:
+                    bad = exc
+    if found != n:
+        raise InvalidArgumentError(f"{path}: expected {n} data rows, found {found}")
     if n == 0:
         raise InvalidArgumentError(f"{path}: empty matrix file")
-    if any(len(row) != n for row in rows[1:]):
+    if ragged:
         raise InvalidArgumentError(f"{path}: ragged matrix rows")
-    return labels, _parse_floats(rows[1:], f"{path}: non-numeric matrix entry")
+    if bad is not None:
+        raise bad
+    return labels, m
 
 
 def _loadtxt_rows(path, starts: list, n: int):
@@ -218,8 +260,8 @@ def _loadtxt_rows(path, starts: list, n: int):
 
 
 def _parse_floats(rows, context: str) -> np.ndarray:
-    """Equal-length rows of strings as a float64 array; numpy parses each
-    string as float() does, so the bits and the accepted spellings agree."""
+    """Strings, or equal-length rows of them, as a float64 array; numpy parses
+    each string as float() does, so the bits and the accepted spellings agree."""
     try:
         return np.array(rows, dtype=np.float64)
     except ValueError as exc:

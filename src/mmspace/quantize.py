@@ -27,7 +27,7 @@ from .cloud import _as_points, euclidean_matrix
 from .errors import InvalidArgumentError
 from .geodesic import _graph_distances
 from .samplers import _arc_gaps, _circle_angles, _circle_covering_radius, circle_arc_metric
-from .space import _as_square, _as_weights, _check_p, _weighted_row_sums
+from .space import _as_square, _as_weights, _check_p, _check_symmetric, _weighted_row_sums
 
 
 @dataclass
@@ -199,7 +199,8 @@ def epsilon_net_graph(
     """Shortest-path metric over edges strictly shorter than eps.
 
     ambient_metric is "euclidean", "circle" (points as angles or unit-circle
-    coordinates, geodesic arc distances), or an explicit distance matrix.  The
+    coordinates, geodesic arc distances), or an explicit distance matrix, which
+    must be finite, nonnegative and exactly symmetric.  The
     admissibility condition is net_radius < eps^2 / (4 diam); the radius is
     measured exactly for the circle and must be supplied otherwise.  Raises
     DisconnectedGraphError when eps fails to connect the net.
@@ -226,6 +227,7 @@ def epsilon_net_graph(
         matrix = _as_square(ambient_metric, "ambient metric matrix")
         if not np.all((matrix >= 0.0) & (matrix < np.inf)):
             raise InvalidArgumentError("ambient metric matrix entries must be finite and nonnegative")
+        _check_symmetric(matrix, "ambient metric matrix")
         ambient = partial(np.asarray, matrix)
         n = len(matrix)
 

@@ -71,6 +71,14 @@ def _as_square(matrix, name: str) -> np.ndarray:
     return m
 
 
+def _check_symmetric(m: np.ndarray, name: str) -> None:
+    """The one symmetry rule for an explicit matrix that _as_square has passed:
+    m equals its transpose entry for entry (so -0.0 matches 0.0 and a NaN
+    matches nothing), else an InvalidArgumentError naming the argument."""
+    if not np.array_equal(m, m.T):
+        raise InvalidArgumentError(f"{name} must be exactly symmetric")
+
+
 def _as_weights(weights, n: int, name: str) -> np.ndarray:
     """The one weight rule: a finite, nonnegative float64 vector of length n with
     a positive finite sum, else an InvalidArgumentError naming the argument."""
@@ -277,8 +285,7 @@ class FiniteMetricMeasureSpace:
             raise InvalidArgumentError(f"{len(labels)} labels for {n} points")
         if not np.all(np.isfinite(d)):
             raise InvalidArgumentError("dist must be finite")
-        if not np.array_equal(d, d.T):
-            raise InvalidArgumentError("dist must be exactly symmetric")
+        _check_symmetric(d, "dist")
         if np.any(np.diagonal(d) != 0.0):
             raise InvalidArgumentError("dist diagonal must be exactly zero")
         if d.min() < 0.0:

@@ -33,7 +33,7 @@ from .diffusion import (
 from . import geodesic
 from .errors import BudgetExceededError, InvalidArgumentError, SolverError
 from .geodesic import fermat_distance_matrix, fermat_scaled, isomap_distance_matrix
-from .space import FiniteMetricMeasureSpace, KMeansSolution, _as_square, _as_weights, _check_p, _k_means
+from .space import FiniteMetricMeasureSpace, KMeansSolution, _as_square, _as_weights, _check_p, _check_symmetric, _k_means
 
 MASS_TOL = 1e-12
 
@@ -98,9 +98,12 @@ class DiscreteMeasure:
 
 
 def _check_ground(ground: np.ndarray) -> np.ndarray:
+    """A square ground metric with finite, nonnegative entries, exactly
+    symmetric so that W(a, b) = W(b, a), else an InvalidArgumentError."""
     g = _as_square(ground, "ground metric")
     if not np.all((g >= 0.0) & (g < np.inf)):
         raise InvalidArgumentError("ground metric entries must be finite and nonnegative")
+    _check_symmetric(g, "ground metric")
     return g
 
 

@@ -5,6 +5,7 @@ Python loops, itertools enumeration, relaxation instead of heaps.  Slow and
 obviously correct beats fast; these exist so each nontrivial code path has a
 second route to the same number.
 """
+import csv
 import itertools
 import math
 
@@ -491,3 +492,12 @@ def dense_shape_defect(inst, t, norm=None, grid_factor=4):
         gtree = cKDTree(grid)
         set_to_ball = max([float(gtree.query(z)[0]) for z in coords if norm(z) > 1.0], default=0.0)
     return metric, max(ball_to_set, set_to_ball)
+
+
+def reference_matrix_csv(path, labels, matrix):
+    """write_matrix_csv's bytes the plain way: the header through csv.writer,
+    then every row as the reprs of its entries, comma-joined and CRLF-ended."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow([str(lab) for lab in labels])
+        for row in np.asarray(matrix, dtype=np.float64).tolist():
+            fh.write(",".join(map(repr, row)) + "\r\n")

@@ -165,6 +165,32 @@ def test_bad_matrix_entries_raise_a_typed_error_naming_the_argument(call, bad, m
         call(bad)
 
 
+# an explicit distance matrix is exactly symmetric, by one rule
+# (id, the argument's name in the message, call, bad matrix)
+ASYMMETRIC = [
+    ("space", "dist", lambda m: FiniteMetricMeasureSpace(["a", "b"], m, [0.5, 0.5]), [[0.0, 2.0], [3.0, 0.0]]),
+    # used to give W(d0, d1) = 1.0 and W(d1, d0) = 3.0, so wasserstein_space
+    # depended on the order of its measures
+    ("ground-distance", "ground metric", lambda m: wasserstein_distance(m, DIRAC, DiscreteMeasure.dirac(1)),
+     [[0.0, 1.0], [3.0, 0.0]]),
+    ("ground-space", "ground metric", lambda m: wasserstein_space([DIRAC, DiscreteMeasure.dirac(1)], m),
+     [[0.0, 1.0], [3.0, 0.0]]),
+    # used to return [[0, 0.5], [0.5, 0]], the lower entry silently dropped
+    ("net-matrix", "ambient metric matrix", lambda m: epsilon_net_graph(None, m, 1.0, 1.0), [[0.0, 0.5], [2.0, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("name, call, bad", [c[1:] for c in ASYMMETRIC], ids=[c[0] for c in ASYMMETRIC])
+def test_asymmetric_matrix_raises_a_typed_error_naming_the_argument(name, call, bad):
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be exactly symmetric$"):
+        call(bad)
+    # the rule is exact: signed zeros match, and the mirrored matrix passes
+    sym = np.array(bad)
+    sym[1, 0] = sym[0, 1]
+    sym[0, 0] = -0.0
+    call(sym)
+
+
 # ----------------------------------------------------------------------------
 # every weight vector is read by one rule
 # ----------------------------------------------------------------------------

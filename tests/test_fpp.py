@@ -373,6 +373,22 @@ class TestDetTrackUsesNoGrowth:
         assert sources == []
 
 
+class TestDetBallRowsKeepTheirBall:
+    def test_materialized_balls_each_read_their_own_core(self):
+        # every rows function is made before any is called, so one that read
+        # the loop's last ball would give the t = 4 rows for t = 2
+        inst = FppInstance(2, EdgeWeightLaw.parse("det:0.25"), 0, 10.0)
+        shell = fpp.DEFAULT_SHELL
+        balls = list(fpp._balls(inst, [2.0, 4.0], shell, 10_000))
+        assert [len(core) for _, core, _ in balls] == [113, 481]
+        for t, core, rows in balls:
+            want_core, steps = fpp._det_ball(inst, t, shell, 10_000)
+            assert np.array_equal(core, want_core)
+            m = len(core)
+            assert np.array_equal(rows(np.arange(m)), fpp._l1_rows(steps, core, core))
+            assert np.array_equal(rows(np.arange(1, m, 2), m // 2), fpp._l1_rows(steps, core[1::2], core[m // 2:]))
+
+
 class TestRandomTrackGrowsOnce:
     @pytest.mark.parametrize("dim,law,ts", [
         (1, "exp:1", [5.0, 10.0, 20.0]), (2, "exp:1", [2.0, 3.0, 5.0]), (3, "unif:0.5,1.5", [1.5, 2.0, 3.0]),

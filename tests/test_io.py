@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmspace import io as io_module
 from mmspace import (
@@ -25,7 +27,7 @@ from mmspace import (
     write_space,
 )
 
-from helpers import random_space
+from helpers import random_space, reference_matrix_csv
 
 
 def tiny_matrix():
@@ -215,6 +217,78 @@ class TestMatrixCsvFrozen:
             read_matrix_csv(path)
 
 
+def bits_float(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+# floats whose repr is a corner: signed zeros, NaNs with distinct payloads
+# (and a negative one), infinities, subnormals, magnitudes near 1e+-300, and
+# the 24-character reprs that fill an S24 entry
+SPECIAL_FLOATS = [
+    0.0, -0.0, np.nan, NAN_PAYLOAD, bits_float(0x7FF0000000000001), bits_float(0xFFF8000000000000),
+    np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1e300, -1e-300, 1.7976931348623157e308, -1.2345678901234567e-300, 0.1, 1.0,
+]
+ENTRIES = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+LABEL_TEXT = st.text(alphabet='ab,"\' é\n', max_size=4)
+
+
+@st.composite
+def labeled_matrices(draw):
+    """(labels, matrix): asymmetric, bit-symmetric, or bit-symmetric but for one
+    entry below the diagonal, which gets a drawn special float (a NaN payload
+    or a zero's sign that differs from its mirror, say)."""
+    n = draw(st.integers(0, 12))
+    m = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n)), dtype=np.float64).reshape(n, n)
+    kind = draw(st.sampled_from(["asymmetric", "symmetric", "one_off"]))
+    if kind != "asymmetric":
+        lower = np.tril_indices(n, -1)
+        m[lower] = m.T[lower]
+    if kind == "one_off" and n > 1:
+        i = draw(st.integers(1, n - 1))
+        m[i, draw(st.integers(0, i - 1))] = draw(st.sampled_from(SPECIAL_FLOATS))
+    return draw(st.lists(LABEL_TEXT, min_size=n, max_size=n)), m
+
+
+def traced(call, *args):
+    """(call(*args), the traced peak of its allocations in bytes)."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMatrixCsvWriter:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(labeled_matrices())
+    def test_bytes_are_the_reference_writers_and_read_back(self, tmp_path_factory, case):
+        labels, m = case
+        tmp = tmp_path_factory.mktemp("w")
+        write_matrix_csv(tmp / "m.csv", labels, m)
+        reference_matrix_csv(tmp / "want.csv", labels, m)
+        assert (tmp / "m.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+        if len(labels) == 0:
+            return
+        got_labels, got = read_matrix(tmp / "m.csv")
+        assert got_labels == labels
+        # a NaN is written as nan, so it reads back as the default NaN
+        want = np.where(np.isnan(m), np.nan, m)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    def test_peak_is_a_few_matrices(self, tmp_path, symmetric):
+        # a byte table of S24 entries is 3 matrices; no Python object per entry
+        n = 600
+        m = np.random.default_rng(5).uniform(size=(n, n))
+        if symmetric:
+            m = np.minimum(m, m.T)
+        _, peak = traced(write_matrix_csv, tmp_path / "m.csv", [f"p{i}" for i in range(n)], m)
+        _, got = read_matrix_csv(tmp_path / "m.csv")
+        assert np.array_equal(got, m)
+        assert peak <= 4 * m.nbytes
+
+
 def read_outcome(path):
     """(labels, shape, bytes) of a read, or (error type, message)."""
     try:
@@ -316,6 +390,54 @@ class TestMatrixCsvReaders:
             tracemalloc.stop()
         assert np.array_equal(got, m)
         assert peak < 3 * 8 * n * n
+
+
+# (id, file text, the message its read gives); the csv.reader path reads every
+# row before any message, so an earlier row's fault does not hide a later one
+# of higher rank: empty file, row count, ragged rows, then non-numeric entries
+EIGHT = ",".join(["0.5"] * 8)
+FALLBACK_MESSAGES = [
+    ("empty", "", "empty matrix file"),
+    ("too_few_rows", "a,b\n0,1\n", "expected 2 data rows, found 1"),
+    ("too_many_rows", "a,b\n0,1\n1,0\n2,2\n", "expected 2 data rows, found 3"),
+    ("ragged", "a,b\n0,1\n1\n", "ragged matrix rows"),
+    ("non_numeric", "a,b\n0,foo\n1,0\n", "non-numeric matrix entry (could not convert string to float: 'foo')"),
+    ("first_non_numeric", "a,b\n0,1e\nbar,0\n", "non-numeric matrix entry (could not convert string to float: '1e')"),
+    ("non_numeric_then_ragged",
+     "\n".join(["a,b,c,d,e,f,g,h", EIGHT, "0.5,x" + ",0.5" * 6, *[EIGHT] * 4, "0.5,0.5", EIGHT]) + "\n",
+     "ragged matrix rows"),
+    ("ragged_and_short", "a,b\n1\n", "expected 2 data rows, found 1"),
+    ("empty_header", "\n1\n", "expected 0 data rows, found 1"),
+    ("blank_header_only", "\n", "empty matrix file"),
+    ("many_labels_few_rows", ",".join(["a"] * 20_000) + "\n0\n", "expected 20000 data rows, found 1"),
+]
+
+
+class TestMatrixCsvFallback:
+    @pytest.mark.parametrize("text, message", [c[1:] for c in FALLBACK_MESSAGES], ids=[c[0] for c in FALLBACK_MESSAGES])
+    def test_messages(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            read_matrix_csv(path)
+
+    def test_lf_copy_reads_the_same_bits_holding_one_row(self, tmp_path, monkeypatch):
+        n = 300
+        m = np.random.default_rng(4).uniform(size=(n, n))
+        m = np.minimum(m, m.T)
+        m[0, 1] = m[1, 0] = -0.0
+        crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+        write_matrix_csv(crlf, [f"p{i}" for i in range(n)], m)
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        _, want = read_matrix_csv(crlf)
+        calls = []
+        read_rows = io_module._read_rows
+        monkeypatch.setattr(io_module, "_read_rows", lambda path: calls.append(path) or read_rows(path))
+        (labels, got), peak = traced(read_matrix_csv, lf)
+        assert calls == [lf]
+        assert labels == [f"p{i}" for i in range(n)]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert peak <= 2 * m.nbytes
 
 
 class TestSpaceJson:
