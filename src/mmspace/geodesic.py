@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra, floyd_warshall
 
@@ -317,6 +316,10 @@ def gaussian_fermat_distance_1d(x: float, y: float, alpha: float) -> float:
         return 0.0
     if kappa == 0.0:
         return abs(y - x)
+    # imported here, not at module level, so that only a caller of this
+    # function loads scipy.integrate (and the scipy.optimize it imports)
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda t: math.exp(-(kappa / 4.0) * ((1.0 - t) * x + t * y) ** 2),
         0.0,

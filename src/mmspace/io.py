@@ -9,9 +9,9 @@ byte-stable.
 
 Matrix CSV holds no Python object per entry.  write_matrix_csv keeps one
 fixed-width byte string per upper-triangle entry of a symmetric matrix and
-nothing else per entry; read_matrix_csv parses a file in the writer's layout
-with numpy's C reader, and any other file through csv.reader, which holds
-one row of strings at a time.
+nothing else per entry; read_matrix_csv parses a file in the writer's layout,
+with CRLF or bare LF line ends, with numpy's C reader, and any other file
+through csv.reader, which holds one row of strings at a time.
 """
 from __future__ import annotations
 
@@ -69,16 +69,25 @@ def _write_matrix(path, labels, matrix: np.ndarray) -> None:
 
 
 def write_matrix_bin(path, matrix: np.ndarray) -> None:
+    """Write matrix in the binary format; a C-order little-endian float64
+    matrix is written from its own buffer, with no copy."""
     m = np.ascontiguousarray(np.asarray(matrix, dtype="<f8"))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidArgumentError("matrix must be square")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", m.shape[0]))
-        fh.write(m.tobytes())
+        fh.write(memoryview(m))
 
 
 def read_matrix_bin(path) -> np.ndarray:
+    """The matrix of a binary file, read straight into the returned array.
+
+    The file's size is checked against the header's n before anything is
+    allocated, so a short file whose header claims a huge n is named as
+    truncated rather than ending in MemoryError.  Bytes past the matrix
+    are ignored.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -89,10 +98,13 @@ def read_matrix_bin(path) -> np.ndarray:
         (n,) = struct.unpack("<Q", header)
         if n == 0:
             raise InvalidArgumentError(f"{path}: empty matrix file")
-        data = fh.read(8 * n * n)
-        if len(data) != 8 * n * n:
+        if os.fstat(fh.fileno()).st_size < 12 + 8 * n * n:
             raise InvalidArgumentError(f"{path}: truncated matrix payload")
-        return np.frombuffer(data, dtype="<f8").reshape(n, n).astype(np.float64)
+        m = np.empty((n, n), dtype="<f8")
+        # the file may have shrunk since the size check
+        if fh.readinto(m) != m.nbytes:
+            raise InvalidArgumentError(f"{path}: truncated matrix payload")
+    return m.astype(np.float64, copy=False)
 
 
 def write_matrix_csv(path, labels, matrix: np.ndarray) -> None:
@@ -126,30 +138,35 @@ def write_matrix_csv(path, labels, matrix: np.ndarray) -> None:
 
 
 def _crlf_line_count(path, starts: list | None = None) -> int | None:
-    """The line count of a file laid out as write_matrix_csv writes it, else None.
+    """The line count of a file laid out as write_matrix_csv writes it, or as
+    its copy with bare LF line ends, else None.
 
     That layout: every line nonempty and ended by CRLF, no other CR or LF,
     no quote, and none of the separators U+001C..U+001F, which numpy strips
-    as whitespace around a number and float() does not.  The file is
-    scanned in chunks by memchr-based finds: every LF must follow a CR and
-    must not be followed by one (a blank line), and there must be as many
-    CRs as LFs, so every CR comes right before an LF.  last is the byte
-    before the chunk, a virtual LF before the file.  A starts list gets the
-    byte offset of the line after each LF appended.
+    as whitespace around a number and float() does not.  The LF copy has
+    every CRLF replaced by LF and no CR anywhere.  The file is scanned in
+    chunks by memchr-based finds: no LF may be followed by a CR or an LF (a
+    blank line), either every LF or none so far follows a CR (crlfs), and
+    there must be as many CRs as CRLFs, so every CR comes right before an
+    LF.  last is the byte before the chunk, a virtual LF before the file.  A
+    starts list gets the byte offset of the line after each LF appended.
     """
-    lines = crs = pos = 0
+    lines = crs = crlfs = pos = 0
     last = b"\n"
     with open(path, "rb") as fh:
         while chunk := fh.read(_SCAN_BYTES):
             if any(c in chunk for c in _FALLBACK_BYTES):
                 return None
-            if last == b"\n" and chunk[:1] == b"\r":
+            if last == b"\n" and chunk[:1] in (b"\r", b"\n"):
                 return None
             at = chunk.find(b"\n")
             while at >= 0:
-                if (chunk[at - 1:at] if at else last) != b"\r" or chunk[at + 1:at + 2] == b"\r":
+                if chunk[at + 1:at + 2] in (b"\r", b"\n"):
                     return None
+                crlfs += (chunk[at - 1:at] if at else last) == b"\r"
                 lines += 1
+                if crlfs not in (0, lines):
+                    return None
                 if starts is not None:
                     starts.append(pos + at + 1)
                 at = chunk.find(b"\n", at + 1)
@@ -159,19 +176,19 @@ def _crlf_line_count(path, starts: list | None = None) -> int | None:
                 at = chunk.find(b"\r", at + 1)
             last = chunk[-1:]
             pos += len(chunk)
-    return lines if crs == lines and last == b"\n" else None
+    return lines if crs == crlfs and last == b"\n" else None
 
 
 def read_matrix_csv(path):
     """Returns (labels, matrix).
 
-    A file in write_matrix_csv's layout (see _crlf_line_count) with n labels
-    and n + 1 lines has its rows parsed by numpy's C reader, streamed from
-    the file.  It and float() both parse through PyOS_string_to_double, so
-    they give the same bits wherever both accept a field; on the fields
-    loadtxt rejects and float() accepts (underscores, non-ASCII digits), and
-    on any other file, the rows go through _read_rows, which gives every
-    message.
+    A file in write_matrix_csv's layout (see _crlf_line_count) with n labels,
+    n + 1 lines and room for n rows of n fields (see _may_hold) has its rows
+    parsed by numpy's C reader, streamed from the file.  It and float() both
+    parse through PyOS_string_to_double, so they give the same bits wherever
+    both accept a field; on the fields loadtxt rejects and float() accepts
+    (underscores, non-ASCII digits), and on any other file, the rows go
+    through _read_rows, which gives every message.
 
     A file of at least _FORK_READ_BYTES bytes is read in equal row ranges
     by _fork.fork_join, at most MM_THREADS workers on Linux: each seeks to
@@ -186,11 +203,18 @@ def read_matrix_csv(path):
         with _decoding(path), open(path, newline="") as fh:
             labels = next(csv.reader([fh.readline()]))
         n = len(labels)
-        if n and lines == n + 1:
+        if n and lines == n + 1 and _may_hold(path, n):
             m = _loadtxt_rows(path, starts, n)
             if m is not None:
                 return labels, m
     return _read_rows(path)
+
+
+def _may_hold(path, n: int) -> bool:
+    """Whether the file at path is large enough to hold n rows of n fields,
+    which take at least n * (n - 1) commas.  Neither reader allocates an
+    n x n matrix for a file that is not."""
+    return os.path.getsize(path) >= n * (n - 1)
 
 
 def _read_rows(path):
@@ -198,9 +222,9 @@ def _read_rows(path):
 
     Every row is read before any message, so the messages keep their order:
     an empty file, the row count, ragged rows, then the first non-numeric
-    entry.  n rows of n fields hold at least n * (n - 1) commas, so a
-    smaller file fails on its rows and no matrix is allocated for it (a
-    header of many labels over a few rows allocates nothing).
+    entry.  A file too small to hold n rows of n fields (see _may_hold)
+    fails on its rows, and no matrix is allocated for it (a header of many
+    labels over a few rows allocates nothing).
     """
     with _decoding(path), open(path, newline="") as fh:
         rows = csv.reader(fh)
@@ -208,7 +232,7 @@ def _read_rows(path):
         if labels is None:
             raise InvalidArgumentError(f"{path}: empty matrix file")
         n = len(labels)
-        m = np.empty((n, n)) if os.path.getsize(path) >= n * (n - 1) else None
+        m = np.empty((n, n)) if _may_hold(path, n) else None
         found, ragged, bad = 0, False, None
         for i, row in enumerate(rows):
             found += 1

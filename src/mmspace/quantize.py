@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from .cloud import _as_points, euclidean_matrix
@@ -48,6 +47,9 @@ def _cell_center(points: np.ndarray, w: np.ndarray, p: float, start: np.ndarray)
     """Minimize sum w |x - c|^p over c for one cell; exact mean when p = 2."""
     if p == 2.0:
         return (w[:, None] * points).sum(axis=0) / w.sum()
+    # imported here, not at module level, so that only a quantization at
+    # p != 2 loads scipy.optimize
+    from scipy.optimize import minimize
 
     def cost(c):
         return float(np.dot(w, np.linalg.norm(points - c[None, :], axis=1) ** p))

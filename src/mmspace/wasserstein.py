@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 
 from .cloud import PointCloud, _as_points, euclidean_matrix
@@ -120,6 +119,10 @@ def wasserstein_distance(ground: np.ndarray, a: DiscreteMeasure, b: DiscreteMeas
 
 def _wasserstein(g: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float) -> float:
     """wasserstein_distance on a ground metric g that _check_ground has passed."""
+    # imported here, not at module level, so that only a transport solve
+    # loads scipy.optimize
+    from scipy.optimize import linear_sum_assignment, linprog
+
     p = _check_p(p)
     n = g.shape[0]
     for meas in (a, b):

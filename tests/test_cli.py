@@ -3,6 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -519,6 +523,12 @@ NOT_UTF8 = b"0,\xff\r\n"
 EXPERIMENT = ["experiment", "--config", "{d}/e.ini", "--out", "{d}/r"]
 KMEANS_JSON = ["kmeans", "--k", "1", "--space", "{d}/s.json"]
 ONE_POINT = b"a\r\n0.0\r\n"
+# a 76-byte binary matrix whose header claims n points
+def claiming(n):
+    return b"MMSP" + struct.pack("<Q", n) + bytes(64)
+# a header of 100,000 labels over 100,000 rows of 8 fields: the line count of
+# a 100,000-point matrix in a file far too small to hold one
+WIDE_HEADER = b",".join([b"a"] * 100_000) + b"\r\n" + b"0,0,0,0,0,0,0,0\r\n" * 100_000
 # (id, argv, files written first, text the one error line holds); {d} is the test's directory
 FRONT_DOOR = [
     ("sample-centers", ["sample", "--generator", "mixture", "--n", "5", "--centers", "a b", "--out", "{d}/c.csv"], {},
@@ -548,6 +558,11 @@ FRONT_DOOR = [
     ("matrix-validate", ["validate", "--in", "{d}/m.csv"], {"m.csv": NOT_UTF8}, "{d}/m.csv: not utf-8 text"),
     ("matrix-kmeans", ["kmeans", "--k", "1", "--space", "{d}/m.csv"], {"m.csv": NOT_UTF8}, "{d}/m.csv: not utf-8 text"),
     ("matrix-voronoi", ["voronoi", "--centers", "0", "--space", "{d}/m.csv"], {"m.csv": NOT_UTF8}, "{d}/m.csv: not utf-8 text"),
+    ("bin-claims-1e5", ["validate", "--in", "{d}/m.bin"], {"m.bin": claiming(100_000)}, "{d}/m.bin: truncated matrix payload"),
+    ("bin-claims-2-31", ["validate", "--in", "{d}/m.bin"], {"m.bin": claiming(2**31)}, "{d}/m.bin: truncated matrix payload"),
+    ("bin-claims-kmeans", ["kmeans", "--k", "1", "--space", "{d}/m.bin"], {"m.bin": claiming(100_000)},
+     "{d}/m.bin: truncated matrix payload"),
+    ("matrix-wide-header", ["validate", "--in", "{d}/m.csv"], {"m.csv": WIDE_HEADER}, "{d}/m.csv: ragged matrix rows"),
     ("cloud-dist", ["dist", "--method", "euclid", "--in", "{d}/c.csv", "--out", "{d}/d.csv"], {"c.csv": NOT_UTF8},
      "{d}/c.csv: not utf-8 text"),
     ("cloud-quantize", ["quantize", "--in", "{d}/c.csv", "--n", "1"], {"c.csv": NOT_UTF8}, "{d}/c.csv: not utf-8 text"),
@@ -601,6 +616,79 @@ class TestFrontDoor:
         code, report = run_cli(capsys, "validate", "--in", str(out))
         assert code == 0 and json.loads(report)["passes"] is True
         assert run_cli(capsys, "kmeans", "--space", str(out), "--k", "1")[0] == 0
+
+
+# Prints "<step> <module>..." with the lazily loaded scipy subpackages after
+# `import mmspace.cli` and after each tiny in-process job; each loading step
+# runs in a forked copy, so it starts from the modules the others left.
+IMPORT_CONTRACT = r"""
+import contextlib, io, os, sys, traceback
+
+import mmspace.cli
+
+def report(step):
+    print(step, *sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules), flush=True)
+
+def mm(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert mmspace.cli.main(list(argv)) == 0, argv
+
+def forked(step, call):
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            call()
+            report(step)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    assert os.waitpid(pid, 0)[1] == 0, step
+
+report("import")
+with open("e.ini", "w") as fh:
+    fh.write("[data]\ngenerator = interval\n[kmeans]\nk = 1\n[run]\nsizes = 8 10\ntrials = 2\nseed = 0\n")
+steps = [
+    ("sample", "--generator", "circle", "--n", "12", "--out", "c.csv"),
+    ("sample", "--generator", "circle", "--n", "10", "--seed", "1", "--out", "g.csv"),
+    ("dist", "--method", "isomap", "--eps", "1.0", "--in", "c.csv", "--out", "d.csv"),
+    ("dist", "--method", "fermat", "--in", "c.csv", "--out", "f.bin"),
+    ("dist", "--method", "diffusion", "--sigma", "0.5", "--in", "c.csv", "--out", "s.csv"),
+    ("validate", "--in", "d.csv"),
+    ("kmeans", "--space", "d.csv", "--k", "2"),
+    ("kmeans", "--space", "f.bin", "--k", "2", "--pam"),
+    ("voronoi", "--space", "d.csv", "--centers", "0,6"),
+    ("quantize", "--in", "c.csv", "--n", "3"),
+    ("net", "--points", "20", "--eps", "0.5"),
+    ("fpp", "--dim", "2", "--law", "exp:1", "--t", "2,3"),
+    ("experiment", "--config", "e.ini", "--out", "r"),
+]
+for argv in steps:
+    mm(*argv)
+report("jobs")
+forked("quantize-p1", lambda: mm("quantize", "--in", "c.csv", "--n", "3", "--p", "1"))
+forked("wkmeans", lambda: mm("wkmeans", "--groups", "c.csv", "g.csv", "--k", "1"))
+forked("gaussian", lambda: mmspace.gaussian_fermat_distance_1d(0.0, 1.0, 2.0))
+"""
+
+
+class TestImportContract:
+    def test_scipy_optimize_and_integrate_load_only_when_called(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, MM_THREADS="2", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_CONTRACT], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "import",
+            "jobs",
+            "quantize-p1 scipy.optimize",
+            "wkmeans scipy.optimize",
+            "gaussian scipy.integrate scipy.optimize",
+        ]
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -81,6 +82,47 @@ class TestMatrixBin:
         path.write_bytes(b"MMSP\x03\x00")
         with pytest.raises(InvalidArgumentError, match=r"m\.bin: truncated matrix header$"):
             read_matrix_bin(path)
+
+    @pytest.mark.parametrize("n", [4, 100_000, 2**31, 2**64 - 1])
+    def test_header_larger_than_the_file(self, tmp_path, n):
+        # checked against the file's size before anything is allocated
+        path = tmp_path / "m.bin"
+        path.write_bytes(io_module.MAGIC + struct.pack("<Q", n) + bytes(64))
+        with pytest.raises(InvalidArgumentError, match=r"m\.bin: truncated matrix payload$"):
+            read_matrix_bin(path)
+
+    def test_bytes_past_the_matrix_are_ignored(self, tmp_path):
+        path = tmp_path / "m.bin"
+        write_matrix_bin(path, tiny_matrix())
+        path.write_bytes(path.read_bytes() + b"tail")
+        assert np.array_equal(read_matrix_bin(path), tiny_matrix())
+
+    @pytest.mark.parametrize("layout", ["c_order", "fortran", "big_endian", "integer"])
+    def test_bytes_are_little_endian_row_major(self, tmp_path, layout):
+        m = np.random.default_rng(6).normal(size=(7, 7))
+        m = {
+            "c_order": m,
+            "fortran": np.asfortranarray(m),
+            "big_endian": m.astype(">f8"),
+            "integer": np.arange(49, dtype=np.int32).reshape(7, 7) - 20,
+        }[layout]
+        path = tmp_path / "m.bin"
+        write_matrix_bin(path, m)
+        assert path.read_bytes() == io_module.MAGIC + struct.pack("<Q", 7) + m.astype("<f8").tobytes()
+        got = read_matrix_bin(path)
+        assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(got, m)
+
+    def test_read_and_write_hold_no_copy(self, tmp_path):
+        # the reader fills the array it returns; the writer writes the caller's buffer
+        n = 400
+        m = np.random.default_rng(7).uniform(size=(n, n))
+        path = tmp_path / "m.bin"
+        _, write_peak = traced(write_matrix_bin, path, m)
+        got, read_peak = traced(read_matrix_bin, path)
+        assert np.array_equal(got, m)
+        assert read_peak <= 1.2 * m.nbytes
+        assert write_peak <= 0.2 * m.nbytes
 
 
 class TestMatrixCsv:
@@ -314,7 +356,12 @@ READER_CASES = {
     "non_ascii_digits": ("a,b\r\n१२,2\r\n3,١\r\n".encode(), False),
     "blank_line_extra": (b"a,b\r\n1,2\r\n\r\n3,4\r\n", False),
     "blank_line_counted": (b"a,b\r\n\r\n1,2\r\n", False),
-    "lf_only": (b"a,b\n0.5,1\n1,0.5\n", False),
+    "lf_only": (b"a,b\n0.5,1\n1,0.5\n", True),
+    "lf_blank_line": (b"a,b\n0.5,1\n\n1,0.5\n", False),
+    "lf_blank_first_line": (b"\na,b\n0.5,1\n1,0.5\n", False),
+    "lf_then_crlf": (b"a,b\n0.5,1\n1,0.5\r\n", False),
+    "crlf_then_lf": (b"a,b\r\n0.5,1\r\n1,0.5\n", False),
+    "lf_lone_cr": (b"a,b\n0.5,1\r1,0.5\n", False),
     "no_final_newline": (b"a,b\r\n0.5,1\r\n1,0.5", False),
     "lone_cr": (b"a,b\r\n0.5,1\r1,0.5\r\n", False),
     "ragged_short": (b"a,b\r\n1\r\n3,4\r\n", False),
@@ -346,6 +393,17 @@ class TestMatrixCsvReaders:
             monkeypatch.setattr(io_module, "_parse_floats", None)
         assert read_outcome(path) == want
 
+    def test_file_too_small_for_its_rows_skips_numpy_reader(self, tmp_path, monkeypatch):
+        # n + 1 lines in the writer's layout, but 8 fields a row: the fast
+        # path would map an n x n matrix before finding the rows ragged
+        n = 2000
+        path = tmp_path / "m.csv"
+        path.write_bytes(b",".join([b"a"] * n) + b"\r\n" + b"0,0,0,0,0,0,0,0\r\n" * n)
+        assert io_module._crlf_line_count(path) == n + 1
+        monkeypatch.setattr(io_module, "_loadtxt_rows", None)
+        with pytest.raises(InvalidArgumentError, match=r"m\.csv: ragged matrix rows$"):
+            read_matrix_csv(path)
+
     def test_blank_line_is_a_missing_row(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes(READER_CASES["blank_line_extra"][0])
@@ -362,6 +420,35 @@ class TestMatrixCsvReaders:
             want = np.where(np.isnan(m), np.nan, m)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_lf_copies_of_written_files_take_numpy_reader(self, tmp_path, monkeypatch, threads):
+        # every read is split into row ranges, however small
+        monkeypatch.setattr(io_module, "_FORK_READ_BYTES", 0)
+        monkeypatch.setenv("MM_THREADS", threads)
+        workers = []
+        fork_join = io_module.fork_join
+
+        def counted(task, shares, big):
+            parts = fork_join(task, shares, big)
+            workers.append(len(parts))
+            return parts
+
+        monkeypatch.setattr(io_module, "fork_join", counted)
+        matrices = special_matrices()
+        del matrices["empty"]
+        u = np.random.default_rng(8).uniform(size=(300, 300))
+        matrices["sym_300"] = np.minimum(u, u.T)
+        crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+        for name, m in matrices.items():
+            write_matrix_csv(crlf, [f"p{i}" for i in range(m.shape[0])], m)
+            lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+            want = csv_reader_outcome(lf, monkeypatch)
+            assert want == csv_reader_outcome(crlf, monkeypatch)
+            with monkeypatch.context() as mp:
+                mp.setattr(io_module, "_read_rows", None)
+                assert read_outcome(lf) == want, name
+        assert max(workers) == int(threads)
+
     @pytest.mark.parametrize("scan", [1, 2, 3, 7])
     def test_scan_chunks_cut_anywhere(self, tmp_path, monkeypatch, scan):
         path = tmp_path / "m.csv"
@@ -372,6 +459,7 @@ class TestMatrixCsvReaders:
             if numpy_reads:
                 assert counts[name] == raw.count(b"\n")
         assert counts["blank_line_counted"] is counts["lone_cr"] is counts["quoted_number"] is None
+        assert counts["lf_blank_line"] is counts["lf_then_crlf"] is counts["crlf_then_lf"] is None
         monkeypatch.setattr(io_module, "_SCAN_BYTES", scan)
         for name, (raw, _) in READER_CASES.items():
             path.write_bytes(raw)
@@ -421,20 +509,22 @@ class TestMatrixCsvFallback:
         with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
             read_matrix_csv(path)
 
-    def test_lf_copy_reads_the_same_bits_holding_one_row(self, tmp_path, monkeypatch):
+    def test_mixed_endings_copy_reads_the_same_bits_holding_one_row(self, tmp_path, monkeypatch):
         n = 300
         m = np.random.default_rng(4).uniform(size=(n, n))
         m = np.minimum(m, m.T)
         m[0, 1] = m[1, 0] = -0.0
-        crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+        crlf, mixed = tmp_path / "crlf.csv", tmp_path / "mixed.csv"
         write_matrix_csv(crlf, [f"p{i}" for i in range(n)], m)
-        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        # a CRLF header over LF rows is neither layout numpy's reader takes
+        header, rows = crlf.read_bytes().split(b"\r\n", 1)
+        mixed.write_bytes(header + b"\r\n" + rows.replace(b"\r\n", b"\n"))
         _, want = read_matrix_csv(crlf)
         calls = []
         read_rows = io_module._read_rows
         monkeypatch.setattr(io_module, "_read_rows", lambda path: calls.append(path) or read_rows(path))
-        (labels, got), peak = traced(read_matrix_csv, lf)
-        assert calls == [lf]
+        (labels, got), peak = traced(read_matrix_csv, mixed)
+        assert calls == [mixed]
         assert labels == [f"p{i}" for i in range(n)]
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert peak <= 2 * m.nbytes

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mmspace import wasserstein
 from mmspace import (
@@ -173,7 +174,7 @@ class TestSolveRoutes:
 
     @pytest.mark.parametrize("na, nb", [(40, 30), (40, 40), (7, 5), (1, 9), (300, 300)])
     def test_uniform_pairs_by_assignment(self, monkeypatch, na, nb):
-        monkeypatch.setattr(wasserstein, "linprog", _forbidden)
+        monkeypatch.setattr(scipy.optimize, "linprog", _forbidden)
         xs, ys, ground, ia, ib = line_pair(na * 100 + nb, na, nb)
         a, b = DiscreteMeasure.from_points(ia), DiscreteMeasure.from_points(ib)
         for p in (1.0, 2.0, 3.0):
@@ -188,9 +189,9 @@ class TestSolveRoutes:
             calls.append(1)
             return linprog(*args, **kwargs)
 
-        linprog = wasserstein.linprog
-        monkeypatch.setattr(wasserstein, "linprog", counted)
-        monkeypatch.setattr(wasserstein, "linear_sum_assignment", _forbidden)
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog", counted)
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", _forbidden)
         return calls
 
     def test_coprime_pair_above_the_cap_takes_the_lp(self, monkeypatch):
