@@ -10,8 +10,9 @@ does not depend on w gives the same bytes for every MM_THREADS.
 w is min(worker_count(), shares), and 1 (no fork at all) unless the call
 site's work is above its measured crossover (big), the platform is Linux, no
 other Python thread runs (a fork copies another thread's state
-mid-operation), and the caller is not itself a forked worker, whose nested
-calls run serially so the workers never outnumber MM_THREADS.
+mid-operation), and the call is not nested in a share: a forked worker, and
+the caller while it runs share 0 beside forked workers, run their nested
+calls serially so the workers never outnumber MM_THREADS.
 worker_count() is read first, so a bad MM_THREADS fails at every size.
 
 A child never returns into the caller's stack: it ends with os._exit, so it
@@ -32,7 +33,8 @@ import threading
 
 from .errors import InvalidArgumentError
 
-# set in a forked worker only, for the rest of its life
+# set in a forked worker for the rest of its life, and in the caller while it
+# runs share 0 beside forked workers
 _in_worker = False
 
 
@@ -64,6 +66,7 @@ def worker_count() -> int:
 
 def fork_join(task, shares: int, big: bool) -> list:
     """[task(0, w), ..., task(w - 1, w)]: worker j of w runs task(j, w), worker 0 in this process."""
+    global _in_worker
     workers = min(worker_count(), shares)
     if workers < 2 or not big or _in_worker or sys.platform != "linux" or threading.active_count() != 1:
         return [task(0, 1)]
@@ -81,7 +84,11 @@ def fork_join(task, shares: int, big: bool) -> list:
                 _child(task, j, workers, write_fd)
             os.close(write_fd)
             children.append([pid, read_fd])
-        results = [task(0, workers)]
+        _in_worker = True
+        try:
+            results = [task(0, workers)]
+        finally:
+            _in_worker = False
         for child in children:
             results.append(_join(child))
         return results

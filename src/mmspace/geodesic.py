@@ -12,8 +12,10 @@ knows one that carries every shortest path, and certifies it (the lemma: if
 D_H(i, j) <= W(i, j) for every edge of G, every G-path is dominated by an
 H-path, so D_H = D_G).  The one candidate is the sorted-neighbour chain of a
 1-D cloud, which carries every path of isomap and of Fermat at any alpha,
-since the points are collinear.  A certified matrix is Dijkstra's on H with
-its upper triangle mirrored, so it is exactly symmetric by construction.
+since the points are collinear.  On that path each source's distances are
+running sums of the chain weights, rightward and leftward from its place,
+the sums Dijkstra's would form on H; a certified matrix has its upper
+triangle mirrored, so it is exactly symmetric by construction.
 Without a candidate, or when the check fails, G runs Floyd-Warshall in
 reversed breadth-first vertex order, the bandwidth-reducing numbering of
 reverse Cuthill-McKee without its sort by degree: scipy's kernel skips row
@@ -37,7 +39,7 @@ from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra, floyd_warshall
+from scipy.sparse.csgraph import breadth_first_order, connected_components, floyd_warshall
 
 from .cloud import PointCloud, _as_points, euclidean_matrix
 from .errors import BudgetExceededError, DisconnectedGraphError, InvalidArgumentError
@@ -91,12 +93,13 @@ def _graph_distances(
     is n x n over the points.
 
     candidate, when given, is called after edges with no arguments and
-    returns None or the pairs (i, j), i < j, of a subgraph H to try first;
-    edges must then list each edge once, with i < j, in row-major order.
-    Pairs that are not edges of G are dropped, so H is a subgraph of G with
-    G's weights.  D_H, Dijkstra's matrix on H with its upper triangle
-    mirrored, is returned when one pass over G's edges, in blocks of m,
-    shows D_H(i, j) <= W(i, j) (1 + 4 (m + 3) 2^-53) on every edge of G.
+    returns None or the vertex order of a path H through all m vertices to
+    try first; edges must then list each edge once, with i < j, in row-major
+    order.  H takes G's weights, and a step of the path that is not an edge
+    of G means no H.  D_H, each source's running sums of H's weights in path
+    order with the upper triangle mirrored, is returned when one pass over
+    G's edges, in blocks of m, shows D_H(i, j) <= W(i, j) (1 + 4 (m + 3)
+    2^-53) on every edge of G.
     Then every G-path is dominated by an H-path, so D_H = D_G up to that
     factor, which covers the rounding of m summed weights, the order of
     Floyd-Warshall's own.  Otherwise, or with no candidate, G's CSR is built
@@ -148,8 +151,8 @@ def _vertex_distances(m: int, edges, knob: str, members, candidate) -> tuple:
         raise InvalidArgumentError(
             "graph edge weights overflow float64; rescale the points"
         )
-    pairs = None if candidate is None else candidate()
-    dist = None if pairs is None else _certified(m, rows, cols, weights, *pairs)
+    order = None if candidate is None else candidate()
+    dist = None if order is None else _certified(m, rows, cols, weights, order)
     if dist is not None:
         return dist, None
     graph = csr_matrix((weights, (rows, cols)), shape=(m, m))
@@ -173,23 +176,30 @@ def _vertex_distances(m: int, edges, knob: str, members, candidate) -> tuple:
     return floyd_warshall(graph, directed=False), rank
 
 
-def _certified(m: int, rows, cols, weights, hr, hc) -> np.ndarray | None:
-    """D_H for the pairs (hr, hc) of G's row-major edge list, or None when H
-    does not connect or fails the check of _graph_distances.  Beside G's
-    edge list it holds one key per edge while it looks H up, and then only
-    the m x m result."""
+def _certified(m: int, rows, cols, weights, order) -> np.ndarray | None:
+    """D_H for the path H through the vertices in order, or None when a step
+    of H is not in G's row-major edge list or H fails the check of
+    _graph_distances.  Beside G's edge list it holds one key per edge while
+    it looks H up, and then only the m x m result."""
     if not rows.size:
         return None
     keys = rows * m
     keys += cols
-    want = hr * m + hc
+    a, b = order[:-1], order[1:]
+    want = np.minimum(a, b) * m + np.maximum(a, b)
     pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-    pos = pos[keys[pos] == want]
+    found = np.all(keys[pos] == want)
     del keys
-    sub = csr_matrix((weights[pos], (rows[pos], cols[pos])), shape=(m, m))
-    if connected_components(sub, directed=False)[0] > 1:
+    if not found:
         return None
-    dist = _mirror_upper(dijkstra(sub, directed=False))
+    steps = weights[pos]
+    dist = np.empty((m, m))
+    for at, source in enumerate(order.tolist()):
+        row = dist[source]
+        row[source] = 0.0
+        row[order[at + 1 :]] = np.cumsum(steps[at:])
+        row[order[:at][::-1]] = np.cumsum(steps[:at][::-1])
+    _mirror_upper(dist)
     slack = 1.0 + 4.0 * (m + 3) * 2.0**-53
     for s in range(0, rows.size, m):
         block = slice(s, s + m)
@@ -206,11 +216,9 @@ def _mirror_upper(dist: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _chain(uniq: np.ndarray):
-    """Pairs (i, j), i < j, of neighbours in sorted order along a 1-D cloud."""
-    order = np.argsort(uniq[:, 0], kind="stable")
-    a, b = order[:-1], order[1:]
-    return np.minimum(a, b), np.maximum(a, b)
+def _chain(uniq: np.ndarray) -> np.ndarray:
+    """The vertices of a 1-D cloud in sorted order, the path of its neighbours."""
+    return np.argsort(uniq[:, 0], kind="stable")
 
 
 def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = None) -> np.ndarray:

@@ -1,12 +1,20 @@
 """Exact Wasserstein distances between discrete measures on a finite ground space.
 
-Two exact solvers, no entropic smoothing anywhere, because downstream
-tolerances are 1e-9 on objectives.  A pair of uniform measures with a and b
-atoms is an assignment problem once every atom is split into lcm(a, b) / size
-equal copies: some optimal coupling of the split pair is a permutation
+Exact solvers only, no entropic smoothing anywhere, because downstream
+tolerances are 1e-9 on objectives.  A pair of uniform measures first tries a
+certified candidate, the monotone coupling: both supports are sorted by a key
+read from the ground alone, and the north-west-corner rule couples them in
+that order.  On a line metric with cost |x - y|^p, p >= 1, that coupling is
+optimal (Peyre & Cuturi, Computational Optimal Transport, 2019), and its
+dual potentials prove it: the candidate is accepted when they are feasible
+on the whole cost block up to their own rounding.  A pair that fails the
+check, or is not uniform, takes a solver from scipy.optimize, which only
+these fallbacks load.  A pair of uniform measures with a and b atoms is an
+assignment problem once every atom is split into lcm(a, b) / size equal
+copies: some optimal coupling of the split pair is a permutation
 (Birkhoff-von Neumann), so linear_sum_assignment solves it exactly.  Every
-other pair, and uniform pairs whose lcm is too large for an assignment to pay,
-go to the transportation linear program on HiGHS with its feasibility
+other pair, and uniform pairs whose lcm is too large for an assignment to
+pay, go to the transportation linear program on HiGHS with its feasibility
 tolerances tightened to 1e-10; at the defaults its W_2 values were off by up
 to 7.6e-7 relative.
 On top of that sit the space of measures with pairwise Wasserstein distances,
@@ -36,11 +44,13 @@ from .space import FiniteMetricMeasureSpace, KMeansSolution, _as_square, _as_wei
 
 MASS_TOL = 1e-12
 
-# Largest common refinement lcm(a, b) of unequal sizes solved by assignment.
-# Measured on a 2-vCPU x86 host, one thread, scipy 1.17: coprime uniform
-# pairs (a * b = L LP variables, the assignment's worst case) break even near
-# L = 240-270 (15 x 16: 3.4-3.9 ms assignment vs 4.2-4.5 ms LP; 16 x 17:
-# 2.8-6.8 vs 5.0-6.2 ms; 12 x 25: 9-12 vs 7 ms; 24 x 25: 68-72 vs 9 ms).
+# Largest common refinement lcm(a, b) of unequal sizes solved by assignment,
+# for the uniform pairs whose monotone coupling fails its check (grounds that
+# are not line metrics).  Measured on a 2-vCPU x86 host, one thread, scipy
+# 1.17: coprime uniform pairs (a * b = L LP variables, the assignment's worst
+# case) break even near L = 240-270 (15 x 16: 3.4-3.9 ms assignment vs
+# 4.2-4.5 ms LP; 16 x 17: 2.8-6.8 vs 5.0-6.2 ms; 12 x 25: 9-12 vs 7 ms;
+# 24 x 25: 68-72 vs 9 ms).
 # Equal sizes need no refinement and always take the assignment, which wins
 # at every size (200 x 200: 6 vs 560-740 ms; 241 x 241: 4-5 ms vs 0.89 s;
 # 300 x 300: 8 ms vs 3.1 s; 400 x 400: 17 ms vs 11.8 s).
@@ -109,20 +119,18 @@ def _check_ground(ground: np.ndarray) -> np.ndarray:
 def wasserstein_distance(ground: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float = 2.0) -> float:
     """p-Wasserstein distance between two measures over a shared ground metric.
 
-    Two uniform measures with equal atom counts, or whose atom counts have
+    Two uniform measures take the monotone coupling of _monotone when its
+    dual check certifies it, which it does on line metrics.  Otherwise two
+    uniform measures with equal atom counts, or whose atom counts have
     lcm L <= _ASSIGNMENT_MAX_L, are solved by an L x L assignment; every
-    other pair by the transportation LP.  Both are exact.  The closed forms
-    live in the tests as an independent route.
+    other pair by the transportation LP.  All three are exact.  The closed
+    forms live in the tests as an independent route.
     """
     return _wasserstein(_check_ground(ground), a, b, p)
 
 
 def _wasserstein(g: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float) -> float:
     """wasserstein_distance on a ground metric g that _check_ground has passed."""
-    # imported here, not at module level, so that only a transport solve
-    # loads scipy.optimize
-    from scipy.optimize import linear_sum_assignment, linprog
-
     p = _check_p(p)
     n = g.shape[0]
     for meas in (a, b):
@@ -133,11 +141,19 @@ def _wasserstein(g: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float
 
     ai = np.asarray(a.ground_indices, dtype=np.intp)
     bj = np.asarray(b.ground_indices, dtype=np.intp)
+    uniform = np.all(a.masses == a.masses[0]) and np.all(b.masses == b.masses[0])
+    if uniform:
+        power = _monotone(g, ai, bj, p)
+        if power is not None:
+            return power ** (1.0 / p)
+    # imported here, not at module level, so that only a pair the monotone
+    # coupling leaves open loads scipy.optimize
+    from scipy.optimize import linear_sum_assignment, linprog
+
     na, nb = ai.size, bj.size
     cost = g[np.ix_(ai, bj)] ** p
-
     steps = math.lcm(na, nb)
-    if (steps <= _ASSIGNMENT_MAX_L or na == nb) and np.all(a.masses == a.masses[0]) and np.all(b.masses == b.masses[0]):
+    if uniform and (steps <= _ASSIGNMENT_MAX_L or na == nb):
         split = np.repeat(np.repeat(cost, steps // na, axis=0), steps // nb, axis=1)
         rows, cols = linear_sum_assignment(split)
         return float(split[rows, cols].sum() / steps) ** (1.0 / p)
@@ -156,6 +172,82 @@ def _wasserstein(g: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float
         )
     obj = max(float(res.fun), 0.0)
     return obj ** (1.0 / p)
+
+
+def _monotone(g: np.ndarray, ai: np.ndarray, bj: np.ndarray, p: float) -> float | None:
+    """W_p^p of the uniform measures on the ground indices ai and bj by their
+    monotone coupling, or None when the check of _northwest rejects it.
+
+    Both supports are sorted by the ground row of the point of their union
+    farthest from its smallest index, ties broken by index; on a line metric
+    that row is the line order seen from one end.  The pair is oriented by
+    size, then by index list, so W(a, b) and W(b, a) run the same arithmetic
+    and come out as the same bits.
+    """
+    if (ai.size, ai.tolist()) > (bj.size, bj.tolist()):
+        ai, bj = bj, ai
+    union = np.union1d(ai, bj)
+    key = g[union[np.argmax(g[union[0], union])]]
+    ai = ai[np.lexsort((ai, key[ai]))]
+    bj = bj[np.lexsort((bj, key[bj]))]
+    return _northwest(g[np.ix_(ai, bj)] ** p)
+
+
+def _staircase(na: int, nb: int):
+    """(rows, cols, flows): the cells of the north-west-corner coupling of na
+    and nb equal atoms, in path order, with integer flows.
+
+    An a-atom carries nb units and a b-atom na units, so the flows are exact.
+    Where both atoms run out at once, a zero-flow cell in the next row joins
+    the two steps, so the na + nb - 1 cells form a path that spans the rows
+    and the columns, a basis of the transportation problem.
+    """
+    ends = np.union1d(nb * np.arange(1, na + 1), na * np.arange(1, nb + 1))
+    starts = np.concatenate(([0], ends[:-1]))
+    rows, cols, flows = starts // nb, starts // na, ends - starts
+    both = np.flatnonzero((starts % na == 0) & (starts % nb == 0))[1:]
+    return (
+        np.insert(rows, both, rows[both]),
+        np.insert(cols, both, cols[both] - 1),
+        np.insert(flows, both, 0),
+    )
+
+
+def _northwest(cost: np.ndarray) -> float | None:
+    """The transport cost of the north-west-corner coupling of uniform
+    marginals on cost's rows and columns, or None when its dual potentials
+    fail the optimality check.
+
+    The potentials u, v solve u_i + v_j = c_ij along the staircase, from
+    u_0 = 0, one subtraction per cell.  Each of the K = na + nb - 1 cells
+    adds one rounding of at most 2^-53 times the largest potential P, so
+    every potential is off by at most K 2^-53 P, and forming a reduced cost
+    c_ij - u_i - v_j adds two roundings of at most 2^-53 (C + 2P), C the
+    largest cost.  The coupling is accepted when every reduced cost is at
+    least -4 (K + 3) 2^-53 (C + P), which covers both: an optimal staircase
+    is never turned away by rounding, and an accepted one is within twice
+    that of the optimum, per unit of mass.  The cost is then sum(flow * c)
+    / (na * nb), the sum correctly rounded by math.fsum.
+    """
+    na, nb = cost.shape
+    rows, cols, flows = _staircase(na, nb)
+    path = cost[rows, cols]
+    u, v = [0.0] * na, [0.0] * nb
+    row = 0
+    for i, j, c in zip(rows.tolist(), cols.tolist(), path.tolist()):
+        if i > row:
+            u[i] = c - v[j]
+            row = i
+        else:
+            v[j] = c - u[i]
+    u, v = np.array(u), np.array(v)
+    reduced = cost - u[:, None]
+    reduced -= v
+    top = max(float(np.abs(u).max()), float(np.abs(v).max()))
+    slack = 4.0 * (na + nb + 2) * 2.0**-53 * (float(cost.max()) + top)
+    if float(reduced.min()) < -slack:
+        return None
+    return math.fsum((flows * path).tolist()) / (na * nb)
 
 
 def wasserstein_space(

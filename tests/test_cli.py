@@ -621,6 +621,8 @@ class TestFrontDoor:
 # Prints "<step> <module>..." with the lazily loaded scipy subpackages after
 # `import mmspace.cli` and after each tiny in-process job; each loading step
 # runs in a forked copy, so it starts from the modules the others left.
+# wkmeans on line groups is certified by the monotone coupling and loads no
+# transport solver; the 12- and 10-point circle groups fall back to one.
 IMPORT_CONTRACT = r"""
 import contextlib, io, os, sys, traceback
 
@@ -653,6 +655,8 @@ with open("e.ini", "w") as fh:
 steps = [
     ("sample", "--generator", "circle", "--n", "12", "--out", "c.csv"),
     ("sample", "--generator", "circle", "--n", "10", "--seed", "1", "--out", "g.csv"),
+    ("sample", "--generator", "interval", "--n", "9", "--out", "i.csv"),
+    ("sample", "--generator", "interval", "--n", "6", "--seed", "1", "--out", "j.csv"),
     ("dist", "--method", "isomap", "--eps", "1.0", "--in", "c.csv", "--out", "d.csv"),
     ("dist", "--method", "fermat", "--in", "c.csv", "--out", "f.bin"),
     ("dist", "--method", "diffusion", "--sigma", "0.5", "--in", "c.csv", "--out", "s.csv"),
@@ -669,6 +673,7 @@ for argv in steps:
     mm(*argv)
 report("jobs")
 forked("quantize-p1", lambda: mm("quantize", "--in", "c.csv", "--n", "3", "--p", "1"))
+forked("wkmeans-line", lambda: mm("wkmeans", "--groups", "i.csv", "j.csv", "--k", "1"))
 forked("wkmeans", lambda: mm("wkmeans", "--groups", "c.csv", "g.csv", "--k", "1"))
 forked("gaussian", lambda: mmspace.gaussian_fermat_distance_1d(0.0, 1.0, 2.0))
 """
@@ -686,6 +691,7 @@ class TestImportContract:
             "import",
             "jobs",
             "quantize-p1 scipy.optimize",
+            "wkmeans-line",
             "wkmeans scipy.optimize",
             "gaussian scipy.integrate scipy.optimize",
         ]

@@ -11,7 +11,16 @@ import pytest
 from mmspace import _fork
 from mmspace import io as io_module
 from mmspace import space as space_module
-from mmspace import DisconnectedGraphError, InvalidArgumentError, k_means_pam, metric_validate, read_matrix_csv, write_matrix_csv
+from mmspace import (
+    DisconnectedGraphError,
+    ExperimentConfig,
+    InvalidArgumentError,
+    k_means_pam,
+    metric_validate,
+    read_matrix_csv,
+    run_experiment,
+    write_matrix_csv,
+)
 
 from helpers import k_means_pam_oracle, metric_validate_oracle
 from test_experiment import assert_no_child_left
@@ -112,6 +121,20 @@ class TestSharedCalls:
         assert len(forks) == 9
         assert_no_child_left()
 
+    def test_trial_share_keeps_the_cap(self, monkeypatch):
+        # trial 0 runs in this process beside the forked trial 1; its PAM
+        # restarts, past their crossover, must not fork a third worker
+        config = ExperimentConfig(
+            generator="interval", method="euclid", k=4, solver="pam", restarts=10, sizes=[400], trials=2, seed=3
+        )
+        monkeypatch.setenv("MM_THREADS", "1")
+        want = repr(run_experiment(config).rows)
+        monkeypatch.setenv("MM_THREADS", "2")
+        forks = count_forks(monkeypatch)
+        assert repr(run_experiment(config).rows) == want
+        assert len(forks) == 1
+        assert_no_child_left()
+
     def test_nothing_forks_beside_another_thread(self, tmp_path, fork_always):
         def refuse():
             raise AssertionError("forked while another thread runs")
@@ -196,8 +219,11 @@ class TestForkJoin:
         assert_no_child_left()
 
     def test_nested_calls_run_serially(self):
+        # share 0 runs in the caller beside the forked share 1, so its nested
+        # call must not fork either, or three workers would run for a cap of two
         inner = lambda j, w: _fork.fork_join(lambda i, v: (i, v), 2, True)
-        assert _fork.fork_join(inner, 2, True) == [[(0, 2), (1, 2)], [(0, 1)]]
+        assert _fork.fork_join(inner, 2, True) == [[(0, 1)], [(0, 1)]]
+        assert not _fork._in_worker
         assert_no_child_left()
 
     @pytest.mark.parametrize("value", ["0", "two"])

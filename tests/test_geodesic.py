@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import floyd_warshall, shortest_path
+from scipy.sparse.csgraph import dijkstra, floyd_warshall, shortest_path
 from scipy.spatial.distance import cdist
 from scipy.special import erfi
 
@@ -541,35 +541,58 @@ class TestCertifiedGraph:
         lambda c: fermat_distance_matrix(c, 2.0, knn=8),
     ], ids=["isomap", "fermat-alpha-1", "fermat-alpha-1.5", "fermat-alpha-2", "fermat-knn"])
     def test_no_candidate_runs_no_dijkstra(self, monkeypatch, build):
-        def no_dijkstra(*args, **kwargs):
+        def no_candidate(*args, **kwargs):
             raise AssertionError("no candidate was expected")
 
-        monkeypatch.setattr(geodesic, "dijkstra", no_dijkstra)
+        monkeypatch.setattr(geodesic, "_certified", no_candidate)
         build(PointCloud(random_cloud(7, 2)))
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
+    def test_chain_rows_are_dijkstra_running_sums(self, monkeypatch, alpha):
+        # each source's row sums the chain weights in path order, as Dijkstra
+        # on the chain does, so the certified matrix keeps Dijkstra's bits
+        def chain_dijkstra(cloud):
+            uniq, inv = geodesic._dedupe(cloud.points)
+            m = uniq.shape[0]
+            order = np.argsort(uniq[:, 0], kind="stable")
+            a, b = np.minimum(order[:-1], order[1:]), np.maximum(order[:-1], order[1:])
+            weights = euclidean_matrix(uniq)[a, b] ** alpha
+            d = geodesic._mirror_upper(dijkstra(csr_matrix((weights, (a, b)), shape=(m, m)), directed=False))
+            return d.take(inv, axis=0).take(inv, axis=1)
+
+        calls = []
+        self.spy(monkeypatch, "floyd_warshall", calls)
+        rng = np.random.default_rng(int(alpha * 10))
+        clouds = [[0.0, 1.0], [0.3, 0.3, -0.2, 0.3], [2.0, 2.0, 2.0]]
+        for _ in range(19):
+            n = int(rng.integers(2, 120))
+            # rounded normal samples are full of duplicates
+            clouds += [np.round(rng.normal(size=n), 1), rng.uniform(size=n), 10.0 * rng.normal(size=n)]
+        for x in clouds:
+            cloud = cloud_1d(x)
+            assert fermat_distance_matrix(cloud, alpha).tobytes() == chain_dijkstra(cloud).tobytes()
+        assert calls == []
 
     def test_one_needed_edge_removed_fails_and_falls_back(self, monkeypatch):
         x = np.random.default_rng(8).uniform(size=25)
         real = geodesic._chain
 
         def rerouted(uniq):
-            # the chain edge between the 10th and 11th points goes to the
-            # 12th instead, so H still connects but misses a needed edge
-            hr, hc = real(uniq)
-            order = np.argsort(uniq[:, 0], kind="stable")
-            a, c = order[10], order[12]
-            hr, hc = hr.copy(), hc.copy()
-            hr[10], hc[10] = min(a, c), max(a, c)
-            return hr, hc
+            # the path visits the 12th point before the 11th, so H still
+            # connects but misses the needed edge from the 10th to the 11th
+            order = real(uniq).copy()
+            order[[11, 12]] = order[[12, 11]]
+            return order
 
         monkeypatch.setattr(geodesic, "_chain", lambda uniq: None)
         fallback = fermat_distance_matrix(cloud_1d(x), 2.0)
         monkeypatch.setattr(geodesic, "_chain", rerouted)
         calls = []
-        self.spy(monkeypatch, "dijkstra", calls)
+        self.spy(monkeypatch, "_certified", calls)
         self.spy(monkeypatch, "floyd_warshall", calls)
         d = fermat_distance_matrix(cloud_1d(x), 2.0)
         # the rerouted H connects, so the check itself turned it down
-        assert calls == ["dijkstra", "floyd_warshall"]
+        assert calls == ["_certified", "floyd_warshall"]
         assert np.array_equal(d, fallback)
 
     def test_chain_rounding_above_the_direct_edge_still_certifies(self, monkeypatch):
@@ -593,13 +616,12 @@ class TestCertifiedGraph:
         rows, cols = np.triu_indices(3, 1)
         weights = np.linalg.norm(pts[rows] - pts[cols], axis=1) ** 2
         calls = []
-        self.spy(monkeypatch, "dijkstra", calls)
+        self.spy(monkeypatch, "_certified", calls)
         self.spy(monkeypatch, "floyd_warshall", calls)
         d = geodesic._graph_distances(
-            3, lambda: (rows, cols, weights), "knn=None",
-            candidate=lambda: (np.array([0, 1]), np.array([1, 2])),
+            3, lambda: (rows, cols, weights), "knn=None", candidate=lambda: np.array([0, 1, 2])
         )
-        assert calls == ["dijkstra", "floyd_warshall"]
+        assert calls == ["_certified", "floyd_warshall"]
         assert d[0, 2] == complete_floyd_warshall(pts, 2.0)[0, 2] == 1.0
 
     def test_certified_peak_is_the_result_and_one_key_per_edge(self, monkeypatch):
@@ -607,12 +629,12 @@ class TestCertifiedGraph:
         x = np.random.default_rng(9).uniform(size=n)
         rows, cols = np.triu_indices(n, 1)
         weights = np.abs(x[rows] - x[cols]) ** 2
-        pairs = geodesic._chain(x[:, None])
+        order = geodesic._chain(x[:, None])
         calls = []
         self.spy(monkeypatch, "floyd_warshall", calls)
         tracemalloc.start()
         try:
-            geodesic._graph_distances(n, lambda: (rows, cols, weights), "knn=None", candidate=lambda: pairs)
+            geodesic._graph_distances(n, lambda: (rows, cols, weights), "knn=None", candidate=lambda: order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

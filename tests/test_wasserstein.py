@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -12,6 +13,7 @@ from mmspace import (
     PointCloud,
     build_ground_metric,
     isometry_defect_bound,
+    k_means_exact,
     learned_wasserstein_kmeans,
     learned_wasserstein_space,
     metric_validate,
@@ -169,12 +171,26 @@ def line_pair(seed, na, nb):
     return xs, ys, line_ground(np.concatenate([xs, ys])), range(na), range(na, na + nb)
 
 
-class TestSolveRoutes:
-    """Equal-size uniform pairs and uniform pairs up to the cap are assignments; every other pair is the LP."""
+def plane_pair(seed, na, nb):
+    """Two groups from one law on the unit square and their pooled ground metric.
 
-    @pytest.mark.parametrize("na, nb", [(40, 30), (40, 40), (7, 5), (1, 9), (300, 300)])
-    def test_uniform_pairs_by_assignment(self, monkeypatch, na, nb):
+    A plane ground is no line metric, so the monotone coupling fails its check
+    and the pair takes the assignment or the LP.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=(na + nb, 2))
+    ground = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    return ground, range(na), range(na, na + nb)
+
+
+class TestSolveRoutes:
+    """Uniform pairs on a line take the monotone coupling; other uniform pairs
+    take the assignment up to the cap and the LP above it; weighted pairs the LP."""
+
+    @pytest.mark.parametrize("na, nb", [(40, 30), (40, 40), (7, 5), (1, 9), (300, 300), (60, 59)])
+    def test_line_pairs_take_the_monotone_coupling(self, monkeypatch, na, nb):
         monkeypatch.setattr(scipy.optimize, "linprog", _forbidden)
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", _forbidden)
         xs, ys, ground, ia, ib = line_pair(na * 100 + nb, na, nb)
         a, b = DiscreteMeasure.from_points(ia), DiscreteMeasure.from_points(ib)
         for p in (1.0, 2.0, 3.0):
@@ -194,17 +210,51 @@ class TestSolveRoutes:
         monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", _forbidden)
         return calls
 
+    def assignment_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return linear_sum_assignment(*args, **kwargs)
+
+        linear_sum_assignment = scipy.optimize.linear_sum_assignment
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+        monkeypatch.setattr(scipy.optimize, "linprog", _forbidden)
+        return calls
+
     def test_coprime_pair_above_the_cap_takes_the_lp(self, monkeypatch):
-        na, nb = 60, 59
-        assert math.lcm(na, nb) > wasserstein._ASSIGNMENT_MAX_L
-        calls = self.lp_calls(monkeypatch)
+        # the LP against the lcm-refined assignment on the same plane pairs,
+        # the cap lowered so that lcm(7, 5) = 35 lies above it
+        na, nb = 7, 5
+        solves = []
         for seed in range(4):
-            xs, ys, ground, ia, ib = line_pair(seed, na, nb)
+            ground, ia, ib = plane_pair(seed, na, nb)
             a, b = DiscreteMeasure.from_points(ia), DiscreteMeasure.from_points(ib)
-            for p in (1.0, 2.0, 3.0):
-                want = wasserstein_1d_uniform(xs, ys, p)
-                assert wasserstein_distance(ground, a, b, p) == pytest.approx(want, rel=1e-12, abs=0)
+            solves += [(ground, a, b, p) for p in (1.0, 2.0, 3.0)]
+        calls = self.assignment_calls(monkeypatch)
+        want = [wasserstein_distance(*solve) for solve in solves]
         assert len(calls) == 12
+        monkeypatch.undo()
+        monkeypatch.setattr(wasserstein, "_ASSIGNMENT_MAX_L", math.lcm(na, nb) - 1)
+        calls = self.lp_calls(monkeypatch)
+        got = [wasserstein_distance(*solve) for solve in solves]
+        assert len(calls) == 12
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("size", [3, 4, 5, 6])
+    def test_tiny_equal_sizes_take_the_assignment(self, monkeypatch, size):
+        calls = self.assignment_calls(monkeypatch)
+        for seed in (5, 6, 7):
+            ground, ia, ib = plane_pair(seed, size, size)
+            a, b = DiscreteMeasure.from_points(ia), DiscreteMeasure.from_points(ib)
+            block = ground[np.ix_(list(ia), list(ib))]
+            for p in (1.0, 2.0, 3.0):
+                want = min(
+                    sum(block[i, j] ** p for i, j in enumerate(perm)) / size
+                    for perm in itertools.permutations(range(size))
+                ) ** (1.0 / p)
+                assert wasserstein_distance(ground, a, b, p) == pytest.approx(want, rel=1e-12, abs=0)
+        assert len(calls) == 9
 
     def test_weighted_pair_takes_the_lp(self, monkeypatch):
         calls = self.lp_calls(monkeypatch)
@@ -217,6 +267,71 @@ class TestSolveRoutes:
                 want = wasserstein_1d_weighted(xs, wa, ys, wb, p)
                 assert wasserstein_distance(ground, a, b, p) == pytest.approx(want, rel=1e-12, abs=0)
         assert len(calls) == 9
+
+
+class TestMonotoneCoupling:
+    """The certified candidate: exact on line grounds, turned down elsewhere."""
+
+    @pytest.fixture
+    def no_scipy_solver(self, monkeypatch):
+        monkeypatch.setattr(scipy.optimize, "linprog", _forbidden)
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", _forbidden)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_line_values_with_duplicates_ties_and_single_atoms(self, no_scipy_solver, p):
+        rng = np.random.default_rng(int(p * 10))
+        cases = [(1, 1), (1, 7), (5, 1), (2, 2), (6, 4), (9, 9), (12, 8), (30, 45)]
+        for na, nb in cases:
+            for spread in (3, 50):
+                # coordinates from a few integers: duplicates inside a group
+                # and exact ties across the two
+                xs = rng.integers(0, spread, size=na).astype(float)
+                ys = rng.integers(0, spread, size=nb).astype(float)
+                ground = line_ground(np.concatenate([xs, ys]))
+                a = DiscreteMeasure.from_points(range(na))
+                b = DiscreteMeasure.from_points(range(na, na + nb))
+                want = wasserstein_1d_uniform(xs, ys, p)
+                got = wasserstein_distance(ground, a, b, p)
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+                assert np.float64(got).tobytes() == np.float64(wasserstein_distance(ground, b, a, p)).tobytes()
+
+    def test_swapped_flows_fail_the_check(self):
+        xs, ys, ground, _, _ = line_pair(3, 9, 6)
+        cost = ground[np.ix_(np.argsort(xs), 9 + np.argsort(ys))] ** 2.0
+        assert wasserstein._northwest(cost) == pytest.approx(wasserstein_1d_uniform(xs, ys, 2.0) ** 2.0, rel=1e-12)
+        for j, k in ((0, 1), (2, 4), (0, 5)):
+            # b-atoms j and k trade places on the staircase, and their flows with them
+            swapped = cost.copy()
+            swapped[:, [j, k]] = swapped[:, [k, j]]
+            assert wasserstein._northwest(swapped) is None
+
+    def test_plane_groups_fall_back(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        groups = [rng.normal(loc=rng.normal(size=2), size=(int(rng.integers(5, 15)), 2)) for _ in range(8)]
+        real = wasserstein._monotone
+        monkeypatch.setattr(wasserstein, "_monotone", lambda *args: None)
+        want = learned_wasserstein_space(groups)[0].dist
+        verdicts = []
+        monkeypatch.setattr(wasserstein, "_monotone", lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+        got = learned_wasserstein_space(groups)[0].dist
+        assert verdicts == [None] * 28
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method, params", [("euclid", {}), ("isomap", {"eps": 1.0})])
+    @pytest.mark.parametrize("sizes", [(8,) * 8 + (6,) * 4, (40,) * 8 + (30,) * 4])
+    def test_pooled_line_groups_certify_every_pair(self, monkeypatch, method, params, sizes):
+        # the groups of a CLI session's wkmeans: two clusters on the line
+        rng = np.random.default_rng([len(sizes), sizes[0]])
+        groups = [((i % 2) + rng.uniform(-0.5, 0.5, size=m))[:, None] for i, m in enumerate(sizes)]
+        monkeypatch.setattr(wasserstein, "_monotone", lambda *args: None)
+        fallback = learned_wasserstein_space(groups, method, params)[0]
+        monkeypatch.undo()
+        monkeypatch.setattr(scipy.optimize, "linprog", _forbidden)
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", _forbidden)
+        space = learned_wasserstein_space(groups, method, params)[0]
+        np.testing.assert_allclose(space.dist, fallback.dist, rtol=1e-12, atol=0.0)
+        for k in (1, 2, 3):
+            assert k_means_exact(space, k).minimizers == k_means_exact(fallback, k).minimizers
 
 
 class TestPerturbationBound:
