@@ -570,10 +570,7 @@ def scaled_space(
     _check_ball(instance, t, shell)
     core, rows = _prefix_ball(_grow(instance, t, shell, budget), t, shell)
     m = len(core)
-    if m > geodesic.MAX_GRAPH_POINTS:
-        raise BudgetExceededError(
-            f"scaled space on {m} points exceeds the limit of {geodesic.MAX_GRAPH_POINTS}"
-        )
+    geodesic._check_graph_size(m, "scaled space")
     tmat = geodesic._mirror_upper(rows(np.arange(m)))
     labels = [",".join(map(str, v)) for v in core.tolist()]
     return FiniteMetricMeasureSpace.uniform(labels, tmat)

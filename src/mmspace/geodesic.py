@@ -51,6 +51,19 @@ from .errors import BudgetExceededError, DisconnectedGraphError, InvalidArgument
 MAX_GRAPH_POINTS = 10_000
 
 
+def _check_graph_size(n: int, what: str) -> None:
+    """The one graph-size rule: past MAX_GRAPH_POINTS points, a BudgetExceededError
+    naming what would have been built on them, raised before any n x n array."""
+    if n > MAX_GRAPH_POINTS:
+        raise BudgetExceededError(f"{what} on {n} points exceeds the limit of {MAX_GRAPH_POINTS}")
+
+
+def _check_alpha(alpha: float) -> None:
+    """The one Fermat-exponent rule: alpha is a finite number >= 1."""
+    if not (alpha >= 1.0 and math.isfinite(alpha)):
+        raise InvalidArgumentError(f"alpha must be >= 1, got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class FermatParams:
     """Density-sensitivity exponent alpha and intrinsic dimension."""
@@ -59,8 +72,7 @@ class FermatParams:
     intrinsic_dim: int
 
     def __post_init__(self):
-        if not (self.alpha >= 1.0 and math.isfinite(self.alpha)):
-            raise InvalidArgumentError(f"alpha must be >= 1, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if self.intrinsic_dim < 1:
             raise InvalidArgumentError("intrinsic_dim must be >= 1")
 
@@ -122,10 +134,7 @@ def _graph_distances(
     DisconnectedGraphError, carrying the point index sets of the components
     and naming knob, when the graph does not connect.
     """
-    if n > MAX_GRAPH_POINTS:
-        raise BudgetExceededError(
-            f"graph metric on {n} points exceeds the limit of {MAX_GRAPH_POINTS}"
-        )
+    _check_graph_size(n, "graph metric")
     m = n if members is None else int(members.max()) + 1
     if m == 1:
         return np.zeros((n, n))
@@ -236,8 +245,7 @@ def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = No
     The complete graph of a 1-D cloud tries its sorted-neighbour chain as
     the graph core's candidate.
     """
-    if not (alpha >= 1.0 and math.isfinite(alpha)):
-        raise InvalidArgumentError(f"alpha must be >= 1, got {alpha!r}")
+    _check_alpha(alpha)
     pts = cloud.points
     if pts.shape[0] < 2:
         raise InvalidArgumentError("need at least 2 points")
@@ -315,8 +323,7 @@ def gaussian_fermat_distance_1d(x: float, y: float, alpha: float) -> float:
     by adaptive quadrature at absolute tolerance 1e-10.  alpha = 1 forces the
     integrand to one and the distance degenerates to |y - x|.
     """
-    if not (alpha >= 1.0 and math.isfinite(alpha)):
-        raise InvalidArgumentError(f"alpha must be >= 1, got {alpha!r}")
+    _check_alpha(alpha)
     x = float(x)
     y = float(y)
     kappa = 1.0 - alpha

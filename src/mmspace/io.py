@@ -28,7 +28,7 @@ import numpy as np
 from ._fork import fork_join
 from .cloud import PointCloud
 from .errors import InvalidArgumentError
-from .space import FiniteMetricMeasureSpace, KMeansSolution
+from .space import FiniteMetricMeasureSpace, KMeansSolution, _as_square
 
 MAGIC = b"MMSP"
 # read_matrix_csv scans a file for its layout in chunks of this many bytes
@@ -70,10 +70,10 @@ def _write_matrix(path, labels, matrix: np.ndarray) -> None:
 
 def write_matrix_bin(path, matrix: np.ndarray) -> None:
     """Write matrix in the binary format; a C-order little-endian float64
-    matrix is written from its own buffer, with no copy."""
-    m = np.ascontiguousarray(np.asarray(matrix, dtype="<f8"))
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgumentError("matrix must be square")
+    matrix is written from its own buffer, with no copy.  The matrix is read
+    by the square-matrix rule (space._as_square), so read_matrix_bin reads
+    back every file this writes."""
+    m = np.ascontiguousarray(_as_square(matrix, "matrix"), dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", m.shape[0]))
@@ -115,11 +115,10 @@ def write_matrix_csv(path, labels, matrix: np.ndarray) -> None:
     into a fixed-width byte table, and its head, the entries (j, i) for
     j < i, read back from that table; repr of a float is ASCII and at most
     24 characters, as in -2.2250738585072014e-308, so an S24 entry holds it.
-    Any other matrix is formatted row by row.
+    Any other matrix is formatted row by row.  The matrix is read by the
+    square-matrix rule (space._as_square), so no 0 x 0 file is written.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgumentError("matrix must be square")
+    m = _as_square(matrix, "matrix")
     if len(labels) != m.shape[0]:
         raise InvalidArgumentError("label count must match matrix size")
     bits = m.view(np.int64)

@@ -32,16 +32,6 @@ _KERNEL_COLUMNS = 4096
 _BLOCK_ENTRIES = 1 << 16
 # metric_validate's passes work on row blocks of about this many entries
 _VALIDATE_ENTRIES = 1 << 16
-# A batch of one-center extensions of some sets goes through the cdist
-# screen when rows * _ROW_ENTRIES + entries >= _SCREEN_ENTRIES, with rows the
-# number of sets and entries = rows * candidates * n.  On a 2-vCPU x86 host a
-# screen call costs about 50 us plus 0.8 ns an entry, and each set with a
-# survivor about 15 us more, where the plain kernel path costs about 10 us a
-# set plus 1.7 ns an entry.  Timed against the plain path, one set breaks
-# even near n^2 = 72K (PAM near n = 270), and a group of 10 sets pays from
-# n = 12 up; at n = 9 with up to 7 sets a group, the screen was 18% slower
-_ROW_ENTRIES = 1 << 13
-_SCREEN_ENTRIES = 10 << 13
 # k_means_exact screens the children of a prefix in groups of this many rows
 _SCREEN_ROWS = 32
 # Work at which a loop is split across forked workers (_fork.fork_join):
@@ -152,10 +142,7 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     merge is an exact max, so the report does not depend on MM_THREADS.
     """
     d = _as_square(matrix, "matrix")
-    if d.shape[0] > geodesic.MAX_GRAPH_POINTS:
-        raise BudgetExceededError(
-            f"metric validation on {d.shape[0]} points exceeds the limit of {geodesic.MAX_GRAPH_POINTS}"
-        )
+    geodesic._check_graph_size(d.shape[0], "metric validation")
     if not np.all(np.isfinite(d)):
         raise InvalidArgumentError("matrix must be finite")
     n = d.shape[0]
@@ -371,6 +358,14 @@ def _check_p(p: float) -> float:
     return p
 
 
+def _check_tie_tol(tie_tol: float) -> float:
+    """The one tie-tolerance rule of the solvers: a finite real number >= 0."""
+    tie_tol = float(tie_tol)
+    if not (tie_tol >= 0.0 and math.isfinite(tie_tol)):
+        raise InvalidArgumentError(f"tie_tol must be a finite real number >= 0, got {tie_tol!r}")
+    return tie_tol
+
+
 def _weighted_row_sums(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_i w_i * rows[r, i] for every row r, each summed in one fixed order.
 
@@ -394,9 +389,10 @@ class _Extensions:
 
     pww = pw * w holds w_i * pw[c, i] in row c, and rsum[c] its row sum, the
     weighted cost of c alone; both are built on the first batch the screen
-    takes, once per solve.  The screen stays off for the whole solve when
-    rsum is not finite with room to spare: dist**p overflowed to inf (then
-    pww holds inf, or nan under a zero weight), or a row sum did.
+    takes, once per solve, so a solve that never screens (k = 1) never
+    builds them.  The screen stays off for the whole solve when rsum is not
+    finite with room to spare: dist**p overflowed to inf (then pww holds
+    inf, or nan under a zero weight), or a row sum did.
     """
 
     def __init__(self, pw: np.ndarray, w: np.ndarray):
@@ -405,12 +401,6 @@ class _Extensions:
         self.pww = None
         self.rsum = None
         self._finite = None
-        # whether a single set's batch of all n candidates is worth screening
-        self.wide = self.screens(1, pw.shape[0])
-
-    def screens(self, rows: int, candidates: int) -> bool:
-        """Whether the candidates of rows sets are worth screening (see _SCREEN_ENTRIES)."""
-        return rows * (_ROW_ENTRIES + candidates * self.pw.shape[0]) >= _SCREEN_ENTRIES
 
     def finite(self) -> bool:
         """Whether the screen may run in this solve; builds pww and rsum on the first call."""
@@ -484,18 +474,6 @@ def _screen(ext: _Extensions, served: np.ndarray, first: int, thresh: float, lea
     return low
 
 
-def _plain_costs(ext: _Extensions, served: np.ndarray, first: int) -> np.ndarray:
-    """Kernel cost of every c >= first joining a set that serves served, in blocks."""
-    pw, w = ext.pw, ext.w
-    n = pw.shape[0]
-    step = max(1, _BLOCK_ENTRIES // n)
-    if n - first <= step:
-        return _weighted_row_sums(np.minimum(served, pw[first:]), w)
-    return np.concatenate(
-        [_weighted_row_sums(np.minimum(served, pw[s:s + step]), w) for s in range(first, n, step)]
-    )
-
-
 def _survivor_costs(ext: _Extensions, served: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Kernel cost of every c in cand joining a set that serves served, in blocks."""
     step = max(1, _BLOCK_ENTRIES // ext.pw.shape[0])
@@ -511,18 +489,19 @@ def _joined_costs(ext: _Extensions, served: np.ndarray, skip: np.ndarray, thresh
 
     pw is dist**p.  dist is exactly symmetric, so row c of pw holds the
     powered distances to c, and t -> t**p is monotone, so the joined set's
-    powered distances are min(served, pw[c]).  When n is large enough for
-    the screen to pay (ext.wide, see _SCREEN_ENTRIES) and served is finite,
-    the batch goes through _screen in least mode with thresh and skip: the
-    entries it drops are inf, and the kernel costs the rest.  Otherwise the
-    kernel costs every point.  Either way each entry is inf or the kernel's
-    cost, and every point outside skip whose cost is the smallest there, and
-    at most thresh, has its kernel cost.
+    powered distances are min(served, pw[c]).  When served is finite and
+    the screen may run (ext.finite()), the batch goes through _screen in
+    least mode with thresh and skip: the entries it drops are inf, and the
+    kernel costs the rest.  Otherwise the kernel costs every point.  Either
+    way each entry is inf or the kernel's cost, and every point outside
+    skip whose cost is the smallest there, and at most thresh, has its
+    kernel cost.
     """
     n = ext.pw.shape[0]
-    if not (ext.wide and math.isfinite(served.max()) and ext.finite()):
-        return _plain_costs(ext, served, 0)
-    cand = np.flatnonzero(_screen(ext, served[None, :], 0, thresh, True, skip)[0] < math.inf)
+    if math.isfinite(served.max()) and ext.finite():
+        cand = np.flatnonzero(_screen(ext, served[None, :], 0, thresh, True, skip)[0] < math.inf)
+    else:
+        cand = np.arange(n)
     costs = np.full(n, math.inf)
     costs[cand] = _survivor_costs(ext, served, cand)
     return costs
@@ -561,21 +540,21 @@ def k_means_exact(
     prefixes keep their block, because its row i is what child i serves; at
     the root the block is pw itself.  The children of a prefix two centers
     short of k cost the leaves, the sets of size k, and go through the cdist
-    screen in groups of _SCREEN_ROWS, once a group is large enough to pay
-    (_SCREEN_ENTRIES): one call bounds every leaf of the group, and each
-    child then has the kernel cost only the leaves whose lower bound is
-    within the tie threshold best * (1 + tie_tol) at that moment.  By the
-    error bound above _screen a dropped leaf costs more than that threshold,
-    so it could neither lower best nor tie it.  Every cost that is compared
-    or reported comes from _weighted_row_sums, so a set costs the same bits
-    here as in clustering_cost and PAM, whatever the search order, and the
-    objective and family are those of costing every set.
+    screen in groups of _SCREEN_ROWS: one call bounds every leaf of the
+    group, and each child then has the kernel cost only the leaves whose
+    lower bound is within the tie threshold best * (1 + tie_tol) at that
+    moment.  By the error bound above _screen a dropped leaf costs more than
+    that threshold, so it could neither lower best nor tie it.  Only when
+    dist**p overflows (see _Extensions) does the kernel cost every leaf.
+    Every cost that is compared or reported comes from _weighted_row_sums,
+    so a set costs the same bits here as in clustering_cost and PAM,
+    whatever the search order, and the objective and family are those of
+    costing every set.
     """
     p = _check_p(p)
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
-    if tie_tol < 0:
-        raise InvalidArgumentError("tie_tol must be >= 0")
+    tie_tol = _check_tie_tol(tie_tol)
     n = space.n
     count = _enum_count(n, k)
     if count > budget:
@@ -592,30 +571,28 @@ def k_means_exact(
     best = math.inf
     kept: list[tuple[float, tuple]] = []
 
-    def collect(costs, q, first, cand=None):
-        # costs[i] is the cost of q + (first + i,), or of q + (cand[i],); a
-        # batch whose minimum is above the tie threshold can neither lower
-        # best nor tie it
+    def collect(costs, q, cand):
+        # costs[i] is the cost of q + (cand[i],); a batch whose minimum is
+        # above the tie threshold can neither lower best nor tie it
         nonlocal best
         low = float(costs.min())
         if low > best * (1.0 + tie_tol):
             return
         best = min(best, low)
         for i in np.flatnonzero(costs <= best * (1.0 + tie_tol)).tolist():
-            kept.append((float(costs[i]), q + ((first + i) if cand is None else int(cand[i]),)))
+            kept.append((float(costs[i]), q + (int(cand[i]),)))
 
     def leaves(q, block, first):
         # child q + (c,) serves block[c - first] and costs its sets
-        # q + (c, c') for c' > c; the children are screened in groups of rows,
-        # and a group too small to screen goes to the kernel alone (screens
-        # falls from group to group, so every later group does too)
+        # q + (c, c') for c' > c; the children are screened in groups of rows
+        if not ext.finite():
+            for c in range(first, n - 1):
+                cand = np.arange(c + 1, n)
+                collect(_survivor_costs(ext, block[c - first], cand), q + (c,), cand)
+            return
         for g0 in range(first, n - 1, group):
             g1 = min(g0 + group, n - 1)
             served = block[g0 - first:g1 - first]
-            if not (ext.screens(g1 - g0, n - g0 - 1) and ext.finite()):
-                for c in range(g0, g1):
-                    collect(_plain_costs(ext, served[c - g0], c + 1), q + (c,), c + 1)
-                continue
             low = _screen(ext, served, g0 + 1, best * (1.0 + tie_tol))
             # the threshold only falls while the group is costed, so each
             # child keeps the candidates whose bound is within it then
@@ -623,12 +600,12 @@ def k_means_exact(
                 thresh = best * (1.0 + tie_tol)
                 if floor <= thresh:
                     cand = g0 + 1 + np.flatnonzero(low[r] <= thresh)
-                    collect(_survivor_costs(ext, served[r], cand), q + (g0 + r,), 0, cand)
+                    collect(_survivor_costs(ext, served[r], cand), q + (g0 + r,), cand)
 
     def expand(q, block, first):
         # block[i] holds the powered distances served by q + (first + i,);
         # the last child, q + (n - 1,), has no children
-        collect(_weighted_row_sums(block, w), q, first)
+        collect(_weighted_row_sums(block, w), q, np.arange(first, n))
         if len(q) + 1 == depth:
             return
         if len(q) + 2 == depth:
@@ -678,7 +655,8 @@ def _swap_descent(ext: _Extensions, centers: list) -> tuple:
     center's batch goes through _joined_costs' screen in least mode with the
     best so far as threshold: an outside point is dropped only when its
     kernel cost is provably above the batch's smallest or the best so far,
-    so it could be neither the first argmin nor an improvement.  The
+    so it could be neither the first argmin nor an improvement.  With one
+    center a batch serves inf, and the kernel costs every point.  The
     acceptance baseline is carried over from the last accepted swap, not
     recomputed from the new centers.  Both routes reduce the same row with
     the same kernel and agree bit for bit, but the carried baseline alone
@@ -735,10 +713,10 @@ def k_means_pam(
     from random k-subsets drawn from a per-restart stream.  The returned
     objective can only be >= the exact one.
 
-    dist**p and the screen's arrays are built once; when restarts * k * n^2
-    reaches _FORK_PAM_ENTRIES = 3 * 2^20 the restarts are dealt round-robin
-    to forked workers, at most MM_THREADS of them (see _fork.fork_join), so
-    restart 0 and its greedy build run in this process.  Each restart is a
+    dist**p and, for k > 1, the screen's arrays are built once; when
+    restarts * k * n^2 reaches _FORK_PAM_ENTRIES = 3 * 2^20 the restarts
+    are dealt round-robin to forked workers, at most MM_THREADS of them (see
+    _fork.fork_join), so restart 0 and its greedy build run in this process.  Each restart is a
     pure function of its index and the results are merged in restart order,
     so the objective bits and the family do not depend on MM_THREADS.
     """
@@ -748,8 +726,9 @@ def k_means_pam(
         raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise InvalidArgumentError("restarts must be >= 1")
+    tie_tol = _check_tie_tol(tie_tol)
     ext = _Extensions(space.dist**p, space.weights)
-    if ext.wide:
+    if k > 1:
         ext.finite()  # pww and rsum, built once before any fork
 
     def share(j, workers):

@@ -38,7 +38,7 @@ from .diffusion import (
     spectral_decomposition,
 )
 from . import geodesic
-from .errors import BudgetExceededError, InvalidArgumentError, SolverError
+from .errors import InvalidArgumentError, SolverError
 from .geodesic import fermat_distance_matrix, fermat_scaled, isomap_distance_matrix
 from .space import FiniteMetricMeasureSpace, KMeansSolution, _as_square, _as_weights, _check_p, _check_symmetric, _k_means
 
@@ -299,10 +299,7 @@ def _learn_metric(cloud: PointCloud, method: str, params: dict | None = None, sc
     any n x n array is built; a matrix with an entry that overflowed to inf
     raises InvalidArgumentError.
     """
-    if cloud.n > geodesic.MAX_GRAPH_POINTS:
-        raise BudgetExceededError(
-            f"{method} metric on {cloud.n} points exceeds the limit of {geodesic.MAX_GRAPH_POINTS}"
-        )
+    geodesic._check_graph_size(cloud.n, f"{method} metric")
     params = dict(params or {})
     diagnostics = {}
     if method == "euclid":

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -30,6 +31,8 @@ from mmspace import (
     spectral_decomposition,
     wasserstein_distance,
     wasserstein_space,
+    write_matrix_bin,
+    write_matrix_csv,
 )
 from mmspace.cli import main
 from mmspace.errors import DisconnectedGraphError, InvalidArgumentError, MmError
@@ -128,6 +131,9 @@ TAKES_SQUARES = [
     ("normalized-laplacian", "eta", lambda m: normalized_laplacian(m)),
     ("spectral-decomposition", "laplacian", lambda m: spectral_decomposition(m, 1)),
     ("net-matrix", "ambient metric matrix", lambda m: epsilon_net_graph(None, m, 1.0, 1.0)),
+    # a writer refuses before it opens its file, so nothing reaches os.devnull
+    ("write-matrix-bin", "matrix", lambda m: write_matrix_bin(os.devnull, m)),
+    ("write-matrix-csv", "matrix", lambda m: write_matrix_csv(os.devnull, ["a", "b"], m)),
 ]
 
 

@@ -71,9 +71,13 @@ class TestMatrixBin:
             write_matrix_bin(tmp_path / "m.bin", np.zeros((2, 3)))
 
     def test_empty_rejected(self, tmp_path):
-        # the writer accepts a 0 x 0 matrix; the reader names it, as the CSV reader does
+        # the writer refuses a 0 x 0 matrix; the reader names such a file, as
+        # the CSV reader does
         path = tmp_path / "m.bin"
-        write_matrix_bin(path, np.zeros((0, 0)))
+        with pytest.raises(InvalidArgumentError, match="^matrix needs at least one point$"):
+            write_matrix_bin(path, np.zeros((0, 0)))
+        assert not path.exists()
+        path.write_bytes(io_module.MAGIC + struct.pack("<Q", 0))
         with pytest.raises(InvalidArgumentError, match=r"m\.bin: empty matrix file$"):
             read_matrix_bin(path)
 
@@ -192,7 +196,6 @@ def special_matrices():
         "asym": asym,
         "sym_random": (asym + asym.T) / 2,
         "one": np.array([[0.1]]),
-        "empty": np.zeros((0, 0)),
     }
 
 
@@ -204,7 +207,6 @@ CSV_SHA256 = {
     "asym": "572366d9439c52f75d0af5fe7078339428149b0c92ea476622a748f44061f979",
     "sym_random": "de161f4a0dcb89703eaa964d42c8f25b3af5ed63808a055f861386525c6c5271",
     "one": "0564bec84eb70fd666be0318070e5df65a5c64e6b5288234b850f955aeb471ae",
-    "empty": "7eb70257593da06f682a3ddda54a9d260d4fc514f645237f5ca74b08f8da61a6",
 }
 
 
@@ -253,8 +255,11 @@ class TestMatrixCsvFrozen:
             read_matrix_csv(path)
 
     def test_header_without_labels_is_empty(self, tmp_path):
+        # the bytes a 0 x 0 matrix would give, which the writer now refuses
         path = tmp_path / "m.csv"
-        write_matrix_csv(path, [], np.zeros((0, 0)))
+        with pytest.raises(InvalidArgumentError, match="^matrix needs at least one point$"):
+            write_matrix_csv(path, [], np.zeros((0, 0)))
+        path.write_bytes(b"\r\n")
         with pytest.raises(InvalidArgumentError, match=r"m\.csv: empty matrix file$"):
             read_matrix_csv(path)
 
@@ -305,18 +310,40 @@ class TestMatrixCsvWriter:
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(labeled_matrices())
     def test_bytes_are_the_reference_writers_and_read_back(self, tmp_path_factory, case):
+        # every matrix the writer accepts reads back: a 0 x 0 one, which the
+        # reader would name as an empty file, is refused
         labels, m = case
         tmp = tmp_path_factory.mktemp("w")
+        if m.shape[0] == 0:
+            with pytest.raises(InvalidArgumentError, match="^matrix needs at least one point$"):
+                write_matrix_csv(tmp / "m.csv", labels, m)
+            assert not (tmp / "m.csv").exists()
+            return
         write_matrix_csv(tmp / "m.csv", labels, m)
         reference_matrix_csv(tmp / "want.csv", labels, m)
         assert (tmp / "m.csv").read_bytes() == (tmp / "want.csv").read_bytes()
-        if len(labels) == 0:
-            return
         got_labels, got = read_matrix(tmp / "m.csv")
         assert got_labels == labels
         # a NaN is written as nan, so it reads back as the default NaN
         want = np.where(np.isnan(m), np.nan, m)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(labeled_matrices())
+    def test_binary_writer_reads_back(self, tmp_path_factory, case):
+        # the binary writer too: every matrix it accepts reads back bit for
+        # bit, NaN payloads included, and a 0 x 0 one is refused
+        _, m = case
+        path = tmp_path_factory.mktemp("w") / "m.bin"
+        if m.shape[0] == 0:
+            with pytest.raises(InvalidArgumentError, match="^matrix needs at least one point$"):
+                write_matrix_bin(path, m)
+            assert not path.exists()
+            return
+        write_matrix_bin(path, m)
+        labels, got = read_matrix(path)
+        assert labels == [str(i) for i in range(m.shape[0])]
+        assert np.array_equal(got.view(np.int64), m.view(np.int64))
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
     def test_peak_is_a_few_matrices(self, tmp_path, symmetric):
@@ -435,7 +462,6 @@ class TestMatrixCsvReaders:
 
         monkeypatch.setattr(io_module, "fork_join", counted)
         matrices = special_matrices()
-        del matrices["empty"]
         u = np.random.default_rng(8).uniform(size=(300, 300))
         matrices["sym_300"] = np.minimum(u, u.T)
         crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"

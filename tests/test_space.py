@@ -452,8 +452,6 @@ class TestKMeansExact:
                 every[s] = clustering_cost(space, s, 2.0)
         if block_rows is not None:
             monkeypatch.setattr(space_module, "_BLOCK_ENTRIES", block_rows * n)
-        # every group of prefixes takes the screen, however small
-        monkeypatch.setattr(space_module, "_SCREEN_ENTRIES", 0)
         kernel, screen = space_module._weighted_row_sums, space_module._screen
         costed, screened, kept = [], [], []
 
@@ -561,6 +559,25 @@ class TestKMeansPam:
             k_means_pam(space, 1, 2.0, restarts=0)
 
 
+class TestTieTolerance:
+    """Both solvers read tie_tol by one rule: a finite real number >= 0."""
+
+    @pytest.mark.parametrize("tie_tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("solve", [k_means_exact, k_means_pam], ids=["exact", "pam"])
+    def test_rejected(self, solve, tie_tol):
+        # these used to return an empty family, whose best raised IndexError
+        space = line_space([0.0, 1.0, 2.0])
+        with pytest.raises(InvalidArgumentError, match=f"^tie_tol must be a finite real number >= 0, got {tie_tol!r}$"):
+            solve(space, 2, 2.0, tie_tol=tie_tol)
+
+    @pytest.mark.parametrize("tie_tol", [0, 0.0, 1e-9, 1e300])
+    @pytest.mark.parametrize("solve", [k_means_exact, k_means_pam], ids=["exact", "pam"])
+    def test_accepted(self, solve, tie_tol):
+        sol = solve(line_space([0.0, 1.0, 2.0]), 2, 2.0, tie_tol=tie_tol)
+        assert sol.tie_tolerance == float(tie_tol)
+        assert sol.best in sol.minimizers
+
+
 
 def solution_bits(sol):
     return np.float64(sol.objective).tobytes(), [m.indices for m in sol.minimizers]
@@ -597,11 +614,8 @@ class TestScreenedSolversMatchParent:
     """Objective bits and families of the screened solvers are those of costing every candidate."""
 
     @pytest.mark.parametrize("kind", ["random", "integer_ties", "zero_weights", "circle_isomap", "overflow"])
-    @pytest.mark.parametrize("screen_all", [False, True])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_exact_and_pam(self, monkeypatch, kind, screen_all):
-        if screen_all:
-            monkeypatch.setattr(space_module, "_SCREEN_ENTRIES", 0)
+    def test_exact_and_pam(self, kind):
         rng = np.random.default_rng(len(kind))
         for n, ks in ((7, (1, 2, 3, 4)), (16, (1, 2, 3, 4)), (40, (2, 3))):
             space = oracle_space(kind, n, rng)
@@ -615,13 +629,44 @@ class TestScreenedSolversMatchParent:
                     want = k_means_pam_oracle(space, k, p, restarts=3, seed=k)
                     assert solution_bits(got) == solution_bits(want), (n, p, k)
 
+    @pytest.mark.parametrize("n", [3, 9, 30])
+    @pytest.mark.parametrize("kind", ["random", "overflow"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_screen_runs_by_default(self, monkeypatch, kind, n):
+        # there is no size crossover: with k >= 2 every solve whose dist**p
+        # is finite screens, however small the space, and one whose dist**p
+        # overflows never does; k = 1 never builds the screen's arrays
+        screened, built = [], []
+        screen, finite = space_module._screen, space_module._Extensions.finite
+
+        def counted_screen(*args):
+            screened.append(args[1].shape[0])
+            return screen(*args)
+
+        def counted_finite(ext):
+            built.append(ext)
+            return finite(ext)
+
+        monkeypatch.setattr(space_module, "_screen", counted_screen)
+        monkeypatch.setattr(space_module._Extensions, "finite", counted_finite)
+        space = oracle_space(kind, n, np.random.default_rng(n))
+        solvers = [
+            (lambda k: k_means_exact(space, k, 2.0), lambda k: k_means_exact_oracle(space, k, 2.0)),
+            (lambda k: k_means_pam(space, k, 2.0, restarts=3), lambda k: k_means_pam_oracle(space, k, 2.0, restarts=3)),
+        ]
+        for solve, oracle in solvers:
+            for k in (1, 2, 3):
+                screened.clear()
+                built.clear()
+                got = solve(k)
+                assert bool(screened) == (k > 1 and kind != "overflow"), (k, screened)
+                assert bool(built) == (k > 1)
+                assert solution_bits(got) == solution_bits(oracle(k))
+
     @pytest.mark.parametrize("kind", ["random", "integer_ties", "circle_isomap"])
-    def test_at_the_crossover_sizes(self, kind):
-        # past the measured crossover, with the default constants: PAM's swap
-        # batches and the exact leaves both take the screen
+    def test_at_n_300(self, kind):
         rng = np.random.default_rng(len(kind) + 50)
         space = oracle_space(kind, 300, rng)
-        assert space_module._Extensions(space.dist, space.weights).wide
         for p in (1.0, 2.0):
             got = k_means_exact(space, 2, p, tie_tol=0.0)
             assert solution_bits(got) == solution_bits(k_means_exact_oracle(space, 2, p, tie_tol=0.0))
