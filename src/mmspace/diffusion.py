@@ -139,6 +139,8 @@ def diffusion_distance_matrix(embedding: np.ndarray, merge_tol: float | None = N
     emb = np.asarray(embedding, dtype=np.float64)
     if emb.ndim != 2:
         raise InvalidArgumentError("embedding must be an (n, k) array")
+    if not np.all(np.isfinite(emb)):
+        raise InvalidArgumentError("embedding must be finite")
     n = emb.shape[0]
     if merge_tol is None:
         spread = float((emb.max(axis=0) - emb.min(axis=0)).max()) if n > 0 else 0.0

@@ -35,7 +35,7 @@ from .cloud import PointCloud, _as_points
 from .errors import InvalidArgumentError, MmError
 from .io import _decoding, dump_json, read_cloud_csv
 from .samplers import GENERATORS, _generator_params, _parse_rows, covering_radius, derived_seed, sample, true_distance_matrix
-from .space import FiniteMetricMeasureSpace, _k_means, _k_means_check, _pairwise, one_sided_center_deviation
+from .space import FiniteMetricMeasureSpace, _check_p, _k_means, _k_means_check, _pairwise, one_sided_center_deviation
 from .voronoi import _cell_mask, cluster_deviation, voronoi_cells
 from .wasserstein import _METRIC_PARAMS, GROUND_METHODS, build_ground_metric
 
@@ -96,6 +96,9 @@ class ExperimentConfig:
             raise InvalidArgumentError("trials must be >= 1")
         if self.k < 1:
             raise InvalidArgumentError("k must be >= 1")
+        _check_p(self.p)  # checked, not stored, so the config digest keeps the value as given
+        if self.restarts < 1:
+            raise InvalidArgumentError("restarts must be >= 1")
         _k_means_check(self.solver)
         if (self.reference, self.reference_centers is None) not in (("self", True), ("explicit", False)):
             given = "without" if self.reference_centers is None else "with"

@@ -26,7 +26,7 @@ from .cloud import _as_points, euclidean_matrix
 from .errors import InvalidArgumentError
 from .geodesic import _graph_distances
 from .samplers import _arc_gaps, _circle_angles, _circle_covering_radius, circle_arc_metric
-from .space import _as_square, _as_weights, _check_p, _check_symmetric, _weighted_row_sums
+from .space import _as_metric_matrix, _as_weights, _check_p, _weighted_row_sums
 
 
 @dataclass
@@ -226,10 +226,7 @@ def epsilon_net_graph(
             )
         n = len(pts)
     else:
-        matrix = _as_square(ambient_metric, "ambient metric matrix")
-        if not np.all((matrix >= 0.0) & (matrix < np.inf)):
-            raise InvalidArgumentError("ambient metric matrix entries must be finite and nonnegative")
-        _check_symmetric(matrix, "ambient metric matrix")
+        matrix = _as_metric_matrix(ambient_metric, "ambient metric matrix")
         ambient = partial(np.asarray, matrix)
         n = len(matrix)
 

@@ -26,7 +26,7 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 # fits its iterator buffer (8192 elements); longer rows are cut into column
 # blocks of this width (see _weighted_row_sums)
 _KERNEL_COLUMNS = 4096
-# _joined_costs mins and reduces its rows in blocks of about this many
+# _survivor_costs mins and reduces its rows in blocks of about this many
 # entries (512 KB, about an L2 cache), so a prefix with many children holds
 # no n x n temporary
 _BLOCK_ENTRIES = 1 << 16
@@ -67,6 +67,17 @@ def _check_symmetric(m: np.ndarray, name: str) -> None:
     matches nothing), else an InvalidArgumentError naming the argument."""
     if not np.array_equal(m, m.T):
         raise InvalidArgumentError(f"{name} must be exactly symmetric")
+
+
+def _as_metric_matrix(matrix, name: str) -> np.ndarray:
+    """The one rule for an explicit metric matrix given as input: square
+    (_as_square), finite and nonnegative entries, and exactly symmetric
+    (_check_symmetric), else an InvalidArgumentError naming the argument."""
+    m = _as_square(matrix, name)
+    if not np.all((m >= 0.0) & (m < np.inf)):
+        raise InvalidArgumentError(f"{name} entries must be finite and nonnegative")
+    _check_symmetric(m, name)
+    return m
 
 
 def _as_weights(weights, n: int, name: str) -> np.ndarray:
@@ -117,7 +128,8 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     """Check the metric axioms on a matrix; O(n^3) for the triangle pass.
 
     With tol=None the tolerance is 1e-9 scaled by the largest entry, which is
-    the right yardstick for learned matrices carrying accumulated rounding.
+    the right yardstick for learned matrices carrying accumulated rounding;
+    a given tol must be a finite real number >= 0 (_check_tol).
     Past geodesic.MAX_GRAPH_POINTS points it raises BudgetExceededError
     before any temporary is allocated.
 
@@ -141,6 +153,8 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     of 407 and up), at most MM_THREADS of them (see _fork.fork_join); its
     merge is an exact max, so the report does not depend on MM_THREADS.
     """
+    if tol is not None:
+        tol = _check_tol(tol, "tol")
     d = _as_square(matrix, "matrix")
     geodesic._check_graph_size(d.shape[0], "metric validation")
     if not np.all(np.isfinite(d)):
@@ -358,12 +372,13 @@ def _check_p(p: float) -> float:
     return p
 
 
-def _check_tie_tol(tie_tol: float) -> float:
-    """The one tie-tolerance rule of the solvers: a finite real number >= 0."""
-    tie_tol = float(tie_tol)
-    if not (tie_tol >= 0.0 and math.isfinite(tie_tol)):
-        raise InvalidArgumentError(f"tie_tol must be a finite real number >= 0, got {tie_tol!r}")
-    return tie_tol
+def _check_tol(tol: float, name: str) -> float:
+    """The one tolerance rule, for the solvers' tie_tol and metric_validate's
+    tol: a finite real number >= 0, else an InvalidArgumentError naming it."""
+    tol = float(tol)
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise InvalidArgumentError(f"{name} must be a finite real number >= 0, got {tol!r}")
+    return tol
 
 
 def _weighted_row_sums(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -388,11 +403,12 @@ class _Extensions:
     """One solve's powered matrix pw = dist**p and weights w, with the screen's data.
 
     pww = pw * w holds w_i * pw[c, i] in row c, and rsum[c] its row sum, the
-    weighted cost of c alone; both are built on the first batch the screen
-    takes, once per solve, so a solve that never screens (k = 1) never
-    builds them.  The screen stays off for the whole solve when rsum is not
-    finite with room to spare: dist**p overflowed to inf (then pww holds
-    inf, or nan under a zero weight), or a row sum did.
+    weighted cost of c alone.  Both solvers build them once, before their
+    search, when k > 1; at k = 1 no batch can screen (every served row is
+    inf), so they are never built.  finite() is false, and _screen bounds
+    nothing in the whole solve, when rsum is not finite with room to spare:
+    dist**p overflowed to inf (then pww holds inf, or nan under a zero
+    weight), or a row sum did.
     """
 
     def __init__(self, pw: np.ndarray, w: np.ndarray):
@@ -436,40 +452,35 @@ class _Extensions:
 # to 2^-1075 apiece with no relative bound, about 3 n of them across screen
 # and kernel; the term (n + 3) 2^-1070 covers them.  Hence, for every c,
 #     fl(approx_c - err_c) < K_c < fl(approx_c + err_c).
-def _screen(ext: _Extensions, served: np.ndarray, first: int, thresh: float, least: bool = False, skip=None):
+def _screen(ext: _Extensions, served: np.ndarray, first: int, best: float, tol: float, drop: np.ndarray) -> np.ndarray:
     """Lower bounds on the costs of the one-center extensions of the sets served[r].
 
-    Row r of served holds the powered distances a finite set serves; that
-    set takes the candidates c = first + r, ..., n - 1.  Returns low, where
-    low[r, j] = fl(approx - err) for candidate first + j of set r, which by
-    the bound above is below its kernel cost, or inf where the candidate is
-    dropped: where low > thresh, so that its kernel cost is above thresh,
-    and for j < r.  With least (one row), thresh is first lowered to
-    min(approx + err) over the candidates not in skip, which is above the
-    smallest kernel cost among them: what is dropped then costs strictly
-    more than that smallest cost, and every candidate that reaches it
-    survives.  Candidates in skip (an index array) are always dropped.
+    Row r of served holds the powered distances a set serves; it takes the
+    candidates first, ..., n - 1 where drop, a boolean mask broadcast to
+    (rows, n - first), does not hold.  low[r, j] is fl(approx - err) for
+    candidate first + j, below its kernel cost, or inf where drop holds or
+    low > fl(min(best, least) * (1 + tol)), least being the smallest
+    fl(approx + err) of the batch: least is above the batch's smallest kernel
+    cost K*, so what is dropped costs more than fl(min(best, K*) * (1 + tol)).
+    When a served entry or dist**p is not finite, and only here is that
+    decided, nothing is bounded: low is -inf where drop does not hold, so a
+    strict filter low < thresh keeps those candidates whatever thresh is.
     Everything is computed doubled, which rounds the same, to save a pass.
     """
+    if not (math.isfinite(served.max()) and ext.finite()):
+        return np.where(drop, math.inf, np.full((served.shape[0], ext.pw.shape[0] - first), -math.inf))
     n = ext.pw.shape[0]
     served_w = served * ext.w
     both = ext.rsum[first:] + served_w.sum(axis=1)[:, None]
     low = cdist(served_w, ext.pww[first:], "cityblock")
     np.subtract(both, low, out=low)
+    np.copyto(low, math.inf, where=drop)
     err = both
     err *= (n + 3) * 2.0**-50
     err += (n + 3) * 2.0**-1069
-    thresh = 2.0 * thresh
-    if least:
-        reach = low + err
-        reach[:, skip - first] = math.inf
-        thresh = min(thresh, float(reach.min()))
+    thresh = min(2.0 * best, float((low + err).min())) * (1.0 + tol)
     low -= err
     low[low > thresh] = math.inf
-    if served.shape[0] > 1:
-        low[np.tri(*low.shape, -1, dtype=bool)] = math.inf
-    if skip is not None:
-        low[:, skip - first] = math.inf
     low *= 0.5
     return low
 
@@ -484,25 +495,10 @@ def _survivor_costs(ext: _Extensions, served: np.ndarray, cand: np.ndarray) -> n
     return costs
 
 
-def _joined_costs(ext: _Extensions, served: np.ndarray, skip: np.ndarray, thresh: float = math.inf) -> np.ndarray:
-    """Cost, for every point c, of c joining a set whose powered distances are served.
-
-    pw is dist**p.  dist is exactly symmetric, so row c of pw holds the
-    powered distances to c, and t -> t**p is monotone, so the joined set's
-    powered distances are min(served, pw[c]).  When served is finite and
-    the screen may run (ext.finite()), the batch goes through _screen in
-    least mode with thresh and skip: the entries it drops are inf, and the
-    kernel costs the rest.  Otherwise the kernel costs every point.  Either
-    way each entry is inf or the kernel's cost, and every point outside
-    skip whose cost is the smallest there, and at most thresh, has its
-    kernel cost.
-    """
-    n = ext.pw.shape[0]
-    if math.isfinite(served.max()) and ext.finite():
-        cand = np.flatnonzero(_screen(ext, served[None, :], 0, thresh, True, skip)[0] < math.inf)
-    else:
-        cand = np.arange(n)
-    costs = np.full(n, math.inf)
+def _kept_costs(ext: _Extensions, served: np.ndarray, low: np.ndarray, thresh: float) -> np.ndarray:
+    """Kernel cost of every point whose bound in the _screen row low is below thresh, inf elsewhere."""
+    cand = np.flatnonzero(low < thresh)
+    costs = np.full(low.size, math.inf)
     costs[cand] = _survivor_costs(ext, served, cand)
     return costs
 
@@ -539,22 +535,22 @@ def k_means_exact(
     sets serve min(served_q, pw[c]), contiguous rows of pw.  Shorter
     prefixes keep their block, because its row i is what child i serves; at
     the root the block is pw itself.  The children of a prefix two centers
-    short of k cost the leaves, the sets of size k, and go through the cdist
-    screen in groups of _SCREEN_ROWS: one call bounds every leaf of the
-    group, and each child then has the kernel cost only the leaves whose
-    lower bound is within the tie threshold best * (1 + tie_tol) at that
-    moment.  By the error bound above _screen a dropped leaf costs more than
-    that threshold, so it could neither lower best nor tie it.  Only when
-    dist**p overflows (see _Extensions) does the kernel cost every leaf.
-    Every cost that is compared or reported comes from _weighted_row_sums,
-    so a set costs the same bits here as in clustering_cost and PAM,
-    whatever the search order, and the objective and family are those of
-    costing every set.
+    short of k cost the leaves, the sets of size k, and go through _screen
+    in groups of _SCREEN_ROWS with the running best and tie_tol; each child
+    then has the kernel cost only the leaves whose bound is below
+    best * (1 + tie_tol) at that moment.  best only falls, and a group's
+    least is above its smallest cost, itself at least the final best, so a
+    dropped leaf costs more than fl(final best * (1 + tie_tol)): it could
+    neither lower best nor join the family.  Only when dist**p overflows
+    (see _Extensions) does the kernel cost every leaf.  Every cost that is
+    compared or reported comes from _weighted_row_sums, so a set costs the
+    same bits here as in clustering_cost and PAM, whatever the search order,
+    and the objective and family are those of costing every set.
     """
     p = _check_p(p)
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
-    tie_tol = _check_tie_tol(tie_tol)
+    tie_tol = _check_tol(tie_tol, "tie_tol")
     n = space.n
     count = _enum_count(n, k)
     if count > budget:
@@ -565,6 +561,8 @@ def k_means_exact(
     pw = space.dist**p
     w = space.weights
     ext = _Extensions(pw, w)
+    if k > 1:
+        ext.finite()  # pww and rsum, built once before the search
     depth = min(k, n)
     group = max(1, min(_SCREEN_ROWS, _BLOCK_ENTRIES // n))
 
@@ -585,21 +583,16 @@ def k_means_exact(
     def leaves(q, block, first):
         # child q + (c,) serves block[c - first] and costs its sets
         # q + (c, c') for c' > c; the children are screened in groups of rows
-        if not ext.finite():
-            for c in range(first, n - 1):
-                cand = np.arange(c + 1, n)
-                collect(_survivor_costs(ext, block[c - first], cand), q + (c,), cand)
-            return
         for g0 in range(first, n - 1, group):
             g1 = min(g0 + group, n - 1)
             served = block[g0 - first:g1 - first]
-            low = _screen(ext, served, g0 + 1, best * (1.0 + tie_tol))
+            low = _screen(ext, served, g0 + 1, best, tie_tol, np.tri(g1 - g0, n - g0 - 1, -1, dtype=bool))
             # the threshold only falls while the group is costed, so each
-            # child keeps the candidates whose bound is within it then
+            # child keeps the candidates whose bound is below it then
             for r, floor in enumerate(low.min(axis=1).tolist()):
                 thresh = best * (1.0 + tie_tol)
-                if floor <= thresh:
-                    cand = g0 + 1 + np.flatnonzero(low[r] <= thresh)
+                if floor < thresh:
+                    cand = g0 + 1 + np.flatnonzero(low[r] < thresh)
                     collect(_survivor_costs(ext, served[r], cand), q + (g0 + r,), cand)
 
     def expand(q, block, first):
@@ -626,21 +619,22 @@ def _greedy_build(ext: _Extensions, k: int) -> list:
     """Classic greedy build: repeatedly add the point lowering cost the most.
 
     Each step costs every point in one vectorised pass; ties go to the
-    lowest index that is not yet a center.  Steps after the first go
-    through _joined_costs' screen in least mode: a point is dropped only
+    lowest index that is not yet a center.  A step is one _screen row with
+    the centers dropped, best = inf and tol = 0: a point is dropped only
     when its kernel cost is provably above the smallest one among the
     points that are not centers, so the first argmin over the survivors is
-    the first argmin over all.  The first step serves inf everywhere and
-    costs every point.
+    the first argmin over all.  The first step serves inf everywhere, so
+    _screen bounds nothing and the kernel costs every point.
     """
     pw = ext.pw
     n = pw.shape[0]
     centers: list[int] = []
     served = np.full(n, np.inf)
+    drop = np.zeros(n, dtype=bool)
     for _ in range(k):
-        costs = _joined_costs(ext, served, np.asarray(centers, dtype=np.intp))
-        costs[centers] = np.inf
-        best_x = int(np.argmin(costs))
+        low = _screen(ext, served[None, :], 0, math.inf, 0.0, drop)
+        best_x = int(np.argmin(_kept_costs(ext, served, low[0], math.inf)))
+        drop[best_x] = True
         centers.append(best_x)
         np.minimum(served, pw[best_x], out=served)
     return centers
@@ -651,12 +645,14 @@ def _swap_descent(ext: _Extensions, centers: list) -> tuple:
 
     ext holds pw = dist**p.  Each pass costs, center by center, every swap of
     that center for an outside point, and takes the first strict improvement
-    on the best so far: the first argmin in center-then-outside order.  A
-    center's batch goes through _joined_costs' screen in least mode with the
-    best so far as threshold: an outside point is dropped only when its
-    kernel cost is provably above the batch's smallest or the best so far,
-    so it could be neither the first argmin nor an improvement.  With one
-    center a batch serves inf, and the kernel costs every point.  The
+    on the best so far: the first argmin in center-then-outside order.  The
+    k served rows of a pass go through one _screen call (centers dropped,
+    best = the carried cost, tol = 0), and row ci has the kernel cost only
+    the points whose bound is below the best so far.  A swap attaining the
+    pass minimum K* < carried has low < K* <= least and K* <= the best so
+    far, so it survives both filters, and the first argmin is the one
+    costing every swap gives.  With one center every served row is inf,
+    _screen bounds nothing, and the kernel costs every point.  The
     acceptance baseline is carried over from the last accepted swap, not
     recomputed from the new centers.  Both routes reduce the same row with
     the same kernel and agree bit for bit, but the carried baseline alone
@@ -679,20 +675,18 @@ def _swap_descent(ext: _Extensions, centers: list) -> tuple:
         if carried is None:
             carried = cost
 
-        out_mask = np.ones(n, dtype=bool)
-        out_mask[idx] = False
-        outside = np.flatnonzero(out_mask)
-        if outside.size == 0:
-            return centers, cost
-
+        drop = np.zeros(n, dtype=bool)
+        drop[idx] = True
+        served = np.where(near == idx[:, None], d2, d1)
+        low = _screen(ext, served, 0, carried, 0.0, drop)
         best_cost = carried
         best_swap = None
-        for ci, c in enumerate(centers):
-            costs = _joined_costs(ext, np.where(near == c, d2, d1), idx, best_cost)[outside]
+        for ci in range(len(centers)):
+            costs = _kept_costs(ext, served[ci], low[ci], best_cost)
             j = int(np.argmin(costs))
             if costs[j] < best_cost:
                 best_cost = float(costs[j])
-                best_swap = (ci, int(outside[j]))
+                best_swap = (ci, j)
         if best_swap is None:
             return centers, cost
         centers[best_swap[0]] = best_swap[1]
@@ -713,7 +707,8 @@ def k_means_pam(
     from random k-subsets drawn from a per-restart stream.  The returned
     objective can only be >= the exact one.
 
-    dist**p and, for k > 1, the screen's arrays are built once; when
+    dist**p and, for k > 1, the screen's arrays are built once; each greedy
+    step and each swap pass makes one _screen call (see _swap_descent).  When
     restarts * k * n^2 reaches _FORK_PAM_ENTRIES = 3 * 2^20 the restarts
     are dealt round-robin to forked workers, at most MM_THREADS of them (see
     _fork.fork_join), so restart 0 and its greedy build run in this process.  Each restart is a
@@ -726,7 +721,7 @@ def k_means_pam(
         raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise InvalidArgumentError("restarts must be >= 1")
-    tie_tol = _check_tie_tol(tie_tol)
+    tie_tol = _check_tol(tie_tol, "tie_tol")
     ext = _Extensions(space.dist**p, space.weights)
     if k > 1:
         ext.finite()  # pww and rsum, built once before any fork

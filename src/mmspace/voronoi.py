@@ -56,7 +56,7 @@ def enlarged_cell(space: FiniteMetricMeasureSpace, centers, center: int, delta: 
     delta = 0 recovers the ordinary (non-strict) cell.  Monotone in delta and
     equal to the whole space once delta reaches the diameter.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise InvalidArgumentError("delta must be >= 0")
     idx = _center_indices(space, centers)
     j = _position(idx, center)

@@ -40,7 +40,7 @@ from .diffusion import (
 from . import geodesic
 from .errors import InvalidArgumentError, SolverError
 from .geodesic import fermat_distance_matrix, fermat_scaled, isomap_distance_matrix
-from .space import FiniteMetricMeasureSpace, KMeansSolution, _as_square, _as_weights, _check_p, _check_symmetric, _k_means
+from .space import FiniteMetricMeasureSpace, KMeansSolution, _as_metric_matrix, _as_weights, _check_p, _k_means
 
 MASS_TOL = 1e-12
 
@@ -106,16 +106,6 @@ class DiscreteMeasure:
         return len(self.ground_indices)
 
 
-def _check_ground(ground: np.ndarray) -> np.ndarray:
-    """A square ground metric with finite, nonnegative entries, exactly
-    symmetric so that W(a, b) = W(b, a), else an InvalidArgumentError."""
-    g = _as_square(ground, "ground metric")
-    if not np.all((g >= 0.0) & (g < np.inf)):
-        raise InvalidArgumentError("ground metric entries must be finite and nonnegative")
-    _check_symmetric(g, "ground metric")
-    return g
-
-
 def wasserstein_distance(ground: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float = 2.0) -> float:
     """p-Wasserstein distance between two measures over a shared ground metric.
 
@@ -126,11 +116,12 @@ def wasserstein_distance(ground: np.ndarray, a: DiscreteMeasure, b: DiscreteMeas
     other pair by the transportation LP.  All three are exact.  The closed
     forms live in the tests as an independent route.
     """
-    return _wasserstein(_check_ground(ground), a, b, p)
+    return _wasserstein(_as_metric_matrix(ground, "ground metric"), a, b, p)
 
 
 def _wasserstein(g: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float) -> float:
-    """wasserstein_distance on a ground metric g that _check_ground has passed."""
+    """wasserstein_distance on a ground metric g that space._as_metric_matrix
+    has passed, exactly symmetric so that W(a, b) = W(b, a)."""
     p = _check_p(p)
     n = g.shape[0]
     for meas in (a, b):
@@ -263,7 +254,7 @@ def wasserstein_space(
     m = len(measures)
     if m < 1:
         raise InvalidArgumentError("need at least one measure")
-    g = _check_ground(ground)
+    g = _as_metric_matrix(ground, "ground metric")
     d = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):

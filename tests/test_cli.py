@@ -586,6 +586,14 @@ FRONT_DOOR = [
      "bad centers '0 1; 2': mixture centers must be a nonempty (n, D) array"),
     ("run-ragged-reference", EXPERIMENT, {"e.ini": b"[run]\nreference = 0 1; 2\n"},
      "reference_centers must be a nonempty (n, D) array"),
+    ("kmeans-p-nan", EXPERIMENT, {"e.ini": b"[kmeans]\np = nan\n"}, "p must be a real number >= 1, got nan"),
+    ("kmeans-restarts", EXPERIMENT, {"e.ini": b"[kmeans]\nsolver = pam\nrestarts = 0\n"}, "restarts must be >= 1"),
+    ("voronoi-delta-nan", ["voronoi", "--centers", "0", "--delta", "nan", "--space", "{d}/m.csv"], {"m.csv": ONE_POINT},
+     "delta must be >= 0"),
+    ("validate-tol-nan", ["validate", "--tol", "nan", "--in", "{d}/m.csv"], {"m.csv": ONE_POINT},
+     "tol must be a finite real number >= 0, got nan"),
+    ("validate-tol-negative", ["validate", "--tol", "-1", "--in", "{d}/m.csv"], {"m.csv": ONE_POINT},
+     "tol must be a finite real number >= 0, got -1.0"),
 ]
 
 

@@ -240,6 +240,14 @@ class TestDistanceMatrix:
         with pytest.raises(InvalidArgumentError):
             diffusion_distance_matrix(np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_embedding(self, bad):
+        # a NaN coordinate used to give a NaN matrix
+        emb = np.zeros((4, 2))
+        emb[2, 1] = bad
+        with pytest.raises(InvalidArgumentError, match="^embedding must be finite$"):
+            diffusion_distance_matrix(emb)
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(near_duplicate_embeddings(), st.sampled_from([None, 0.0, 1e-8, 1e-3]))
     def test_classes_match_transitive_closure(self, emb, merge_tol):

@@ -635,32 +635,39 @@ class TestScreenedSolversMatchParent:
     def test_screen_runs_by_default(self, monkeypatch, kind, n):
         # there is no size crossover: with k >= 2 every solve whose dist**p
         # is finite screens, however small the space, and one whose dist**p
-        # overflows never does; k = 1 never builds the screen's arrays
-        screened, built = [], []
-        screen, finite = space_module._screen, space_module._Extensions.finite
+        # overflows never does; k = 1 never builds the screen's arrays.  A
+        # screen pass is one cdist call: PAM's greedy steps screen one row,
+        # its swap passes all k rows at once
+        passes, built = [], []
+        real_cdist, finite = space_module.cdist, space_module._Extensions.finite
 
-        def counted_screen(*args):
-            screened.append(args[1].shape[0])
-            return screen(*args)
+        def counted_cdist(xa, xb, metric, *args, **kwargs):
+            if metric == "cityblock":
+                passes.append(xa.shape[0])
+            return real_cdist(xa, xb, metric, *args, **kwargs)
 
         def counted_finite(ext):
             built.append(ext)
             return finite(ext)
 
-        monkeypatch.setattr(space_module, "_screen", counted_screen)
+        monkeypatch.setattr(space_module, "cdist", counted_cdist)
         monkeypatch.setattr(space_module._Extensions, "finite", counted_finite)
         space = oracle_space(kind, n, np.random.default_rng(n))
         solvers = [
-            (lambda k: k_means_exact(space, k, 2.0), lambda k: k_means_exact_oracle(space, k, 2.0)),
-            (lambda k: k_means_pam(space, k, 2.0, restarts=3), lambda k: k_means_pam_oracle(space, k, 2.0, restarts=3)),
+            ("exact", lambda k: k_means_exact(space, k, 2.0), lambda k: k_means_exact_oracle(space, k, 2.0)),
+            ("pam", lambda k: k_means_pam(space, k, 2.0, restarts=3), lambda k: k_means_pam_oracle(space, k, 2.0, restarts=3)),
         ]
-        for solve, oracle in solvers:
+        for name, solve, oracle in solvers:
             for k in (1, 2, 3):
-                screened.clear()
+                passes.clear()
                 built.clear()
                 got = solve(k)
-                assert bool(screened) == (k > 1 and kind != "overflow"), (k, screened)
+                assert bool(passes) == (k > 1 and kind != "overflow"), (k, passes)
                 assert bool(built) == (k > 1)
+                if name == "pam" and passes:
+                    # k - 1 greedy steps, then at least one pass per restart
+                    assert passes[:k - 1] == [1] * (k - 1) and passes[k - 1:].count(k) >= 3
+                    assert set(passes) == {1, k}
                 assert solution_bits(got) == solution_bits(oracle(k))
 
     @pytest.mark.parametrize("kind", ["random", "integer_ties", "circle_isomap"])
@@ -675,36 +682,47 @@ class TestScreenedSolversMatchParent:
 
 
 class TestScreenBound:
-    """fl(approx - err) < kernel cost < fl(approx + err) for every candidate, at every scale."""
+    """fl(approx - err) < kernel cost for every candidate the screen keeps, and
+    a dropped candidate costs more than min(best, the batch's smallest cost)
+    times (1 + tol), at every scale."""
 
+    @pytest.mark.parametrize("mask", ["tri", "centers"])
     @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-300, 1e100])
-    @pytest.mark.parametrize("n", [3, 40, 300])
-    def test_bounds_bracket_the_kernel(self, scale, n):
+    @pytest.mark.parametrize("kind, n", [("random", 3), ("random", 40), ("random", 300), ("integer_ties", 40)])
+    def test_bounds_bracket_the_kernel(self, kind, n, scale, mask):
         rng = np.random.default_rng(n)
-        space, _ = random_space(rng, n)
+        space = oracle_space(kind, n, rng)
         w = space.weights.copy()
         w[rng.random(n) < 0.2] = 0.0
         pw = (space.dist * scale) ** 2.0
         ext = space_module._Extensions(pw, w)
         assert ext.finite()
         for size in (1, 2, 3):
-            first = int(rng.integers(0, n))
+            first = int(rng.integers(0, n)) if mask == "tri" else 0
             served = np.stack([
                 pw[rng.choice(n, size=size, replace=False)].min(axis=0) for _ in range(min(5, n - first))
             ])
-            low = space_module._screen(ext, served, first, math.inf)
-            for r in range(served.shape[0]):
-                cand = np.arange(first + r, n)
-                costs = _weighted_row_sums(np.minimum(served[r], pw[cand]), w)
-                assert np.all(low[r, r:] < costs)
-                assert np.all(low[r, :r] == math.inf)
-            # least mode keeps every candidate that reaches the smallest cost
-            skip = np.sort(rng.choice(n, size=min(2, n - 1), replace=False))
-            keep = space_module._screen(ext, served[:1], 0, math.inf, True, skip)[0] < math.inf
-            costs = _weighted_row_sums(np.minimum(served[0], pw), w)
-            costs[skip] = math.inf
-            assert keep[costs == costs.min()].all()
-            assert not keep[skip].any()
+            if mask == "tri":
+                drop = np.tri(served.shape[0], n - first, -1, dtype=bool)
+            else:
+                drop = np.zeros(n, dtype=bool)
+                drop[rng.choice(n, size=min(2, n - 1), replace=False)] = True
+            # _screen takes the mask as given (the centers broadcast over rows)
+            full = np.broadcast_to(drop, (served.shape[0], n - first))
+            costs = np.stack([_weighted_row_sums(np.minimum(row, pw[first:]), w) for row in served])
+            costs[full] = math.inf
+            smallest = costs.min()
+            for tol in (0.0, 1e-9, 0.3):
+                for best in (math.inf, float(np.median(costs[~full]))):
+                    low = space_module._screen(ext, served, first, best, tol, drop)
+                    kept = low < math.inf
+                    assert not kept[full].any()
+                    assert np.all(low[kept] < costs[kept])
+                    # what is dropped could neither lower the smaller of best
+                    # and the batch's minimum nor tie it
+                    assert np.all(costs[~kept & ~full] > min(best, smallest) * (1.0 + tol))
+                    if best > smallest:
+                        assert kept[costs == smallest].all()
 
 
 class TestSolverMemory:

@@ -144,9 +144,9 @@ class TestWassersteinDistance:
         measures = [DiscreteMeasure.from_points(range(s, s + m)) for s, m in ((0, 4), (4, 6), (10, 3), (13, 5), (18, 6))]
         measures.append(DiscreteMeasure((0, 5, 9, 20), np.array([0.1, 0.2, 0.3, 0.4])))
         want = [[wasserstein_distance(space.dist, a, b, 2.0) for b in measures] for a in measures]
-        check = wasserstein._check_ground
+        check = wasserstein._as_metric_matrix
         calls = []
-        monkeypatch.setattr(wasserstein, "_check_ground", lambda g: calls.append(1) or check(g))
+        monkeypatch.setattr(wasserstein, "_as_metric_matrix", lambda g, name: calls.append(1) or check(g, name))
         got = wasserstein_space(measures, space.dist, 2.0)
         assert len(calls) == 1
         for i in range(len(measures)):
