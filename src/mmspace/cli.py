@@ -103,10 +103,12 @@ def cmd_voronoi(args) -> int:
     space = _load_space(args.space)
     centers = [int(v) for v in args.centers.split(",")]
     part = voronoi_cells(space, centers)
+    # a cell that is the whole space has threshold inf, which JSON writes as null
+    thresholds = {str(c): enlargement_threshold(space, centers, c) for c in sorted(centers)}
     doc = {
         "centers": sorted(centers),
         "cells": {str(c): members for c, members in sorted(part.cells.items())},
-        "thresholds": {str(c): enlargement_threshold(space, centers, c) for c in sorted(centers)},
+        "thresholds": {c: t if t < math.inf else None for c, t in thresholds.items()},
     }
     if args.delta is not None:
         doc["delta"] = args.delta

@@ -73,7 +73,7 @@ from .errors import (
     SolverError,
     UnsupportedReferenceError,
 )
-from .space import FiniteMetricMeasureSpace, _check_p, _tie_family, _weighted_row_sums
+from .space import FiniteMetricMeasureSpace, _check_p, _powered, _tie_family, _weighted_row_sums
 
 DEFAULT_BALL_BUDGET = 4000
 DEFAULT_SHELL = 0.2
@@ -512,9 +512,9 @@ def _ball_one_mean(rows, m: int, p: float, strong: bool = True) -> tuple:
 
     def evaluate(sources, taken):
         candidates.extend(sources)
-        # k_means_exact costs the singleton {c} as row c of dist**p through
-        # this kernel, so the two agree bit for bit wherever the rows agree
-        costs.extend(_weighted_row_sums(taken**p, w).tolist())
+        # k_means_exact costs the singleton {c} as row c of _powered(dist, p)
+        # through this kernel, so the two agree bit for bit wherever the rows agree
+        costs.extend(_weighted_row_sums(_powered(taken, p, "passage times"), w).tolist())
         return min(costs) * (1.0 + TRACK_TIE_TOL)
 
     thresh = evaluate(marks, anchors)

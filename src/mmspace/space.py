@@ -131,7 +131,7 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     the right yardstick for learned matrices carrying accumulated rounding;
     a given tol must be a finite real number >= 0 (_check_tol).
     Past geodesic.MAX_GRAPH_POINTS points it raises BudgetExceededError
-    before any temporary is allocated.
+    before any temporary is allocated; past _check_room, InvalidArgumentError.
 
     The triangle violation of (i, j, l) is fl(fl(d_ij - d_il) - d_lj), and
     the report gives the largest, at the first l that reaches it and the
@@ -159,6 +159,7 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     geodesic._check_graph_size(d.shape[0], "metric validation")
     if not np.all(np.isfinite(d)):
         raise InvalidArgumentError("matrix must be finite")
+    _check_room(max(float(d.max()), -float(d.min())), "matrix")
     n = d.shape[0]
     if tol is None:
         tol = 1e-9 * float(d.max())
@@ -381,6 +382,23 @@ def _check_tol(tol: float, name: str) -> float:
     return tol
 
 
+def _check_room(top: float, what: str) -> None:
+    """The one headroom rule: fl(4 top) is finite, so a few values up to top add without overflow."""
+    if not math.isfinite(4.0 * top):
+        raise InvalidArgumentError(f"{what} is too large: 4 x its largest entry overflows float64")
+
+
+def _powered(d: np.ndarray, p: float, name: str) -> np.ndarray:
+    """The one owner of distances to the power p: d ** p, once _check_room
+    passes max(d)^p, a Python float power so that numpy never warns."""
+    try:
+        top = float(d.max()) ** p
+    except OverflowError:
+        top = math.inf
+    _check_room(top, f"{name} to the power p = {p!r}")
+    return d**p
+
+
 def _weighted_row_sums(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_i w_i * rows[r, i] for every row r, each summed in one fixed order.
 
@@ -400,34 +418,21 @@ def _weighted_row_sums(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _Extensions:
-    """One solve's powered matrix pw = dist**p and weights w, with the screen's data.
+    """One solve's powered matrix pw = _powered(dist, p) and weights w, with the screen's data.
 
     pww = pw * w holds w_i * pw[c, i] in row c, and rsum[c] its row sum, the
-    weighted cost of c alone.  Both solvers build them once, before their
-    search, when k > 1; at k = 1 no batch can screen (every served row is
-    inf), so they are never built.  finite() is false, and _screen bounds
-    nothing in the whole solve, when rsum is not finite with room to spare:
-    dist**p overflowed to inf (then pww holds inf, or nan under a zero
-    weight), or a row sum did.
+    weighted cost of c alone.  top = pw.max(axis=0) is the row a set that
+    serves nothing is given: min(top_i, pw[c, i]) = pw[c, i], so joining it
+    costs the row of c alone.  Both solvers build them once, before their
+    search; exact only when it has leaves to screen.
     """
 
     def __init__(self, pw: np.ndarray, w: np.ndarray):
         self.pw = pw
         self.w = w
-        self.pww = None
-        self.rsum = None
-        self._finite = None
-
-    def finite(self) -> bool:
-        """Whether the screen may run in this solve; builds pww and rsum on the first call."""
-        if self._finite is None:
-            with np.errstate(invalid="ignore", over="ignore"):
-                pww = self.pw * self.w
-                rsum = pww.sum(axis=1)
-            self._finite = math.isfinite(4.0 * float(rsum.max()))
-            if self._finite:
-                self.pww, self.rsum = pww, rsum
-        return self._finite
+        self.pww = pw * w
+        self.rsum = self.pww.sum(axis=1)
+        self.top = pw.max(axis=0)
 
 
 # The screen.  For w_i >= 0, w_i min(s_i, y_i) = (w_i s_i + w_i y_i - |w_i s_i - w_i y_i|) / 2,
@@ -452,23 +457,20 @@ class _Extensions:
 # to 2^-1075 apiece with no relative bound, about 3 n of them across screen
 # and kernel; the term (n + 3) 2^-1070 covers them.  Hence, for every c,
 #     fl(approx_c - err_c) < K_c < fl(approx_c + err_c).
+# Nothing overflows: _powered leaves fl(4 max pw) finite, and B_c <= 2 max pw (1 + 1e-12).
 def _screen(ext: _Extensions, served: np.ndarray, first: int, best: float, tol: float, drop: np.ndarray) -> np.ndarray:
     """Lower bounds on the costs of the one-center extensions of the sets served[r].
 
-    Row r of served holds the powered distances a set serves; it takes the
-    candidates first, ..., n - 1 where drop, a boolean mask broadcast to
-    (rows, n - first), does not hold.  low[r, j] is fl(approx - err) for
-    candidate first + j, below its kernel cost, or inf where drop holds or
-    low > fl(min(best, least) * (1 + tol)), least being the smallest
-    fl(approx + err) of the batch: least is above the batch's smallest kernel
-    cost K*, so what is dropped costs more than fl(min(best, K*) * (1 + tol)).
-    When a served entry or dist**p is not finite, and only here is that
-    decided, nothing is bounded: low is -inf where drop does not hold, so a
-    strict filter low < thresh keeps those candidates whatever thresh is.
-    Everything is computed doubled, which rounds the same, to save a pass.
+    Row r of served holds the powered distances a set serves (ext.top if
+    none); it takes the candidates first, ..., n - 1 where drop, a boolean
+    mask broadcast to (rows, n - first), does not hold.  low[r, j] is
+    fl(approx - err) for candidate first + j, below its kernel cost, or inf
+    where drop holds or low > fl(min(best, least) * (1 + tol)), least being
+    the smallest fl(approx + err) of the batch: least is above the batch's
+    smallest kernel cost K*, so what is dropped costs more than
+    fl(min(best, K*) * (1 + tol)).  Everything is computed doubled, which
+    rounds the same, to save a pass.
     """
-    if not (math.isfinite(served.max()) and ext.finite()):
-        return np.where(drop, math.inf, np.full((served.shape[0], ext.pw.shape[0] - first), -math.inf))
     n = ext.pw.shape[0]
     served_w = served * ext.w
     both = ext.rsum[first:] + served_w.sum(axis=1)[:, None]
@@ -504,10 +506,10 @@ def _kept_costs(ext: _Extensions, served: np.ndarray, low: np.ndarray, thresh: f
 
 
 def clustering_cost(space: FiniteMetricMeasureSpace, centers, p: float = 2.0) -> float:
-    """Weighted p-th power cost of serving every point from its nearest center."""
+    """Weighted p-th power cost of serving every point from its nearest center (rows by _powered)."""
     p = _check_p(p)
     idx = _center_indices(space, centers)
-    served = (space.dist[idx] ** p).min(axis=0)
+    served = _powered(space.dist[idx], p, "dist").min(axis=0)
     return float(_weighted_row_sums(served[None, :], space.weights)[0])
 
 
@@ -526,13 +528,13 @@ def k_means_exact(
 
     Ties are collected at relative tolerance tie_tol, so center sets whose
     costs differ only by accumulated rounding are reported together.  Raises
-    BudgetExceededError when the candidate count exceeds the budget; use
-    k_means_pam then.
+    BudgetExceededError past the budget (use k_means_pam then), and
+    InvalidArgumentError where _powered refuses dist.
 
-    The powered matrix pw = dist**p is built once, and the sets are searched
-    depth first over their sorted prefixes.  A prefix q costs every set
-    q + (c,) with c > q[-1] in one step: dist is exactly symmetric, so those
-    sets serve min(served_q, pw[c]), contiguous rows of pw.  Shorter
+    pw = _powered(dist, p) is built once, and the sets are searched depth
+    first over their sorted prefixes.  A prefix q costs every set q + (c,)
+    with c > q[-1] in one step: dist is exactly symmetric, so those sets
+    serve min(served_q, pw[c]), contiguous rows of pw.  Shorter
     prefixes keep their block, because its row i is what child i serves; at
     the root the block is pw itself.  The children of a prefix two centers
     short of k cost the leaves, the sets of size k, and go through _screen
@@ -541,11 +543,10 @@ def k_means_exact(
     best * (1 + tie_tol) at that moment.  best only falls, and a group's
     least is above its smallest cost, itself at least the final best, so a
     dropped leaf costs more than fl(final best * (1 + tie_tol)): it could
-    neither lower best nor join the family.  Only when dist**p overflows
-    (see _Extensions) does the kernel cost every leaf.  Every cost that is
-    compared or reported comes from _weighted_row_sums, so a set costs the
-    same bits here as in clustering_cost and PAM, whatever the search order,
-    and the objective and family are those of costing every set.
+    neither lower best nor join the family.  Every cost that is compared
+    or reported comes from _weighted_row_sums, so a set costs the same bits
+    here as in clustering_cost and PAM, whatever the search order, and the
+    objective and family are those of costing every set.
     """
     p = _check_p(p)
     if k < 1:
@@ -558,12 +559,10 @@ def k_means_exact(
             f"exact enumeration needs {count} candidates (budget {budget}); "
             "use k_means_pam"
         )
-    pw = space.dist**p
+    pw = _powered(space.dist, p, "dist")
     w = space.weights
-    ext = _Extensions(pw, w)
-    if k > 1:
-        ext.finite()  # pww and rsum, built once before the search
     depth = min(k, n)
+    ext = _Extensions(pw, w) if depth > 1 else None
     group = max(1, min(_SCREEN_ROWS, _BLOCK_ENTRIES // n))
 
     best = math.inf
@@ -623,13 +622,13 @@ def _greedy_build(ext: _Extensions, k: int) -> list:
     the centers dropped, best = inf and tol = 0: a point is dropped only
     when its kernel cost is provably above the smallest one among the
     points that are not centers, so the first argmin over the survivors is
-    the first argmin over all.  The first step serves inf everywhere, so
-    _screen bounds nothing and the kernel costs every point.
+    the first argmin over all.  The first step serves ext.top, so each
+    point costs its own row, as joining a set that serves nothing would.
     """
     pw = ext.pw
     n = pw.shape[0]
     centers: list[int] = []
-    served = np.full(n, np.inf)
+    served = ext.top.copy()
     drop = np.zeros(n, dtype=bool)
     for _ in range(k):
         low = _screen(ext, served[None, :], 0, math.inf, 0.0, drop)
@@ -651,8 +650,8 @@ def _swap_descent(ext: _Extensions, centers: list) -> tuple:
     the points whose bound is below the best so far.  A swap attaining the
     pass minimum K* < carried has low < K* <= least and K* <= the best so
     far, so it survives both filters, and the first argmin is the one
-    costing every swap gives.  With one center every served row is inf,
-    _screen bounds nothing, and the kernel costs every point.  The
+    costing every swap gives.  With one center the second nearest is
+    ext.top, so a swap costs the new point's row alone.  The
     acceptance baseline is carried over from the last accepted swap, not
     recomputed from the new centers.  Both routes reduce the same row with
     the same kernel and agree bit for bit, but the carried baseline alone
@@ -670,7 +669,7 @@ def _swap_descent(ext: _Extensions, centers: list) -> tuple:
         cols = np.arange(n)
         d1 = sub[order[0], cols]
         near = idx[order[0]]
-        d2 = sub[order[1], cols] if len(centers) > 1 else np.full(n, np.inf)
+        d2 = sub[order[1], cols] if len(centers) > 1 else ext.top
         cost = float(_weighted_row_sums(d1[None, :], w)[0])
         if carried is None:
             carried = cost
@@ -705,9 +704,10 @@ def k_means_pam(
 
     Restart 0 starts from the deterministic greedy build; later restarts start
     from random k-subsets drawn from a per-restart stream.  The returned
-    objective can only be >= the exact one.
+    objective can only be >= the exact one.  Raises InvalidArgumentError
+    where _powered refuses dist.
 
-    dist**p and, for k > 1, the screen's arrays are built once; each greedy
+    _powered(dist, p) and the screen's arrays are built once; each greedy
     step and each swap pass makes one _screen call (see _swap_descent).  When
     restarts * k * n^2 reaches _FORK_PAM_ENTRIES = 3 * 2^20 the restarts
     are dealt round-robin to forked workers, at most MM_THREADS of them (see
@@ -722,9 +722,7 @@ def k_means_pam(
     if restarts < 1:
         raise InvalidArgumentError("restarts must be >= 1")
     tie_tol = _check_tol(tie_tol, "tie_tol")
-    ext = _Extensions(space.dist**p, space.weights)
-    if k > 1:
-        ext.finite()  # pww and rsum, built once before any fork
+    ext = _Extensions(_powered(space.dist, p, "dist"), space.weights)  # before any fork
 
     def share(j, workers):
         out = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .space import CenterSet, FiniteMetricMeasureSpace, _center_indices, _pairwise
+from .space import CenterSet, FiniteMetricMeasureSpace, _center_indices, _check_tol, _pairwise
 
 
 @dataclass
@@ -54,10 +54,9 @@ def enlarged_cell(space: FiniteMetricMeasureSpace, centers, center: int, delta: 
     """Points within delta of preferring ``center`` over every other center.
 
     delta = 0 recovers the ordinary (non-strict) cell.  Monotone in delta and
-    equal to the whole space once delta reaches the diameter.
+    equal to the whole space once delta reaches the diameter; delta is read by _check_tol.
     """
-    if not delta >= 0:
-        raise InvalidArgumentError("delta must be >= 0")
+    delta = _check_tol(delta, "delta")
     idx = _center_indices(space, centers)
     j = _position(idx, center)
     return np.flatnonzero(_cell_mask(space.dist[:, idx], delta)[:, j]).tolist()

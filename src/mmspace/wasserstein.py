@@ -40,7 +40,7 @@ from .diffusion import (
 from . import geodesic
 from .errors import InvalidArgumentError, SolverError
 from .geodesic import fermat_distance_matrix, fermat_scaled, isomap_distance_matrix
-from .space import FiniteMetricMeasureSpace, KMeansSolution, _as_metric_matrix, _as_weights, _check_p, _k_means
+from .space import FiniteMetricMeasureSpace, KMeansSolution, _as_metric_matrix, _as_weights, _check_p, _k_means, _powered
 
 MASS_TOL = 1e-12
 
@@ -113,8 +113,8 @@ def wasserstein_distance(ground: np.ndarray, a: DiscreteMeasure, b: DiscreteMeas
     dual check certifies it, which it does on line metrics.  Otherwise two
     uniform measures with equal atom counts, or whose atom counts have
     lcm L <= _ASSIGNMENT_MAX_L, are solved by an L x L assignment; every
-    other pair by the transportation LP.  All three are exact.  The closed
-    forms live in the tests as an independent route.
+    other pair by the transportation LP.  All three are exact, on costs from
+    space._powered.  The closed forms live in the tests as another route.
     """
     return _wasserstein(_as_metric_matrix(ground, "ground metric"), a, b, p)
 
@@ -142,7 +142,7 @@ def _wasserstein(g: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float
     from scipy.optimize import linear_sum_assignment, linprog
 
     na, nb = ai.size, bj.size
-    cost = g[np.ix_(ai, bj)] ** p
+    cost = _powered(g[np.ix_(ai, bj)], p, "ground metric")
     steps = math.lcm(na, nb)
     if uniform and (steps <= _ASSIGNMENT_MAX_L or na == nb):
         split = np.repeat(np.repeat(cost, steps // na, axis=0), steps // nb, axis=1)
@@ -181,7 +181,7 @@ def _monotone(g: np.ndarray, ai: np.ndarray, bj: np.ndarray, p: float) -> float 
     key = g[union[np.argmax(g[union[0], union])]]
     ai = ai[np.lexsort((ai, key[ai]))]
     bj = bj[np.lexsort((bj, key[bj]))]
-    return _northwest(g[np.ix_(ai, bj)] ** p)
+    return _northwest(_powered(g[np.ix_(ai, bj)], p, "ground metric"))
 
 
 def _staircase(na: int, nb: int):

@@ -263,6 +263,37 @@ class TestVoronoi:
         assert set(doc["thresholds"]) == {"0", "2"}
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    def test_every_exit_0_stdout_is_strict_json(self, tmp_path, capsys):
+        line = tmp_path / "m.csv"
+        write_matrix_csv(line, ["x", "y", "z"], np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]))
+        groups = []
+        for i, center in enumerate((0.0, 5.0, 10.0)):
+            groups.append(str(tmp_path / f"g{i}.csv"))
+            write_line_cloud(groups[-1], np.random.default_rng(i).normal(center, 0.1, size=6))
+        commands = [
+            ["validate", "--in", str(line)],
+            ["wkmeans", "--groups", *groups, "--k", "2"],
+            ["fpp", "--dim", "2", "--law", "det:1", "--t", "3"],
+        ]
+        for k in ("1", "2", "3"):
+            commands += [["kmeans", "--space", str(line), "--k", k], ["kmeans", "--space", str(line), "--k", k, "--pam"]]
+        for centers in ("1", "0,2"):
+            voronoi = ["voronoi", "--space", str(line), "--centers", centers]
+            commands += [voronoi, voronoi + ["--delta", "0.5"]]
+        for argv in commands:
+            code, out = run_cli(capsys, *argv)
+            assert code == 0, argv
+            doc = json.loads(out, parse_constant=refuse_constant)
+            if argv[0] == "voronoi" and argv[4] == "1":
+                # one center's cell is the whole space: its threshold is inf in the library
+                assert doc["thresholds"] == {"1": None}
+
+
 class TestWkmeans:
     def test_central_medoid(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -524,6 +555,10 @@ NOT_UTF8 = b"0,\xff\r\n"
 EXPERIMENT = ["experiment", "--config", "{d}/e.ini", "--out", "{d}/r"]
 KMEANS_JSON = ["kmeans", "--k", "1", "--space", "{d}/s.json"]
 ONE_POINT = b"a\r\n0.0\r\n"
+# a 3-point line whose squared distances overflow, and a 3-point matrix whose
+# entries leave no room for the triangle pass's differences
+HUGE_LINE = b"a,b,c\r\n0.0,1e+200,2e+200\r\n1e+200,0.0,1e+200\r\n2e+200,1e+200,0.0\r\n"
+HUGE_TRIANGLE = b"a,b,c\r\n0.0,1.7e+308,1.7e+308\r\n1.7e+308,0.0,1.7e+308\r\n1.7e+308,1.7e+308,0.0\r\n"
 # a 76-byte binary matrix whose header claims n points
 def claiming(n):
     return b"MMSP" + struct.pack("<Q", n) + bytes(64)
@@ -589,7 +624,20 @@ FRONT_DOOR = [
     ("kmeans-p-nan", EXPERIMENT, {"e.ini": b"[kmeans]\np = nan\n"}, "p must be a real number >= 1, got nan"),
     ("kmeans-restarts", EXPERIMENT, {"e.ini": b"[kmeans]\nsolver = pam\nrestarts = 0\n"}, "restarts must be >= 1"),
     ("voronoi-delta-nan", ["voronoi", "--centers", "0", "--delta", "nan", "--space", "{d}/m.csv"], {"m.csv": ONE_POINT},
-     "delta must be >= 0"),
+     "delta must be a finite real number >= 0, got nan"),
+    ("voronoi-delta-inf", ["voronoi", "--centers", "0", "--delta", "inf", "--space", "{d}/m.csv"], {"m.csv": ONE_POINT},
+     "delta must be a finite real number >= 0, got inf"),
+    ("validate-room-asymmetric", ["validate", "--in", "{d}/m.csv"], {"m.csv": b"a,b\r\n0.0,1.7e308\r\n-1.7e308,0.0\r\n"},
+     "matrix is too large: 4 x its largest entry overflows float64"),
+    ("validate-room-symmetric", ["validate", "--in", "{d}/m.csv"], {"m.csv": HUGE_TRIANGLE},
+     "matrix is too large: 4 x its largest entry overflows float64"),
+    ("kmeans-power-overflows", ["kmeans", "--k", "2", "--space", "{d}/m.csv"], {"m.csv": HUGE_LINE},
+     "dist to the power p = 2.0 is too large: 4 x its largest entry overflows float64"),
+    ("kmeans-pam-power-overflows", ["kmeans", "--k", "2", "--pam", "--space", "{d}/m.csv"], {"m.csv": HUGE_LINE},
+     "dist to the power p = 2.0 is too large: 4 x its largest entry overflows float64"),
+    ("wkmeans-power-overflows", ["wkmeans", "--groups", "{d}/a.csv", "{d}/b.csv", "--k", "1"],
+     {"a.csv": b"0.0\r\n1e+200\r\n", "b.csv": b"2e+200\r\n3e+200\r\n"},
+     "ground metric to the power p = 2.0 is too large: 4 x its largest entry overflows float64"),
     ("validate-tol-nan", ["validate", "--tol", "nan", "--in", "{d}/m.csv"], {"m.csv": ONE_POINT},
      "tol must be a finite real number >= 0, got nan"),
     ("validate-tol-negative", ["validate", "--tol", "-1", "--in", "{d}/m.csv"], {"m.csv": ONE_POINT},

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -602,7 +603,7 @@ def oracle_space(kind, n, rng):
         cloud = sample("circle", n, int(rng.integers(1000)))
         return FiniteMetricMeasureSpace.uniform(list(range(n)), isomap_distance_matrix(cloud, 2.5))
     if kind == "overflow":
-        # dist**p is inf for p >= 2, nan under the zero weight in the kernel
+        # dist**p overflows for p >= 2, and only that is refused
         space = random_space(rng, n)[0]
         w = space.weights.copy()
         w[1] = 0.0
@@ -613,8 +614,7 @@ def oracle_space(kind, n, rng):
 class TestScreenedSolversMatchParent:
     """Objective bits and families of the screened solvers are those of costing every candidate."""
 
-    @pytest.mark.parametrize("kind", ["random", "integer_ties", "zero_weights", "circle_isomap", "overflow"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("kind", ["random", "integer_ties", "zero_weights", "circle_isomap"])
     def test_exact_and_pam(self, kind):
         rng = np.random.default_rng(len(kind))
         for n, ks in ((7, (1, 2, 3, 4)), (16, (1, 2, 3, 4)), (40, (2, 3))):
@@ -630,28 +630,26 @@ class TestScreenedSolversMatchParent:
                     assert solution_bits(got) == solution_bits(want), (n, p, k)
 
     @pytest.mark.parametrize("n", [3, 9, 30])
-    @pytest.mark.parametrize("kind", ["random", "overflow"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("kind", ["random"])
     def test_screen_runs_by_default(self, monkeypatch, kind, n):
-        # there is no size crossover: with k >= 2 every solve whose dist**p
-        # is finite screens, however small the space, and one whose dist**p
-        # overflows never does; k = 1 never builds the screen's arrays.  A
-        # screen pass is one cdist call: PAM's greedy steps screen one row,
-        # its swap passes all k rows at once
+        # there is no size crossover and no unbounded mode: exact screens,
+        # and builds the screen's arrays, iff k >= 2, however small the
+        # space; PAM does at every k.  A screen pass is one cdist call:
+        # PAM's k greedy steps screen one row, its swap passes all k rows
         passes, built = [], []
-        real_cdist, finite = space_module.cdist, space_module._Extensions.finite
+        real_cdist, real_init = space_module.cdist, space_module._Extensions.__init__
 
         def counted_cdist(xa, xb, metric, *args, **kwargs):
             if metric == "cityblock":
                 passes.append(xa.shape[0])
             return real_cdist(xa, xb, metric, *args, **kwargs)
 
-        def counted_finite(ext):
+        def counted_init(ext, pw, w):
             built.append(ext)
-            return finite(ext)
+            real_init(ext, pw, w)
 
         monkeypatch.setattr(space_module, "cdist", counted_cdist)
-        monkeypatch.setattr(space_module._Extensions, "finite", counted_finite)
+        monkeypatch.setattr(space_module._Extensions, "__init__", counted_init)
         space = oracle_space(kind, n, np.random.default_rng(n))
         solvers = [
             ("exact", lambda k: k_means_exact(space, k, 2.0), lambda k: k_means_exact_oracle(space, k, 2.0)),
@@ -662,13 +660,64 @@ class TestScreenedSolversMatchParent:
                 passes.clear()
                 built.clear()
                 got = solve(k)
-                assert bool(passes) == (k > 1 and kind != "overflow"), (k, passes)
-                assert bool(built) == (k > 1)
-                if name == "pam" and passes:
-                    # k - 1 greedy steps, then at least one pass per restart
-                    assert passes[:k - 1] == [1] * (k - 1) and passes[k - 1:].count(k) >= 3
+                screens = name == "pam" or k > 1
+                assert bool(passes) == screens and len(built) == screens, (name, k, passes)
+                if name == "pam":
+                    # k greedy steps, then at least one pass per restart
+                    assert passes[:k] == [1] * k and passes[k:].count(k) >= 3
                     assert set(passes) == {1, k}
                 assert solution_bits(got) == solution_bits(oracle(k))
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_overflow_is_an_argument_error(self, p):
+        # a dist whose p-th power overflows has no finite cost to minimize
+        space = oracle_space("overflow", 7, np.random.default_rng(7))
+        message = f"^dist to the power p = {p!r} is too large: 4 x its largest entry overflows float64$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (
+                lambda: k_means_exact(space, 2, p),
+                lambda: k_means_pam(space, 2, p),
+                lambda: clustering_cost(space, [0, 1], p),
+            ):
+                with pytest.raises(InvalidArgumentError, match=message):
+                    solve()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_bound_on_the_powered_matrix(self, p):
+        # just below max(dist)^p = 2^1022 both solvers give the oracles' bits
+        # with no warning; from 2^1022 on 4 max(dist)^p overflows, refused
+        limit = 2.0**1022
+        top = limit ** (1.0 / p)
+        while top**p >= limit:
+            top = float(np.nextafter(top, 0.0))
+        while float(np.nextafter(top, math.inf)) ** p < limit:
+            top = float(np.nextafter(top, math.inf))
+        base = oracle_space("random", 12, np.random.default_rng(12))
+        unit = base.dist / base.dist.max()
+
+        def scaled(largest):
+            space = FiniteMetricMeasureSpace(base.labels, unit * largest, base.weights)
+            assert space.dist.max() == largest
+            return space
+
+        space = scaled(top)
+        assert (space.dist**p).max() < limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (1, 2, 3):
+                for tie_tol in (0.0, 1e-9):
+                    got = k_means_exact(space, k, p, tie_tol=tie_tol)
+                    assert solution_bits(got) == solution_bits(k_means_exact_oracle(space, k, p, tie_tol=tie_tol))
+                got = k_means_pam(space, k, p, restarts=3, seed=k)
+                assert solution_bits(got) == solution_bits(k_means_pam_oracle(space, k, p, restarts=3, seed=k))
+            assert math.isfinite(clustering_cost(space, [0], p))
+            space = scaled(float(np.nextafter(top, math.inf)))
+            for solve in (k_means_exact, k_means_pam):
+                with pytest.raises(InvalidArgumentError, match="is too large"):
+                    solve(space, 2, p)
+            with pytest.raises(InvalidArgumentError, match="is too large"):
+                clustering_cost(space, range(12), p)
 
     @pytest.mark.parametrize("kind", ["random", "integer_ties", "circle_isomap"])
     def test_at_n_300(self, kind):
@@ -696,12 +745,12 @@ class TestScreenBound:
         w[rng.random(n) < 0.2] = 0.0
         pw = (space.dist * scale) ** 2.0
         ext = space_module._Extensions(pw, w)
-        assert ext.finite()
         for size in (1, 2, 3):
             first = int(rng.integers(0, n)) if mask == "tri" else 0
+            # the last row is a set that serves nothing
             served = np.stack([
                 pw[rng.choice(n, size=size, replace=False)].min(axis=0) for _ in range(min(5, n - first))
-            ])
+            ] + [ext.top])
             if mask == "tri":
                 drop = np.tri(served.shape[0], n - first, -1, dtype=bool)
             else:

@@ -135,6 +135,22 @@ class TestWassersteinDistance:
             with pytest.raises(InvalidArgumentError, match="finite and nonnegative"):
                 wasserstein_space([a, b], ground, 2.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_ground_whose_power_overflows_is_typed_on_both_routes(self):
+        # 1e200 squared overflows: the monotone path gave nan and the LP inf
+        ground = line_ground(np.arange(6.0)) * 1e200
+        uniform = (DiscreteMeasure.from_points([0, 1, 2]), DiscreteMeasure.from_points([3, 4, 5]))
+        weighted = (
+            DiscreteMeasure((0, 1, 2), np.array([0.5, 0.25, 0.25])),
+            DiscreteMeasure((3, 4, 5), np.array([0.2, 0.3, 0.5])),
+        )
+        message = "^ground metric to the power p = 2.0 is too large: 4 x its largest entry overflows float64$"
+        for a, b in (uniform, weighted):
+            with pytest.raises(InvalidArgumentError, match=message):
+                wasserstein_distance(ground, a, b, 2.0)
+            with pytest.raises(InvalidArgumentError, match=message):
+                wasserstein_space([a, b], ground, 2.0)
+
 
     def test_space_checks_the_ground_once(self, monkeypatch):
         # the space's matrix is wasserstein_distance pair by pair, bit for
