@@ -71,36 +71,41 @@ _TINY = 2.0**-500
 _FOLD_ENTRIES = 1 << 18
 
 
-def euclidean_matrix(cloud: PointCloud | np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distance matrix of a cloud.
+def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The one Euclidean kernel: distances from the points a to the points b.
 
     cdist squares each coordinate gap, so a distance past about 1.3e154
     reads inf, and one below about 1.5e-154 loses bits or reads 0, although
-    each is a finite float.  Only then are those entries recomputed by
-    folding the coordinate gaps together with np.hypot, which scales each
-    pair, so no entry overflows unless a gap or the distance itself does,
-    and no small one underflows: the whole matrix after an overflow, the
-    off-diagonal entries below _TINY otherwise (exact duplicates among
-    them, which stay 0).  Other entries keep cdist's bits.  The fold runs
-    in place, in row blocks of about _FOLD_ENTRIES entries, so it holds a
-    few MB beside the matrix however many entries it recomputes.
+    each is a finite float.  Only then are entries refolded from the gaps by
+    np.hypot, which scales each pair, so none overflows unless a gap or the
+    distance does, and none underflows: the whole matrix after an overflow,
+    the entries below _TINY otherwise (exact duplicates stay 0; when a is b,
+    the diagonal is skipped).  Other entries keep cdist's bits.  The fold
+    runs in place, in row blocks of about _FOLD_ENTRIES entries, so it holds
+    a few MB beside the matrix however many entries it recomputes.
     """
-    pts = cloud.points if isinstance(cloud, PointCloud) else _as_points(cloud, "cloud")
-    d = cdist(pts, pts)
-    overflow = not np.all(np.isfinite(d))
-    n = pts.shape[0]
-    step = max(1, _FOLD_ENTRIES // max(n, 1))
-    with np.errstate(over="ignore"):
-        for lo in range(0, n, step):
-            block = d[lo : lo + step]
-            if not overflow:
-                redo = block < _TINY
+    d = cdist(a, b)
+    overflow = d.max() == np.inf
+    step = max(1, _FOLD_ENTRIES // b.shape[0])
+    for lo in range(0, a.shape[0], step):
+        block = d[lo : lo + step]
+        if not overflow:
+            redo = block < _TINY
+            if a is b:
                 np.fill_diagonal(redo[:, lo:], False)
-                if not redo.any():
-                    continue
-            fold = np.abs(np.subtract.outer(pts[lo : lo + step, 0], pts[:, 0]))
-            for k in range(1, pts.shape[1]):
-                np.hypot(fold, np.subtract.outer(pts[lo : lo + step, k], pts[:, k]), out=fold)
-            np.copyto(block, fold, where=True if overflow else redo)
+            if not redo.any():
+                continue
+        with np.errstate(over="ignore"):
+            fold = np.abs(np.subtract.outer(a[lo : lo + step, 0], b[:, 0]))
+            for k in range(1, a.shape[1]):
+                np.hypot(fold, np.subtract.outer(a[lo : lo + step, k], b[:, k]), out=fold)
+        np.copyto(block, fold, where=True if overflow else redo)
+    return d
+
+
+def euclidean_matrix(cloud: PointCloud | np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distance matrix of a cloud, by _euclidean, diagonal 0."""
+    pts = cloud.points if isinstance(cloud, PointCloud) else _as_points(cloud, "cloud")
+    d = _euclidean(pts, pts)
     np.fill_diagonal(d, 0.0)
     return d

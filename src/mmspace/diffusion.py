@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from .cloud import PointCloud
+from .cloud import PointCloud, euclidean_matrix
 from .errors import InvalidArgumentError
 from .space import _as_square
 
@@ -127,7 +127,7 @@ def spectral_embedding(lap: np.ndarray, k: int, t: float) -> np.ndarray:
 
 
 def diffusion_distance_matrix(embedding: np.ndarray, merge_tol: float | None = None):
-    """Pairwise Euclidean distances of embedded points plus quotient classes.
+    """Pairwise Euclidean distances (euclidean_matrix) of embedded points plus quotient classes.
 
     Diffusion distance is only a pseudometric: points the diffusion cannot
     separate sit at distance ~0.  Classes are the connected components of
@@ -137,16 +137,13 @@ def diffusion_distance_matrix(embedding: np.ndarray, merge_tol: float | None = N
     representatives the induced matrix is a true metric.
     """
     emb = np.asarray(embedding, dtype=np.float64)
-    if emb.ndim != 2:
-        raise InvalidArgumentError("embedding must be an (n, k) array")
+    if emb.ndim != 2 or 0 in emb.shape:
+        raise InvalidArgumentError("embedding must be a nonempty (n, k) array")
     if not np.all(np.isfinite(emb)):
         raise InvalidArgumentError("embedding must be finite")
-    n = emb.shape[0]
     if merge_tol is None:
-        spread = float((emb.max(axis=0) - emb.min(axis=0)).max()) if n > 0 else 0.0
-        merge_tol = 1e-10 * spread
-    d = cdist(emb, emb)
-    np.fill_diagonal(d, 0.0)
+        merge_tol = 1e-10 * float((emb.max(axis=0) - emb.min(axis=0)).max())
+    d = euclidean_matrix(emb)
 
     ncomp, labels = connected_components(csr_matrix(d <= merge_tol), directed=False)
     classes = [np.flatnonzero(labels == c).tolist() for c in range(ncomp)]

@@ -98,11 +98,13 @@ def _graph_distances(
 
     edges is called with no arguments and returns (rows, cols, weights), one
     entry per edge between vertices in [0, m); it runs only after the size
-    check, so it may build m x m arrays.  Each edge is stored explicitly, so
-    zero and tiny weights stay edges; where both (i, j) and (j, i) are listed
-    the smaller weight counts.  members maps the n points onto the m vertices
-    (duplicates share a vertex); None means one vertex per point.  The result
-    is n x n over the points.
+    check, so it may build m x m arrays.  Weights are finite: isomap and
+    eps-net edges are at most eps, and Fermat's come from space._powered.
+    Each edge is stored explicitly, so zero and tiny weights stay edges;
+    where both (i, j) and (j, i) are listed the smaller weight counts.
+    members maps the n points onto the m vertices (duplicates share a
+    vertex); None means one vertex per point.  The result is n x n over the
+    points.
 
     candidate, when given, is called after edges with no arguments and
     returns None or the vertex order of a path H through all m vertices to
@@ -129,8 +131,7 @@ def _graph_distances(
     that expands vertices to points; Floyd-Warshall's matrix is exactly
     symmetric in any numbering, and so is the gathered one.
 
-    Raises BudgetExceededError when n exceeds MAX_GRAPH_POINTS,
-    InvalidArgumentError when a weight overflows to inf, and
+    Raises BudgetExceededError when n exceeds MAX_GRAPH_POINTS, and
     DisconnectedGraphError, carrying the point index sets of the components
     and naming knob, when the graph does not connect.
     """
@@ -156,10 +157,6 @@ def _vertex_distances(m: int, edges, knob: str, members, candidate) -> tuple:
     vertices, vertex v at row rank[v] of dist, or at row v when rank is
     None."""
     rows, cols, weights = edges()
-    if not np.all(np.isfinite(weights)):
-        raise InvalidArgumentError(
-            "graph edge weights overflow float64; rescale the points"
-        )
     order = None if candidate is None else candidate()
     dist = None if order is None else _certified(m, rows, cols, weights, order)
     if dist is not None:
@@ -239,7 +236,7 @@ def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = No
     the complete-graph matrix only when knn is large enough; check that on a
     moderate instance before relying on it at scale.  Raises
     DisconnectedGraphError if the restriction disconnects the cloud, and
-    InvalidArgumentError when a weight |step|^alpha overflows float64.
+    space._powered's InvalidArgumentError when fl(4 max |step|^alpha) overflows.
     Duplicate points are collapsed before the shortest-path pass and
     re-expanded, so exact duplicates sit at distance zero as they should.
     The complete graph of a 1-D cloud tries its sorted-neighbour chain as
@@ -261,9 +258,9 @@ def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = No
         else:
             rows = np.repeat(np.arange(m), knn)
             cols = np.argsort(e, axis=1, kind="stable")[:, 1 : knn + 1].ravel()
-        # an overflow reads inf, which the graph core rejects
-        with np.errstate(over="ignore"):
-            return rows, cols, e[rows, cols] ** alpha
+        from .space import _powered  # at call time: space imports this module
+
+        return rows, cols, _powered(e[rows, cols], alpha, "Fermat edge lengths")
 
     candidate = partial(_chain, uniq) if knn is None and dim == 1 else None
     return _graph_distances(pts.shape[0], edges, f"knn={knn}", inv, candidate)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .cloud import _as_points, euclidean_matrix
+from .cloud import _as_points, _euclidean, euclidean_matrix
 from .errors import InvalidArgumentError
 from .geodesic import _graph_distances
 from .samplers import _arc_gaps, _circle_angles, _circle_covering_radius, circle_arc_metric
@@ -106,9 +105,11 @@ def quantize(
         # after max_iter updates or one that moved no center by over 1e-12,
         # only evaluates them
         for it in itertools.count():
-            dist = cdist(pts, centers)
+            dist = _euclidean(pts, centers)
             assign = np.argmin(dist, axis=1)
-            powcost = float(_weighted_row_sums((dist[np.arange(n), assign] ** p)[None, :], w)[0])
+            # a cost that overflows reads inf, which no restart keeps
+            with np.errstate(over="ignore"):
+                powcost = float(_weighted_row_sums((dist[np.arange(n), assign] ** p)[None, :], w)[0])
             trace.append(powcost ** (1.0 / p))
             if it >= max_iter or moved <= 1e-12:
                 break
@@ -133,8 +134,7 @@ def quantize(
 
     order = np.lexsort(best_centers.T[::-1])
     centers = best_centers[order]
-    dist = cdist(pts, centers)
-    assign = np.argmin(dist, axis=1)
+    assign = np.argmin(_euclidean(pts, centers), axis=1)
     masses = np.zeros(n_centers)
     np.add.at(masses, assign, w)
     return QuantizeResult(

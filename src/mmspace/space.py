@@ -17,7 +17,7 @@ from scipy.spatial.distance import cdist
 
 from . import geodesic
 from ._fork import fork_join
-from .cloud import _as_points, _floats
+from .cloud import _as_points, _euclidean, _floats
 from .errors import BudgetExceededError, InvalidArgumentError
 
 DEFAULT_TIE_TOL = 1e-9
@@ -777,7 +777,7 @@ def _k_means(
 
 
 def _pairwise(a_points, b_points, a_name: str = "a_points", b_name: str = "b_points") -> np.ndarray:
-    """Euclidean distance matrix between two point sets in R^D.
+    """Euclidean distance matrix between two point sets in R^D, by cloud._euclidean.
 
     Each set is read by the point-set rule (cloud._as_points), whose errors
     name it a_name or b_name.
@@ -785,7 +785,7 @@ def _pairwise(a_points, b_points, a_name: str = "a_points", b_name: str = "b_poi
     a, b = _as_points(a_points, a_name), _as_points(b_points, b_name)
     if a.shape[1] != b.shape[1]:
         raise InvalidArgumentError(f"point sets differ in dimension: D={a.shape[1]} vs D={b.shape[1]}")
-    return cdist(a, b)
+    return _euclidean(a, b)
 
 
 def _hausdorff(d: np.ndarray) -> float:

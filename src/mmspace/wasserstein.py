@@ -121,7 +121,14 @@ def wasserstein_distance(ground: np.ndarray, a: DiscreteMeasure, b: DiscreteMeas
 
 def _wasserstein(g: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float) -> float:
     """wasserstein_distance on a ground metric g that space._as_metric_matrix
-    has passed, exactly symmetric so that W(a, b) = W(b, a)."""
+    has passed, exactly symmetric so that W(a, b) = W(b, a).
+
+    The assignment and the LP solve the pair's cost block scaled by 2^-e,
+    e the binary exponent of its largest entry, and scale the result back
+    by 2^e.  That is exact in the normal range, so those bits are the
+    unscaled block's, and no cost reaches HiGHS's infinite cost of 1e20 or
+    overflows the assignment's sum.
+    """
     p = _check_p(p)
     n = g.shape[0]
     for meas in (a, b):
@@ -143,11 +150,13 @@ def _wasserstein(g: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float
 
     na, nb = ai.size, bj.size
     cost = _powered(g[np.ix_(ai, bj)], p, "ground metric")
+    e = math.frexp(float(cost.max()))[1]
+    cost = np.ldexp(cost, -e)
     steps = math.lcm(na, nb)
     if uniform and (steps <= _ASSIGNMENT_MAX_L or na == nb):
         split = np.repeat(np.repeat(cost, steps // na, axis=0), steps // nb, axis=1)
         rows, cols = linear_sum_assignment(split)
-        return float(split[rows, cols].sum() / steps) ** (1.0 / p)
+        return math.ldexp(float(split[rows, cols].sum() / steps), e) ** (1.0 / p)
 
     var = np.arange(na * nb)
     rows = np.concatenate([np.repeat(np.arange(na), nb), na + np.tile(np.arange(nb), na)])
@@ -161,8 +170,7 @@ def _wasserstein(g: np.ndarray, a: DiscreteMeasure, b: DiscreteMeasure, p: float
         raise SolverError(
             f"transport LP failed (status {res.status}): {res.message}"
         )
-    obj = max(float(res.fun), 0.0)
-    return obj ** (1.0 / p)
+    return math.ldexp(max(float(res.fun), 0.0), e) ** (1.0 / p)
 
 
 def _monotone(g: np.ndarray, ai: np.ndarray, bj: np.ndarray, p: float) -> float | None:
@@ -218,7 +226,11 @@ def _northwest(cost: np.ndarray) -> float | None:
     least -4 (K + 3) 2^-53 (C + P), which covers both: an optimal staircase
     is never turned away by rounding, and an accepted one is within twice
     that of the optimum, per unit of mass.  The cost is then sum(flow * c)
-    / (na * nb), the sum correctly rounded by math.fsum.
+    / (na * nb), the sum correctly rounded by math.fsum.  The path costs are
+    scaled by 2^-e, e the binary exponent of the largest, before the sum and
+    by 2^e after the division, so no flow times a cost near the float64 limit
+    overflows the sum; a power of two scales exactly, so elsewhere the bits
+    are the unscaled sum's.
     """
     na, nb = cost.shape
     rows, cols, flows = _staircase(na, nb)
@@ -238,7 +250,8 @@ def _northwest(cost: np.ndarray) -> float | None:
     slack = 4.0 * (na + nb + 2) * 2.0**-53 * (float(cost.max()) + top)
     if float(reduced.min()) < -slack:
         return None
-    return math.fsum((flows * path).tolist()) / (na * nb)
+    e = math.frexp(float(path.max()))[1]
+    return math.ldexp(math.fsum((flows * np.ldexp(path, -e)).tolist()) / (na * nb), e)
 
 
 def wasserstein_space(

@@ -638,6 +638,9 @@ FRONT_DOOR = [
     ("wkmeans-power-overflows", ["wkmeans", "--groups", "{d}/a.csv", "{d}/b.csv", "--k", "1"],
      {"a.csv": b"0.0\r\n1e+200\r\n", "b.csv": b"2e+200\r\n3e+200\r\n"},
      "ground metric to the power p = 2.0 is too large: 4 x its largest entry overflows float64"),
+    ("dist-fermat-power", ["dist", "--method", "fermat", "--alpha", "2", "--in", "{d}/c.csv", "--out", "{d}/d.csv"],
+     {"c.csv": b"0.0\n" + repr(2.0**511).encode() + b"\n"},
+     "Fermat edge lengths to the power p = 2.0 is too large: 4 x its largest entry overflows float64"),
     ("validate-tol-nan", ["validate", "--tol", "nan", "--in", "{d}/m.csv"], {"m.csv": ONE_POINT},
      "tol must be a finite real number >= 0, got nan"),
     ("validate-tol-negative", ["validate", "--tol", "-1", "--in", "{d}/m.csv"], {"m.csv": ONE_POINT},

@@ -91,3 +91,33 @@ def test_mismatched_dimension_rejected():
         one_sided_center_deviation([plane], [line])
     with pytest.raises(InvalidArgumentError):
         cluster_deviation([line], [plane])
+
+
+# cdist squares each coordinate gap, which overflows past 2^512 and loses
+# bits or reads 0 below 2^-511; every distance here is a normal float
+@pytest.mark.parametrize("e", [-1000, -600, -100, 0, 100, 500, 1000])
+def test_deviations_scale_with_their_inputs(e):
+    rng = np.random.default_rng(11)
+    a, b = rng.uniform(-1, 1, size=(5, 3)), rng.uniform(-1, 1, size=(4, 3))
+    fam_n = [rng.uniform(-1, 1, size=(2, 3)) for _ in range(3)]
+    fam_lim = [rng.uniform(-1, 1, size=(2, 3)) for _ in range(2)]
+    cases = [
+        (hausdorff_distance, a, b),
+        (one_sided_center_deviation, fam_n, fam_lim),
+        (cluster_deviation, [a, b], [b, a[:2]]),
+    ]
+    s = 2.0**e
+    for f, x, y in cases:
+        scaled = f(*[[m * s for m in arg] if isinstance(arg, list) else arg * s for arg in (x, y)])
+        want = f(x, y) * s
+        assert want > 0 and abs(scaled - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_unit_square_pair_at_extreme_scales(scale):
+    # cdist read these as inf and 0.0
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    shifted = square + [1.0, 0.0]
+    assert hausdorff_distance(square * scale, shifted * scale) == pytest.approx(scale, rel=1e-15, abs=0)
+    assert one_sided_center_deviation([square * scale], [shifted * scale]) == pytest.approx(scale, rel=1e-15, abs=0)
+    assert cluster_deviation([square * scale], [shifted * scale]) == pytest.approx(scale, rel=1e-15, abs=0)

@@ -239,6 +239,11 @@ class TestDistanceMatrix:
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidArgumentError):
             diffusion_distance_matrix(np.zeros(5))
+        # an empty embedding returned a 0 x 0 matrix, and one with no
+        # coordinates raised numpy's ValueError
+        for empty in (np.zeros((0, 3)), np.zeros((3, 0))):
+            with pytest.raises(InvalidArgumentError, match=r"^embedding must be a nonempty \(n, k\) array$"):
+                diffusion_distance_matrix(empty)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_embedding(self, bad):

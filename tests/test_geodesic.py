@@ -859,6 +859,32 @@ class TestOverflow:
         ref = cdist(pts, pts)
         assert np.array_equal(d[~same], ref[~same])
 
+    @pytest.mark.parametrize("alpha, k", [(1.5, 678), (2.0, 509), (3.0, 339)])
+    def test_fermat_weights_under_the_power_bound_keep_their_bits(self, alpha, k):
+        # the line 0, 1, 3 scaled by 2^k, k alpha an integer: the largest
+        # weight (3 2^k)^alpha is under 2^1022, so 4 times it is finite, and
+        # every weight and path sum is the unscaled one times 2^(k alpha)
+        x = np.array([0.0, 1.0, 3.0])
+        assert 2.0**1019 < (3 * 2.0**k) ** alpha < 2.0**1022
+        want = fermat_distance_matrix(cloud_1d(x), alpha) * 2.0 ** (k * alpha)
+        assert np.array_equal(fermat_distance_matrix(cloud_1d(x * 2.0**k), alpha), want)
+
+    def test_fermat_weights_in_the_plane_under_the_power_bound_keep_their_bits(self):
+        # no chain candidate in 2-D: Floyd-Warshall sums the scaled weights
+        pts = np.random.default_rng(4).uniform(size=(12, 2))
+        want = fermat_distance_matrix(PointCloud(pts), 2.0) * 2.0**1020
+        assert np.array_equal(fermat_distance_matrix(PointCloud(pts * 2.0**510), 2.0), want)
+
+    @pytest.mark.filterwarnings("error")
+    def test_fermat_weights_from_2_to_the_1022_are_refused(self):
+        # each weight is a finite float, but 4 times the largest is not
+        message = "^Fermat edge lengths to the power p = 2.0 is too large: 4 x its largest entry overflows float64$"
+        for top in (2.0**511, 3 * 2.0**510):
+            with pytest.raises(InvalidArgumentError, match=message):
+                fermat_distance_matrix(cloud_1d([0.0, top]), 2.0)
+        below = math.nextafter(2.0**511, 0.0)
+        assert fermat_distance_matrix(cloud_1d([0.0, below]), 2.0)[0, 1] == below * below < 2.0**1022
+
     def test_fermat_weight_overflow_is_named(self):
         with pytest.raises(InvalidArgumentError, match="overflow"):
             fermat_distance_matrix(cloud_1d([1e308, -1e308, 0.0]), 2.0)

@@ -104,6 +104,20 @@ class TestQuantize:
         res = quantize(np.array([-1e150, 0.0, 5e149, 1e150]), 2)
         assert math.isfinite(res.objective)
 
+    @pytest.mark.parametrize("e", [-600, -100, 0, 100, 500])
+    def test_assignment_scales_with_the_samples(self, e):
+        # one restart and one update: the stop rule (no center moved by over
+        # 1e-12) and the restart choice by cost ** p are not scale-free, so
+        # they are held fixed, and the sweep checks the assignment to the
+        # nearest center, which cdist read as all ties at 2^-600
+        rng = np.random.default_rng(3)
+        pts = np.vstack([rng.normal(size=(30, 2)) * 0.3 + c for c in ([0.0, 0.0], [4.0, 0.0], [0.0, 4.0])])
+        pts = pts[rng.permutation(len(pts))]
+        ref = quantize(pts, 3, restarts=1, max_iter=1, seed=2)
+        got = quantize(pts * 2.0**e, 3, restarts=1, max_iter=1, seed=2)
+        assert np.array_equal(got.masses, ref.masses)
+        assert np.array_equal(got.centers, ref.centers * 2.0**e)
+
 
 class TestGridMeasure:
     def test_masses_normalize(self):

@@ -151,6 +151,40 @@ class TestWassersteinDistance:
             with pytest.raises(InvalidArgumentError, match=message):
                 wasserstein_space([a, b], ground, 2.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_staircase_sum_under_the_power_bound_does_not_overflow(self):
+        # the largest squared entry, 49 x 2^1016, is under 2^1022, so
+        # _powered takes the ground; the staircase's four flows of 4 units
+        # at 2^1020 each sum past 2^1024, which math.fsum raised on
+        scale = 2.0**508
+        ground = line_ground(np.arange(8.0)) * scale
+        a, b = DiscreteMeasure.from_points([0, 1, 2, 3]), DiscreteMeasure.from_points([4, 5, 6, 7])
+        assert wasserstein_distance(ground, a, b, 2.0) == 4.0 * scale
+
+    @pytest.mark.parametrize("scale", [1e20, 1e100, 1e200])
+    def test_transport_lp_solves_large_costs(self, scale):
+        # HiGHS reads a cost of 1e20 or more as infinite, and the LP failed
+        # with "HiGHS Status 15"; it now gets the block with entries below 1
+        xs, ys = [0.0, 1.0, 2.0], [3.0, 4.0, 5.0]
+        wx, wy = [0.5, 0.25, 0.25], [0.2, 0.3, 0.5]
+        a, b = DiscreteMeasure((0, 1, 2), np.array(wx)), DiscreteMeasure((3, 4, 5), np.array(wy))
+        want = wasserstein_1d_weighted(xs, wx, ys, wy, 1.0)
+        assert want == pytest.approx(3.55, rel=1e-15)
+        got = wasserstein_distance(line_ground(xs + ys) * scale, a, b, 1.0)
+        assert got == pytest.approx(want * scale, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_assignment_sum_under_the_power_bound_does_not_overflow(self):
+        # two 8-point clusters 50 apart in the plane, scaled by 2^505: the
+        # largest squared entry is under 2^1022, but the 8 assigned costs
+        # summed past 2^1024 and the distance read inf, with a warning
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.normal(size=(8, 2)), rng.normal(size=(8, 2)) + [50.0, 0.0]])
+        ground = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        a, b = DiscreteMeasure.from_points(range(8)), DiscreteMeasure.from_points(range(8, 16))
+        scale = 2.0**505
+        assert 2.0**1021 < (ground.max() * scale) ** 2 < 2.0**1022
+        assert wasserstein_distance(ground * scale, a, b, 2.0) == wasserstein_distance(ground, a, b, 2.0) * scale
 
     def test_space_checks_the_ground_once(self, monkeypatch):
         # the space's matrix is wasserstein_distance pair by pair, bit for
