@@ -31,7 +31,7 @@ from .fpp import DEFAULT_BALL_BUDGET, DEFAULT_SHELL, EdgeWeightLaw, FppInstance,
 from .io import _space_json, _write_matrix, dump_json, read_cloud_csv, read_matrix, read_space, solution_to_dict, write_cloud_csv
 from .quantize import circle_arc_metric, epsilon_net_graph, equispaced_circle_net, quantize
 from .samplers import _generator_params, sample
-from .space import FiniteMetricMeasureSpace, _k_means, metric_validate
+from .space import FiniteMetricMeasureSpace, _check_tol, _k_means, metric_validate
 from .voronoi import enlarged_cell, enlargement_threshold, voronoi_cells
 from .wasserstein import _METRIC_PARAMS, GROUND_METHODS, _learn_metric, learned_wasserstein_kmeans
 
@@ -150,8 +150,7 @@ def cmd_fpp(args) -> int:
         ts = []  # not a list of numbers: rejected below with the other bad times
     if not ts or not all(t > 0 and math.isfinite(t) for t in ts):
         raise InvalidArgumentError(f"--t must be comma separated positive finite times, got {args.t!r}")
-    if not (args.shell >= 0 and math.isfinite(args.shell)):
-        raise InvalidArgumentError(f"--shell must be finite and >= 0, got {args.shell!r}")
+    _check_tol(args.shell, "--shell")
     law = EdgeWeightLaw.parse(args.law)
     horizon = max(ts) * (1.0 + args.shell)
     instance = FppInstance(args.dim, law, args.seed, horizon)

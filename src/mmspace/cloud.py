@@ -45,14 +45,11 @@ class PointCloud:
     intrinsic_dim: int = 0
 
     def __post_init__(self):
+        from .space import _check_count  # at call time: space imports this module
+
         self.points = pts = _as_points(self.points, "points")
-        if self.intrinsic_dim == 0:
-            self.intrinsic_dim = pts.shape[1]
-        if not 1 <= self.intrinsic_dim <= pts.shape[1]:
-            raise InvalidArgumentError(
-                "intrinsic_dim must lie in [1, ambient dimension], got "
-                f"{self.intrinsic_dim} with D={pts.shape[1]}"
-            )
+        # 0, the default, stands for the ambient dimension
+        self.intrinsic_dim = _check_count(self.intrinsic_dim or pts.shape[1], "intrinsic_dim", 1, pts.shape[1])
 
     @property
     def n(self) -> int:

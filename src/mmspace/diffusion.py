@@ -19,15 +19,14 @@ from scipy.spatial.distance import cdist
 
 from .cloud import PointCloud, euclidean_matrix
 from .errors import InvalidArgumentError
-from .space import _as_square
+from .space import _as_square, _check_count, _check_positive, _check_tol
 
 DEFAULT_GAP_TOL = 1e-8
 
 
 def similarity_matrix(cloud: PointCloud, sigma: float) -> np.ndarray:
     """Gaussian kernel exp(-|x-y|^2 / (2 sigma^2)); unit diagonal."""
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise InvalidArgumentError(f"sigma must be positive, got {sigma!r}")
+    _check_positive(sigma, "sigma")
     # Python floats round to 0 or inf where a numpy scalar would warn
     scale = 2.0 * float(sigma) * float(sigma)
     if not 0.0 < scale < math.inf:
@@ -82,8 +81,8 @@ def spectral_decomposition(
     if not np.all(np.isfinite(lap)):
         raise InvalidArgumentError("laplacian must be finite")
     n = lap.shape[0]
-    if not 1 <= k <= n:
-        raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
+    k = _check_count(k, "k", 1, n)
+    gap_tol = _check_tol(gap_tol, "gap_tol")
     vals, vecs = eigh(lap)
     if vals[0] < -1e-8 or vals[-1] > 1.0 + 1e-8:
         raise InvalidArgumentError(
@@ -110,8 +109,7 @@ def spectral_decomposition(
 
 def embedding_from_decomposition(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """Diffusion coordinates: column j is (1 - lambda_j)^t times eigenvector j."""
-    if not (t >= 0 and math.isfinite(t)):
-        raise InvalidArgumentError(f"t must be >= 0, got {t!r}")
+    t = _check_tol(t, "t")
     # clip guards (1 - lambda) < 0 at roundoff scale; 0^0 = 1 keeps t = 0 exact
     scales = np.clip(1.0 - dec.eigenvalues, 0.0, None) ** t
     return dec.eigenvectors * scales[None, :]
@@ -143,6 +141,8 @@ def diffusion_distance_matrix(embedding: np.ndarray, merge_tol: float | None = N
         raise InvalidArgumentError("embedding must be finite")
     if merge_tol is None:
         merge_tol = 1e-10 * float((emb.max(axis=0) - emb.min(axis=0)).max())
+    else:
+        merge_tol = _check_tol(merge_tol, "merge_tol")
     d = euclidean_matrix(emb)
 
     ncomp, labels = connected_components(csr_matrix(d <= merge_tol), directed=False)

@@ -35,7 +35,9 @@ from .cloud import PointCloud, _as_points
 from .errors import InvalidArgumentError, MmError
 from .io import _decoding, dump_json, read_cloud_csv
 from .samplers import GENERATORS, _generator_params, _parse_rows, covering_radius, derived_seed, sample, true_distance_matrix
-from .space import FiniteMetricMeasureSpace, _check_p, _k_means, _k_means_check, _pairwise, one_sided_center_deviation
+from .space import (
+    FiniteMetricMeasureSpace, _check_count, _check_p, _k_means, _k_means_check, _pairwise, one_sided_center_deviation,
+)
 from .voronoi import _cell_mask, cluster_deviation, voronoi_cells
 from .wasserstein import _METRIC_PARAMS, GROUND_METHODS, build_ground_metric
 
@@ -88,17 +90,16 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"unknown generator {self.generator!r}; expected one of {GENERATORS + ('file',)}")
         if self.method not in GROUND_METHODS:
             raise InvalidArgumentError(f"unknown ground method {self.method!r}; expected one of {GROUND_METHODS}")
-        if not self.sizes or any(s < 1 for s in self.sizes):
-            raise InvalidArgumentError("sizes must be positive")
-        if sorted(self.sizes) != list(self.sizes) or len(set(self.sizes)) != len(self.sizes):
+        # the numbers are checked, not stored, so the config digest keeps the values as given
+        if not self.sizes:
+            raise InvalidArgumentError("sizes must be nonempty")
+        sizes = [_check_count(s, "sizes") for s in self.sizes]
+        if sorted(set(sizes)) != sizes:
             raise InvalidArgumentError("sizes must be strictly ascending")
-        if self.trials < 1:
-            raise InvalidArgumentError("trials must be >= 1")
-        if self.k < 1:
-            raise InvalidArgumentError("k must be >= 1")
-        _check_p(self.p)  # checked, not stored, so the config digest keeps the value as given
-        if self.restarts < 1:
-            raise InvalidArgumentError("restarts must be >= 1")
+        _check_count(self.trials, "trials")
+        _check_count(self.k, "k")
+        _check_p(self.p)
+        _check_count(self.restarts, "restarts")
         _k_means_check(self.solver)
         if (self.reference, self.reference_centers is None) not in (("self", True), ("explicit", False)):
             given = "without" if self.reference_centers is None else "with"

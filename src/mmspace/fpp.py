@@ -17,15 +17,14 @@ sorted, as every output reports them; Dijkstra runs on settle numbers and its
 rows are gathered back through the permutation.  A Dijkstra distance is the
 minimum over paths of the path's sum in path order, which neither the
 renumbering nor the adjacency layout changes.  scaled_space alone builds the
-all-pairs matrix, from a growth for every law, by Dijkstra from every vertex
-of B(t).
+all-pairs matrix, for a random law by Dijkstra from every vertex of B(t).
 
 Deterministic weights need no growth and no hashing.  With S_0 = 0 and
 S_h = fl(S_{h-1} + c), T(x, y) = S_{|x - y|_1} bit for bit inside the ball,
 so B(t) is the l1 lattice ball of radius H, the largest h with S_h < t.  The
-track and shape_defect enumerate it with numpy and take every row from S;
-the budget is checked on its closed-form size first.  _balls is the one
-place that picks between this closed form and a growth.
+track, shape_defect and scaled_space enumerate it with numpy and take every
+row from S; the budget is checked on its closed-form size first.  _balls is
+the one place that picks between this closed form and a growth.
 
 shape_defect takes its metric sup as a running max over row blocks.  Against
 the closed-form l1 reference every entry keeps its bits under a change of
@@ -66,14 +65,17 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from . import geodesic
 from .errors import (
     BudgetExceededError,
     InvalidArgumentError,
     SolverError,
     UnsupportedReferenceError,
 )
-from .space import FiniteMetricMeasureSpace, _check_p, _powered, _tie_family, _weighted_row_sums
+from .geodesic import _mirror_upper
+from .space import (
+    FiniteMetricMeasureSpace, _check_count, _check_graph_size, _check_p, _check_positive, _check_tol, _int64, _powered,
+    _tie_family, _weighted_row_sums,
+)
 
 DEFAULT_BALL_BUDGET = 4000
 DEFAULT_SHELL = 0.2
@@ -120,19 +122,15 @@ class EdgeWeightLaw:
 
     @classmethod
     def deterministic(cls, c: float) -> "EdgeWeightLaw":
-        if not (c > 0 and math.isfinite(c)):
-            raise InvalidArgumentError(f"deterministic weight must be positive, got {c!r}")
-        return cls("deterministic", (float(c),))
+        return cls("deterministic", (_check_positive(c, "deterministic weight"),))
 
     @classmethod
     def exponential(cls, rate: float) -> "EdgeWeightLaw":
-        if not (rate > 0 and math.isfinite(rate)):
-            raise InvalidArgumentError(f"rate must be positive, got {rate!r}")
-        return cls("exponential", (float(rate),))
+        return cls("exponential", (_check_positive(rate, "rate"),))
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "EdgeWeightLaw":
-        if not (0 <= a < b and math.isfinite(b)):
+        if not 0 <= a < b < math.inf:
             raise InvalidArgumentError(f"uniform law needs 0 <= a < b, got ({a!r}, {b!r})")
         return cls("uniform", (float(a), float(b)))
 
@@ -177,10 +175,9 @@ class FppInstance:
     horizon: float
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise InvalidArgumentError(f"dim must be 1, 2, or 3, got {self.dim}")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise InvalidArgumentError(f"horizon must be positive, got {self.horizon!r}")
+        # stored as an int: the hash's struct format is built from it
+        object.__setattr__(self, "dim", _check_count(self.dim, "dim", 1, 3))
+        _check_positive(self.horizon, "horizon")
         if _int64(self.seed) is None:
             raise InvalidArgumentError(f"seed must be an integer in the int64 range, got {self.seed!r}")
 
@@ -191,9 +188,7 @@ class FppInstance:
         must be an integer in [0, dim); anything else raises
         InvalidArgumentError.
         """
-        index = _int64(axis)
-        if index is None or not 0 <= index < self.dim:
-            raise InvalidArgumentError(f"axis must be an integer in [0, {self.dim}), got {axis!r}")
+        index = _check_count(axis, "axis", 0, self.dim - 1)
         try:
             point = tuple(map(_int64, base))
         except TypeError:
@@ -203,16 +198,6 @@ class FppInstance:
                 f"base must be {self.dim} integer coordinates in the int64 range, got {base!r}"
             )
         return _edge_hash(self)(point, index)
-
-
-def _int64(value):
-    """value as an int when it is integral and inside the int64 range, else None;
-    the hash packs the seed, the axis and each coordinate as int64."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return n if n == value and -(1 << 63) <= n < 1 << 63 else None
 
 
 def _edge_hash(instance: FppInstance):
@@ -244,8 +229,7 @@ def _check_t(instance: FppInstance, t: float) -> None:
 
 def _check_ball(instance: FppInstance, t: float, shell: float) -> None:
     """The argument checks of a ball B(t) with its shell, in the order they apply."""
-    if not shell >= 0:
-        raise InvalidArgumentError("shell must be >= 0")
+    _check_tol(shell, "shell")
     if t * (1.0 + shell) > instance.horizon:
         raise InvalidArgumentError(
             f"t*(1+shell) = {t * (1.0 + shell)} exceeds horizon {instance.horizon}"
@@ -562,16 +546,17 @@ def scaled_space(
     detours through B(t * (1 + shell)).  Labels are the unscaled lattice
     coordinates, so point positions are recoverable from the space alone.
 
-    Dijkstra runs from every vertex of B(t); past geodesic.MAX_GRAPH_POINTS
-    vertices this raises BudgetExceededError before the rows are allocated.
-    The matrix is mirrored from its upper triangle, so it is exactly
-    symmetric, with the origin's row computed from the origin itself.
+    The ball and its rows come from _balls: the closed form for a
+    deterministic law, else Dijkstra from every vertex of B(t).  Past
+    space.MAX_GRAPH_POINTS vertices this raises BudgetExceededError before
+    the rows are allocated.  The matrix is mirrored from its upper triangle,
+    so it is exactly symmetric, with the origin's row computed from the
+    origin itself.
     """
-    _check_ball(instance, t, shell)
-    core, rows = _prefix_ball(_grow(instance, t, shell, budget), t, shell)
+    ((_, core, rows),) = _balls(instance, [t], shell, budget)
     m = len(core)
-    geodesic._check_graph_size(m, "scaled space")
-    tmat = geodesic._mirror_upper(rows(np.arange(m)))
+    _check_graph_size(m, "scaled space")
+    tmat = _mirror_upper(rows(np.arange(m)))
     labels = [",".join(map(str, v)) for v in core.tolist()]
     return FiniteMetricMeasureSpace.uniform(labels, tmat)
 
@@ -790,8 +775,7 @@ def shape_defect(
     than _GRID_BUDGET points, counted on the axis length before the axis is
     built, raises BudgetExceededError before either pass runs.
     """
-    if not (grid_factor > 0 and math.isfinite(grid_factor)):
-        raise InvalidArgumentError(f"grid_factor must be positive and finite, got {grid_factor!r}")
+    _check_positive(grid_factor, "grid_factor")
     if reference_norm is None:
         if instance.law.kind != "deterministic":
             raise UnsupportedReferenceError(

@@ -42,20 +42,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, floyd_warshall
 
 from .cloud import PointCloud, _as_points, euclidean_matrix
-from .errors import BudgetExceededError, DisconnectedGraphError, InvalidArgumentError
-
-# Largest point count the graph core and the metric dispatch accept.  Every
-# learned metric holds dense n x n float64 arrays (8 n^2 bytes each) and
-# Floyd-Warshall costs n^3, so past this a run would end in MemoryError or
-# take hours.
-MAX_GRAPH_POINTS = 10_000
-
-
-def _check_graph_size(n: int, what: str) -> None:
-    """The one graph-size rule: past MAX_GRAPH_POINTS points, a BudgetExceededError
-    naming what would have been built on them, raised before any n x n array."""
-    if n > MAX_GRAPH_POINTS:
-        raise BudgetExceededError(f"{what} on {n} points exceeds the limit of {MAX_GRAPH_POINTS}")
+from .errors import DisconnectedGraphError, InvalidArgumentError
+from .space import _check_count, _check_graph_size, _check_positive, _check_tol, _powered
 
 
 def _check_alpha(alpha: float) -> None:
@@ -73,8 +61,7 @@ class FermatParams:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.intrinsic_dim < 1:
-            raise InvalidArgumentError("intrinsic_dim must be >= 1")
+        _check_count(self.intrinsic_dim, "intrinsic_dim")
 
     @property
     def kappa(self) -> float:
@@ -131,7 +118,7 @@ def _graph_distances(
     that expands vertices to points; Floyd-Warshall's matrix is exactly
     symmetric in any numbering, and so is the gathered one.
 
-    Raises BudgetExceededError when n exceeds MAX_GRAPH_POINTS, and
+    Raises BudgetExceededError when n exceeds space.MAX_GRAPH_POINTS, and
     DisconnectedGraphError, carrying the point index sets of the components
     and naming knob, when the graph does not connect.
     """
@@ -248,8 +235,8 @@ def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = No
         raise InvalidArgumentError("need at least 2 points")
     uniq, inv = _dedupe(pts)
     m, dim = uniq.shape
-    if knn is not None and m > 1 and not 1 <= knn < m:
-        raise InvalidArgumentError(f"knn must be in [1, {m - 1}], got {knn}")
+    if knn is not None and m > 1:
+        knn = _check_count(knn, "knn", 1, m - 1)
 
     def edges():
         e = euclidean_matrix(uniq)
@@ -258,8 +245,6 @@ def fermat_distance_matrix(cloud: PointCloud, alpha: float, knn: int | None = No
         else:
             rows = np.repeat(np.arange(m), knn)
             cols = np.argsort(e, axis=1, kind="stable")[:, 1 : knn + 1].ravel()
-        from .space import _powered  # at call time: space imports this module
-
         return rows, cols, _powered(e[rows, cols], alpha, "Fermat edge lengths")
 
     candidate = partial(_chain, uniq) if knn is None and dim == 1 else None
@@ -273,8 +258,7 @@ def fermat_scaled(matrix: np.ndarray, n: int, alpha: float, intrinsic_dim: int) 
     alpha = 1 leaves the matrix unchanged.
     """
     FermatParams(alpha, intrinsic_dim)
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
+    n = _check_count(n, "n")
     # 0 exponent gives factor exactly 1.0, so alpha=1 is bitwise a no-op
     factor = float(n) ** ((alpha - 1.0) / intrinsic_dim)
     # an overflow reads inf, which the metric's finiteness check rejects
@@ -291,8 +275,7 @@ def isomap_distance_matrix(cloud: PointCloud, eps: float) -> np.ndarray:
     overflows float64.  A 1-D cloud tries its sorted-neighbour chain as the
     graph core's candidate.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise InvalidArgumentError(f"eps must be positive, got {eps!r}")
+    _check_positive(eps, "eps")
     pts = cloud.points
     if pts.shape[0] < 2:
         raise InvalidArgumentError("need at least 2 points")
@@ -349,8 +332,7 @@ def gaussian_fermat_moment_estimate(alpha: float, n_samples: int, seed: int) -> 
     the estimates grow without bound in n_samples, and this probe is how that
     divergence is observed.
     """
-    if n_samples < 1:
-        raise InvalidArgumentError("n_samples must be >= 1")
+    n_samples = _check_count(n_samples, "n_samples")
     z = np.random.default_rng(seed).standard_normal(n_samples)
     total = 0.0
     for y in z:
@@ -406,6 +388,7 @@ def curvature_condition_check(
     """
     params = FermatParams(alpha, intrinsic_dim)
     kappa = params.kappa
+    tol = _check_tol(tol, "tol")
     pts = _as_points(points, "points")
     frm = np.asarray(frames, dtype=np.float64)
     if frm.shape != (pts.shape[0], 2, pts.shape[1]):
@@ -423,9 +406,7 @@ def curvature_condition_check(
             or abs(u @ v) > gram_tol
         ):
             raise InvalidArgumentError(f"frame {i} is not orthonormal")
-        f = float(density(x))
-        if not (f > 0.0 and math.isfinite(f)):
-            raise InvalidArgumentError(f"density must be positive at sample {i}, got {f!r}")
+        f = _check_positive(float(density(x)), f"density at sample {i}")
         g = np.asarray(gradient(x), dtype=np.float64).reshape(-1)
         h = np.asarray(hessian(x), dtype=np.float64)
         lhs = (

@@ -25,7 +25,7 @@ from .cloud import _as_points, _euclidean, euclidean_matrix
 from .errors import InvalidArgumentError
 from .geodesic import _graph_distances
 from .samplers import _arc_gaps, _circle_angles, _circle_covering_radius, circle_arc_metric
-from .space import _as_metric_matrix, _as_weights, _check_p, _weighted_row_sums
+from .space import _as_metric_matrix, _as_weights, _check_count, _check_p, _check_positive, _weighted_row_sums
 
 
 @dataclass
@@ -78,12 +78,9 @@ def quantize(
     pts = _as_points(samples, "samples")
     n, dim = pts.shape
     p = _check_p(p)
-    if n_centers < 1:
-        raise InvalidArgumentError("n_centers must be >= 1")
-    if restarts < 1:
-        raise InvalidArgumentError("restarts must be >= 1")
-    if max_iter < 1:
-        raise InvalidArgumentError("max_iter must be >= 1")
+    n_centers = _check_count(n_centers, "n_centers")
+    restarts = _check_count(restarts, "restarts")
+    max_iter = _check_count(max_iter, "max_iter")
     if weights is None:
         w = np.full(n, 1.0 / n)
     else:
@@ -149,8 +146,7 @@ def grid_measure_1d(rho, a: float, b: float, grid_size: int = 4001):
     """Discretize a 1-D density on [a, b] into grid points and masses."""
     if not (a < b):
         raise InvalidArgumentError("need a < b")
-    if grid_size < 2:
-        raise InvalidArgumentError("grid_size must be >= 2")
+    grid_size = _check_count(grid_size, "grid_size", 2)
     x = np.linspace(a, b, grid_size)
     dens = _as_weights([rho(v) for v in x], grid_size, "density values")
     return x, dens / dens.sum()
@@ -207,10 +203,8 @@ def epsilon_net_graph(
     measured exactly for the circle and must be supplied otherwise.  Raises
     DisconnectedGraphError when eps fails to connect the net.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise InvalidArgumentError(f"eps must be positive, got {eps!r}")
-    if not (diam > 0 and math.isfinite(diam)):
-        raise InvalidArgumentError(f"diam must be positive, got {diam!r}")
+    _check_positive(eps, "eps")
+    _check_positive(diam, "diam")
     if isinstance(ambient_metric, str):
         if ambient_metric == "euclidean":
             pts = _as_points(net_points, "net_points")
@@ -246,8 +240,7 @@ def epsilon_net_graph(
 
 def equispaced_circle_net(m: int) -> np.ndarray:
     """m equispaced points on the unit circle, as (m, 2) coordinates."""
-    if m < 1:
-        raise InvalidArgumentError("m must be >= 1")
+    m = _check_count(m, "m")
     theta = 2.0 * math.pi * np.arange(m) / m
     return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
@@ -265,7 +258,6 @@ def density_compensation(rho_values, p: float, intrinsic_dim: int) -> np.ndarray
     if rho.min() <= 0 or not np.all(np.isfinite(rho)):
         raise InvalidArgumentError("density values must be positive and finite")
     p = _check_p(p)
-    if intrinsic_dim < 1:
-        raise InvalidArgumentError("intrinsic_dim must be >= 1")
+    intrinsic_dim = _check_count(intrinsic_dim, "intrinsic_dim")
     w = rho ** (-(p + intrinsic_dim) / intrinsic_dim)
     return w / w.sum()

@@ -14,6 +14,7 @@ import numpy as np
 
 from .cloud import PointCloud, _as_points, euclidean_matrix
 from .errors import InvalidArgumentError
+from .space import _check_count
 
 GENERATORS = ("interval", "circle", "torus", "gaussian", "mixture")
 
@@ -47,8 +48,7 @@ def sample(generator: str, n: int, seed: int, **params) -> PointCloud:
     mixture:  equal-weight isotropic Gaussian mixture with given ``centers``
               (list of points) and ``scales`` (scalar or per-component).
     """
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
+    n = _check_count(n, "n")
     if generator == "interval":
         x = stream(seed, "interval").random(n)
         return PointCloud(x, 1)
@@ -62,9 +62,7 @@ def sample(generator: str, n: int, seed: int, **params) -> PointCloud:
         pts = np.stack([np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)], axis=1)
         return PointCloud(pts, 2)
     if generator == "gaussian":
-        dim = int(params.get("dim", 1))
-        if dim < 1:
-            raise InvalidArgumentError("dim must be >= 1")
+        dim = _check_count(params.get("dim", 1), "dim")
         z = stream(seed, "normal").standard_normal((n, dim))
         return PointCloud(z, dim)
     if generator == "mixture":
@@ -194,6 +192,7 @@ def covering_radius(generator: str, cloud: PointCloud, grid_size: int = 2048) ->
     for the interval and torus.  Undefined for unbounded generators.
     """
     pts = cloud.points
+    grid_size = _check_count(grid_size, "grid_size")
     if generator == "interval":
         grid = np.linspace(0.0, 1.0, grid_size)
         return float(np.abs(grid[:, None] - pts[:, 0][None, :]).min(axis=1).max())

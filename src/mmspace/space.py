@@ -15,13 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from . import geodesic
 from ._fork import fork_join
 from .cloud import _as_points, _euclidean, _floats
 from .errors import BudgetExceededError, InvalidArgumentError
 
 DEFAULT_TIE_TOL = 1e-9
 DEFAULT_ENUM_BUDGET = 2_000_000
+# Largest point count the graph core and the metric dispatch accept.  Every
+# learned metric holds dense n x n float64 arrays (8 n^2 bytes each) and
+# Floyd-Warshall costs n^3, so past this a run would end in MemoryError or
+# take hours.
+MAX_GRAPH_POINTS = 10_000
 # numpy's einsum sums a contiguous row in one inner loop only while the row
 # fits its iterator buffer (8192 elements); longer rows are cut into column
 # blocks of this width (see _weighted_row_sums)
@@ -61,22 +65,16 @@ def _as_square(matrix, name: str) -> np.ndarray:
     return m
 
 
-def _check_symmetric(m: np.ndarray, name: str) -> None:
-    """The one symmetry rule for an explicit matrix that _as_square has passed:
-    m equals its transpose entry for entry (so -0.0 matches 0.0 and a NaN
-    matches nothing), else an InvalidArgumentError naming the argument."""
-    if not np.array_equal(m, m.T):
-        raise InvalidArgumentError(f"{name} must be exactly symmetric")
-
-
 def _as_metric_matrix(matrix, name: str) -> np.ndarray:
     """The one rule for an explicit metric matrix given as input: square
-    (_as_square), finite and nonnegative entries, and exactly symmetric
-    (_check_symmetric), else an InvalidArgumentError naming the argument."""
+    (_as_square), finite and nonnegative entries, and exactly symmetric, equal
+    to its transpose entry for entry (so -0.0 matches 0.0), else an
+    InvalidArgumentError naming the argument."""
     m = _as_square(matrix, name)
     if not np.all((m >= 0.0) & (m < np.inf)):
         raise InvalidArgumentError(f"{name} entries must be finite and nonnegative")
-    _check_symmetric(m, name)
+    if not np.array_equal(m, m.T):
+        raise InvalidArgumentError(f"{name} must be exactly symmetric")
     return m
 
 
@@ -130,7 +128,7 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     With tol=None the tolerance is 1e-9 scaled by the largest entry, which is
     the right yardstick for learned matrices carrying accumulated rounding;
     a given tol must be a finite real number >= 0 (_check_tol).
-    Past geodesic.MAX_GRAPH_POINTS points it raises BudgetExceededError
+    Past MAX_GRAPH_POINTS points it raises BudgetExceededError
     before any temporary is allocated; past _check_room, InvalidArgumentError.
 
     The triangle violation of (i, j, l) is fl(fl(d_ij - d_il) - d_lj), and
@@ -156,7 +154,7 @@ def metric_validate(matrix: np.ndarray, tol: float | None = None) -> MetricRepor
     if tol is not None:
         tol = _check_tol(tol, "tol")
     d = _as_square(matrix, "matrix")
-    geodesic._check_graph_size(d.shape[0], "metric validation")
+    _check_graph_size(d.shape[0], "metric validation")
     if not np.all(np.isfinite(d)):
         raise InvalidArgumentError("matrix must be finite")
     _check_room(max(float(d.max()), -float(d.min())), "matrix")
@@ -277,7 +275,7 @@ class FiniteMetricMeasureSpace:
     weights: np.ndarray
 
     def __post_init__(self):
-        d = np.array(_as_square(self.dist, "space"))  # a copy, as are the weights
+        d = _as_square(self.dist, "space")
         n = d.shape[0]
         try:
             labels = list(self.labels)
@@ -285,13 +283,9 @@ class FiniteMetricMeasureSpace:
             raise InvalidArgumentError(f"labels must be a sequence, got {type(self.labels).__name__}") from None
         if len(labels) != n:
             raise InvalidArgumentError(f"{len(labels)} labels for {n} points")
-        if not np.all(np.isfinite(d)):
-            raise InvalidArgumentError("dist must be finite")
-        _check_symmetric(d, "dist")
+        d = np.array(_as_metric_matrix(d, "dist"))  # a copy, as are the weights
         if np.any(np.diagonal(d) != 0.0):
             raise InvalidArgumentError("dist diagonal must be exactly zero")
-        if d.min() < 0.0:
-            raise InvalidArgumentError("dist entries must be nonnegative")
         w = np.array(_as_weights(self.weights, n, "weights"))
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise InvalidArgumentError(
@@ -374,12 +368,52 @@ def _check_p(p: float) -> float:
 
 
 def _check_tol(tol: float, name: str) -> float:
-    """The one tolerance rule, for the solvers' tie_tol and metric_validate's
-    tol: a finite real number >= 0, else an InvalidArgumentError naming it."""
+    """The one nonnegative-real rule (tolerances, times, shells): a finite real
+    number >= 0, returned as a float, else an InvalidArgumentError naming it."""
     tol = float(tol)
     if not (tol >= 0.0 and math.isfinite(tol)):
         raise InvalidArgumentError(f"{name} must be a finite real number >= 0, got {tol!r}")
     return tol
+
+
+def _check_graph_size(n: int, what: str) -> None:
+    """The one graph-size rule: past MAX_GRAPH_POINTS points, a BudgetExceededError
+    naming what would have been built on them, raised before any n x n array."""
+    if n > MAX_GRAPH_POINTS:
+        raise BudgetExceededError(f"{what} on {n} points exceeds the limit of {MAX_GRAPH_POINTS}")
+
+
+def _int64(value):
+    """The one integral rule: value as an int when it is integral and inside the
+    int64 range, else None; the FPP hash packs its seed, axis and coordinates
+    as int64."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if n == value and -(1 << 63) <= n < 1 << 63 else None
+
+
+def _check_count(x, name: str, least: int = 1, most: int | None = None) -> int:
+    """The one count rule: an integral value (_int64) >= least, and <= most when
+    most is given, returned as an int, else an InvalidArgumentError naming it."""
+    n = _int64(x)
+    if n is None:
+        raise InvalidArgumentError(f"{name} must be an integer in the int64 range, got {x!r}")
+    if most is not None and not least <= n <= most:
+        raise InvalidArgumentError(f"{name} must be in [{least}, {most}], got {n}")
+    if n < least:
+        raise InvalidArgumentError(f"{name} must be >= {least}")
+    return n
+
+
+def _check_positive(x, name: str) -> float:
+    """The one positive-real rule: a finite real number > 0, returned as a float,
+    else an InvalidArgumentError naming the argument and the value as given."""
+    value = float(x)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise InvalidArgumentError(f"{name} must be positive, got {x!r}")
+    return value
 
 
 def _check_room(top: float, what: str) -> None:
@@ -549,8 +583,7 @@ def k_means_exact(
     objective and family are those of costing every set.
     """
     p = _check_p(p)
-    if k < 1:
-        raise InvalidArgumentError("k must be >= 1")
+    k = _check_count(k, "k")
     tie_tol = _check_tol(tie_tol, "tie_tol")
     n = space.n
     count = _enum_count(n, k)
@@ -717,10 +750,8 @@ def k_means_pam(
     """
     p = _check_p(p)
     n = space.n
-    if not 1 <= k <= n:
-        raise InvalidArgumentError(f"k must be in [1, {n}], got {k}")
-    if restarts < 1:
-        raise InvalidArgumentError("restarts must be >= 1")
+    k = _check_count(k, "k", 1, n)
+    restarts = _check_count(restarts, "restarts")
     tie_tol = _check_tol(tie_tol, "tie_tol")
     ext = _Extensions(_powered(space.dist, p, "dist"), space.weights)  # before any fork
 

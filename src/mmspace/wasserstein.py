@@ -37,10 +37,12 @@ from .diffusion import (
     similarity_matrix,
     spectral_decomposition,
 )
-from . import geodesic
 from .errors import InvalidArgumentError, SolverError
 from .geodesic import fermat_distance_matrix, fermat_scaled, isomap_distance_matrix
-from .space import FiniteMetricMeasureSpace, KMeansSolution, _as_metric_matrix, _as_weights, _check_p, _k_means, _powered
+from .space import (
+    FiniteMetricMeasureSpace, KMeansSolution, _as_metric_matrix, _as_weights, _check_graph_size, _check_p, _check_tol,
+    _k_means, _powered,
+)
 
 MASS_TOL = 1e-12
 
@@ -263,6 +265,7 @@ def wasserstein_space(
     in upper-triangle order and both triangle halves are filled from the same
     solve, so the matrix is exactly symmetric.
     """
+    p = _check_p(p)
     measures = list(measures)
     m = len(measures)
     if m < 1:
@@ -282,8 +285,7 @@ def isometry_defect_bound(eps: float, diam: float) -> float:
     If two ground metrics differ by at most eps entrywise, every pairwise
     Wasserstein distance moves by at most this much.
     """
-    if eps < 0 or diam < 0:
-        raise InvalidArgumentError("eps and diam must be >= 0")
+    eps, diam = _check_tol(eps, "eps"), _check_tol(diam, "diam")
     return 8.0 * (eps + math.sqrt(eps * diam))
 
 
@@ -299,11 +301,11 @@ def _learn_metric(cloud: PointCloud, method: str, params: dict | None = None, sc
     where it holds the retained "eigenvalues", the spectral "gap_warnings" and
     the quotient "classes" of points the diffusion cannot separate.
     scaled=False leaves the Fermat matrix without its n^((alpha-1)/dim) factor.
-    Past geodesic.MAX_GRAPH_POINTS points it raises BudgetExceededError before
+    Past space.MAX_GRAPH_POINTS points it raises BudgetExceededError before
     any n x n array is built; a matrix with an entry that overflowed to inf
     raises InvalidArgumentError.
     """
-    geodesic._check_graph_size(cloud.n, f"{method} metric")
+    _check_graph_size(cloud.n, f"{method} metric")
     params = dict(params or {})
     diagnostics = {}
     if method == "euclid":

@@ -27,7 +27,7 @@ from mmspace import (
     write_matrix_bin,
     write_matrix_csv,
 )
-from mmspace import cli, geodesic
+from mmspace import cli, space
 from mmspace.cli import main
 
 from helpers import random_space, relaxation_geodesics
@@ -138,7 +138,7 @@ class TestSampleAndDist:
         assert out.read_bytes() == lib.read_bytes()
 
     def test_graph_size_limit_exit_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 3)
+        monkeypatch.setattr(space, "MAX_GRAPH_POINTS", 3)
         cloud = tmp_path / "c.csv"
         write_line_cloud(cloud, [0.0, 0.5, 1.0, 1.5])
         for flags in (
@@ -380,7 +380,7 @@ class TestFpp:
     def test_bad_shell_is_named(self, capsys, shell):
         code = main(["fpp", "--dim", "2", "--law", "exp:1", "--t", "3", "--shell", shell])
         assert code == 2
-        assert capsys.readouterr().err == f"error: --shell must be finite and >= 0, got {float(shell)!r}\n"
+        assert capsys.readouterr().err == f"error: --shell must be a finite real number >= 0, got {float(shell)!r}\n"
 
     @pytest.mark.parametrize("seed", [str(1 << 63), str(-(1 << 63) - 1)])
     def test_seed_past_int64_is_named(self, capsys, seed):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -11,16 +12,32 @@ import pytest
 import mmspace  # noqa: F401  (imports every module that may define an error type)
 from mmspace import (
     DiscreteMeasure,
+    EdgeWeightLaw,
     ExperimentConfig,
+    FermatParams,
     FiniteMetricMeasureSpace,
+    FppInstance,
     PointCloud,
     circle_arc_metric,
     cluster_deviation,
+    covering_radius,
     curvature_condition_check,
+    density_compensation,
+    diffusion_distance_matrix,
+    embedding_from_decomposition,
     epsilon_net_graph,
+    equispaced_circle_net,
     euclidean_matrix,
+    fermat_distance_matrix,
+    fermat_scaled,
+    fpp_barycenter_track,
+    gaussian_fermat_moment_estimate,
     grid_measure_1d,
     hausdorff_distance,
+    isomap_distance_matrix,
+    isometry_defect_bound,
+    k_means_exact,
+    k_means_pam,
     learned_wasserstein_kmeans,
     learned_wasserstein_space,
     metric_validate,
@@ -28,6 +45,9 @@ from mmspace import (
     one_sided_center_deviation,
     quantize,
     sample,
+    scaled_space,
+    shape_defect,
+    similarity_matrix,
     spectral_decomposition,
     wasserstein_distance,
     wasserstein_space,
@@ -149,7 +169,8 @@ NEGATIVE_MATRIX = [[0.0, -1.0], [-1.0, 0.0]]
 # (id, call, bad matrix, the one error line it gives)
 BAD_ENTRIES = [
     ("metric_validate", lambda m: metric_validate(m), NAN_MATRIX, "matrix must be finite"),
-    ("space", lambda m: FiniteMetricMeasureSpace(["a", "b"], m, [0.5, 0.5]), NAN_MATRIX, "dist must be finite"),
+    ("space", lambda m: FiniteMetricMeasureSpace(["a", "b"], m, [0.5, 0.5]), NAN_MATRIX,
+     "dist entries must be finite and nonnegative"),
     ("ground-nan", lambda m: wasserstein_distance(m, DIRAC, DIRAC), NAN_MATRIX,
      "ground metric entries must be finite and nonnegative"),
     ("ground-negative", lambda m: wasserstein_distance(m, DIRAC, DIRAC), NEGATIVE_MATRIX,
@@ -247,3 +268,133 @@ def test_bad_weights_raise_a_typed_error_naming_the_argument(name, call, bad, tm
     rule = "must (be a length-2 vector|be finite and nonnegative|have a positive finite sum)"
     with pytest.raises(InvalidArgumentError, match=f"^{name} {rule}$"):
         call(bad, tmp_path)
+
+
+# ----------------------------------------------------------------------------
+# every scalar argument is read by one rule: space._check_positive for
+# positive reals, space._check_count for counts, space._check_tol for
+# nonnegative reals, space._check_p for p
+# ----------------------------------------------------------------------------
+
+NAN, INF = math.nan, math.inf
+LINE = PointCloud([[0.0], [1.0], [2.0]])
+TWO_POINTS = FiniteMetricMeasureSpace.uniform(["a", "b"], [[0.0, 1.0], [1.0, 0.0]])
+LAPLACIAN = normalized_laplacian(similarity_matrix(LINE, 1.0))
+LAW = EdgeWeightLaw.exponential(1.0)
+DET = FppInstance(2, EdgeWeightLaw.deterministic(1.0), 0, 10.0)
+
+
+def flat_curvature(density=1.0, tol=1e-9):
+    # one sample of the flat plane at constant density
+    return curvature_condition_check(
+        lambda x: density, lambda x: np.zeros(2), lambda x: np.zeros((2, 2)), 2.0, 2, 0.0,
+        [[0.0, 0.0]], [[[1.0, 0.0], [0.0, 1.0]]], tol,
+    )
+
+
+def mm_fpp_shell(shell):
+    # mm fpp with a bad --shell; its exit code 2 and one error line, raised
+    # again as the error they report
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["fpp", "--dim", "2", "--law", "exp:1", "--t", "3", "--shell", repr(shell)])
+    assert code == InvalidArgumentError.exit_code and err.getvalue().count("\n") == 1
+    raise InvalidArgumentError(err.getvalue().removeprefix("error: ").removesuffix("\n"))
+
+
+def positive(bad):
+    return f"must be positive, got {bad!r}"
+
+
+def nonnegative(bad):
+    return f"must be a finite real number >= 0, got {float(bad)!r}"
+
+
+def integer(bad):
+    return f"must be an integer in the int64 range, got {bad!r}"
+
+
+# (id, the argument's name in the message, call with the bad value, bad value, the rest of the message)
+TAKES_SCALARS = [
+    # positive reals
+    ("isomap-eps", "eps", lambda v: isomap_distance_matrix(LINE, v), NAN, positive(NAN)),
+    ("net-eps", "eps", lambda v: epsilon_net_graph(GOOD, "euclidean", v, 1.0), 0, positive(0)),
+    ("net-diam", "diam", lambda v: epsilon_net_graph(GOOD, "euclidean", 2.0, v), INF, positive(INF)),
+    ("sigma", "sigma", lambda v: similarity_matrix(LINE, v), -1, positive(-1)),
+    ("deterministic-weight", "deterministic weight", lambda v: EdgeWeightLaw.deterministic(v), 0, positive(0)),
+    ("rate", "rate", lambda v: EdgeWeightLaw.exponential(v), INF, positive(INF)),
+    ("horizon", "horizon", lambda v: FppInstance(2, LAW, 0, v), NAN, positive(NAN)),
+    ("grid-factor", "grid_factor", lambda v: shape_defect(DET, 3.0, grid_factor=v), 0, positive(0)),
+    ("curvature-density", "density at sample 0", lambda v: flat_curvature(density=v), -1, positive(-1.0)),
+    # nonnegative reals
+    ("diffusion-t", "t", lambda v: embedding_from_decomposition(spectral_decomposition(LAPLACIAN, 2), v), -1,
+     nonnegative(-1)),
+    ("scaled-space-shell", "shell", lambda v: scaled_space(DET, 3.0, shell=v), NAN, nonnegative(NAN)),
+    ("track-shell", "shell", lambda v: fpp_barycenter_track(DET, [3.0], shell=v), -1, nonnegative(-1)),
+    ("mm-fpp-shell", "--shell", mm_fpp_shell, INF, nonnegative(INF)),
+    # used to return nan
+    ("defect-bound-eps", "eps", lambda v: isometry_defect_bound(v, 1.0), NAN, nonnegative(NAN)),
+    ("defect-bound-diam", "diam", lambda v: isometry_defect_bound(1.0, v), -1, nonnegative(-1)),
+    # used to merge no points
+    ("merge-tol", "merge_tol", lambda v: diffusion_distance_matrix([[0.0], [1.0]], merge_tol=v), NAN, nonnegative(NAN)),
+    ("merge-tol-negative", "merge_tol", lambda v: diffusion_distance_matrix([[0.0], [1.0]], merge_tol=v), -1,
+     nonnegative(-1)),
+    # used to report no gap warnings
+    ("gap-tol", "gap_tol", lambda v: spectral_decomposition(LAPLACIAN, 3, gap_tol=v), NAN, nonnegative(NAN)),
+    ("curvature-tol", "tol", lambda v: flat_curvature(tol=v), INF, nonnegative(INF)),
+    # counts
+    ("sample-n", "n", lambda v: sample("interval", v, 0), 0, "must be >= 1"),
+    ("sample-dim", "dim", lambda v: sample("gaussian", 5, 0, dim=v), 2.5, integer(2.5)),
+    ("config-sizes", "sizes", lambda v: ExperimentConfig(sizes=[v]), 0, "must be >= 1"),
+    ("config-trials", "trials", lambda v: ExperimentConfig(trials=v), 0, "must be >= 1"),
+    ("config-k", "k", lambda v: ExperimentConfig(k=v), -1, "must be >= 1"),
+    ("config-restarts", "restarts", lambda v: ExperimentConfig(restarts=v), NAN, integer(NAN)),
+    # used to raise a bare TypeError
+    ("exact-k", "k", lambda v: k_means_exact(TWO_POINTS, v), 2.5, integer(2.5)),
+    ("exact-k-zero", "k", lambda v: k_means_exact(TWO_POINTS, v), 0, "must be >= 1"),
+    ("pam-k", "k", lambda v: k_means_pam(TWO_POINTS, v), 0, "must be in [1, 2], got 0"),
+    ("pam-restarts", "restarts", lambda v: k_means_pam(TWO_POINTS, 1, restarts=v), 0, "must be >= 1"),
+    ("quantize-n-centers", "n_centers", lambda v: quantize(GOOD, v), 0, "must be >= 1"),
+    ("quantize-restarts", "restarts", lambda v: quantize(GOOD, 1, restarts=v), -1, "must be >= 1"),
+    # used to run
+    ("quantize-max-iter", "max_iter", lambda v: quantize(GOOD, 1, max_iter=v), NAN, integer(NAN)),
+    ("grid-size", "grid_size", lambda v: grid_measure_1d(lambda x: 1.0, 0.0, 1.0, v), 0, "must be >= 2"),
+    # used to return 3 points spaced 2 pi / 2.5 apart
+    ("circle-net-m", "m", lambda v: equispaced_circle_net(v), 2.5, integer(2.5)),
+    ("fermat-intrinsic-dim", "intrinsic_dim", lambda v: FermatParams(2.0, v), 0, "must be >= 1"),
+    ("compensation-intrinsic-dim", "intrinsic_dim", lambda v: density_compensation([1.0], 2.0, v), 2.5,
+     integer(2.5)),
+    # used to return a NaN matrix
+    ("fermat-scaled-n", "n", lambda v: fermat_scaled(np.zeros((2, 2)), v, 2.0, 1), NAN, integer(NAN)),
+    ("moment-n-samples", "n_samples", lambda v: gaussian_fermat_moment_estimate(2.0, v, 0), 0, "must be >= 1"),
+    # used to pass the dimension check and fail in struct (at 2.0)
+    ("fpp-dim", "dim", lambda v: FppInstance(v, LAW, 0, 1.0), 2.5, integer(2.5)),
+    ("fpp-dim-range", "dim", lambda v: FppInstance(v, LAW, 0, 1.0), 0, "must be in [1, 3], got 0"),
+    ("edge-weight-axis", "axis", lambda v: FppInstance(2, LAW, 0, 1.0).edge_weight((0, 0), v), 2.5, integer(2.5)),
+    # used to raise numpy's ValueError
+    ("covering-grid-size", "grid_size", lambda v: covering_radius("interval", LINE, v), 0, "must be >= 1"),
+    ("spectral-k", "k", lambda v: spectral_decomposition(LAPLACIAN, v), 2.5, integer(2.5)),
+    ("spectral-k-range", "k", lambda v: spectral_decomposition(LAPLACIAN, v), 0, "must be in [1, 3], got 0"),
+    ("knn", "knn", lambda v: fermat_distance_matrix(LINE, 2.0, knn=v), 2.5, integer(2.5)),
+    ("knn-range", "knn", lambda v: fermat_distance_matrix(LINE, 2.0, knn=v), 0, "must be in [1, 2], got 0"),
+    # used to be accepted, and reach fermat_scaled
+    ("cloud-intrinsic-dim", "intrinsic_dim", lambda v: PointCloud([[0.0, 0.0, 0.0]], v), 2.5, integer(2.5)),
+    ("cloud-intrinsic-dim-range", "intrinsic_dim", lambda v: PointCloud([[0.0, 0.0, 0.0]], v), -1,
+     "must be in [1, 3], got -1"),
+    # p; used to return a space
+    ("wasserstein-space-p", "p", lambda v: wasserstein_space([DIRAC], [[0.0]], p=v), NAN,
+     "must be a real number >= 1, got nan"),
+]
+
+
+@pytest.mark.parametrize("name, call, bad, rule", [c[1:] for c in TAKES_SCALARS], ids=[c[0] for c in TAKES_SCALARS])
+def test_bad_scalar_raises_a_typed_error_naming_the_argument(name, call, bad, rule):
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(name)} {re.escape(rule)}$"):
+        call(bad)
+
+
+def test_an_integral_float_is_a_count():
+    # FppInstance stores its dim as an int, so the hash's struct format takes it
+    assert FppInstance(2.0, LAW, 0, 1.0).edge_weight((0, 0), 1) == FppInstance(2, LAW, 0, 1.0).edge_weight((0, 0), 1)
+    assert k_means_exact(TWO_POINTS, 2.0).objective == k_means_exact(TWO_POINTS, 2).objective == 0.0
+    assert equispaced_circle_net(4.0).shape == (4, 2)

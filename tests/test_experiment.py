@@ -15,7 +15,7 @@ from mmspace import (
     run_experiment,
     write_cloud_csv,
 )
-from mmspace import experiment, geodesic
+from mmspace import experiment, space
 from mmspace.experiment import CSV_COLUMNS
 
 from helpers import random_space
@@ -292,7 +292,7 @@ class TestRunExperiment:
 def test_oversized_graph_fails_its_row_only(monkeypatch):
     # past the size limit a cell records BudgetExceededError and the
     # grid goes on, instead of a MemoryError aborting the whole run
-    monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 30)
+    monkeypatch.setattr(space, "MAX_GRAPH_POINTS", 30)
     for method, params in (("isomap", {"eps": 0.5}), ("euclid", {}), ("diffusion", {"sigma": 1.0})):
         config = interval_config(method=method, method_params=params, sizes=[20, 40])
         result = run_experiment(config)

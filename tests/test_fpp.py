@@ -25,7 +25,7 @@ from mmspace import (
     scaled_space,
     shape_defect,
 )
-from mmspace import fpp, geodesic
+from mmspace import fpp, space
 from mmspace.cli import main
 from mmspace.fpp import _dist_to_l1_ball
 
@@ -198,16 +198,39 @@ class TestScaledSpace:
         assert loose.n == tight.n
         assert np.all(loose.dist <= tight.dist + 1e-12)
 
-    def test_size_limit_raises_before_dijkstra(self, monkeypatch):
+    @pytest.mark.parametrize("law", ["det:1", "exp:1"])
+    def test_size_limit_raises_before_the_rows(self, monkeypatch, law):
+        # a deterministic law takes its rows from the closed form, a random
+        # one from Dijkstra; either way none is taken past the limit
+        inst = FppInstance(2, EdgeWeightLaw.parse(law), 0, 10.0)
+        m = scaled_space(inst, 3.0).n
         sources = count_dijkstra_sources(monkeypatch)
-        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 13)
-        assert scaled_space(det_instance(), 3.0).n == 13
-        assert sources == [13]
-        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 12)
-        with pytest.raises(BudgetExceededError, match="^scaled space on 13 points exceeds the limit of 12$") as err:
-            scaled_space(det_instance(), 3.0)
+        real = fpp._det_rows
+
+        def counting(core, steps, rows, start=0):
+            sources.append(np.size(rows))
+            return real(core, steps, rows, start)
+
+        monkeypatch.setattr(fpp, "_det_rows", counting)
+        monkeypatch.setattr(space, "MAX_GRAPH_POINTS", m)
+        assert scaled_space(inst, 3.0).n == m
+        assert sources == [m]
+        monkeypatch.setattr(space, "MAX_GRAPH_POINTS", m - 1)
+        with pytest.raises(BudgetExceededError, match=f"^scaled space on {m} points exceeds the limit of {m - 1}$") as err:
+            scaled_space(inst, 3.0)
         assert err.value.exit_code == 3
-        assert sources == [13]
+        assert sources == [m]
+
+    @pytest.mark.parametrize("dim, c, t, shell", [
+        (1, 1.0, 20.0, 0.0), (2, 0.25, 3.0, 0.5), (2, 0.3, 4.0, 0.2), (3, 1.0, 4.0, 0.0), (3, 0.7, 3.0, 0.3),
+    ])
+    def test_deterministic_closed_form_is_the_growth_bit_for_bit(self, dim, c, t, shell):
+        inst = FppInstance(dim, EdgeWeightLaw.deterministic(c), 0, t * (1.0 + shell))
+        core, rows = fpp._prefix_ball(fpp._grow(inst, t, shell), t, shell)
+        grown = fpp._mirror_upper(rows(np.arange(len(core))))
+        scaled = scaled_space(inst, t, shell)
+        assert scaled.labels == [",".join(map(str, v)) for v in core.tolist()]
+        assert scaled.dist.tobytes() == grown.tobytes()
 
     def test_horizon_guard(self):
         inst = det_instance(horizon=3.0)
@@ -469,9 +492,9 @@ class TestRandomTrackGrowsOnce:
     @pytest.mark.parametrize("law", ["exp:1", "det:0.5"])
     def test_nan_shell_raises(self, law):
         inst = FppInstance(2, EdgeWeightLaw.parse(law), 1, 6.0)
-        with pytest.raises(InvalidArgumentError, match=r"^shell must be >= 0$"):
+        with pytest.raises(InvalidArgumentError, match=r"^shell must be a finite real number >= 0, got nan$"):
             fpp_barycenter_track(inst, [2.0, 3.0], shell=math.nan)
-        with pytest.raises(InvalidArgumentError, match=r"^shell must be >= 0$"):
+        with pytest.raises(InvalidArgumentError, match=r"^shell must be a finite real number >= 0, got nan$"):
             scaled_space(inst, 3.0, shell=math.nan)
 
 

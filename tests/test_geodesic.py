@@ -32,7 +32,7 @@ from mmspace import (
     metric_validate,
     sample,
 )
-from mmspace import geodesic
+from mmspace import geodesic, space
 
 from helpers import relaxation_geodesics
 
@@ -234,7 +234,7 @@ class TestTinyEdges:
 
 class TestSizeGuard:
     def test_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 4)
+        monkeypatch.setattr(space, "MAX_GRAPH_POINTS", 4)
         d = fermat_distance_matrix(cloud_1d([0.0, 1.0, 2.0, 3.0]), 2.0)
         assert d[0, 3] == pytest.approx(3.0)
 
@@ -242,7 +242,7 @@ class TestSizeGuard:
         def no_distances(*args, **kwargs):
             raise AssertionError("pairwise distances computed past the limit")
 
-        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 4)
+        monkeypatch.setattr(space, "MAX_GRAPH_POINTS", 4)
         monkeypatch.setattr(geodesic, "euclidean_matrix", no_distances)
         cloud = cloud_1d([0.0, 1.0, 2.0, 3.0, 4.0])
         with pytest.raises(BudgetExceededError):
@@ -254,7 +254,7 @@ class TestSizeGuard:
 
     def test_counts_duplicates(self, monkeypatch):
         # the result is n x n over the points, so duplicates count
-        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 4)
+        monkeypatch.setattr(space, "MAX_GRAPH_POINTS", 4)
         with pytest.raises(BudgetExceededError):
             fermat_distance_matrix(cloud_1d([0.0, 0.0, 0.0, 1.0, 1.0]), 2.0)
 

@@ -4,9 +4,13 @@ Distances between points come from cloud._euclidean alone, the one kernel
 that refolds what cdist cannot square in float64.  The graph metrics take
 their powers from space._powered, so geodesic.py holds no overflow rule of
 its own around a power; its one np.errstate block is fermat_scaled's, around
-a product.
+a product.  A scalar argument is checked by space.py's owners
+(_check_positive, _check_count, _check_tol, _check_p), so no other module
+raises on a math.isfinite test of its own, and geodesic.py imports those
+owners at module level: space.py does not import geodesic.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mmspace"
@@ -52,3 +56,68 @@ def test_geodesic_has_no_errstate_around_a_power():
     assert len(blocks) == 1
     powers = [n for block in blocks for n in ast.walk(block) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)]
     assert not powers, f"geodesic.py:{powers[0].lineno} powers under np.errstate; use space._powered"
+
+
+def math_isfinite(node):
+    """Whether node calls math.isfinite."""
+    return called(node, "isfinite") and getattr(getattr(node.func, "value", None), "id", None) == "math"
+
+
+def isfinite_raises(tree):
+    """The innermost enclosing function of every if statement whose test calls
+    math.isfinite and whose body raises."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            if (
+                isinstance(child, ast.If)
+                and any(math_isfinite(n) for n in ast.walk(child.test))
+                and any(isinstance(n, ast.Raise) for stmt in child.body for n in ast.walk(stmt))
+            ):
+                sites.append(function)
+            visit(child, inner)
+
+    visit(tree, None)
+    return sites
+
+
+# the two scalar rules that stay outside space.py: the Fermat exponent, and
+# the CLI's --t list, whose every time must be positive and finite
+OWN_FINITE_TESTS = Counter({("geodesic.py", "_check_alpha"): 1, ("cli.py", "cmd_fpp"): 1})
+
+
+def test_scalar_arguments_are_checked_by_the_owners_in_space():
+    found = Counter(
+        (name, function)
+        for name, tree in parsed().items()
+        if name != "space.py"
+        for function in isfinite_raises(tree)
+    )
+    assert found == OWN_FINITE_TESTS, f"hand-written finiteness checks outside space.py: {found - OWN_FINITE_TESTS}"
+
+
+def imports_of(tree, module):
+    """Every import statement in tree of the mmspace module named module,
+    whether it names the module (from . import geodesic) or takes names
+    from it (from .geodesic import x)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            paths = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(path.split(".")[-1] == module for path in paths):
+            found.append(node)
+    return found
+
+
+def test_space_does_not_import_geodesic():
+    trees = parsed()
+    assert not imports_of(trees["space.py"], "geodesic")
+    # geodesic takes the owners from space in one import at module level, none at call time
+    geodesic = trees["geodesic.py"]
+    assert [node in geodesic.body for node in imports_of(geodesic, "space")] == [True]

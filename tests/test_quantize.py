@@ -16,7 +16,7 @@ from mmspace import (
     quantize,
     quantize_density_1d,
 )
-from mmspace import geodesic
+from mmspace import space
 
 from helpers import circle_arc_oracle
 
@@ -271,7 +271,7 @@ class TestEpsilonNetGraph:
         assert np.array_equal(res.dist, amb)
 
     def test_size_guard(self, monkeypatch):
-        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 8)
+        monkeypatch.setattr(space, "MAX_GRAPH_POINTS", 8)
         assert epsilon_net_graph(equispaced_circle_net(8), "circle", eps=1.0, diam=math.pi).admissible is False
         with pytest.raises(BudgetExceededError):
             epsilon_net_graph(equispaced_circle_net(9), "circle", eps=1.0, diam=math.pi)

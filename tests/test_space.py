@@ -28,7 +28,6 @@ from mmspace import (
     one_sided_center_deviation,
     sample,
 )
-from mmspace import geodesic
 from mmspace import space as space_module
 from mmspace.fpp import EdgeWeightLaw, FppInstance, scaled_space
 from mmspace.space import _KERNEL_COLUMNS, _enum_count, _weighted_row_sums
@@ -120,7 +119,7 @@ class TestMetricValidate:
             metric_validate(np.zeros((2, 3)))
 
     def test_size_limit_raises_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(geodesic, "MAX_GRAPH_POINTS", 4)
+        monkeypatch.setattr(space_module, "MAX_GRAPH_POINTS", 4)
         assert metric_validate(line_space([0.0, 1.0, 2.0, 3.0]).dist).passes
         with pytest.raises(BudgetExceededError, match="limit of 4"):
             metric_validate(line_space([0.0, 1.0, 2.0, 3.0, 4.0]).dist)
