@@ -90,16 +90,17 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"unknown generator {self.generator!r}; expected one of {GENERATORS + ('file',)}")
         if self.method not in GROUND_METHODS:
             raise InvalidArgumentError(f"unknown ground method {self.method!r}; expected one of {GROUND_METHODS}")
-        # the numbers are checked, not stored, so the config digest keeps the values as given
+        # the counts are stored as the ints they check to, so an integral float
+        # runs, and digests, as its int
+        self.sizes = [_check_count(s, "sizes") for s in self.sizes]
         if not self.sizes:
             raise InvalidArgumentError("sizes must be nonempty")
-        sizes = [_check_count(s, "sizes") for s in self.sizes]
-        if sorted(set(sizes)) != sizes:
+        if sorted(set(self.sizes)) != self.sizes:
             raise InvalidArgumentError("sizes must be strictly ascending")
-        _check_count(self.trials, "trials")
-        _check_count(self.k, "k")
+        self.trials = _check_count(self.trials, "trials")
+        self.k = _check_count(self.k, "k")
         _check_p(self.p)
-        _check_count(self.restarts, "restarts")
+        self.restarts = _check_count(self.restarts, "restarts")
         _k_means_check(self.solver)
         if (self.reference, self.reference_centers is None) not in (("self", True), ("explicit", False)):
             given = "without" if self.reference_centers is None else "with"

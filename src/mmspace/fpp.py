@@ -26,12 +26,11 @@ track, shape_defect and scaled_space enumerate it with numpy and take every
 row from S; the budget is checked on its closed-form size first.  _balls is
 the one place that picks between this closed form and a growth.
 
-shape_defect takes its metric sup as a running max over row blocks.  Against
-the closed-form l1 reference every entry keeps its bits under a change of
-sign of any axis, and in 2-D under the swap of the two axes, so the rows are
-only those of one representative per orbit, against every column; with a
-callable norm they are the upper-triangle blocks, from S or, for random
-laws, from Dijkstra one block of sources at a time.  Its covering sup builds
+shape_defect takes its metric sup as a running max over blocks of full
+rows.  Against the closed-form l1 reference every entry keeps its bits under
+a change of sign of any axis, and in 2-D under the swap of the two axes, so
+the sources are one representative per orbit; a batched callable norm takes
+every vertex, each block masked to its pairs j > i.  The covering sup builds
 the reference grid a slab at a time, keeping only the points inside the
 reference ball, and queries the nearest vertex only at the grid points that
 do not round to a vertex, whenever their max certifies the whole grid's; a
@@ -324,8 +323,8 @@ def _prefix_ball(growth: tuple, t: float, shell: float) -> tuple:
     at least that far.
 
     core lists the lattice vertices of B(t), the origin first, then the rest
-    sorted; rows(sources, start=0) returns T/t from each core index in
-    sources to core vertices start, start + 1, ...  Both balls are prefixes
+    sorted; rows(sources) returns T/t from each core index in sources to
+    every core vertex, (len(sources), m).  Both balls are prefixes
     of the growth, and one permutation maps core indices to settle indices:
     sources go through it and each row's columns are gathered through it.
     """
@@ -335,8 +334,8 @@ def _prefix_ball(growth: tuple, t: float, shell: float) -> tuple:
     graph = graph[:n, :n]
     perm = np.concatenate([[0], 1 + np.lexsort(vertices[1:m].T[::-1])])
 
-    def rows(sources, start=0):
-        out = dijkstra(graph, directed=True, indices=perm[sources])[:, perm[start:]]
+    def rows(sources):
+        out = dijkstra(graph, directed=True, indices=perm[sources])[:, perm]
         if not np.all(np.isfinite(out)):
             raise SolverError("ball subgraph unexpectedly disconnected")
         out /= t
@@ -406,10 +405,10 @@ def _l1_rows(steps: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return steps[cdist(a, b, "cityblock").astype(np.intp)]
 
 
-def _det_rows(core: np.ndarray, steps: np.ndarray, sources, start=0) -> np.ndarray:
-    """rows(sources, start) of a _det_ball (core, steps), as _prefix_ball's rows
-    gives them; bound with partial, so each ball's rows keep their own core."""
-    return _l1_rows(steps, core[sources], core[start:])
+def _det_rows(core: np.ndarray, steps: np.ndarray, sources) -> np.ndarray:
+    """rows(sources) of a _det_ball (core, steps), as _prefix_ball's rows gives
+    them; bound with partial, so each ball's rows keep their own core."""
+    return _l1_rows(steps, core[sources], core)
 
 
 def _mean_abs_gaps(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -736,6 +735,14 @@ def _ball_to_set(tree: cKDTree, grid: np.ndarray, near: np.ndarray, t: float, ex
     return float(tree.query(grid)[0].max())
 
 
+def _norms(reference_norm, z: np.ndarray) -> np.ndarray:
+    """reference_norm(z), checked to be one finite norm >= 0 per vector of z's last axis."""
+    out = np.asarray(reference_norm(z), dtype=np.float64)
+    if out.shape != z.shape[:-1] or not np.all((out >= 0.0) & (out < math.inf)):
+        raise InvalidArgumentError(f"reference_norm must map {z.shape} to finite norms >= 0 of shape {z.shape[:-1]}")
+    return out
+
+
 def shape_defect(
     instance: FppInstance,
     t: float,
@@ -748,20 +755,25 @@ def shape_defect(
     Only deterministic weights have a closed-form limit: T(x, y) = c |x - y|_1,
     so the reference norm is c times the l1 norm and the limit ball has l1
     radius 1/c.  Other laws raise UnsupportedReferenceError unless a callable
-    norm is supplied, in which case its unit ball is used via a grid.
+    reference_norm is given, whose unit ball is used via a grid.  It is
+    batched: it maps an array z, coordinates on its last axis, to the norms
+    of its vectors, shape z.shape[:-1] (any other shape, or a negative or
+    non-finite norm, raises InvalidArgumentError), and is called once per
+    row block, once per covering-grid slab and once on the vertices.
     grid_factor must be positive and finite, else InvalidArgumentError.
 
     The metric defect is the sup over pairs of |T/t - norm difference|, with
-    paths kept inside B(t), taken as a running max over row blocks of _balls'
-    rows, so no m x m array is made.  Against the closed-form l1 reference
+    paths kept inside B(t), taken as a running max over blocks of _balls'
+    full rows, so no m x m array is made.  Against the closed-form l1 reference
     every entry keeps its bits when an axis changes sign, since
     fl(-x/t) = -fl(x/t) and |(-a) - (-b)| = |a - b|, and in 2-D also when
     the two axes swap, since a two-term sum commutes (a three-term sum is not
     associative, so 3-D keeps its axis order); the l1 ball is invariant under
     the same maps.  So rows are taken only from one representative per orbit
     (every coordinate >= 0, and in 2-D x0 >= x1) against all m columns.  With
-    a callable norm the rows are the upper-triangle blocks, from Dijkstra one
-    block of sources at a time for random laws.
+    a callable norm every vertex is a source, each block masked to its pairs
+    j > i, the entries scaled_space mirrors; random laws take the rows from
+    Dijkstra one block of sources at a time.
 
     The covering defect is the Hausdorff distance between the scaled vertex set
     and the reference ball, measured in the ambient Euclidean metric on a grid
@@ -776,6 +788,7 @@ def shape_defect(
     built, raises BudgetExceededError before either pass runs.
     """
     _check_positive(grid_factor, "grid_factor")
+    l1_radius = None
     if reference_norm is None:
         if instance.law.kind != "deterministic":
             raise UnsupportedReferenceError(
@@ -784,8 +797,6 @@ def shape_defect(
             )
         c = instance.law.params[0]
         l1_radius = 1.0 / c
-    else:
-        l1_radius = None
 
     ((_, core, rows),) = _balls(instance, [t], 0.0, budget)
     coords = np.asarray(core, dtype=np.float64) / t
@@ -804,27 +815,20 @@ def shape_defect(
             f"exceeds the budget of {_GRID_BUDGET} points"
         )
     step = max(1, _BLOCK_ENTRIES // m)
-    if l1_radius is not None:
-        reps = _orbit_representatives(core)
-        blocks = [(reps[s:s + step], 0) for s in range(0, len(reps), step)]
-    else:
-        blocks = [(np.arange(s, min(s + step, m)), s) for s in range(0, m, step)]
+    all_sources = _orbit_representatives(core) if l1_radius is not None else np.arange(m)
     metric_defect = 0.0
-    for sources, start in blocks:
-        # row k of a block is T/t from sources[k] to every j >= start
-        block = rows(sources, start)
+    for start in range(0, len(all_sources), step):
+        sources = all_sources[start:start + step]
+        block = rows(sources)
         if l1_radius is not None:
             ref = cdist(coords[sources], coords, "cityblock")
             ref *= c
         else:
-            ref = np.zeros_like(block)
-            for k, i in enumerate(sources.tolist()):
-                ref[k, k + 1:] = list(map(reference_norm, coords[i] - coords[i + 1:]))
+            ref = _norms(reference_norm, coords[sources, None] - coords)
+            # only the pairs j > i count: the rest subtract to 0
+            np.copyto(ref, block, where=np.arange(m) <= sources[:, None])
         block -= ref
         np.abs(block, out=block)
-        if l1_radius is None:
-            # upper-triangle rows count only for the columns j > i
-            block = np.triu(block, 1)
         metric_defect = max(metric_defect, float(block.max()))
 
     axis = np.arange(low, high, h)
@@ -841,9 +845,7 @@ def shape_defect(
     else:
 
         def inside(parts):
-            points = np.stack(np.broadcast_arrays(*parts), axis=-1)
-            keep = [reference_norm(z) <= 1.0 for z in points.reshape(-1, instance.dim)]
-            return np.array(keep, dtype=bool).reshape(points.shape[:-1])
+            return _norms(reference_norm, np.stack(np.broadcast_arrays(*parts), axis=-1)) <= 1.0
 
     grid, near = _covering_grid(axis, core, t, inside)
     tree = cKDTree(coords)
@@ -853,10 +855,7 @@ def shape_defect(
         outside = coords[np.abs(coords).sum(axis=1) > l1_radius]
         set_to_ball = max((_dist_to_l1_ball(z, l1_radius) for z in outside), default=0.0)
     else:
-        gtree = cKDTree(grid)
-        set_to_ball = 0.0
-        for z in coords:
-            if float(reference_norm(z)) > 1.0:
-                set_to_ball = max(set_to_ball, float(gtree.query(z)[0]))
+        outside = coords[_norms(reference_norm, coords) > 1.0]
+        set_to_ball = float(cKDTree(grid).query(outside)[0].max()) if len(outside) else 0.0
     covering_defect = max(ball_to_set, set_to_ball)
     return metric_defect, covering_defect

@@ -40,8 +40,8 @@ from .diffusion import (
 from .errors import InvalidArgumentError, SolverError
 from .geodesic import fermat_distance_matrix, fermat_scaled, isomap_distance_matrix
 from .space import (
-    FiniteMetricMeasureSpace, KMeansSolution, _as_metric_matrix, _as_weights, _check_graph_size, _check_p, _check_tol,
-    _k_means, _powered,
+    FiniteMetricMeasureSpace, KMeansSolution, _as_metric_matrix, _as_weights, _check_count, _check_graph_size, _check_p,
+    _check_tol, _k_means, _powered,
 )
 
 MASS_TOL = 1e-12
@@ -321,7 +321,7 @@ def _learn_metric(cloud: PointCloud, method: str, params: dict | None = None, sc
         d = isomap_distance_matrix(cloud, float(params["eps"]))
     elif method == "diffusion":
         sigma = float(params.get("sigma", 1.0))
-        k = int(params.get("embed_k", min(cloud.n, 10)))
+        k = _check_count(params.get("embed_k", min(cloud.n, 10)), "embed_k", 1, cloud.n)
         t = float(params.get("t", 1.0))
         dec = spectral_decomposition(normalized_laplacian(similarity_matrix(cloud, sigma)), k)
         d, classes = diffusion_distance_matrix(embedding_from_decomposition(dec, t))

@@ -465,7 +465,9 @@ def torus_distance_oracle(points):
 def dense_shape_defect(inst, t, norm=None, grid_factor=4):
     """shape_defect from the full Dijkstra matrix of scaled_space, the whole
     box of the covering grid with per-point membership calls, and one
-    nearest-vertex query at every grid point inside the reference ball."""
+    nearest-vertex query at every grid point inside the reference ball.
+    norm is batched, as shape_defect takes it, and applied here one vector
+    at a time."""
     from mmspace import scaled_space
 
     space = scaled_space(inst, t)
@@ -476,8 +478,8 @@ def dense_shape_defect(inst, t, norm=None, grid_factor=4):
         member = lambda z: c * float(np.abs(z).sum()) <= 1.0
         radius = 1.0 / c
     else:
-        ref = squareform(pdist(coords, lambda u, v: norm(u - v)))
-        member = lambda z: norm(z) <= 1.0
+        ref = squareform(pdist(coords, lambda u, v: float(norm(u - v))))
+        member = lambda z: float(norm(z)) <= 1.0
         radius = 1.0
     metric = float(np.abs(space.dist - ref).max())
     h = 1.0 / (grid_factor * t)
@@ -490,7 +492,7 @@ def dense_shape_defect(inst, t, norm=None, grid_factor=4):
         set_to_ball = max(_dist_to_l1_ball(z, 1.0 / c) for z in coords)
     else:
         gtree = cKDTree(grid)
-        set_to_ball = max([float(gtree.query(z)[0]) for z in coords if norm(z) > 1.0], default=0.0)
+        set_to_ball = max([float(gtree.query(z)[0]) for z in coords if float(norm(z)) > 1.0], default=0.0)
     return metric, max(ball_to_set, set_to_ball)
 
 

@@ -18,6 +18,7 @@ from mmspace import (
     FiniteMetricMeasureSpace,
     FppInstance,
     PointCloud,
+    build_ground_metric,
     circle_arc_metric,
     cluster_deviation,
     covering_radius,
@@ -349,6 +350,10 @@ TAKES_SCALARS = [
     ("config-trials", "trials", lambda v: ExperimentConfig(trials=v), 0, "must be >= 1"),
     ("config-k", "k", lambda v: ExperimentConfig(k=v), -1, "must be >= 1"),
     ("config-restarts", "restarts", lambda v: ExperimentConfig(restarts=v), NAN, integer(NAN)),
+    # used to be truncated to 2
+    ("ground-embed-k", "embed_k", lambda v: build_ground_metric(LINE, "diffusion", {"embed_k": v}), 2.5, integer(2.5)),
+    ("ground-embed-k-range", "embed_k", lambda v: build_ground_metric(LINE, "diffusion", {"embed_k": v}), 4,
+     "must be in [1, 3], got 4"),
     # used to raise a bare TypeError
     ("exact-k", "k", lambda v: k_means_exact(TWO_POINTS, v), 2.5, integer(2.5)),
     ("exact-k-zero", "k", lambda v: k_means_exact(TWO_POINTS, v), 0, "must be >= 1"),
@@ -398,3 +403,6 @@ def test_an_integral_float_is_a_count():
     assert FppInstance(2.0, LAW, 0, 1.0).edge_weight((0, 0), 1) == FppInstance(2, LAW, 0, 1.0).edge_weight((0, 0), 1)
     assert k_means_exact(TWO_POINTS, 2.0).objective == k_means_exact(TWO_POINTS, 2).objective == 0.0
     assert equispaced_circle_net(4.0).shape == (4, 2)
+    cloud = sample("interval", 40, 3)
+    two = build_ground_metric(cloud, "diffusion", {"embed_k": 2})
+    assert build_ground_metric(cloud, "diffusion", {"embed_k": 2.0}).tobytes() == two.tobytes()

@@ -181,6 +181,21 @@ seed = 7
 
 
 class TestRunExperiment:
+    def test_integral_float_counts_run_as_their_ints(self, tmp_path):
+        # trials=2.0 used to die in range() with a bare TypeError; the counts
+        # are stored as ints, so rows, files and digest are the int config's
+        floats = ExperimentConfig(trials=2.0, sizes=[20.0], k=1.0, restarts=3.0)
+        ints = ExperimentConfig(trials=2, sizes=[20], k=1, restarts=3)
+        stored = [floats.trials, floats.k, floats.restarts, *floats.sizes]
+        assert stored == [2, 1, 3, 20] and all(type(v) is int for v in stored)
+        assert floats.digest() == ints.digest()
+        # a sizes array of two or more entries used to raise numpy's bare ValueError
+        assert ExperimentConfig(trials=2, sizes=np.array([20.0]), k=1, restarts=3).digest() == ints.digest()
+        assert ExperimentConfig(sizes=np.array([20, 40])).sizes == [20, 40]
+        assert run_experiment(floats, tmp_path / "floats").rows == run_experiment(ints, tmp_path / "ints").rows
+        for name in ("results.csv", "summary.json"):
+            assert (tmp_path / "floats" / name).read_bytes() == (tmp_path / "ints" / name).read_bytes()
+
     def test_row_grid_and_schema(self):
         res = run_experiment(interval_config())
         assert len(res.rows) == 4

@@ -207,9 +207,9 @@ class TestScaledSpace:
         sources = count_dijkstra_sources(monkeypatch)
         real = fpp._det_rows
 
-        def counting(core, steps, rows, start=0):
+        def counting(core, steps, rows):
             sources.append(np.size(rows))
-            return real(core, steps, rows, start)
+            return real(core, steps, rows)
 
         monkeypatch.setattr(fpp, "_det_rows", counting)
         monkeypatch.setattr(space, "MAX_GRAPH_POINTS", m)
@@ -409,7 +409,7 @@ class TestDetBallRowsKeepTheirBall:
             assert np.array_equal(core, want_core)
             m = len(core)
             assert np.array_equal(rows(np.arange(m)), fpp._l1_rows(steps, core, core))
-            assert np.array_equal(rows(np.arange(1, m, 2), m // 2), fpp._l1_rows(steps, core[1::2], core[m // 2:]))
+            assert np.array_equal(rows(np.arange(1, m, 2)), fpp._l1_rows(steps, core[1::2], core))
 
 
 class TestRandomTrackGrowsOnce:
@@ -514,7 +514,7 @@ class TestBallRowsNetworkxOracle:
             assert [tuple(v) for v in core.tolist()] == want_core
             m = len(want_core)
             assert np.array_equal(rows(np.arange(m)), want)
-            assert np.array_equal(rows(np.arange(1, m, 2), m // 2), want[1::2, m // 2:])
+            assert np.array_equal(rows(np.arange(1, m, 2)), want[1::2])
 
 
 class TestBarycenterTrack:
@@ -598,35 +598,31 @@ class TestShapeDefect:
         inst = FppInstance(2, EdgeWeightLaw.exponential(1.0), 0, 10.0)
         with pytest.raises(UnsupportedReferenceError):
             shape_defect(inst, 3.0)
-        md, cd = shape_defect(inst, 3.0, reference_norm=lambda v: float(np.abs(v).sum()))
+        md, cd = shape_defect(inst, 3.0, reference_norm=lambda z: np.abs(z).sum(axis=-1))
         assert md >= 0.0 and cd >= 0.0
         assert math.isfinite(md) and math.isfinite(cd)
 
 
-def l1_norm(v):
-    return float(np.abs(v).sum())
+# batched reference norms: the norms of the vectors along the last axis
+def l1_norm(z):
+    return np.abs(z).sum(axis=-1)
 
 
-def l2_norm(v):
-    return float(np.linalg.norm(v))
+def l2_norm(z):
+    return np.linalg.norm(z, axis=-1)
 
 
 def ball_blocks(inst, t, step):
-    """(core, blocks) of B(t) from the ball source, step sources per block."""
+    """(core, blocks) of B(t) from the ball source: full rows, step sources per block."""
     ((_, core, rows),) = fpp._balls(inst, [t], 0.0, 10_000)
     m = len(core)
-    return core, [(s, rows(np.arange(s, min(s + step, m)), s)) for s in range(0, m, step)]
+    return core, [rows(np.arange(s, min(s + step, m))) for s in range(0, m, step)]
 
 
 def assembled_upper(m, blocks):
-    """Upper triangle of T/t from the row blocks, which must tile 0..m-1."""
-    out = np.zeros((m, m))
-    stop = 0
-    for start, rows in blocks:
-        assert start == stop and rows.shape == (rows.shape[0], m - start)
-        out[start:start + rows.shape[0], start:] = rows
-        stop = start + rows.shape[0]
-    assert stop == m
+    """Upper triangle of T/t from the full-row blocks, which must tile 0..m-1."""
+    out = np.concatenate(blocks)
+    assert out.shape == (m, m)
     return np.triu(out, 1)
 
 
@@ -703,10 +699,66 @@ class TestStreamedShapeDefect:
         assert shape_defect(inst, t) == cached_dense_shape_defect(inst, t)
 
     @pytest.mark.parametrize("dim,law,t,norm", NORM_DEFECT_CASES)
-    def test_callable_norm_matches_dense_oracle(self, monkeypatch, dim, law, t, norm):
-        monkeypatch.setattr(fpp, "_BLOCK_ENTRIES", 200)
+    @pytest.mark.parametrize("block", [1 << 17, 50])
+    def test_callable_norm_matches_dense_oracle(self, monkeypatch, dim, law, t, norm, block):
+        # the oracle applies the batched norm one vector at a time; at 50
+        # entries every row block holds one source and every slab one value
+        monkeypatch.setattr(fpp, "_BLOCK_ENTRIES", block)
         inst = FppInstance(dim, EdgeWeightLaw.parse(law), 3, t)
-        assert shape_defect(inst, t, reference_norm=norm) == dense_shape_defect(inst, t, norm)
+        assert shape_defect(inst, t, reference_norm=norm) == cached_dense_shape_defect(inst, t, norm)
+
+    @pytest.mark.parametrize("dim,law,t", [(2, "exp:1", 4.0), (3, "exp:1", 2.0), (2, "det:0.3", 3.0)])
+    def test_callable_norm_is_called_once_per_block_slab_and_on_the_vertices(self, monkeypatch, dim, law, t):
+        shapes = []
+
+        def norm(z):
+            shapes.append(z.shape)
+            return l2_norm(z)
+
+        monkeypatch.setattr(fpp, "_BLOCK_ENTRIES", 2000)
+        inst = FppInstance(dim, EdgeWeightLaw.parse(law), 3, t)
+        shape_defect(inst, t, reference_norm=norm)
+        core = np.array(list(passage_time_ball(inst, t)), dtype=np.float64)
+        m = len(core)
+        step = 2000 // m
+        blocks = [(min(step, m - s), m, dim) for s in range(0, m, step)]
+        h = 1.0 / (4 * t)
+        radius = max(float(np.abs(core / t).max()), 1.0)
+        n = np.arange(-radius - h, radius + h, h).size
+        rows = max(1, 2000 // n ** (dim - 1))
+        slabs = [(min(rows, n - s),) + (n,) * (dim - 1) + (dim,) for s in range(0, n, rows)]
+        assert 1 < len(blocks) < m and 1 < len(slabs) <= n
+        assert shapes == blocks + slabs + [(m, dim)]
+
+    def test_callable_norm_allocates_no_square_matrix(self):
+        # a random law's Dijkstra blocks, their difference vectors and the
+        # norm's own temporaries stay within a few blocks of vectors, below
+        # one m x m matrix
+        inst = FppInstance(2, EdgeWeightLaw.exponential(1.0), 3, 10.0)
+        m = len(passage_time_ball(inst, 10.0))
+        assert m == 1474
+        tracemalloc.start()
+        try:
+            shape_defect(inst, 10.0, reference_norm=l2_norm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 6 * fpp._BLOCK_ENTRIES * 2 * 8
+        assert peak < bound < m * m * 8
+
+    @pytest.mark.parametrize("norm", [
+        # a per-vector norm returns one scalar for the whole batch
+        lambda z: float(np.linalg.norm(z)),
+        lambda z: l1_norm(z)[..., None],
+        lambda z: -l1_norm(z),
+        lambda z: np.where(l1_norm(z) > 0.5, np.nan, l1_norm(z)),
+        lambda z: np.where(l1_norm(z) > 0.5, np.inf, l1_norm(z)),
+    ], ids=["scalar", "shape", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("law", ["exp:1", "det:0.3"])
+    def test_bad_reference_norm_raises(self, norm, law):
+        inst = FppInstance(2, EdgeWeightLaw.parse(law), 3, 3.0)
+        with pytest.raises(InvalidArgumentError, match="^reference_norm must map"):
+            shape_defect(inst, 3.0, reference_norm=norm)
 
     @pytest.mark.parametrize("grid_factor", [1, 2.5, 7])
     def test_grid_factor_matches_dense_oracle(self, grid_factor):
@@ -763,7 +815,7 @@ class TestStreamedShapeDefect:
                     3: math.comb(radius + 3, 3)}[dim]
         assert sum(taken) == reps == expected
 
-    def test_callable_norm_takes_upper_triangle_rows(self, monkeypatch):
+    def test_callable_norm_takes_full_rows_of_every_vertex(self, monkeypatch):
         taken = []
         l1_rows = fpp._l1_rows
         monkeypatch.setattr(fpp, "_l1_rows", lambda s, a, b: taken.append((len(a), len(b))) or l1_rows(s, a, b))
@@ -771,8 +823,9 @@ class TestStreamedShapeDefect:
         inst = det_instance(c=0.3, dim=2, horizon=1.5)
         shape_defect(inst, 1.5, reference_norm=l2_norm)
         m = len(passage_time_ball(inst, 1.5))
-        assert sum(a for a, _ in taken) == m
-        assert [b for _, b in taken] == list(range(m, 0, -(1000 // m)))
+        step = 1000 // m
+        assert [a for a, _ in taken] == [min(step, m - s) for s in range(0, m, step)]
+        assert [b for _, b in taken] == [m] * len(taken)
 
     @pytest.mark.parametrize("grid_factor", [0, -1, -0.5, math.nan, math.inf, -math.inf])
     def test_grid_factor_must_be_positive_and_finite(self, grid_factor):

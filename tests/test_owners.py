@@ -7,7 +7,8 @@ its own around a power; its one np.errstate block is fermat_scaled's, around
 a product.  A scalar argument is checked by space.py's owners
 (_check_positive, _check_count, _check_tol, _check_p), so no other module
 raises on a math.isfinite test of its own, and geodesic.py imports those
-owners at module level: space.py does not import geodesic.
+owners at module level: space.py does not import geodesic.  fpp.py calls a
+reference norm only on whole batches, never per pair, point or vertex.
 """
 import ast
 from collections import Counter
@@ -121,3 +122,36 @@ def test_space_does_not_import_geodesic():
     # geodesic takes the owners from space in one import at module level, none at call time
     geodesic = trees["geodesic.py"]
     assert [node in geodesic.body for node in imports_of(geodesic, "space")] == [True]
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def per_element_calls(tree, name):
+    """Line numbers where name is called inside a for or while loop or a
+    comprehension, or passed to map."""
+    sites = []
+
+    def visit(node, looped):
+        for child in ast.iter_child_nodes(node):
+            mapped = called(child, "map") and any(getattr(arg, "id", None) == name for arg in child.args)
+            if mapped or (looped and called(child, name)):
+                sites.append(child.lineno)
+            visit(child, looped or isinstance(child, LOOPS))
+
+    visit(tree, False)
+    return sites
+
+
+def test_shape_defect_calls_the_reference_norm_on_batches_only():
+    snippets = [
+        "for z in x:\n    reference_norm(z)",
+        "while x:\n    reference_norm(x)",
+        "[reference_norm(z) for z in x]",
+        "max(reference_norm(z) for z in x)",
+        "list(map(reference_norm, x))",
+    ]
+    assert [per_element_calls(ast.parse(code), "reference_norm") for code in snippets] == [[2], [2], [1], [1], [1]]
+    assert per_element_calls(ast.parse("for b in x:\n    _norms(reference_norm, b)"), "reference_norm") == []
+    sites = per_element_calls(parsed()["fpp.py"], "reference_norm")
+    assert not sites, f"fpp.py calls reference_norm per element at lines {sites}"
